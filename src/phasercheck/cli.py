@@ -32,7 +32,7 @@ from .engine import (
 from .parser import ParseError, parse
 from .pre import AtomicUnsupported
 from .symbolic import constraint_to_text, parse_constraints
-from .syntax import NewPhaser, While, If, NextBlock, validate
+from .syntax import NewPhaser, validate, walk
 from .targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -62,16 +62,7 @@ def _load_program(path: str):
 
 
 def _static_phaser_count(program) -> int:
-    def count(seq) -> int:
-        n = 0
-        for s in seq:
-            if isinstance(s, NewPhaser):
-                n += 1
-            elif isinstance(s, (While, If, NextBlock)):
-                n += count(s.body)
-        return n
-
-    return sum(count(t.body) for t in program.tasks)
+    return sum(isinstance(s, NewPhaser) for t in program.tasks for s, _ in walk(t.body))
 
 
 def cmd_parse(args) -> int:

@@ -511,30 +511,29 @@ def _entry_key(entry: Entry):
     )
 
 
-def canonical(c: Configuration, normalize_shift: bool = True) -> Configuration:
-    """Deterministically relabel tasks and phasers; optionally subtract the
+def canonical(c: Configuration) -> Configuration:
+    """Deterministically relabel tasks and phasers and subtract the
     per-phaser minimum phase (sound for reachability modulo equivalence)."""
     phases = [list(row) for row in c.phases]
-    if normalize_shift:
-        for p in range(c.n_phasers):
-            vals = []
+    for p in range(c.n_phasers):
+        vals = []
+        for t in range(c.n_tasks):
+            reg = phases[t][p][1]
+            if reg is not None:
+                vals.append(reg.wait if reg.wait is not None else reg.sig)
+        if vals and min(vals) > 0:
+            k = min(vals)
             for t in range(c.n_tasks):
-                reg = phases[t][p][1]
+                var, reg = phases[t][p]
                 if reg is not None:
-                    vals.append(reg.wait if reg.wait is not None else reg.sig)
-            if vals and min(vals) > 0:
-                k = min(vals)
-                for t in range(c.n_tasks):
-                    var, reg = phases[t][p]
-                    if reg is not None:
-                        phases[t][p] = (
-                            var,
-                            Reg(
-                                reg.mode,
-                                None if reg.wait is None else reg.wait - k,
-                                None if reg.sig is None else reg.sig - k,
-                            ),
-                        )
+                    phases[t][p] = (
+                        var,
+                        Reg(
+                            reg.mode,
+                            None if reg.wait is None else reg.wait - k,
+                            None if reg.sig is None else reg.sig - k,
+                        ),
+                    )
     task_order = list(range(c.n_tasks))
     phaser_order = list(range(c.n_phasers))
     for _ in range(2):
@@ -569,41 +568,35 @@ def canonical(c: Configuration, normalize_shift: bool = True) -> Configuration:
 def cyclic_waits(c: Configuration, p: Program):
     """A cycle of tasks each blocked at a wait whose guard the next task in
     the cycle falsifies, or None."""
-    blocked = {}
+    blockers = {}  # blocked task -> the tasks whose signals block its wait
     for t in range(c.n_tasks):
         seq = c.seqs[t]
-        if not seq or not isinstance(seq[0], Wait):
-            continue
-        pi = binding(c, t, seq[0].var)
-        if pi is None:
-            continue
-        reg = c.phases[t][pi][1]
+        pi = binding(c, t, seq[0].var) if seq and isinstance(seq[0], Wait) else None
+        reg = None if pi is None else c.phases[t][pi][1]
         if reg is None or reg.wait is None:
             continue
-        if _wait_blocked(c, t, pi):
-            blocked[t] = pi
-    edges = {}
-    for t, pi in blocked.items():
-        my_wait = c.phases[t][pi][1].wait
-        edges[t] = [
-            u
-            for u in blocked
-            if c.phases[u][pi][1] is not None
-            and c.phases[u][pi][1].sig is not None
-            and c.phases[u][pi][1].sig <= my_wait
-        ]
-    # any cycle within the blocked-task graph
-    for start in sorted(blocked):
-        path, seen = [], set()
-        node = start
-        while node is not None and node not in seen:
-            seen.add(node)
-            path.append(node)
-            nxt = edges.get(node, [])
-            node = nxt[0] if nxt else None
-        if node is not None and node in path:
-            i = path.index(node)
-            return tuple(path[i:])
+        regs = [c.phases[u][pi][1] for u in range(c.n_tasks)]
+        by = [u for u, r in enumerate(regs) if r is not None and r.sig is not None and r.sig <= reg.wait]
+        if by:
+            blockers[t] = by
+    # depth-first search among blocked tasks; the first back edge closes a cycle
+    done = set()
+
+    def cycle_from(path):
+        for u in blockers[path[-1]]:
+            if u in path:
+                return tuple(path[path.index(u):])
+            if u in blockers and u not in done:
+                found = cycle_from(path + [u])
+                if found is not None:
+                    return found
+        done.add(path[-1])
+        return None
+
+    for start in blockers:
+        found = None if start in done else cycle_from([start])
+        if found is not None:
+            return found
     return None
 
 

@@ -19,7 +19,7 @@ constraints evicts them).  Strategies make the run terminate:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .concrete import Configuration, initial_config, step_choices, enabled_steps, apply_step
 from .control import start_distances
@@ -34,6 +34,7 @@ from .symbolic import (
     models,
     _seq_multiset,
 )
+from .syntax import Asynch, NewPhaser, walk
 
 
 @dataclass(frozen=True)
@@ -77,93 +78,47 @@ class BudgetExhausted:
     processed: int
 
 
-def static_task_bound(program):
-    """Upper bound on concurrently existing tasks, or None if unbounded
-    (spawn sites under loops, or recursive spawning)."""
-    from .syntax import Asynch, If, NextBlock, While
-
-    def sites(seq, looped):
-        out = []
-        for s in seq:
-            if isinstance(s, Asynch):
-                out.append((s.task, looped))
-            elif isinstance(s, While):
-                out.extend(sites(s.body, True))
-            elif isinstance(s, (If, NextBlock)):
-                out.extend(sites(s.body, looped))
-        return out
-
+def _static_count(program, kind):
+    """Upper bound on the ``kind`` statements (Asynch or NewPhaser) any run
+    executes, counting those of spawned tasks, or None if unbounded (a
+    counted site under a loop, or recursive spawning)."""
     memo = {}
     active = set()
 
     def total(name):
-        if name in memo:
-            return memo[name]
         if name in active:
             return None  # recursive spawning
-        active.add(name)
-        n = 1
-        for callee, looped in sites(program.task(name).body, False):
-            if looped:
-                active.discard(name)
-                return None
-            sub = total(callee)
-            if sub is None:
-                active.discard(name)
-                return None
-            n += sub
-        active.discard(name)
-        memo[name] = n
-        return n
+        if name not in memo:
+            active.add(name)
+            n = 0
+            for s, looped in walk(program.task(name).body):
+                k = int(isinstance(s, kind))
+                if isinstance(s, Asynch):
+                    sub = total(s.task)
+                    if sub is None:
+                        return None  # unbounded all the way to the root
+                    k += sub
+                if k and looped:
+                    return None
+                n += k
+            active.discard(name)
+            memo[name] = n
+        return memo[name]
 
     return total("main")
+
+
+def static_task_bound(program):
+    """Upper bound on concurrently existing tasks, or None if unbounded
+    (spawn sites under loops, or recursive spawning)."""
+    spawns = _static_count(program, Asynch)
+    return None if spawns is None else spawns + 1
 
 
 def static_phaser_bound(program):
     """Upper bound on phasers any run can create (columns never disappear),
     or None if unbounded (creation sites under loops or recursion)."""
-    from .syntax import Asynch, If, NewPhaser, NextBlock, While
-
-    def sites(seq, looped):
-        out = []
-        for s in seq:
-            if isinstance(s, NewPhaser):
-                out.append((None, looped))
-            elif isinstance(s, Asynch):
-                out.append((s.task, looped))
-            elif isinstance(s, While):
-                out.extend(sites(s.body, True))
-            elif isinstance(s, (If, NextBlock)):
-                out.extend(sites(s.body, looped))
-        return out
-
-    memo = {}
-    active = set()
-
-    def total(name):
-        if name in memo:
-            return memo[name]
-        if name in active:
-            return None  # recursive spawning: give up on a bound
-        active.add(name)
-        n = 0
-        for callee, looped in sites(program.task(name).body, False):
-            if callee is None:
-                if looped:
-                    active.discard(name)
-                    return None
-                n += 1
-                continue
-            sub = total(callee)
-            if sub is None or (looped and sub > 0):
-                active.discard(name)
-                return None
-            n += 0 if looped else sub
-        active.discard(name)
-        memo[name] = n
-        return n
-
-    return total("main")
+    return _static_count(program, NewPhaser)
 
 
 def _keep(strategy, phi: Constraint) -> bool:
@@ -224,7 +179,7 @@ def check(program, targets, strategy, progress=None):
     # best-first toward the initial configuration: constraints whose
     # pinned sequences need the least forward work are popped first, with
     # smaller, more general constraints breaking ties
-    working = []  # heap of (priority, tiebreak, item); items may be stale
+    working = []  # heap of (priority, constraint); entries may be stale
     queued = set()  # constraints currently scheduled
     counter = 0
     n_visited = 0
@@ -240,21 +195,23 @@ def check(program, targets, strategy, progress=None):
         for key, items in buckets.items():
             if not key <= sset:
                 continue
-            for psi, pt, pp, _, _ in items:
+            for psi, pt, pp in items:
                 if pt <= nt and pp <= np_ and entails(psi, phi):
                     return True
         return False
 
-    # constraints ever inserted or found covered: the store only ever gets
-    # weaker (evictions replace items by covering ones), so an exact
-    # repeat can be skipped without scanning the store again
-    settled = set()
+    # every constraint ever inserted or found covered, mapped to the
+    # (statement, successor) it was derived from, or None for a target.
+    # The store only ever gets weaker (evictions replace items by covering
+    # ones), so an exact repeat can be skipped without scanning the store
+    # again, and a parent chain, fixed at first insertion, is the trace.
+    parents = {}
 
-    def insert(phi, tc, ts):
+    def insert(phi, parent):
         nonlocal counter, n_visited
-        if phi in settled:
+        if phi in parents:
             return
-        settled.add(phi)
+        parents[phi] = parent
         if covered(phi):
             return
         sset = _seq_multiset(phi)
@@ -262,38 +219,34 @@ def check(program, targets, strategy, progress=None):
         for key, items in buckets.items():
             if not sset <= key:
                 continue
-            kept = [
-                it
-                for it in items
-                if not (nt <= it[1] and np_ <= it[2] and entails(phi, it[0]))
-            ]
-            if len(kept) != len(items):
-                queued.difference_update(
-                    it[0] for it in items if it[0] not in {k[0] for k in kept}
-                )
-                n_visited -= len(items) - len(kept)
-                items[:] = kept
-        item = (phi, nt, np_, tc, ts)
-        buckets.setdefault(sset, []).append(item)
+            evicted = {
+                psi for psi, pt, pp in items if nt <= pt and np_ <= pp and entails(phi, psi)
+            }
+            if evicted:
+                queued.difference_update(evicted)
+                n_visited -= len(evicted)
+                items[:] = [it for it in items if it[0] not in evicted]
+        buckets.setdefault(sset, []).append((phi, nt, np_))
         n_visited += 1
         queued.add(phi)
         counter += 1
-        heapq.heappush(
-            working,
-            (
-                (forward_work(phi), nt, phi.dimension(), counter),
-                counter,
-                (phi, tc, ts),
-            ),
-        )
+        heapq.heappush(working, ((forward_work(phi), nt, phi.dimension(), counter), phi))
+
+    def trace_from(phi) -> Trace:
+        constraints, stmts = [phi], []
+        while parents[phi] is not None:
+            stmt, phi = parents[phi]
+            stmts.append(stmt)
+            constraints.append(phi)
+        return Trace(tuple(constraints), tuple(stmts))
 
     for phi in sorted(targets, key=constraint_order_key):
         if not within_static(phi):
             continue
-        insert(phi, (phi,), ())
+        insert(phi, None)
     processed = 0
     while working:
-        _, _, (phi, tc, ts) = heapq.heappop(working)
+        _, phi = heapq.heappop(working)
         if phi not in queued:
             continue  # evicted while scheduled
         queued.discard(phi)
@@ -311,7 +264,7 @@ def check(program, targets, strategy, progress=None):
         if budget is not None and processed > budget:
             return BudgetExhausted(processed)
         if models(init, phi):
-            return Reachable(Trace(tc, ts))
+            return Reachable(trace_from(phi))
         preds = sorted(
             pre(phi, program, suffixes),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),
@@ -329,7 +282,7 @@ def check(program, targets, strategy, progress=None):
         kept_cs = set(minimize([psi for _, psi in preds]))
         for stmt, psi in preds:
             if psi in kept_cs:
-                insert(psi, (psi,) + tc, (stmt,) + ts)
+                insert(psi, (stmt, phi))
     return Unreachable(processed)
 
 
@@ -344,10 +297,10 @@ class TraceReport:
     message: str = ""
 
 
-def validate_trace(program, trace: Trace, max_stage_depth: int = 4) -> TraceReport:
+def validate_trace(program, trace: Trace) -> TraceReport:
     """Replay a trace concretely: starting from the initial configuration,
-    each trace statement must be fireable (possibly a few times) so that
-    some resulting configuration models the next trace constraint."""
+    each trace statement must be fireable (up to four times in a row) so
+    that some resulting configuration models the next trace constraint."""
     init = initial_config(program)
     if not models(init, trace.constraints[0]):
         return TraceReport(False, 0, "initial configuration does not model the first constraint")
@@ -357,7 +310,7 @@ def validate_trace(program, trace: Trace, max_stage_depth: int = 4) -> TraceRepo
         reached = []
         seen = set()
         layer = list(frontier)
-        for _ in range(max_stage_depth):
+        for _ in range(4):
             nxt = []
             for c in layer:
                 for t, head in enabled_steps(c, program):

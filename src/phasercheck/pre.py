@@ -469,14 +469,9 @@ def _pre_assign(phi: Constraint, program, st: Assign) -> list:
 # Driver
 
 
-_SUFFIX_CACHE: dict = {}
-
-
-def program_suffixes(program) -> frozenset:
-    # keyed by the program value, not id(): ids are reused after collection
-    if program not in _SUFFIX_CACHE:
-        _SUFFIX_CACHE[program] = unrolled_suffixes(program)
-    return _SUFFIX_CACHE[program]
+# the control sequences ``pre`` steps between; ``check`` computes them
+# once per run and passes them to every ``pre`` call
+program_suffixes = unrolled_suffixes
 
 
 def _env_materializations(phi: Constraint, post_seq) -> list:

@@ -17,11 +17,10 @@ environment task must satisfy.
 from __future__ import annotations
 
 import itertools
-import shlex
 from dataclasses import dataclass
 
 from .control import seq_order_key
-from .syntax import ControlSeq, seq_to_str
+from .parser import RecordFormatError, natural, read_records, record_fields, write_record
 
 INF = float("inf")
 ANY = "*"
@@ -456,140 +455,63 @@ def _num(x) -> str:
 
 
 def constraint_to_text(phi: Constraint, bool_vars) -> str:
-    lines = ["constraint {"]
-    for name, val in zip(bool_vars, phi.bv):
-        v = "*" if val is None else ("true" if val else "false")
-        lines.append(f"  bv {name}={v}")
-    lines.append(f"  tasks {phi.n_tasks}")
-    lines.append(f"  phasers {phi.n_phasers}")
-    for t in range(phi.n_tasks):
-        if phi.seqs[t] is None:
-            lines.append(f"  seq t{t} *")
-        else:
-            lines.append(f'  seq t{t} "{seq_to_str(phi.seqs[t])}"')
+    cells = []
     for t in range(phi.n_tasks):
         for p in range(phi.n_phasers):
             g = phi.gaps[t][p]
             if g.bounds is None:
-                lines.append(f"  gap t{t} p{p} var={g.var} nreg")
+                cells.append(f"gap t{t} p{p} var={g.var} nreg")
             else:
                 lw, ls, uw, us = g.bounds
                 opt = " opt" if g.opt else ""
-                lines.append(
-                    f"  gap t{t} p{p} var={g.var}{opt} "
+                cells.append(
+                    f"gap t{t} p{p} var={g.var}{opt} "
                     f"lw={_num(lw)} ls={_num(ls)} uw={_num(uw)} us={_num(us)}"
                 )
-    for p in range(phi.n_phasers):
-        ew, es = phi.egaps[p]
-        lines.append(f"  env p{p} ew={ew} es={es}")
-    lines.append("}")
-    return "\n".join(lines)
+    cells += [f"env p{p} ew={ew} es={es}" for p, (ew, es) in enumerate(phi.egaps)]
+    return write_record("constraint", bool_vars, phi.bv, phi.seqs, phi.n_phasers, cells)
 
 
-class ConstraintFormatError(ValueError):
-    pass
+ConstraintFormatError = RecordFormatError
 
 
-def _parse_num(s: str):
-    if s == "inf":
-        return INF
-    if not s.isdigit():
-        raise ConstraintFormatError(f"expected a number, found {s!r}")
-    return int(s)
+def _upper(word: str):
+    return INF if word == "inf" else natural(word)
 
 
-def _kv(words, keys) -> dict:
-    out = {}
-    for w in words:
-        if "=" not in w:
-            raise ConstraintFormatError(f"expected key=value, found {w!r}")
-        k, v = w.split("=", 1)
-        if k not in keys:
-            raise ConstraintFormatError(f"unknown key {k!r}")
-        out[k] = v
-    return out
+def _read_gap(words) -> Gap:
+    kv, flags = record_fields(words, ("var", "lw", "ls", "uw", "us"), ("nreg", "opt"))
+    var = kv.pop("var", ANY)
+    if "nreg" in flags:
+        return Gap(var, None)
+    if len(kv) != 4:
+        raise ValueError("a gap needs lw=, ls=, uw= and us= (or nreg)")
+    bounds = (natural(kv["lw"]), natural(kv["ls"]), _upper(kv["uw"]), _upper(kv["us"]))
+    return Gap(var, bounds, "opt" in flags)
+
+
+def _read_env(words) -> tuple:
+    kv, _ = record_fields(words, ("ew", "es"), ())
+    if len(kv) != 2:
+        raise ValueError("env needs ew= and es=")
+    return natural(kv["ew"]), natural(kv["es"])
 
 
 def parse_constraints(text: str, bool_vars) -> list:
     """Parse one or more serialized constraint records."""
-    from .parser import parse_seq  # deferred: parser imports are heavier
-
     out = []
-    lines = [ln.strip() for ln in text.splitlines()]
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
-        i += 1
-        if not ln or ln.startswith("#"):
-            continue
-        if ln != "constraint {":
-            raise ConstraintFormatError(f"expected 'constraint {{', found {ln!r}")
-        bv = {name: None for name in bool_vars}
-        n_tasks = n_phasers = None
-        seqs, gaps, egaps = {}, {}, {}
-        while i < len(lines):
-            ln = lines[i]
-            i += 1
-            if not ln or ln.startswith("#"):
-                continue
-            if ln == "}":
-                break
-            words = shlex.split(ln)
-            tag = words[0]
-            if tag == "bv":
-                for k, v in _kv(words[1:], set(bool_vars)).items():
-                    bv[k] = None if v == "*" else v == "true"
-            elif tag == "tasks":
-                n_tasks = _parse_num(words[1])
-            elif tag == "phasers":
-                n_phasers = _parse_num(words[1])
-            elif tag == "seq":
-                t = int(words[1].lstrip("t"))
-                seqs[t] = None if words[2] == "*" else parse_seq(words[2])
-            elif tag == "gap":
-                t = int(words[1].lstrip("t"))
-                p = int(words[2].lstrip("p"))
-                rest = words[3:]
-                kv = _kv(
-                    [w for w in rest if "=" in w],
-                    {"var", "lw", "ls", "uw", "us"},
-                )
-                var = kv.get("var", ANY)
-                if "nreg" in rest:
-                    gaps[(t, p)] = Gap(var, None)
-                else:
-                    gaps[(t, p)] = Gap(
-                        var,
-                        (
-                            _parse_num(kv["lw"]),
-                            _parse_num(kv["ls"]),
-                            _parse_num(kv["uw"]),
-                            _parse_num(kv["us"]),
-                        ),
-                        "opt" in rest,
-                    )
-            elif tag == "env":
-                p = int(words[1].lstrip("p"))
-                kv = _kv(words[2:], {"ew", "es"})
-                egaps[p] = (_parse_num(kv["ew"]), _parse_num(kv["es"]))
-            else:
-                raise ConstraintFormatError(f"unknown record line {ln!r}")
-        else:
-            raise ConstraintFormatError("unterminated constraint record")
-        if n_tasks is None or n_phasers is None:
-            raise ConstraintFormatError("missing 'tasks' or 'phasers' count")
+    tags = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
+    for line, bv, seqs, n_phasers, cells in read_records(text, "constraint", bool_vars, tags):
         phi = Constraint(
-            bv=tuple(bv[name] for name in bool_vars),
-            seqs=tuple(seqs.get(t) for t in range(n_tasks)),
+            bv=bv,
+            seqs=seqs,
             gaps=tuple(
-                tuple(gaps.get((t, p), OPT_FREE) for p in range(n_phasers))
-                for t in range(n_tasks)
+                tuple(cells.get(("gap", t, p), OPT_FREE) for p in range(n_phasers))
+                for t in range(len(seqs))
             ),
-            egaps=tuple(egaps.get(p, (0, 0)) for p in range(n_phasers)),
+            egaps=tuple(cells.get(("env", p), (0, 0)) for p in range(n_phasers)),
         )
         if not constraint_valid(phi):
-            raise ConstraintFormatError("invalid gap bounds in constraint")
+            raise ConstraintFormatError(f"line {line}: invalid gap bounds in constraint")
         out.append(phi)
-    if not out:
-        raise ConstraintFormatError("no constraint records found")
     return out

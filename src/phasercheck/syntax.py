@@ -278,13 +278,13 @@ def seq_to_str(seq: ControlSeq) -> str:
     return " ".join(str(s) for s in seq)
 
 
-def has_nextblock(seq: ControlSeq) -> bool:
+def walk(seq: ControlSeq, looped: bool = False) -> Iterator:
+    """Every statement of ``seq`` as ``(stmt, looped)``, descending into
+    While, If and NextBlock bodies; ``looped`` is True under a While."""
     for s in seq:
-        if isinstance(s, NextBlock):
-            return True
-        if isinstance(s, (While, If)) and has_nextblock(s.body):
-            return True
-    return False
+        yield s, looped
+        if isinstance(s, (While, If, NextBlock)):
+            yield from walk(s.body, looped or isinstance(s, While))
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +322,14 @@ class Program:
         return self.task("main")
 
     def is_atomic(self) -> bool:
-        return any(has_nextblock(t.body) for t in self.tasks)
+        return any(isinstance(s, NextBlock) for t in self.tasks for s, _ in walk(t.body))
 
     def uses_modes(self) -> bool:
         """True when any registration deviates from full SIG_WAIT."""
-
-        def scan(seq) -> bool:
-            for s in seq:
-                if isinstance(s, Asynch) and any(m != SIG_WAIT for m in s.modes):
-                    return True
-                if isinstance(s, (While, If, NextBlock)) and scan(s.body):
-                    return True
-            return False
-
-        return any(
-            any(m != SIG_WAIT for m in t.modes) or scan(t.body) for t in self.tasks
-        )
+        modes = [m for t in self.tasks for m in t.modes]
+        for t in self.tasks:
+            modes += [m for s, _ in walk(t.body) if isinstance(s, Asynch) for m in s.modes]
+        return any(m != SIG_WAIT for m in modes)
 
     def __str__(self) -> str:
         lines = []
@@ -371,10 +363,8 @@ def _check_scopes(seq: ControlSeq, bound: frozenset, out: list, where: str) -> f
         for v in uses:
             if v not in bound:
                 out.append(f"{where}: phaser variable '{v}' used before binding")
-        if isinstance(stmt, (While, If)):
-            # bindings inside a conditional body do not flow out
-            _check_scopes(stmt.body, bound, out, where)
-        elif isinstance(stmt, NextBlock):
+        if isinstance(stmt, (While, If, NextBlock)):
+            # bindings inside a body do not flow out
             _check_scopes(stmt.body, bound, out, where)
         bound = bound | frozenset(binds)
     return bound
@@ -390,13 +380,25 @@ def validate(p: Program) -> list:
             break
     if "main" not in names:
         out.append("no main task")
-    else:
-        if p.main.params:
-            out.append("main must have no parameters")
+    elif p.main.params:
+        out.append("main must have no parameters")
+    bools = set(p.bool_vars)
+    for v in sorted(v for v in bools if p.bool_vars.count(v) > 1):
+        out.append(f"duplicate Boolean declaration '{v}'")
     by_name = {t.name: t for t in p.tasks}
-
-    def walk(seq: ControlSeq, where: str):
-        for stmt in seq:
+    for t in p.tasks:
+        where = f"task {t.name}"
+        if len(set(t.params)) != len(t.params):
+            out.append(f"{where}: duplicate parameters")
+        phasers = set(t.params)
+        for stmt, _ in walk(t.body):
+            uses, binds = _stmt_phaser_uses(stmt)
+            phasers.update(uses, binds)
+            if isinstance(stmt, (Assign, Assert, While, If)):
+                used = set(cond_vars(stmt.cond))
+                if isinstance(stmt, Assign):
+                    used.add(stmt.var)
+                out.extend(f"{where}: undeclared Boolean '{v}'" for v in sorted(used - bools))
             if isinstance(stmt, Asynch):
                 callee = by_name.get(stmt.task)
                 if callee is None:
@@ -408,14 +410,9 @@ def validate(p: Program) -> list:
                     )
                 if len(set(stmt.args)) != len(stmt.args):
                     out.append(f"{where}: duplicate phaser arguments in asynch")
-            elif isinstance(stmt, (While, If, NextBlock)):
-                walk(stmt.body, where)
-
-    for t in p.tasks:
-        if len(set(t.params)) != len(t.params):
-            out.append(f"task {t.name}: duplicate parameters")
-        walk(t.body, f"task {t.name}")
-        _check_scopes(t.body, frozenset(t.params), out, f"task {t.name}")
+        for v in sorted(phasers & bools):
+            out.append(f"{where}: '{v}' is both a Boolean and a phaser variable")
+        _check_scopes(t.body, frozenset(t.params), out, where)
     if p.is_atomic():
         out.append(
             "info: atomic program (next-with-body): "

@@ -17,10 +17,10 @@ plus the partial-configuration text format.
 from __future__ import annotations
 
 import itertools
-import shlex
 
 from .concrete import PartialConfiguration
 from .control import unrolled_suffixes
+from .parser import RecordFormatError, natural, read_records, record_fields, write_record
 from .symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -161,24 +161,11 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
 # Partial configurations
 
 
-class PartialConfigFormatError(ValueError):
-    pass
+PartialConfigFormatError = RecordFormatError
 
 
 def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:
-    from .syntax import seq_to_str
-
-    lines = ["partial-config {"]
-    for name, val in zip(bool_vars, pc.bv):
-        v = "*" if val is None else ("true" if val else "false")
-        lines.append(f"  bv {name}={v}")
-    lines.append(f"  tasks {pc.n_tasks}")
-    lines.append(f"  phasers {pc.n_phasers}")
-    for t in range(pc.n_tasks):
-        if pc.seqs[t] is None:
-            lines.append(f"  seq t{t} *")
-        else:
-            lines.append(f'  seq t{t} "{seq_to_str(pc.seqs[t])}"')
+    cells = []
     for t in range(pc.n_tasks):
         for p in range(pc.n_phasers):
             cell = pc.phase[t][p]
@@ -186,82 +173,39 @@ def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:
                 continue
             var, val = cell
             if val == "nreg":
-                lines.append(f"  phase t{t} p{p} var={var} nreg")
+                cells.append(f"phase t{t} p{p} var={var} nreg")
             elif val == (ANY, ANY):
-                lines.append(f"  phase t{t} p{p} var={var} free")
+                cells.append(f"phase t{t} p{p} var={var} free")
             else:
-                lines.append(f"  phase t{t} p{p} var={var} w={val[0]} s={val[1]}")
-    lines.append("}")
-    return "\n".join(lines)
+                cells.append(f"phase t{t} p{p} var={var} w={val[0]} s={val[1]}")
+    return write_record("partial-config", bool_vars, pc.bv, pc.seqs, pc.n_phasers, cells)
+
+
+def _read_phase(words) -> tuple:
+    kv, flags = record_fields(words, ("var", "w", "s"), ("nreg", "free"))
+    var = kv.pop("var", ANY)
+    if "nreg" in flags:
+        return (var, "nreg")
+    if "free" in flags:
+        return (var, (ANY, ANY))
+    if len(kv) != 2:
+        raise ValueError("phase cell needs w= and s= (or nreg/free)")
+    return (var, (natural(kv["w"]), natural(kv["s"])))
 
 
 def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
-    from .parser import parse_seq
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = []
-    opened = closed = False
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        if not opened:
-            if ln != "partial-config {":
-                raise PartialConfigFormatError(
-                    f"expected 'partial-config {{', found {ln!r}"
-                )
-            opened = True
-            continue
-        if ln == "}":
-            closed = True
-            break
-        body.append(ln)
-    if not opened or not closed:
-        raise PartialConfigFormatError("unterminated partial-config record")
-    bv = {name: None for name in bool_vars}
-    n_tasks = n_phasers = None
-    seqs, cells = {}, {}
-    for ln in body:
-        words = shlex.split(ln)
-        tag = words[0]
-        if tag == "bv":
-            for w in words[1:]:
-                k, v = w.split("=", 1)
-                if k not in bv:
-                    raise PartialConfigFormatError(f"unknown boolean variable {k!r}")
-                bv[k] = None if v == "*" else v == "true"
-        elif tag == "tasks":
-            n_tasks = int(words[1])
-        elif tag == "phasers":
-            n_phasers = int(words[1])
-        elif tag == "seq":
-            t = int(words[1].lstrip("t"))
-            seqs[t] = None if words[2] == "*" else parse_seq(words[2])
-        elif tag == "phase":
-            t = int(words[1].lstrip("t"))
-            p = int(words[2].lstrip("p"))
-            kv = dict(w.split("=", 1) for w in words[3:] if "=" in w)
-            var = kv.get("var", ANY)
-            if "nreg" in words:
-                cells[(t, p)] = (var, "nreg")
-            elif "free" in words:
-                cells[(t, p)] = (var, (ANY, ANY))
-            else:
-                try:
-                    cells[(t, p)] = (var, (int(kv["w"]), int(kv["s"])))
-                except KeyError as e:
-                    raise PartialConfigFormatError(
-                        f"phase cell needs w= and s= (or nreg/free): {ln!r}"
-                    ) from e
-        else:
-            raise PartialConfigFormatError(f"unknown record line {ln!r}")
-    if n_tasks is None or n_phasers is None:
-        raise PartialConfigFormatError("missing 'tasks' or 'phasers' count")
+    """Parse a file holding exactly one partial-config record."""
+    [(_, bv, seqs, n_phasers, cells), *extra] = read_records(
+        text, "partial-config", bool_vars, {"phase": ("tp", _read_phase)}
+    )
+    if extra:
+        raise PartialConfigFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
     return PartialConfiguration(
-        bv=tuple(bv[name] for name in bool_vars),
-        seqs=tuple(seqs.get(t) for t in range(n_tasks)),
+        bv=bv,
+        seqs=seqs,
         phase=tuple(
-            tuple(cells.get((t, p)) for p in range(n_phasers))
-            for t in range(n_tasks)
+            tuple(cells.get(("phase", t, p)) for p in range(n_phasers))
+            for t in range(len(seqs))
         ),
     )
 

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from phasercheck.cli import main
 from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import cyclic_wait_targets
@@ -185,3 +189,90 @@ def test_check_custom_malformed_target(tmp_path, capsys):
     )
     assert code == 2
     assert str(target) in capsys.readouterr().err
+
+
+MALFORMED_TARGETS = [
+    "constraint {\n  tasks\n}",
+    "constraint {\n  tasks 1\n  phasers 1\n  gap t0\n}",
+    'constraint {\n  tasks 1\n  phasers 0\n  seq t0 "wait(p"\n}',
+    "constraint {\n  tasks inf\n  phasers 0\n}",
+    "constraint {\n  tasks 1\n  phasers 1\n  gap t3 p0 var=p nreg\n}",
+    "partial-config {\n  tasks 1\n  phasers 1\n  phase t5 p0 var=p nreg\n}",
+    "partial-config {\n  bv a=maybe\n  tasks 1\n  phasers 0\n}",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TARGETS)
+def test_check_malformed_target_names_the_line(tmp_path, capsys, text):
+    target = tmp_path / "bad.txt"
+    target.write_text(text)
+    code = run(
+        "check", path("assert_ok"), "--property", "custom", "--target", str(target)
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"{target}: line ")
+
+
+# ---------------------------------------------------------------------------
+# check: fuzzed target files
+
+
+_TAGS = ["bv", "seq", "gap", "env", "phase", "tasks", "phasers", "}", "#", "junk"]
+_HEADS = [
+    "t0 p0", "t1 p0", "t0 p1", "t5 p0", "t0", "p0", "p4", "x", "1", "inf",
+    "t0 *", 't0 "assert(a);"', 't0 "a = true; assert(a);"', 't1 "wait(p);"',
+    't0 "wait(p"', "a=true", "a=*", "a=maybe", "b=false",
+]
+_FIELDS = [
+    "var=p", "var=*", "var=-", "nreg", "opt", "free", "inf", "=", '"',
+    "lw=0 ls=0 uw=inf us=inf", "lw=0 ls=1 uw=1 us=1", "lw=2 ls=0 uw=1 us=0",
+    "lw=inf", "us=inf", "ew=0 es=0", "ew=1 es=0", "es=inf",
+    "w=0 s=1", "w=1 s=0", "w=-1",
+]
+_LINES = st.builds(
+    lambda tag, head, fields: " ".join([tag, head] + fields),
+    st.sampled_from(_TAGS),
+    st.sampled_from(_HEADS),
+    st.lists(st.sampled_from(_FIELDS), max_size=3),
+)
+_SHARED = ["bv a=true", "bv a=*", "seq t0 *", 'seq t0 "assert(a);"', 'seq t1 "a = true; assert(a);"']
+_CELLS = {
+    "constraint": [
+        "gap t0 p0 var=p nreg", "gap t0 p0 var=* opt lw=0 ls=0 uw=inf us=inf",
+        "gap t1 p0 var=p lw=0 ls=1 uw=1 us=1", "env p0 ew=1 es=0",
+    ],
+    "partial-config": ["phase t0 p0 var=p w=0 s=1", "phase t1 p0 var=* free", "phase t0 p0 var=- nreg"],
+}
+
+
+def _target_files(header):
+    return st.builds(
+        lambda tasks, phasers, body, noise, closed: "\n".join(
+            [header + " {", tasks, phasers] + body + noise + (["}"] if closed else [])
+        ),
+        st.sampled_from(["tasks 1", "tasks 2"]),
+        st.sampled_from(["phasers 0", "phasers 1"]),
+        st.lists(st.sampled_from(_SHARED + _CELLS[header]), max_size=4),
+        st.lists(_LINES, max_size=1),
+        st.sampled_from([True, True, True, False]),
+    )
+
+
+_TARGET_FILES = st.one_of(_target_files("constraint"), _target_files("partial-config"))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_TARGET_FILES)
+def test_check_fuzzed_target_files_exit_cleanly(tmp_path, capsys, text):
+    target = tmp_path / "fuzz.txt"
+    target.write_text(text)
+    code = run(
+        "check", path("assert_ok"), "--property", "custom", "--target", str(target),
+        "--mode", "unrestricted", "--budget", "50",
+    )
+    assert code in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -78,6 +78,31 @@ def test_wait_blocks_on_own_signal():
     assert cyclic_waits(c, p) == (0,)
 
 
+def test_cyclic_waits_follows_every_out_edge():
+    # t0 is blocked by t1 and t2 on a; t1 only by the finished t3 on b;
+    # t2 by t0 on c.  The cycle t0 -> t2 -> t0 leaves through t0's
+    # second out-edge.
+    p = parse("main(){ exit; }")
+    na = ("-", None)
+    c = Configuration(
+        bv=(),
+        seqs=(
+            parse_seq("wait(a);"),
+            parse_seq("wait(b);"),
+            parse_seq("wait(c);"),
+            (),
+        ),
+        phases=(
+            (("a", Reg("SIG_WAIT", 1, 2)), na, ("c", Reg("SIG_WAIT", 0, 1))),
+            (("a", Reg("SIG_WAIT", 0, 1)), ("b", Reg("SIG_WAIT", 1, 2)), na),
+            (("a", Reg("SIG_WAIT", 0, 1)), na, ("c", Reg("SIG_WAIT", 1, 2))),
+            (na, ("b", Reg("SIG_WAIT", 0, 1)), na),
+        ),
+    )
+    assert is_well_formed(c)
+    assert cyclic_waits(c, p) == (0, 2)
+
+
 def test_signal_on_dropped_phaser_is_registration_error():
     p = parse("main(){ q = newPhaser(); drop(q); signal(q); }")
     out = run_to_end(p)

@@ -90,6 +90,25 @@ def test_duplicate_asynch_args_rejected():
         parse("main(){ p = newPhaser(); asynch(T, p, p); } T(a, b){ exit; }")
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("main(){ b = true; exit; }", "undeclared Boolean 'b'"),
+        ("main(){ assert(zz); }", "undeclared Boolean 'zz'"),
+        ("bool a; main(){ while(a || q){ a = false; } }", "undeclared Boolean 'q'"),
+        ("bool a, a; main(){ exit; }", "duplicate Boolean declaration 'a'"),
+        ("bool p; main(){ p = newPhaser(); drop(p); }", "both a Boolean and a phaser"),
+        (
+            "bool p; main(){ q = newPhaser(); asynch(T, q); drop(q); } T(p){ drop(p); }",
+            "task T: 'p' is both a Boolean and a phaser",
+        ),
+    ],
+)
+def test_boolean_misuse_rejected(src, message):
+    with pytest.raises(ParseError, match=message):
+        parse(src)
+
+
 def test_atomic_program_is_info_not_error():
     p = parse("main(){ p = newPhaser(); next(p){ } drop(p); }")
     diags = validate(p)

@@ -297,6 +297,20 @@ def test_parse_constraints_rejects_malformed():
             "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=* lw=2 ls=0 uw=1 us=0\n}",
             (),
         )
+    # each line below, inside an otherwise valid one-task one-phaser record
+    for line in (
+        "tasks",
+        "gap t0",
+        'seq t0 "wait(p"',
+        "tasks inf",
+        "gap t3 p0 var=p nreg",
+        "gap t0 p0 var=p",
+        "env p0 ew=inf es=0",
+        "bv a=maybe",
+    ):
+        text = f"constraint {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
+        with pytest.raises(ConstraintFormatError, match=r"^line 4: "):
+            parse_constraints(text, ("a",))
 
 
 def test_unspecified_cells_parse_as_optional_free():

@@ -151,6 +151,20 @@ def test_partial_config_parse_errors():
         )
     with pytest.raises(PartialConfigFormatError):
         parse_partial_config("partial-config {\n  phasers 1\n}", ())
+    for line in (
+        "tasks",
+        'seq t0 "wait(p"',
+        "tasks inf",
+        "phase t5 p0 var=p nreg",
+        "phase t0 p1 var=p nreg",
+        "phase t0 p0 var=p w=-1 s=0",
+        "bv a=maybe",
+    ):
+        text = f"partial-config {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
+        with pytest.raises(PartialConfigFormatError, match=r"^line 4: "):
+            parse_partial_config(text, ("a",))
+    with pytest.raises(PartialConfigFormatError, match="one record"):
+        parse_partial_config(PC_TEXT + PC_TEXT, ("a",))
 
 
 def test_is_control_partial():
