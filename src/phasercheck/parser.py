@@ -115,10 +115,16 @@ def tokenize(text: str) -> list:
     return toks
 
 
+# levels of blocks (a task body is the first), parenthesised conditions
+# and `!` prefixes; keeps every recursive pass inside Python's stack
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -137,6 +143,15 @@ class _Parser:
         if t.text != text:
             self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}")
         return self.next()
+
+    def nested(self, t: Token, parse):
+        """Parse with ``parse`` one nesting level deeper, opened by ``t``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def name(self, what: str = "identifier") -> str:
         t = self.peek()
@@ -188,7 +203,9 @@ class _Parser:
         return SIG_WAIT
 
     def block(self) -> tuple:
-        self.expect("{")
+        return self.nested(self.expect("{"), self.block_rest)
+
+    def block_rest(self) -> tuple:
         out = []
         while self.peek().text != "}":
             out.extend(self.statement())
@@ -281,15 +298,13 @@ class _Parser:
 
     def cond_not(self) -> Cond:
         if self.peek().text == "!":
-            self.next()
-            return Not(self.cond_not())
+            return Not(self.nested(self.next(), self.cond_not))
         return self.cond_atom()
 
     def cond_atom(self) -> Cond:
         t = self.peek()
         if t.text == "(":
-            self.next()
-            c = self.cond()
+            c = self.nested(self.next(), self.cond)
             self.expect(")")
             return c
         if t.text == "ndet":

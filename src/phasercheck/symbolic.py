@@ -44,9 +44,6 @@ class Gap:
     bounds: object  # None | (lw, ls, uw, us)
     opt: bool = False
 
-    def is_nreg(self) -> bool:
-        return self.bounds is None
-
     def is_free(self) -> bool:
         return self.bounds is None or (
             self.bounds[2] == INF and self.bounds[3] == INF
@@ -233,7 +230,10 @@ def _seq_multiset(phi: Constraint):
     return hit
 
 
-def _entails_uncached(pa: Constraint, pb: Constraint) -> bool:
+def entails(pa: Constraint, pb: Constraint) -> bool:
+    """True implies the models of ``pb`` are included in those of ``pa``."""
+    if pa is pb or pa == pb:
+        return True
     for a, b in zip(pa.bv, pb.bv):
         if a is not None and a != b:
             return False
@@ -305,22 +305,6 @@ def _surjection_exists(compat, env_ok, n_ta, n_tb) -> bool:
         return False
 
     return match(0)
-
-
-_ENTAILS_CACHE: dict = {}
-
-
-def entails(pa: Constraint, pb: Constraint) -> bool:
-    """True implies the models of ``pb`` are included in those of ``pa``."""
-    if pa is pb or pa == pb:
-        return True
-    key = (pa, pb)
-    hit = _ENTAILS_CACHE.get(key)
-    if hit is None:
-        hit = _ENTAILS_CACHE[key] = _entails_uncached(pa, pb)
-        if len(_ENTAILS_CACHE) > 2_000_000:
-            _ENTAILS_CACHE.clear()
-    return hit
 
 
 def minimize(constraints) -> list:
@@ -412,13 +396,9 @@ def constraint_order_key(phi: Constraint):
     )
 
 
-_INTERN: dict = {}
-
-
 def canonical_constraint(phi: Constraint) -> Constraint:
     """Sort tracked tasks and phasers into a deterministic order (sound:
-    membership and entailment are invariant under row/column renaming).
-    Results are interned so equal constraints share one instance."""
+    membership and entailment are invariant under row/column renaming)."""
     porder = sorted(
         range(phi.n_phasers),
         key=lambda p: (
@@ -435,15 +415,12 @@ def canonical_constraint(phi: Constraint) -> Constraint:
             t,
         ),
     )
-    out = Constraint(
+    return Constraint(
         phi.bv,
         tuple(phi.seqs[t] for t in torder),
         tuple(tuple(phi.gaps[t][p] for p in porder) for t in torder),
         tuple(phi.egaps[p] for p in porder),
     )
-    if len(_INTERN) > 2_000_000:
-        _INTERN.clear()
-    return _INTERN.setdefault(out, out)
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,13 @@ def _read_phase(words) -> tuple:
 
 
 def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
-    """Parse a file holding exactly one partial-config record."""
-    [(_, bv, seqs, n_phasers, cells), *extra] = read_records(
+    """Parse a file holding one level-consistent partial-config record."""
+    [(opened, bv, seqs, n_phasers, cells), *extra] = read_records(
         text, "partial-config", bool_vars, {"phase": ("tp", _read_phase)}
     )
     if extra:
         raise PartialConfigFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
-    return PartialConfiguration(
+    pc = PartialConfiguration(
         bv=bv,
         seqs=seqs,
         phase=tuple(
@@ -208,6 +208,11 @@ def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
             for t in range(len(seqs))
         ),
     )
+    try:
+        from_partial_config(pc)
+    except ValueError as e:
+        raise PartialConfigFormatError(f"line {opened}: {e}") from None
+    return pc
 
 
 def from_partial_config(pc: PartialConfiguration) -> list:

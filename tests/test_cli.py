@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -50,6 +51,39 @@ def test_parse_reports_hard_diagnostics(tmp_path, capsys):
     assert run("parse", str(bad)) == 2
     out = capsys.readouterr().out
     assert "Nope" in out
+
+
+# ---------------------------------------------------------------------------
+# every command: nesting limit
+
+
+def nested_ifs(levels):
+    """A program nesting ``levels`` blocks: main's body and the if blocks in it."""
+    return "bool b; main(){ b = true;\n" + "if(ndet()){\n" * (levels - 1) + "assert(b);" + "}" * levels
+
+
+TOO_DEEP = {
+    "blocks": nested_ifs(450),
+    "parens": "bool b; main(){ b = true; assert(" + "(" * 400 + "b" + ")" * 400 + "); }",
+    "nots": "bool b; main(){ b = true; assert(" + "!" * 2000 + "b); }",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOO_DEEP))
+@pytest.mark.parametrize("cmd", ["parse", "explore", "check"])
+def test_too_deep_nesting_exits_2(tmp_path, capsys, cmd, kind):
+    src = tmp_path / "deep.phz"
+    src.write_text(TOO_DEEP[kind])
+    assert run(cmd, str(src)) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"{re.escape(str(src))}: \d+:\d+: nesting deeper than 100 levels\n", err)
+
+
+@pytest.mark.parametrize("cmd", ["parse", "explore", "check"])
+def test_hundred_nesting_levels_are_accepted(tmp_path, capsys, cmd):
+    src = tmp_path / "deep.phz"
+    src.write_text(nested_ifs(100))
+    assert run(cmd, str(src)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +233,7 @@ MALFORMED_TARGETS = [
     "constraint {\n  tasks 1\n  phasers 1\n  gap t3 p0 var=p nreg\n}",
     "partial-config {\n  tasks 1\n  phasers 1\n  phase t5 p0 var=p nreg\n}",
     "partial-config {\n  bv a=maybe\n  tasks 1\n  phasers 0\n}",
+    "partial-config {\n  tasks 2\n  phasers 1\n  phase t0 p0 var=p w=2 s=2\n  phase t1 p0 var=p w=0 s=1\n}",
 ]
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from phasercheck.concrete import initial_config
@@ -153,3 +156,34 @@ def test_progress_callback_reports_pops():
     check(program, registration_error_targets(program), PLAIN, progress=events.append)
     assert events and all(e["event"] == "pop" for e in events)
     assert [e["processed"] for e in events] == list(range(1, len(events) + 1))
+
+
+# cross_deadlock with renamed phasers: a program no other test checks, so
+# nothing an earlier test created can stand in for its constraints
+HELD_OTHER = """
+main(){
+  held = newPhaser();
+  other = newPhaser();
+  asynch(Other, held, other);
+  signal(held);
+  wait(held);
+  drop(held);
+  drop(other);
+}
+Other(held, other){
+  signal(other);
+  wait(other);
+  drop(other);
+  drop(held);
+}
+"""
+
+
+def test_check_keeps_no_constraint_alive():
+    program = parse(HELD_OTHER)
+    targets = registration_error_targets(program)
+    refs = [weakref.ref(phi) for phi in targets]
+    assert isinstance(check(program, targets, PLAIN), Unreachable)
+    del targets
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []

@@ -65,6 +65,26 @@ def test_parse_error_has_position():
     assert e.value.col > 1
 
 
+@pytest.mark.parametrize(
+    "prefix, opener, middle, closer, suffix",
+    [
+        ("", "if(ndet()){", "", "}", ""),
+        ("b = ", "(", "b", ")", ";"),
+        ("b = ", "!", "b", "", ";"),
+    ],
+    ids=["blocks", "parens", "nots"],
+)
+def test_nesting_limit(prefix, opener, middle, closer, suffix):
+    def program(n):
+        return f"bool b; main(){{ {prefix}{opener * n}{middle}{closer * n}{suffix} }}"
+
+    parse(program(99))  # with the task body: 100 levels
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels") as e:
+        parse(program(100))
+    # at the opener of level 101
+    assert (e.value.line, e.value.col) == (1, len("bool b; main(){ " + prefix) + 100 * len(opener))
+
+
 def test_undeclared_task_rejected():
     with pytest.raises(ParseError, match="undeclared"):
         parse("main(){ p = newPhaser(); asynch(Nope, p); }")
