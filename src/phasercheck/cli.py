@@ -10,12 +10,16 @@ Subcommands:
 
 ``check`` exit codes: 0 unreachable, 1 reachable (trace printed),
 2 usage/input error, 3 budget exhausted (unrestricted mode only).
+Every command exits 141 (128 + SIGPIPE, what a shell reports for a
+process killed by a closed pipe), without a traceback, when standard
+output is closed before it finishes printing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .concrete import Bounds, config_to_text, explore
@@ -29,7 +33,7 @@ from .engine import (
     check,
     validate_trace,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, natural, parse
 from .pre import AtomicUnsupported
 from .symbolic import constraint_to_text, parse_constraints
 from .syntax import NewPhaser, validate, walk
@@ -45,17 +49,22 @@ EXIT_UNREACHABLE = 0
 EXIT_REACHABLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
-def _load_program(path: str):
+def _read(path: str) -> str:
     try:
         with open(path) as f:
-            text = f.read()
+            return f.read()
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _load_program(path: str, check: bool = True):
+    text = _read(path)
     try:
-        return parse(text)
+        return parse(text, check)
     except ParseError as e:
         print(f"{path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -66,17 +75,7 @@ def _static_phaser_count(program) -> int:
 
 
 def cmd_parse(args) -> int:
-    try:
-        with open(args.file) as f:
-            text = f.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = parse(text, check=False)
-    except ParseError as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    program = _load_program(args.file, check=False)
     diags = validate(program)
     for d in diags:
         print(d)
@@ -130,12 +129,7 @@ def _load_targets(args, program) -> list:
     if not args.target:
         print("error: --property custom requires --target FILE", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    try:
-        with open(args.target) as f:
-            text = f.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    text = _read(args.target)
     try:
         if "partial-config" in text.split("{", 1)[0]:
             pc = parse_partial_config(text, program.bool_vars)
@@ -156,7 +150,7 @@ def cmd_check(args) -> int:
     k = args.k
     if k is None:
         k = max(
-            [phi.dimension() for phi in targets]
+            [phi.n_phasers for phi in targets]
             + [_static_phaser_count(program)]
         )
     if args.mode == "control":
@@ -201,6 +195,13 @@ def cmd_check(args) -> int:
     return EXIT_REACHABLE
 
 
+def positive(text: str) -> int:
+    n = natural(text)
+    if n == 0:
+        raise ValueError(text)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phasercheck",
@@ -214,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("explore", help="bounded concrete exploration")
     e.add_argument("file")
-    e.add_argument("--max-steps", type=int, default=10000)
-    e.add_argument("--max-tasks", type=int, default=4)
-    e.add_argument("--max-phasers", type=int, default=4)
-    e.add_argument("--max-phase", type=int, default=6)
+    e.add_argument("--max-steps", type=natural, default=10000)
+    e.add_argument("--max-tasks", type=natural, default=4)
+    e.add_argument("--max-phasers", type=natural, default=4)
+    e.add_argument("--max-phase", type=natural, default=6)
     e.add_argument("--dump", action="store_true", help="print every configuration")
     e.add_argument("--graph", metavar="PATH", help="write the state graph (dot format)")
     e.set_defaults(func=cmd_explore)
@@ -231,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--target", metavar="PATH", help="target file for --property custom")
     c.add_argument("--mode", choices=("control", "plain", "unrestricted"), default="plain")
-    c.add_argument("--k", type=int, default=None, help="max tracked phasers (default: inferred)")
-    c.add_argument("--b", type=int, default=1, help="gap bound for plain mode")
-    c.add_argument("--budget", type=int, default=100000, help="unrestricted-mode budget")
-    c.add_argument("--slack", type=int, default=1, help="cyclic-wait distance bound")
-    c.add_argument("--max-cycle", type=int, default=2, help="max wait-cycle length")
+    c.add_argument("--k", type=natural, default=None, help="max tracked phasers (default: inferred)")
+    c.add_argument("--b", type=natural, default=1, help="gap bound for plain mode")
+    c.add_argument("--budget", type=natural, default=100000, help="unrestricted-mode budget")
+    c.add_argument("--slack", type=natural, default=1, help="cyclic-wait distance bound")
+    c.add_argument("--max-cycle", type=positive, default=2, help="max wait-cycle length")
     c.add_argument("--validate", action="store_true", help="replay the trace concretely")
     c.add_argument("--progress", action="store_true", help="ndjson progress on stderr")
     c.set_defaults(func=cmd_check)
@@ -244,7 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Concrete configurations, small-step semantics, and the bounded explorer.
 
-Configurations are immutable; tasks and phasers are row/column indices and
-all comparisons that should be id-insensitive (inclusion, equivalence,
-exploration dedup) go through search or canonicalization.
+Configurations are immutable; tasks and phasers are row/column indices,
+and exploration deduplicates configurations up to renaming through
+canonicalization.
 
 Reconstruction notes (the figure-level rules are not part of the available
 sources): exit only empties the control sequence and never deregisters; a
@@ -17,8 +17,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .control import HeadStep, head_successors
+from .control import head_successors
 from .syntax import (
+    ANY,
+    NO_VAR,
     SIG,
     SIG_WAIT,
     WAIT,
@@ -39,9 +41,6 @@ from .syntax import (
     count_ndets,
     eval_cond,
 )
-
-NO_VAR = "-"
-ANY = "*"
 
 
 @dataclass(frozen=True)
@@ -99,17 +98,6 @@ class PartialConfiguration:
         return len(self.phase[0]) if self.phase else 0
 
 
-def is_control_partial(pc: PartialConfiguration) -> bool:
-    for row in pc.phase:
-        for cell in row:
-            if cell is None:
-                continue
-            _, val = cell
-            if val != "nreg" and val != (ANY, ANY):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Error outcomes
 
@@ -129,9 +117,6 @@ class RegistrationError:
 @dataclass(frozen=True)
 class CyclicWait:
     tasks: tuple  # the waiting cycle, in order
-
-
-ErrorKind = object
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +142,6 @@ def binding(c: Configuration, t: int, var: str):
 
 def bv_env(c: Configuration, p: Program) -> dict:
     return dict(zip(p.bool_vars, c.bv))
-
-
-def is_well_formed(c: Configuration) -> bool:
-    """Per-registration w <= s plus per-phaser level consistency (every
-    wait value at most every signal value), which the forward semantics
-    preserves and the gap representation assumes."""
-    for pi in range(c.n_phasers):
-        waits, sigs = [], []
-        for t in range(c.n_tasks):
-            _, reg = c.phases[t][pi]
-            if reg is None:
-                continue
-            if reg.wait is not None and reg.sig is not None and reg.wait > reg.sig:
-                return False
-            if reg.wait is not None:
-                waits.append(reg.wait)
-            if reg.sig is not None:
-                sigs.append(reg.sig)
-        if waits and sigs and max(waits) > min(sigs):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -373,129 +337,6 @@ def successors(c: Configuration, p: Program) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Inclusion and equivalence
-
-
-def _val_matches(pv, reg) -> bool:
-    if pv == "nreg":
-        return reg is None
-    if reg is None:
-        return False
-    w, s = pv
-    if w != ANY and reg.wait != w:
-        return False
-    if s != ANY and reg.sig != s:
-        return False
-    return True
-
-
-def includes(c: Configuration, pc: PartialConfiguration) -> bool:
-    """Whether ``c`` includes the partial configuration (injective task and
-    phaser renamings with wildcard matching)."""
-    for pb, cb in zip(pc.bv, c.bv):
-        if pb is not None and pb != cb:
-            return False
-    ctasks = range(c.n_tasks)
-    cphasers = range(c.n_phasers)
-    for tau in itertools.permutations(ctasks, pc.n_tasks):
-        ok = True
-        for tp, tc in enumerate(tau):
-            if pc.seqs[tp] is not None and pc.seqs[tp] != c.seqs[tc]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for pi_map in itertools.permutations(cphasers, pc.n_phasers):
-            good = True
-            for tp, tc in enumerate(tau):
-                for pp, pcx in enumerate(pi_map):
-                    cell = pc.phase[tp][pp]
-                    if cell is None:
-                        continue
-                    var, val = cell
-                    cvar, creg = c.phases[tc][pcx]
-                    if var != ANY and var != cvar:
-                        good = False
-                        break
-                    if not _val_matches(val, creg):
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return True
-    return False
-
-
-def equivalent(c1: Configuration, c2: Configuration) -> bool:
-    """Equality up to renaming of ids and a uniform per-phaser phase shift."""
-    if c1.bv != c2.bv:
-        return False
-    if c1.n_tasks != c2.n_tasks or c1.n_phasers != c2.n_phasers:
-        return False
-    for tau in itertools.permutations(range(c2.n_tasks)):
-        if any(c1.seqs[t] != c2.seqs[tau[t]] for t in range(c1.n_tasks)):
-            continue
-        for pi in itertools.permutations(range(c2.n_phasers)):
-            if _shift_match(c1, c2, tau, pi):
-                return True
-    return False
-
-
-def _shift_match(c1, c2, tau, pi) -> bool:
-    for p1 in range(c1.n_phasers):
-        p2 = pi[p1]
-        shift = None
-        for t1 in range(c1.n_tasks):
-            v1, r1 = c1.phases[t1][p1]
-            v2, r2 = c2.phases[tau[t1]][p2]
-            if v1 != v2:
-                return False
-            if (r1 is None) != (r2 is None):
-                return False
-            if r1 is None:
-                continue
-            if r1.mode != r2.mode:
-                return False
-            for a, b in ((r1.wait, r2.wait), (r1.sig, r2.sig)):
-                if (a is None) != (b is None):
-                    return False
-                if a is None:
-                    continue
-                if shift is None:
-                    shift = b - a
-                elif b - a != shift:
-                    return False
-    return True
-
-
-def shifted(c: Configuration, shifts: dict) -> Configuration:
-    """Add ``shifts[p]`` to every phase value on phaser ``p`` (test helper
-    for the equivalence lemma)."""
-    rows = []
-    for t in range(c.n_tasks):
-        row = []
-        for p in range(c.n_phasers):
-            var, reg = c.phases[t][p]
-            k = shifts.get(p, 0)
-            if reg is None or k == 0:
-                row.append((var, reg))
-            else:
-                row.append(
-                    (
-                        var,
-                        Reg(
-                            reg.mode,
-                            None if reg.wait is None else reg.wait + k,
-                            None if reg.sig is None else reg.sig + k,
-                        ),
-                    )
-                )
-        rows.append(tuple(row))
-    return Configuration(c.bv, c.seqs, tuple(rows), c.atomic)
-
-
-# ---------------------------------------------------------------------------
 # Canonicalization (dedup key for exploration)
 
 
@@ -615,7 +456,7 @@ class Bounds:
 @dataclass
 class ExploreResult:
     configs: list
-    errors: list  # (ErrorKind, config index the step fired from)
+    errors: list  # (error outcome, config index the step fired from)
     exhausted: bool
     edges: list = field(default_factory=list)  # (src, task, stmt str, dst)
 

@@ -123,9 +123,9 @@ def static_phaser_bound(program):
 
 def _keep(strategy, phi: Constraint) -> bool:
     if isinstance(strategy, ControlReachability):
-        return phi.dimension() <= strategy.k
+        return phi.n_phasers <= strategy.k
     if isinstance(strategy, PlainReachability):
-        return phi.dimension() <= strategy.k and is_b_good(phi, strategy.b)
+        return phi.n_phasers <= strategy.k and is_b_good(phi, strategy.b)
     return True
 
 
@@ -230,7 +230,7 @@ def check(program, targets, strategy, progress=None):
         n_visited += 1
         queued.add(phi)
         counter += 1
-        heapq.heappush(working, ((forward_work(phi), nt, phi.dimension(), counter), phi))
+        heapq.heappush(working, ((forward_work(phi), nt, phi.n_phasers, counter), phi))
 
     def trace_from(phi) -> Trace:
         constraints, stmts = [phi], []
@@ -258,7 +258,7 @@ def check(program, targets, strategy, progress=None):
                     "processed": processed,
                     "working": len(queued),
                     "visited": n_visited,
-                    "dimension": phi.dimension(),
+                    "dimension": phi.n_phasers,
                 }
             )
         if budget is not None and processed > budget:

@@ -91,20 +91,44 @@ def _untracked_allowed(phi: Constraint, x: int, var: str) -> bool:
     return not _pinned_columns(phi, x, var)
 
 
-def _materialize_column(phi: Constraint, x: int, var: str):
+def _materialize_column(phi: Constraint, x: int, var: str) -> Constraint:
     """Add a column for a phaser the constraint did not track: the
     executing task is registered freely, every other tracked task gets an
     optional free cell (registered or not, either way unconstrained) and
     the environment is unconstrained."""
     rows = [list(r) + [OPT_FREE] for r in phi.gaps]
     rows[x][-1] = Gap(var, FREE_BOUNDS)
-    return [_with(phi, gaps=rows, egaps=phi.egaps + ((0, 0),))]
+    return _with(phi, gaps=rows, egaps=phi.egaps + ((0, 0),))
 
 
 def _seq_set(phi: Constraint, x: int, seq) -> Constraint:
     seqs = list(phi.seqs)
     seqs[x] = seq
     return _with(phi, seqs=seqs)
+
+
+def _shift_level(phi: Constraint, q: int, d: int, x: int):
+    """Gap rows and environment gaps with phaser ``q``'s level moved by
+    ``d`` for every task but the executor ``x``: ``l - w`` grows by ``d``
+    and ``s - l`` shrinks by ``d``.  An optional cell pushed below 0 keeps
+    only its unregistered branch; a certain registration that cannot
+    shift makes the result None."""
+    rows = [list(r) for r in phi.gaps]
+    for t in range(phi.n_tasks):
+        g = rows[t][q]
+        if t == x or g.bounds is None:
+            continue
+        lw, ls, uw, us = g.bounds
+        if uw + d < 0 or us - d < 0:
+            if not g.opt:
+                return None
+            rows[t][q] = Gap(g.var, None)
+            continue
+        rows[t][q] = Gap(g.var, (max(lw + d, 0), max(ls - d, 0), uw + d, us - d), g.opt)
+    egaps = list(phi.egaps)
+    ew, es = egaps[q]
+    egaps[q] = (max(ew + d, 0), max(es - d, 0))
+    return rows, egaps
 
 
 # ---------------------------------------------------------------------------
@@ -123,35 +147,13 @@ def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
             g = Gap(st.var, (lw, max(ls - 1, 0), uw, us - 1))
             out.append(_with(phi, gaps=_set_gap(phi.gaps, x, q, g)))
         # shifted level: before the signal the level sat one lower
-        if ls == 0:
-            rows = [list(r) for r in phi.gaps]
-            ok = True
-            for t in range(phi.n_tasks):
-                g = rows[t][q]
-                if g.bounds is None:
-                    continue
-                glw, gls, guw, gus = g.bounds
-                if guw - 1 < 0:
-                    if t != x and g.opt:
-                        # the registered branch dies under the shift;
-                        # only the unregistered branch survives
-                        rows[t][q] = Gap(g.var, None)
-                        continue
-                    ok = False
-                    break
-                if t == x:
-                    rows[t][q] = Gap(st.var, (max(glw - 1, 0), gls, guw - 1, gus))
-                else:
-                    rows[t][q] = Gap(
-                        g.var, (max(glw - 1, 0), gls + 1, guw - 1, gus + 1), g.opt
-                    )
-            if ok:
-                ew, es = phi.egaps[q]
-                egaps = list(phi.egaps)
-                egaps[q] = (max(ew - 1, 0), es + 1)
-                out.append(_with(phi, gaps=rows, egaps=egaps))
+        shift = _shift_level(phi, q, -1, x) if ls == 0 and uw >= 1 else None
+        if shift is not None:
+            rows, egaps = shift
+            rows[x][q] = Gap(st.var, (max(lw - 1, 0), ls, uw - 1, us))
+            out.append(_with(phi, gaps=rows, egaps=egaps))
     if _untracked_allowed(phi, x, st.var):
-        out.extend(_materialize_column(phi, x, st.var))
+        out.append(_materialize_column(phi, x, st.var))
     return out
 
 
@@ -162,9 +164,9 @@ def _pre_wait(phi: Constraint, x: int, st: Wait) -> list:
         g = Gap(st.var, (lw + 1, ls, uw + 1, us))
         out.append(_with(phi, gaps=_set_gap(phi.gaps, x, q, g)))
     if _untracked_allowed(phi, x, st.var):
-        for psi in _materialize_column(phi, x, st.var):
-            rows = _set_gap(psi.gaps, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF)))
-            out.append(_with(psi, gaps=rows))
+        psi = _materialize_column(phi, x, st.var)
+        rows = _set_gap(psi.gaps, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF)))
+        out.append(_with(psi, gaps=rows))
     return out
 
 
@@ -193,35 +195,13 @@ def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
                 delta_max = max(delta_max, gb[3])
         delta_max = max(delta_max, phi.egaps[q][1])
         for delta in range(1, delta_max + 1):
-            rows = [list(r) for r in phi.gaps]
-            ok = True
-            for t in range(phi.n_tasks):
-                gt = rows[t][q]
-                if gt.bounds is None:
-                    continue
-                glw, gls, guw, gus = gt.bounds
-                if t == x:
-                    continue
-                if gus != INF and gus - delta < 0:
-                    if gt.opt:
-                        rows[t][q] = Gap(gt.var, None)
-                        continue
-                    ok = False
-                    break
-                rows[t][q] = Gap(
-                    gt.var,
-                    (glw + delta, max(gls - delta, 0), guw + delta, gus - delta),
-                    gt.opt,
-                )
-            if not ok:
-                continue
-            rows[x][q] = Gap(st.var, FREE_BOUNDS)
-            ew, es = phi.egaps[q]
-            egaps = list(phi.egaps)
-            egaps[q] = (ew + delta, max(es - delta, 0))
-            out.append(_with(phi, gaps=rows, egaps=egaps))
+            shift = _shift_level(phi, q, delta, x)
+            if shift is not None:
+                rows, egaps = shift
+                rows[x][q] = Gap(st.var, FREE_BOUNDS)
+                out.append(_with(phi, gaps=rows, egaps=egaps))
     if _untracked_allowed(phi, x, st.var):
-        out.extend(_materialize_column(phi, x, st.var))
+        out.append(_materialize_column(phi, x, st.var))
     return out
 
 
@@ -288,55 +268,28 @@ def _merge_bounds(a, b):
     return (lw, ls, uw, us)
 
 
-def _arg_column_choices(phi: Constraint, x: int, args) -> list:
-    """Per spawn argument, either a tracked column index or None for an
-    untracked phaser; distinct arguments use distinct columns."""
+def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
+    callee = program.task(st.task)
+    # per spawn argument, a tracked column or None for an untracked phaser
     per_arg = []
-    for v in args:
-        cols = _registered_columns(phi, x, v)
-        opts = [(v, q) for q in cols]
+    for v in st.args:
+        opts = _registered_columns(phi, x, v)
         if _untracked_allowed(phi, x, v):
-            opts.append((v, None))
-        if not opts:
-            return []
+            opts.append(None)
         per_arg.append(opts)
     out = []
     for combo in itertools.product(*per_arg):
-        used = [q for _, q in combo if q is not None]
-        if len(set(used)) == len(used):
-            out.append(combo)
-    return out
-
-
-def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
-    callee = program.task(st.task)
-    out = []
-    for combo in _arg_column_choices(phi, x, st.args):
-        # materialize untracked argument phasers first
-        bases = [phi]
-        cols = []
-        for v, q in combo:
-            if q is not None:
-                cols.append(q)
-                continue
-            new_bases = []
-            for b in bases:
-                new_bases.extend(_materialize_column(b, x, v))
-            bases = new_bases
-            cols.append(-1)  # placeholder: filled per base below
-        for base in bases:
-            # untracked args occupy the freshly appended columns in order
-            fresh = phi.n_phasers
-            arg_cols = []
-            for (v, q), c in zip(combo, cols):
-                if c == -1:
-                    arg_cols.append(fresh)
-                    fresh += 1
-                else:
-                    arg_cols.append(c)
-            out.extend(
-                _pre_asynch_on(base, x, st, callee, arg_cols)
-            )
+        tracked = [q for q in combo if q is not None]
+        if len(set(tracked)) != len(tracked):
+            continue  # distinct arguments use distinct columns
+        # untracked arguments occupy freshly appended columns in order
+        base, arg_cols = phi, []
+        for v, q in zip(st.args, combo):
+            if q is None:
+                base = _materialize_column(base, x, v)
+                q = base.n_phasers - 1
+            arg_cols.append(q)
+        out.extend(_pre_asynch_on(base, x, st, callee, arg_cols))
     return out
 
 
@@ -559,8 +512,6 @@ def pre(phi: Constraint, program, suffixes=None) -> list:
         if not s_pre:
             continue
         for hs in head_successors(s_pre):
-            if isinstance(hs.stmt, NextBlock):
-                raise AtomicUnsupported(str(hs.stmt))
             # tracked roles
             for x in range(phi.n_tasks):
                 if phi.seqs[x] is not None and phi.seqs[x] != hs.next_seq:
@@ -574,13 +525,3 @@ def pre(phi: Constraint, program, suffixes=None) -> list:
                     emit(hs.stmt, _seq_set(psi, ur, s_pre))
     return results
 
-
-def preserves_freeness_check(phi: Constraint, program, suffixes=None) -> list:
-    """For a free constraint, return the non-free predecessor constraints
-    produced by ``pre`` (expected empty: backward steps keep freeness)."""
-    from .symbolic import is_free
-
-    assert is_free(phi)
-    return [
-        (stmt, psi) for stmt, psi in pre(phi, program, suffixes) if not is_free(psi)
-    ]

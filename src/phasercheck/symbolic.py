@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 from .control import seq_order_key
 from .parser import RecordFormatError, natural, read_records, record_fields, write_record
+from .syntax import ANY, NO_VAR
 
 INF = float("inf")
-ANY = "*"
-NO_VAR = "-"
 
 FREE_BOUNDS = (0, 0, INF, INF)
 
@@ -86,9 +85,6 @@ class Constraint:
     def n_phasers(self) -> int:
         return len(self.egaps)
 
-    def dimension(self) -> int:
-        return self.n_phasers
-
 
 def _constraint_hash(self) -> int:
     h = self.__dict__.get("_hash")
@@ -122,15 +118,6 @@ def is_free(phi: Constraint) -> bool:
 
 def is_b_good(phi: Constraint, b) -> bool:
     return all(g.is_free() or g.is_bounded(b) for row in phi.gaps for g in row)
-
-
-def classify(phi: Constraint, b) -> str:
-    """"free", "bounded" (all non-free gaps within b), or "unbounded"."""
-    if is_free(phi):
-        return "free"
-    if is_b_good(phi, b):
-        return "bounded"
-    return "unbounded"
 
 
 # ---------------------------------------------------------------------------
@@ -317,60 +304,6 @@ def minimize(constraints) -> list:
         kept = [psi for psi in kept if not entails(phi, psi)]
         kept.append(phi)
     return kept
-
-
-# ---------------------------------------------------------------------------
-# Encodings: fixed task/phaser orders, pointwise comparable
-
-
-def encode(phi: Constraint) -> tuple:
-    """(bv, per-task (seq, gap row), per-phaser egap) in declaration order."""
-    acc = tuple(
-        (phi.seqs[t], tuple(phi.gaps[t])) for t in range(phi.n_tasks)
-    )
-    return (phi.bv, acc, phi.egaps)
-
-
-def encoding_entails(ea: tuple, eb: tuple) -> bool:
-    """Pointwise entailment between encodings of the same dimension; a
-    sufficient condition for ``entails`` on the encoded constraints."""
-    bv_a, acc_a, env_a = ea
-    bv_b, acc_b, env_b = eb
-    if len(env_a) != len(env_b):
-        return False
-    for a, b in zip(bv_a, bv_b):
-        if a is not None and a != b:
-            return False
-    for (ew_a, es_a), (ew_b, es_b) in zip(env_a, env_b):
-        if ew_a > ew_b or es_a > es_b:
-            return False
-    if len(acc_b) < len(acc_a):
-        return False
-
-    def cell_leq(ca, cb) -> bool:
-        seq_a, row_a = ca
-        seq_b, row_b = cb
-        if seq_a is not None and seq_a != seq_b:
-            return False
-        return all(gap_leq(ga, gb) for ga, gb in zip(row_a, row_b))
-
-    # surjection from b's task indices onto a's with pointwise cell order
-    for h in itertools.product(range(len(acc_a)), repeat=len(acc_b)):
-        if set(h) != set(range(len(acc_a))):
-            continue
-        if all(cell_leq(acc_a[h[i]], acc_b[i]) for i in range(len(acc_b))):
-            return True
-    return False
-
-
-def decode(e: tuple) -> Constraint:
-    bv, acc, env = e
-    return Constraint(
-        bv,
-        tuple(seq for seq, _ in acc),
-        tuple(row for _, row in acc),
-        env,
-    )
 
 
 # ---------------------------------------------------------------------------

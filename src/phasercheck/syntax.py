@@ -16,6 +16,10 @@ SIG = "SIG"
 WAIT = "WAIT"
 MODES = (SIG_WAIT, SIG, WAIT)
 
+# phaser-variable patterns of configuration and constraint cells
+ANY = "*"  # any variable name
+NO_VAR = "-"  # the task names the phaser with no variable
+
 
 # ---------------------------------------------------------------------------
 # Conditions

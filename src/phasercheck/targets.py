@@ -1,5 +1,5 @@
 """Target constraint builders for the supported bad-configuration classes,
-plus the partial-configuration text format.
+plus the partial-configuration reader.
 
 * assertion violation: some task sits at an assertion head whose condition
   can evaluate to false under the pinned boolean variables.
@@ -20,7 +20,7 @@ import itertools
 
 from .concrete import PartialConfiguration
 from .control import unrolled_suffixes
-from .parser import RecordFormatError, natural, read_records, record_fields, write_record
+from .parser import RecordFormatError, natural, read_records, record_fields
 from .symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -162,23 +162,6 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
 
 
 PartialConfigFormatError = RecordFormatError
-
-
-def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:
-    cells = []
-    for t in range(pc.n_tasks):
-        for p in range(pc.n_phasers):
-            cell = pc.phase[t][p]
-            if cell is None:
-                continue
-            var, val = cell
-            if val == "nreg":
-                cells.append(f"phase t{t} p{p} var={var} nreg")
-            elif val == (ANY, ANY):
-                cells.append(f"phase t{t} p{p} var={var} free")
-            else:
-                cells.append(f"phase t{t} p{p} var={var} w={val[0]} s={val[1]}")
-    return write_record("partial-config", bool_vars, pc.bv, pc.seqs, pc.n_phasers, cells)
 
 
 def _read_phase(words) -> tuple:

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from phasercheck.concrete import Bounds, Configuration, Reg, explore, is_well_formed
+from phasercheck.concrete import Bounds, Configuration, Reg, explore
 from phasercheck.control import unrolled_suffixes
 from phasercheck.parser import parse
 from phasercheck.symbolic import ANY, INF, Constraint, Gap, NO_VAR
+
+from oracles import is_well_formed
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

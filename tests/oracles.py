@@ -1,0 +1,226 @@
+"""Reference implementations that the tests compare the checker against;
+the checker itself never runs them."""
+
+import itertools
+
+from phasercheck.concrete import Configuration, PartialConfiguration, Reg
+from phasercheck.parser import write_record
+from phasercheck.pre import pre
+from phasercheck.symbolic import Constraint, gap_leq, is_free
+from phasercheck.syntax import ANY
+
+
+def is_well_formed(c: Configuration) -> bool:
+    """Per-registration w <= s plus per-phaser level consistency (every
+    wait value at most every signal value), which the forward semantics
+    preserves and the gap representation assumes."""
+    for pi in range(c.n_phasers):
+        waits, sigs = [], []
+        for t in range(c.n_tasks):
+            _, reg = c.phases[t][pi]
+            if reg is None:
+                continue
+            if reg.wait is not None and reg.sig is not None and reg.wait > reg.sig:
+                return False
+            if reg.wait is not None:
+                waits.append(reg.wait)
+            if reg.sig is not None:
+                sigs.append(reg.sig)
+        if waits and sigs and max(waits) > min(sigs):
+            return False
+    return True
+
+
+def _val_matches(pv, reg) -> bool:
+    if pv == "nreg":
+        return reg is None
+    if reg is None:
+        return False
+    w, s = pv
+    if w != ANY and reg.wait != w:
+        return False
+    if s != ANY and reg.sig != s:
+        return False
+    return True
+
+
+def includes(c: Configuration, pc: PartialConfiguration) -> bool:
+    """Whether ``c`` includes the partial configuration (injective task and
+    phaser renamings with wildcard matching)."""
+    for pb, cb in zip(pc.bv, c.bv):
+        if pb is not None and pb != cb:
+            return False
+    ctasks = range(c.n_tasks)
+    cphasers = range(c.n_phasers)
+    for tau in itertools.permutations(ctasks, pc.n_tasks):
+        ok = True
+        for tp, tc in enumerate(tau):
+            if pc.seqs[tp] is not None and pc.seqs[tp] != c.seqs[tc]:
+                ok = False
+                break
+        if not ok:
+            continue
+        for pi_map in itertools.permutations(cphasers, pc.n_phasers):
+            good = True
+            for tp, tc in enumerate(tau):
+                for pp, pcx in enumerate(pi_map):
+                    cell = pc.phase[tp][pp]
+                    if cell is None:
+                        continue
+                    var, val = cell
+                    cvar, creg = c.phases[tc][pcx]
+                    if var != ANY and var != cvar:
+                        good = False
+                        break
+                    if not _val_matches(val, creg):
+                        good = False
+                        break
+                if not good:
+                    break
+            if good:
+                return True
+    return False
+
+
+def equivalent(c1: Configuration, c2: Configuration) -> bool:
+    """Equality up to renaming of ids and a uniform per-phaser phase shift."""
+    if c1.bv != c2.bv:
+        return False
+    if c1.n_tasks != c2.n_tasks or c1.n_phasers != c2.n_phasers:
+        return False
+    for tau in itertools.permutations(range(c2.n_tasks)):
+        if any(c1.seqs[t] != c2.seqs[tau[t]] for t in range(c1.n_tasks)):
+            continue
+        for pi in itertools.permutations(range(c2.n_phasers)):
+            if _shift_match(c1, c2, tau, pi):
+                return True
+    return False
+
+
+def _shift_match(c1, c2, tau, pi) -> bool:
+    for p1 in range(c1.n_phasers):
+        p2 = pi[p1]
+        shift = None
+        for t1 in range(c1.n_tasks):
+            v1, r1 = c1.phases[t1][p1]
+            v2, r2 = c2.phases[tau[t1]][p2]
+            if v1 != v2:
+                return False
+            if (r1 is None) != (r2 is None):
+                return False
+            if r1 is None:
+                continue
+            if r1.mode != r2.mode:
+                return False
+            for a, b in ((r1.wait, r2.wait), (r1.sig, r2.sig)):
+                if (a is None) != (b is None):
+                    return False
+                if a is None:
+                    continue
+                if shift is None:
+                    shift = b - a
+                elif b - a != shift:
+                    return False
+    return True
+
+
+def shifted(c: Configuration, shifts: dict) -> Configuration:
+    """Add ``shifts[p]`` to every phase value on phaser ``p`` (test helper
+    for the equivalence lemma)."""
+    rows = []
+    for t in range(c.n_tasks):
+        row = []
+        for p in range(c.n_phasers):
+            var, reg = c.phases[t][p]
+            k = shifts.get(p, 0)
+            if reg is None or k == 0:
+                row.append((var, reg))
+            else:
+                row.append(
+                    (
+                        var,
+                        Reg(
+                            reg.mode,
+                            None if reg.wait is None else reg.wait + k,
+                            None if reg.sig is None else reg.sig + k,
+                        ),
+                    )
+                )
+        rows.append(tuple(row))
+    return Configuration(c.bv, c.seqs, tuple(rows), c.atomic)
+
+
+def encode(phi: Constraint) -> tuple:
+    """(bv, per-task (seq, gap row), per-phaser egap) in declaration order."""
+    acc = tuple(
+        (phi.seqs[t], tuple(phi.gaps[t])) for t in range(phi.n_tasks)
+    )
+    return (phi.bv, acc, phi.egaps)
+
+
+def encoding_entails(ea: tuple, eb: tuple) -> bool:
+    """Pointwise entailment between encodings of the same dimension; a
+    sufficient condition for ``entails`` on the encoded constraints."""
+    bv_a, acc_a, env_a = ea
+    bv_b, acc_b, env_b = eb
+    if len(env_a) != len(env_b):
+        return False
+    for a, b in zip(bv_a, bv_b):
+        if a is not None and a != b:
+            return False
+    for (ew_a, es_a), (ew_b, es_b) in zip(env_a, env_b):
+        if ew_a > ew_b or es_a > es_b:
+            return False
+    if len(acc_b) < len(acc_a):
+        return False
+
+    def cell_leq(ca, cb) -> bool:
+        seq_a, row_a = ca
+        seq_b, row_b = cb
+        if seq_a is not None and seq_a != seq_b:
+            return False
+        return all(gap_leq(ga, gb) for ga, gb in zip(row_a, row_b))
+
+    # surjection from b's task indices onto a's with pointwise cell order
+    for h in itertools.product(range(len(acc_a)), repeat=len(acc_b)):
+        if set(h) != set(range(len(acc_a))):
+            continue
+        if all(cell_leq(acc_a[h[i]], acc_b[i]) for i in range(len(acc_b))):
+            return True
+    return False
+
+
+def decode(e: tuple) -> Constraint:
+    bv, acc, env = e
+    return Constraint(
+        bv,
+        tuple(seq for seq, _ in acc),
+        tuple(row for _, row in acc),
+        env,
+    )
+
+
+def preserves_freeness_check(phi: Constraint, program, suffixes=None) -> list:
+    """For a free constraint, return the non-free predecessor constraints
+    produced by ``pre`` (expected empty: backward steps keep freeness)."""
+    assert is_free(phi)
+    return [
+        (stmt, psi) for stmt, psi in pre(phi, program, suffixes) if not is_free(psi)
+    ]
+
+
+def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:
+    cells = []
+    for t in range(pc.n_tasks):
+        for p in range(pc.n_phasers):
+            cell = pc.phase[t][p]
+            if cell is None:
+                continue
+            var, val = cell
+            if val == "nreg":
+                cells.append(f"phase t{t} p{p} var={var} nreg")
+            elif val == (ANY, ANY):
+                cells.append(f"phase t{t} p{p} var={var} free")
+            else:
+                cells.append(f"phase t{t} p{p} var={var} w={val[0]} s={val[1]}")
+    return write_record("partial-config", bool_vars, pc.bv, pc.seqs, pc.n_phasers, cells)

@@ -18,9 +18,7 @@ from phasercheck.concrete import (
     CyclicWait,
     RegistrationError,
     canonical,
-    equivalent,
     explore,
-    shifted,
     successors,
 )
 from phasercheck.engine import (
@@ -34,8 +32,8 @@ from phasercheck.engine import (
     validate_trace,
 )
 from phasercheck.parser import parse_seq
-from phasercheck.pre import AtomicUnsupported, pre, preserves_freeness_check
-from phasercheck.symbolic import encode, encoding_entails, entails, models
+from phasercheck.pre import AtomicUnsupported, pre
+from phasercheck.symbolic import entails, models
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -56,6 +54,13 @@ from sandwich import (
     explored_graph,
     one_step_cover_violations,
     one_step_usefulness_violations,
+)
+from oracles import (
+    encode,
+    encoding_entails,
+    equivalent,
+    preserves_freeness_check,
+    shifted,
 )
 
 SEED = 20260823

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import phasercheck
 from phasercheck.cli import main
 from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import cyclic_wait_targets
@@ -105,6 +110,41 @@ def test_explore_dump_and_graph(tmp_path, capsys):
     assert "config {" in out
     text = dot.read_text()
     assert text.startswith("digraph") and "->" in text
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the dump (about 690 kB) outgrows the pipe buffer, so the command is
+    # still printing when the reader goes away
+    src = str(Path(phasercheck.__file__).resolve().parent.parent)
+    argv = ["explore", path("producer_consumer"), "--dump", "--max-tasks", "5"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phasercheck.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"configurations: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# every command: bounds
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["explore", f"--max-{b}", "-1"] for b in ("steps", "tasks", "phasers", "phase")]
+    + [["check", f"--{b}", "-1"] for b in ("k", "b", "budget", "slack")]
+    + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"]],
+)
+def test_out_of_range_bounds_exit_2(capsys, argv):
+    # cross_deadlock's cyclic wait is reachable, yet --k -1 said unreachable
+    prop = ["--property", "cyclic-wait"] if argv[0] == "check" else []
+    assert run(argv[0], path("cross_deadlock"), *prop, *argv[1:]) == 2
+    assert f"argument {argv[1]}: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,14 @@ from phasercheck.concrete import (
     canonical,
     cyclic_waits,
     enabled_steps,
-    equivalent,
     explore,
-    includes,
     initial_config,
-    is_well_formed,
-    shifted,
     successors,
 )
 from phasercheck.parser import parse, parse_seq
 
 from conftest import explored, load
+from oracles import equivalent, includes, is_well_formed, shifted
 
 
 def run_to_end(prog, prefer=None):

@@ -1,0 +1,23 @@
+"""The library ships only what its commands and engines use: every
+top-level function and class of ``phasercheck`` is read somewhere in the
+package outside its own body.  Test-only reference code lives in
+``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+import phasercheck
+
+
+def test_every_definition_is_used_by_the_package():
+    defs, uses = [], {}  # uses: name -> top-level statements reading it
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, top.lineno)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((where, top.name))
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                uses.setdefault(name, set()).add(where)
+    assert len(defs) > 100
+    assert [name for where, name in defs if not uses.get(name, set()) - {where}] == []

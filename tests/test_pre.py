@@ -1,15 +1,11 @@
 import pytest
 
 from phasercheck.parser import parse
-from phasercheck.pre import (
-    AtomicUnsupported,
-    pre,
-    preserves_freeness_check,
-    program_suffixes,
-)
+from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
 from phasercheck.symbolic import constraint_valid, canonical_constraint, is_free
 
 from conftest import load
+from oracles import preserves_freeness_check
 from sandwich import (
     constraint_pool,
     explored_graph,

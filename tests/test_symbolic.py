@@ -15,11 +15,7 @@ from phasercheck.symbolic import (
     ConstraintFormatError,
     Gap,
     canonical_constraint,
-    classify,
     constraint_to_text,
-    decode,
-    encode,
-    encoding_entails,
     entails,
     gap_leq,
     gap_valid,
@@ -31,6 +27,7 @@ from phasercheck.symbolic import (
 )
 
 from conftest import rand_constraint, rand_gap, sample_model, strengthen
+from oracles import decode, encode, encoding_entails
 
 POOL = (
     parse_seq("signal(p); wait(p);"),
@@ -86,15 +83,15 @@ def test_gap_leq_registration_status():
 
 def test_classification():
     free = Constraint((), (None,), ((FREE, NREG),), ((0, 0), (0, 0)))
-    assert is_free(free) and classify(free, 1) == "free"
+    assert is_free(free)
     bounded = Constraint((), (None,), ((Gap(ANY, (0, 0, 1, 1)),),), ((0, 0),))
     assert not is_free(bounded)
-    assert is_b_good(bounded, 1) and classify(bounded, 1) == "bounded"
-    assert classify(bounded, 0) == "unbounded"
+    assert is_b_good(bounded, 1)
+    assert not is_b_good(bounded, 0)
     opt_bounded = Constraint(
         (), (None,), ((Gap(ANY, (0, 0, 2, 2), True),),), ((0, 0),)
     )
-    assert classify(opt_bounded, 2) == "bounded"
+    assert not is_free(opt_bounded) and is_b_good(opt_bounded, 2)
 
 
 # ---------------------------------------------------------------------------

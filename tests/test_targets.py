@@ -1,12 +1,6 @@
 import pytest
 
-from phasercheck.concrete import (
-    Configuration,
-    PartialConfiguration,
-    Reg,
-    includes,
-    is_control_partial,
-)
+from phasercheck.concrete import Configuration, PartialConfiguration, Reg
 from phasercheck.parser import parse_seq
 from phasercheck.symbolic import ANY, OPT_FREE, Gap, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
@@ -16,11 +10,11 @@ from phasercheck.targets import (
     cyclic_wait_targets,
     from_partial_config,
     parse_partial_config,
-    partial_config_to_text,
     registration_error_targets,
 )
 
 from conftest import load
+from oracles import includes, partial_config_to_text
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +159,6 @@ def test_partial_config_parse_errors():
             parse_partial_config(text, ("a",))
     with pytest.raises(PartialConfigFormatError, match="one record"):
         parse_partial_config(PC_TEXT + PC_TEXT, ("a",))
-
-
-def test_is_control_partial():
-    pc = parse_partial_config(PC_TEXT, ("a",))
-    assert not is_control_partial(pc)
-    control = PartialConfiguration(
-        bv=(None,), seqs=(None,), phase=((("p", "nreg"), None, (ANY, (ANY, ANY))),)
-    )
-    assert is_control_partial(control)
 
 
 def test_from_partial_config_models_match_inclusion():
