@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .concrete import Bounds, config_to_text, explore
 from .engine import (
@@ -52,13 +53,17 @@ EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
 
-def _read(path: str) -> str:
+def _open(path: str, mode: str = "r"):
     try:
-        with open(path) as f:
-            return f.read()
+        return open(path, mode)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _read(path: str) -> str:
+    with _open(path) as f:
+        return f.read()
 
 
 def _load_program(path: str, check: bool = True):
@@ -98,22 +103,24 @@ def cmd_explore(args) -> int:
         max_phasers=args.max_phasers,
         max_phase=args.max_phase,
     )
-    result = explore(program, bounds, record_graph=args.graph is not None)
-    print(f"configurations: {len(result.configs)}")
-    print(f"exhausted: {'yes' if result.exhausted else 'no'}")
-    for err, idx in result.errors:
-        print(f"error: {type(err).__name__} {err} at configuration {idx}")
-    if args.dump:
-        for i, c in enumerate(result.configs):
-            print(f"# configuration {i}")
-            print(config_to_text(c, program))
-    if args.graph is not None:
-        with open(args.graph, "w") as f:
-            f.write("digraph states {\n")
+    # open the graph file first, so a bad path fails before exploring
+    with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
+        result = explore(program, bounds, record_graph=graph is not None)
+        print(f"configurations: {len(result.configs)}")
+        print(f"exhausted: {'yes' if result.exhausted else 'no'}")
+        for err, idx in result.errors:
+            print(f"error: {type(err).__name__} {err} at configuration {idx}")
+        if args.dump:
+            for i, c in enumerate(result.configs):
+                print(f"# configuration {i}")
+                print(config_to_text(c, program))
+        if graph is not None:
+            graph.write("digraph states {\n")
             for src, task, stmt, dst in result.edges:
                 label = stmt.replace('"', "'")
-                f.write(f'  c{src} -> c{dst} [label="t{task}: {label}"];\n')
-            f.write("}\n")
+                graph.write(f'  c{src} -> c{dst} [label="t{task}: {label}"];\n')
+            graph.write("}\n")
+    if graph is not None:
         print(f"graph written to {args.graph}")
     return 0
 

@@ -265,19 +265,23 @@ def check(program, targets, strategy, progress=None):
             return BudgetExhausted(processed)
         if models(init, phi):
             return Reachable(trace_from(phi))
+        # predecessors are filtered before pre canonicalizes them, cheapest
+        # test first: the strategy's k/b pruning, then the static task and
+        # phaser bounds, then entailment by the popped constraint itself,
+        # which covers most environment-role predecessors.  Each test is
+        # invariant under renaming rows and columns, so the survivors are
+        # those that filtering the canonical predecessors would keep.
         preds = sorted(
-            pre(phi, program, suffixes),
+            pre(
+                phi,
+                program,
+                suffixes,
+                keep=lambda psi: _keep(strategy, psi)
+                and within_static(psi)
+                and not entails(phi, psi),
+            ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),
         )
-        # most environment-role predecessors are already covered by the
-        # popped constraint itself; discard them before the global store
-        preds = [
-            (s, psi)
-            for s, psi in preds
-            if _keep(strategy, psi)
-            and within_static(psi)
-            and not entails(phi, psi)
-        ]
         # local antichain reduction before touching the global store
         kept_cs = set(minimize([psi for _, psi in preds]))
         for stmt, psi in preds:

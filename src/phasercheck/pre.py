@@ -489,9 +489,14 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, suffixes=None) -> list:
+def pre(phi: Constraint, program, suffixes=None, keep=None) -> list:
     """All (statement, predecessor constraint) pairs over every executing
-    role: each tracked task plus a fresh environment task."""
+    role: each tracked task plus a fresh environment task.
+
+    ``keep``, when given, drops every predecessor it rejects before that
+    predecessor is put into canonical form.  It must not depend on the
+    order of rows and columns; then the result is exactly the unfiltered
+    result with the rejected pairs removed."""
     if suffixes is None:
         suffixes = program_suffixes(program)
     results = []
@@ -499,6 +504,8 @@ def pre(phi: Constraint, program, suffixes=None) -> list:
 
     def emit(stmt, psi):
         if not constraint_valid(psi):
+            return
+        if keep is not None and not keep(psi):
             return
         psi = canonical_constraint(psi)
         key = (str(stmt), psi)

@@ -232,13 +232,19 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
     # must appear among b's pinned sequences
     if not _seq_multiset(pa) <= _seq_multiset(pb):
         return False
-    for pi_sel in itertools.permutations(range(n_pb), n_pa):
-        if any(
-            pa.egaps[ja][0] > pb.egaps[pi_sel[ja]][0]
-            or pa.egaps[ja][1] > pb.egaps[pi_sel[ja]][1]
-            for ja in range(n_pa)
-        ):
-            continue
+    # a column of a can only map to a column of b whose environment
+    # bounds are at least as strong
+    targets = []
+    for ew_a, es_a in pa.egaps:
+        cols = [jb for jb, (ew_b, es_b) in enumerate(pb.egaps) if ew_a <= ew_b and es_a <= es_b]
+        if not cols:
+            return False
+        targets.append(cols)
+    # control compatibility of a row pair does not depend on the map
+    seq_ok = [[sa is None or sa == sb for sa in pa.seqs] for sb in pb.seqs]
+    for pi_sel in itertools.product(*targets):
+        if len(set(pi_sel)) < n_pa:
+            continue  # the phaser map must be injective
         # cell compatibility is independent per task pair, so the task
         # correspondence reduces to a small matching problem: pick one
         # distinct witness row of b per row of a (surjectivity), while
@@ -246,31 +252,24 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
         # the environment bounds.
         compat = []
         env_ok = []
-        for tb in range(n_tb):
-            row = []
-            for ta in range(n_ta):
-                ok = pa.seqs[ta] is None or pa.seqs[ta] == pb.seqs[tb]
-                if ok:
-                    for ja in range(n_pa):
-                        if not gap_leq(pa.gaps[ta][ja], pb.gaps[tb][pi_sel[ja]]):
-                            ok = False
-                            break
-                row.append(ok)
-            compat.append(row)
+        for tb, b_row in enumerate(pb.gaps):
+            gb_row = [b_row[jb] for jb in pi_sel]
+            row = [
+                ok and all(map(gap_leq, pa.gaps[ta], gb_row))
+                for ta, ok in enumerate(seq_ok[tb])
+            ]
             ok = True
-            for ja in range(n_pa):
-                gb = pb.gaps[tb][pi_sel[ja]]
-                if gb.bounds is None:
-                    continue
-                ew_a, es_a = pa.egaps[ja]
-                if ew_a > gb.bounds[0] or es_a > gb.bounds[1]:
+            for (ew_a, es_a), gb in zip(pa.egaps, gb_row):
+                if gb.bounds is not None and (ew_a > gb.bounds[0] or es_a > gb.bounds[1]):
                     ok = False
                     break
+            if not ok and not any(row):
+                break  # this row of b has no place under this map
+            compat.append(row)
             env_ok.append(ok)
-        if any(not env_ok[tb] and not any(compat[tb]) for tb in range(n_tb)):
-            continue
-        if _surjection_exists(compat, env_ok, n_ta, n_tb):
-            return True
+        else:
+            if _surjection_exists(compat, env_ok, n_ta, n_tb):
+                return True
     return False
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from phasercheck.concrete import Bounds, Configuration, Reg, explore
-from phasercheck.control import unrolled_suffixes
 from phasercheck.parser import parse
 from phasercheck.symbolic import ANY, INF, Constraint, Gap, NO_VAR
 

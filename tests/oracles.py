@@ -6,7 +6,13 @@ import itertools
 from phasercheck.concrete import Configuration, PartialConfiguration, Reg
 from phasercheck.parser import write_record
 from phasercheck.pre import pre
-from phasercheck.symbolic import Constraint, gap_leq, is_free
+from phasercheck.symbolic import (
+    Constraint,
+    _seq_multiset,
+    _surjection_exists,
+    gap_leq,
+    is_free,
+)
 from phasercheck.syntax import ANY
 
 
@@ -186,6 +192,64 @@ def encoding_entails(ea: tuple, eb: tuple) -> bool:
         if set(h) != set(range(len(acc_a))):
             continue
         if all(cell_leq(acc_a[h[i]], acc_b[i]) for i in range(len(acc_b))):
+            return True
+    return False
+
+
+def entails_by_permutations(pa: Constraint, pb: Constraint) -> bool:
+    """``symbolic.entails`` as it was before it pruned phaser maps: every
+    injective map of a's columns into b's is built and then tested."""
+    if pa is pb or pa == pb:
+        return True
+    for a, b in zip(pa.bv, pb.bv):
+        if a is not None and a != b:
+            return False
+    n_ta, n_pa = pa.n_tasks, pa.n_phasers
+    n_tb, n_pb = pb.n_tasks, pb.n_phasers
+    if n_tb < n_ta or n_pb < n_pa:
+        return False
+    # necessary: every concrete control sequence pinned on the a side
+    # must appear among b's pinned sequences
+    if not _seq_multiset(pa) <= _seq_multiset(pb):
+        return False
+    for pi_sel in itertools.permutations(range(n_pb), n_pa):
+        if any(
+            pa.egaps[ja][0] > pb.egaps[pi_sel[ja]][0]
+            or pa.egaps[ja][1] > pb.egaps[pi_sel[ja]][1]
+            for ja in range(n_pa)
+        ):
+            continue
+        # cell compatibility is independent per task pair, so the task
+        # correspondence reduces to a small matching problem: pick one
+        # distinct witness row of b per row of a (surjectivity), while
+        # every other row of b must be coverable by some row of a or by
+        # the environment bounds.
+        compat = []
+        env_ok = []
+        for tb in range(n_tb):
+            row = []
+            for ta in range(n_ta):
+                ok = pa.seqs[ta] is None or pa.seqs[ta] == pb.seqs[tb]
+                if ok:
+                    for ja in range(n_pa):
+                        if not gap_leq(pa.gaps[ta][ja], pb.gaps[tb][pi_sel[ja]]):
+                            ok = False
+                            break
+                row.append(ok)
+            compat.append(row)
+            ok = True
+            for ja in range(n_pa):
+                gb = pb.gaps[tb][pi_sel[ja]]
+                if gb.bounds is None:
+                    continue
+                ew_a, es_a = pa.egaps[ja]
+                if ew_a > gb.bounds[0] or es_a > gb.bounds[1]:
+                    ok = False
+                    break
+            env_ok.append(ok)
+        if any(not env_ok[tb] and not any(compat[tb]) for tb in range(n_tb)):
+            continue
+        if _surjection_exists(compat, env_ok, n_ta, n_tb):
             return True
     return False
 

@@ -6,7 +6,6 @@ output capture so the lines appear in the run log).
 """
 
 import random
-import sys
 import time
 
 import pytest

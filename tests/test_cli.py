@@ -112,6 +112,15 @@ def test_explore_dump_and_graph(tmp_path, capsys):
     assert text.startswith("digraph") and "->" in text
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_explore_unwritable_graph_exits_2_before_exploring(where, tmp_path, capsys):
+    graph = tmp_path / "no" / "such" / "g.dot" if where == "missing-dir" else tmp_path
+    assert run("explore", path("barrier_block"), "--graph", str(graph)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing explored, nothing printed
+    assert err.startswith("error: ") and str(graph) in err and len(err.splitlines()) == 1
+
+
 def test_closed_stdout_exits_141_quietly():
     # the dump (about 690 kB) outgrows the pipe buffer, so the command is
     # still printing when the reader goes away

@@ -1,12 +1,7 @@
-import itertools
-
-import pytest
-
 from phasercheck.concrete import (
     AssertionViolation,
     Bounds,
     Configuration,
-    CyclicWait,
     PartialConfiguration,
     Reg,
     RegistrationError,

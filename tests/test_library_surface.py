@@ -1,7 +1,7 @@
 """The library ships only what its commands and engines use: every
 top-level function and class of ``phasercheck`` is read somewhere in the
 package outside its own body.  Test-only reference code lives in
-``tests/oracles.py``."""
+``tests/oracles.py``.  Test modules read every name they import."""
 
 import ast
 from pathlib import Path
@@ -21,3 +21,17 @@ def test_every_definition_is_used_by_the_package():
                 uses.setdefault(name, set()).add(where)
     assert len(defs) > 100
     assert [name for where, name in defs if not uses.get(name, set()) - {where}] == []
+
+
+def test_every_test_module_reads_what_it_imports():
+    unread = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append((path.name, name))
+    assert unread == []

@@ -1,10 +1,17 @@
 import pytest
 
+from phasercheck import engine
+from phasercheck.engine import PlainReachability, check
 from phasercheck.parser import parse
 from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
 from phasercheck.symbolic import constraint_valid, canonical_constraint, is_free
+from phasercheck.targets import (
+    assertion_targets,
+    cyclic_wait_targets,
+    registration_error_targets,
+)
 
-from conftest import load
+from conftest import FINITE_PROGRAMS, load
 from oracles import preserves_freeness_check
 from sandwich import (
     constraint_pool,
@@ -116,3 +123,39 @@ def test_suffixes_are_closed_under_head_successors():
     for s in suffixes:
         for hs in head_successors(s):
             assert hs.next_seq in suffixes
+
+
+class _EnoughPops(Exception):
+    pass
+
+
+def test_keep_drops_exactly_what_it_rejects(monkeypatch):
+    # check filters predecessors before pre canonicalizes them; on the
+    # first constraints it pops, with the predicate it builds, that must
+    # give the unfiltered result minus the rejected pairs
+    count = {"full": 0, "kept": 0, "pops": 0}
+
+    def both_ways(phi, program, suffixes, keep):
+        filtered = pre(phi, program, suffixes, keep=keep)
+        full = pre(phi, program, suffixes)
+        expected = [(str(s), psi) for s, psi in full if keep(psi)]
+        assert [(str(s), psi) for s, psi in filtered] == expected
+        count["full"] += len(full)
+        count["kept"] += len(filtered)
+        count["pops"] += 1
+        if count["pops"] == 25:
+            raise _EnoughPops
+        return filtered
+
+    monkeypatch.setattr(engine, "pre", both_ways)
+    for name in FINITE_PROGRAMS:
+        program = load(name)
+        if program.uses_modes():
+            continue  # check takes SIG_WAIT-only programs
+        for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
+            count["pops"] = 0
+            try:
+                check(program, build(program), PlainReachability(k=2, b=1))
+            except _EnoughPops:
+                pass
+    assert 0 < count["kept"] < count["full"]

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from phasercheck.concrete import Configuration, Reg
@@ -26,8 +24,8 @@ from phasercheck.symbolic import (
     parse_constraints,
 )
 
-from conftest import rand_constraint, rand_gap, sample_model, strengthen
-from oracles import decode, encode, encoding_entails
+from conftest import rand_constraint, sample_model, strengthen
+from oracles import decode, encode, encoding_entails, entails_by_permutations
 
 POOL = (
     parse_seq("signal(p); wait(p);"),
@@ -190,6 +188,45 @@ def test_entails_soundness_on_samples(rng):
             checked += 1
             assert models(c, pa), (pa, pb, c)
     assert checked > 200
+
+
+def _pair(rng, kind):
+    if kind == "no phasers":
+        pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=0)
+        return pa, rand_constraint(rng, POOL, bool_count=1, max_phasers=rng.choice((0, 2)))
+    if kind == "twin columns":
+        # both columns of a fit only the first column of b, so only a map
+        # sending both to it, which is not injective, would entail
+        pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=1)
+        pb = _strengthen(rng, pa)
+        if not pa.n_phasers:
+            return pa, pb
+        env = (max(1, pb.egaps[0][0]), max(1, pb.egaps[0][1]))
+        twin = Constraint(pa.bv, pa.seqs, tuple(row * 2 for row in pa.gaps), (env, env))
+        return twin, Constraint(pb.bv, pb.seqs, tuple(row + (NREG,) for row in pb.gaps), (env, (0, 0)))
+    pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
+    if kind == "mixed" and rng.random() < 0.5:
+        return pa, rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
+    pb = _strengthen(rng, pa)
+    if kind == "undominated" and pa.n_phasers:
+        # one of a's environment bounds above those of every column of b
+        top = max(max(e) for e in pb.egaps) + 1
+        pa = Constraint(pa.bv, pa.seqs, pa.gaps, ((top, top),) + pa.egaps[1:])
+    return pa, pb
+
+
+@pytest.mark.parametrize("kind", ["mixed", "undominated", "twin columns", "no phasers"])
+def test_entails_agrees_with_every_phaser_map(kind, rng):
+    # pruning phaser maps gives the answer of trying every injective map
+    answers = []
+    for _ in range(400):
+        pa, pb = _pair(rng, kind)
+        got = entails(pa, pb)
+        assert got == entails_by_permutations(pa, pb), (pa, pb)
+        if kind in ("undominated", "twin columns") and pa.n_phasers:
+            assert not got
+        answers.append(got)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_entails_absorbs_env_compatible_extra_rows(rng):
