@@ -126,6 +126,9 @@ def cmd_explore(args) -> int:
 
 
 def _load_targets(args, program) -> list:
+    if args.target is not None and args.property != "custom":
+        print("error: --target requires --property custom", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     if args.property == "assert":
         return assertion_targets(program)
     if args.property == "regerror":

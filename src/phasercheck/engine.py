@@ -1,9 +1,10 @@
 """Backward reachability engine.
 
 ``check`` saturates the predecessor relation from a set of target
-constraints, pruning with entailment (a kept constraint whose models cover
-a candidate makes the candidate redundant; a candidate covering kept
-constraints evicts them).  Strategies make the run terminate:
+constraints into one antichain store, the only place where entailment
+prunes (a stored constraint whose models cover a candidate makes the
+candidate redundant; a candidate covering stored constraints evicts
+them).  Strategies make the run terminate:
 
 * control reachability: targets must be free (no finite upper bounds);
   constraints over more than ``k`` phasers are dropped.  Sound and
@@ -21,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .concrete import Configuration, initial_config, step_choices, enabled_steps, apply_step
+from .concrete import Configuration, initial_config, successors
 from .control import start_distances
 from .pre import AtomicUnsupported, pre, program_suffixes
 from .symbolic import (
@@ -30,7 +31,6 @@ from .symbolic import (
     entails,
     is_b_good,
     is_free,
-    minimize,
     models,
     _seq_multiset,
 )
@@ -200,20 +200,19 @@ def check(program, targets, strategy, progress=None):
                     return True
         return False
 
-    # every constraint ever inserted or found covered, mapped to the
-    # (statement, successor) it was derived from, or None for a target.
-    # The store only ever gets weaker (evictions replace items by covering
-    # ones), so an exact repeat can be skipped without scanning the store
-    # again, and a parent chain, fixed at first insertion, is the trace.
+    # exactly the constraints that ever entered the store, evicted ones
+    # included, mapped to the (statement, successor) each was derived
+    # from, or None for a target.  A covered candidate is never pushed,
+    # popped or on a trace, so it is not recorded.  The store only ever
+    # gets weaker (evictions replace items by covering ones), so a repeat
+    # is still covered, and a parent chain, fixed on entry, is the trace.
     parents = {}
 
     def insert(phi, parent):
         nonlocal counter, n_visited
-        if phi in parents:
+        if phi in parents or covered(phi):
             return
         parents[phi] = parent
-        if covered(phi):
-            return
         sset = _seq_multiset(phi)
         nt, np_ = phi.n_tasks, phi.n_phasers
         for key, items in buckets.items():
@@ -282,11 +281,8 @@ def check(program, targets, strategy, progress=None):
             ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),
         )
-        # local antichain reduction before touching the global store
-        kept_cs = set(minimize([psi for _, psi in preds]))
         for stmt, psi in preds:
-            if psi in kept_cs:
-                insert(psi, (stmt, phi))
+            insert(psi, (stmt, phi))
     return Unreachable(processed)
 
 
@@ -317,19 +313,13 @@ def validate_trace(program, trace: Trace) -> TraceReport:
         for _ in range(4):
             nxt = []
             for c in layer:
-                for t, head in enabled_steps(c, program):
-                    if head != stmt:
+                for _, head, _, out in successors(c, program):
+                    if head != stmt or not isinstance(out, Configuration) or out in seen:
                         continue
-                    for choice in step_choices(c, program, t, head):
-                        out = apply_step(c, program, t, choice)
-                        if not isinstance(out, Configuration):
-                            continue
-                        if out in seen:
-                            continue
-                        seen.add(out)
-                        nxt.append(out)
-                        if models(out, target):
-                            reached.append(out)
+                    seen.add(out)
+                    nxt.append(out)
+                    if models(out, target):
+                        reached.append(out)
             if reached:
                 break
             layer = nxt

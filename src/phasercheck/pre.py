@@ -6,6 +6,9 @@ the configurations that reach a model of the input in one statement step.
 The union is exact up to transitive statement steps: it contains all
 one-step predecessors and every model of an output reaches a model of the
 input.
+Each transformer builds valid constraints from a valid one (shifted lower
+bounds clamp at 0, uppers move with their lowers, and merged bounds that
+cross drop the candidate), so ``pre`` does not re-validate its output.
 
 Atomic barrier bodies are rejected: their whole-body macro step cannot be
 captured exactly by per-statement reversal.
@@ -25,7 +28,6 @@ from .symbolic import (
     Constraint,
     Gap,
     canonical_constraint,
-    constraint_valid,
 )
 from .syntax import (
     Assert,
@@ -53,19 +55,14 @@ class AtomicUnsupported(Exception):
 # Small structural helpers
 
 
-def _with(phi: Constraint, seqs=None, gaps=None, egaps=None, bv=None) -> Constraint:
-    return Constraint(
-        bv=phi.bv if bv is None else tuple(bv),
-        seqs=phi.seqs if seqs is None else tuple(seqs),
-        gaps=phi.gaps if gaps is None else tuple(tuple(r) for r in gaps),
-        egaps=phi.egaps if egaps is None else tuple(egaps),
-    )
+def _with_row(phi: Constraint, t: int, row: tuple) -> Constraint:
+    gaps = phi.gaps[:t] + (row,) + phi.gaps[t + 1 :]
+    return Constraint(phi.bv, phi.seqs, gaps, phi.egaps)
 
 
-def _set_gap(gaps, t, p, g):
-    rows = [list(r) for r in gaps]
-    rows[t][p] = g
-    return rows
+def _with_gap(phi: Constraint, t: int, p: int, g: Gap) -> Constraint:
+    row = phi.gaps[t]
+    return _with_row(phi, t, row[:p] + (g,) + row[p + 1 :])
 
 
 def _pinned_columns(phi: Constraint, x: int, var: str) -> list:
@@ -96,39 +93,39 @@ def _materialize_column(phi: Constraint, x: int, var: str) -> Constraint:
     executing task is registered freely, every other tracked task gets an
     optional free cell (registered or not, either way unconstrained) and
     the environment is unconstrained."""
-    rows = [list(r) + [OPT_FREE] for r in phi.gaps]
-    rows[x][-1] = Gap(var, FREE_BOUNDS)
-    return _with(phi, gaps=rows, egaps=phi.egaps + ((0, 0),))
+    gaps = tuple(
+        row + (Gap(var, FREE_BOUNDS) if t == x else OPT_FREE,) for t, row in enumerate(phi.gaps)
+    )
+    return Constraint(phi.bv, phi.seqs, gaps, phi.egaps + ((0, 0),))
 
 
 def _seq_set(phi: Constraint, x: int, seq) -> Constraint:
-    seqs = list(phi.seqs)
-    seqs[x] = seq
-    return _with(phi, seqs=seqs)
+    seqs = phi.seqs[:x] + (seq,) + phi.seqs[x + 1 :]
+    return Constraint(phi.bv, seqs, phi.gaps, phi.egaps)
 
 
-def _shift_level(phi: Constraint, q: int, d: int, x: int):
-    """Gap rows and environment gaps with phaser ``q``'s level moved by
-    ``d`` for every task but the executor ``x``: ``l - w`` grows by ``d``
-    and ``s - l`` shrinks by ``d``.  An optional cell pushed below 0 keeps
-    only its unregistered branch; a certain registration that cannot
-    shift makes the result None."""
-    rows = [list(r) for r in phi.gaps]
-    for t in range(phi.n_tasks):
-        g = rows[t][q]
-        if t == x or g.bounds is None:
-            continue
-        lw, ls, uw, us = g.bounds
-        if uw + d < 0 or us - d < 0:
-            if not g.opt:
+def _shift_level(phi: Constraint, q: int, d: int, x: int, gx: Gap):
+    """The constraint with phaser ``q``'s level moved by ``d`` for every
+    task but the executor ``x``, whose cell on ``q`` becomes ``gx``:
+    ``l - w`` grows by ``d`` and ``s - l`` shrinks by ``d``.  Lower bounds
+    clamp at 0, so the result stays valid.  An optional cell pushed below
+    0 keeps only its unregistered branch; a certain registration that
+    cannot shift makes the result None."""
+    rows = []
+    for t, row in enumerate(phi.gaps):
+        g = gx if t == x else row[q]
+        if t != x and g.bounds is not None:
+            lw, ls, uw, us = g.bounds
+            if uw + d >= 0 and us - d >= 0:
+                g = Gap(g.var, (max(lw + d, 0), max(ls - d, 0), uw + d, us - d), g.opt)
+            elif g.opt:
+                g = Gap(g.var, None)
+            else:
                 return None
-            rows[t][q] = Gap(g.var, None)
-            continue
-        rows[t][q] = Gap(g.var, (max(lw + d, 0), max(ls - d, 0), uw + d, us - d), g.opt)
-    egaps = list(phi.egaps)
-    ew, es = egaps[q]
-    egaps[q] = (max(ew + d, 0), max(es - d, 0))
-    return rows, egaps
+        rows.append(row[:q] + (g,) + row[q + 1 :])
+    ew, es = phi.egaps[q]
+    egaps = phi.egaps[:q] + ((max(ew + d, 0), max(es - d, 0)),) + phi.egaps[q + 1 :]
+    return Constraint(phi.bv, phi.seqs, tuple(rows), egaps)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +141,12 @@ def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
         lw, ls, uw, us = phi.gaps[x][q].bounds
         # same level: the signal moved s from one below
         if us >= 1:
-            g = Gap(st.var, (lw, max(ls - 1, 0), uw, us - 1))
-            out.append(_with(phi, gaps=_set_gap(phi.gaps, x, q, g)))
+            out.append(_with_gap(phi, x, q, Gap(st.var, (lw, max(ls - 1, 0), uw, us - 1))))
         # shifted level: before the signal the level sat one lower
-        shift = _shift_level(phi, q, -1, x) if ls == 0 and uw >= 1 else None
-        if shift is not None:
-            rows, egaps = shift
-            rows[x][q] = Gap(st.var, (max(lw - 1, 0), ls, uw - 1, us))
-            out.append(_with(phi, gaps=rows, egaps=egaps))
+        if ls == 0 and uw >= 1:
+            psi = _shift_level(phi, q, -1, x, Gap(st.var, (max(lw - 1, 0), ls, uw - 1, us)))
+            if psi is not None:
+                out.append(psi)
     if _untracked_allowed(phi, x, st.var):
         out.append(_materialize_column(phi, x, st.var))
     return out
@@ -161,12 +156,10 @@ def _pre_wait(phi: Constraint, x: int, st: Wait) -> list:
     out = []
     for q in _registered_columns(phi, x, st.var):
         lw, ls, uw, us = phi.gaps[x][q].bounds
-        g = Gap(st.var, (lw + 1, ls, uw + 1, us))
-        out.append(_with(phi, gaps=_set_gap(phi.gaps, x, q, g)))
+        out.append(_with_gap(phi, x, q, Gap(st.var, (lw + 1, ls, uw + 1, us))))
     if _untracked_allowed(phi, x, st.var):
         psi = _materialize_column(phi, x, st.var)
-        rows = _set_gap(psi.gaps, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF)))
-        out.append(_with(psi, gaps=rows))
+        out.append(_with_gap(psi, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF))))
     return out
 
 
@@ -181,8 +174,7 @@ def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
             continue
         if pinned and q not in pinned:
             continue
-        base = _set_gap(phi.gaps, x, q, Gap(st.var, FREE_BOUNDS))
-        out.append(_with(phi, gaps=base))
+        out.append(_with_gap(phi, x, q, Gap(st.var, FREE_BOUNDS)))
         # level shifted up: the dropped task's wait sat above every level
         # admissible for the remaining registrations
         delta_max = 0
@@ -195,11 +187,9 @@ def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
                 delta_max = max(delta_max, gb[3])
         delta_max = max(delta_max, phi.egaps[q][1])
         for delta in range(1, delta_max + 1):
-            shift = _shift_level(phi, q, delta, x)
-            if shift is not None:
-                rows, egaps = shift
-                rows[x][q] = Gap(st.var, FREE_BOUNDS)
-                out.append(_with(phi, gaps=rows, egaps=egaps))
+            psi = _shift_level(phi, q, delta, x, Gap(st.var, FREE_BOUNDS))
+            if psi is not None:
+                out.append(psi)
     if _untracked_allowed(phi, x, st.var):
         out.append(_materialize_column(phi, x, st.var))
     return out
@@ -212,11 +202,7 @@ def _rename_variants(phi: Constraint, x: int, var: str) -> list:
     for r in range(phi.n_phasers):
         g = phi.gaps[x][r]
         if g.var == NO_VAR:
-            out.append(
-                _with(
-                    phi, gaps=_set_gap(phi.gaps, x, r, Gap(var, g.bounds, g.opt))
-                )
-            )
+            out.append(_with_gap(phi, x, r, Gap(var, g.bounds, g.opt)))
     return out
 
 
@@ -244,13 +230,11 @@ def _pre_newphaser(phi: Constraint, x: int, st: NewPhaser) -> list:
             if r != q
         ):
             continue
-        dropped = _with(
-            phi,
-            gaps=[
-                [row[p] for p in range(phi.n_phasers) if p != q]
-                for row in phi.gaps
-            ],
-            egaps=[phi.egaps[p] for p in range(phi.n_phasers) if p != q],
+        dropped = Constraint(
+            phi.bv,
+            phi.seqs,
+            tuple(row[:q] + row[q + 1 :] for row in phi.gaps),
+            phi.egaps[:q] + phi.egaps[q + 1 :],
         )
         out.extend(_rename_variants(dropped, x, st.var))
     if _untracked_allowed(phi, x, st.var):
@@ -296,11 +280,9 @@ def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
 def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols) -> list:
     out = []
     # pin x's variable on each argument column
-    pinned = [list(r) for r in phi.gaps]
+    pinned = list(phi.gaps[x])
     for v, q in zip(st.args, arg_cols):
-        g = pinned[x][q]
-        pinned[x][q] = Gap(v, g.bounds)
-    phi = _with(phi, gaps=pinned)
+        pinned[q] = Gap(v, pinned[q].bounds)
 
     # case 1: the spawned task is a tracked row y
     for y in range(phi.n_tasks):
@@ -308,54 +290,34 @@ def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols) -> lis
             continue
         if phi.seqs[y] is not None and phi.seqs[y] != callee.body:
             continue
-        rows = [list(r) for r in phi.gaps]
-        ok = True
-        for p in range(phi.n_phasers):
-            gy = rows[y][p]
+        row = list(pinned)
+        for p, gy in enumerate(phi.gaps[y]):
             if p in arg_cols:
                 formal = callee.params[arg_cols.index(p)]
                 if gy.bounds is None or gy.var not in (formal, ANY):
-                    ok = False
                     break
-                merged = _merge_bounds(rows[x][p].bounds, gy.bounds)
+                merged = _merge_bounds(row[p].bounds, gy.bounds)
                 if merged is None:
-                    ok = False
                     break
-                rows[x][p] = Gap(rows[x][p].var, merged)
-            else:
-                # the spawned task holds no registration beyond the
-                # argument phasers; optional cells take their
-                # unregistered branch
-                if gy.bounds is not None and not gy.opt:
-                    ok = False
-                    break
-                if gy.var not in (NO_VAR, ANY):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        psi = Constraint(
-            bv=phi.bv,
-            seqs=tuple(s for t, s in enumerate(phi.seqs) if t != y),
-            gaps=tuple(tuple(rows[t]) for t in range(phi.n_tasks) if t != y),
-            egaps=phi.egaps,
-        )
-        out.append((psi, x - 1 if y < x else x))
+                row[p] = Gap(row[p].var, merged)
+            # the spawned task holds no registration beyond the argument
+            # phasers; optional cells take their unregistered branch
+            elif (gy.bounds is not None and not gy.opt) or gy.var not in (NO_VAR, ANY):
+                break
+        else:
+            gaps = phi.gaps[:x] + (tuple(row),) + phi.gaps[x + 1 :]
+            seqs = phi.seqs[:y] + phi.seqs[y + 1 :]
+            psi = Constraint(phi.bv, seqs, gaps[:y] + gaps[y + 1 :], phi.egaps)
+            out.append((psi, x - 1 if y < x else x))
 
     # case 2: the spawned task is an environment task: the parent's phase
     # at spawn time must satisfy the environment lower bounds
-    rows = [list(r) for r in phi.gaps]
-    ok = True
     for p in arg_cols:
-        gx = rows[x][p]
-        ew, es = phi.egaps[p]
-        merged = _merge_bounds(gx.bounds, (ew, es, INF, INF))
+        merged = _merge_bounds(pinned[p].bounds, phi.egaps[p] + (INF, INF))
         if merged is None:
-            ok = False
-            break
-        rows[x][p] = Gap(gx.var, merged)
-    if ok:
-        out.append((_with(phi, gaps=rows), x))
+            return out
+        pinned[p] = Gap(pinned[p].var, merged)
+    out.append((_with_row(phi, x, tuple(pinned)), x))
     return out
 
 
@@ -394,7 +356,7 @@ def _pre_branch(phi: Constraint, program, cond, want: bool) -> list:
             continue
         if not _bv_compatible(phi, program, val):
             continue
-        out.append(_with(phi, bv=_bv_pinned(phi, program, val)))
+        out.append(Constraint(_bv_pinned(phi, program, val), phi.seqs, phi.gaps, phi.egaps))
     return out
 
 
@@ -412,9 +374,8 @@ def _pre_assign(phi: Constraint, program, st: Assign) -> list:
         if not results:
             continue
         clear = () if st.var in val else (st.var,)
-        out.append(
-            _with(phi, bv=_bv_pinned(phi, program, val, clear=clear))
-        )
+        bv = _bv_pinned(phi, program, val, clear=clear)
+        out.append(Constraint(bv, phi.seqs, phi.gaps, phi.egaps))
     return out
 
 
@@ -503,8 +464,6 @@ def pre(phi: Constraint, program, suffixes=None, keep=None) -> list:
     seen = set()
 
     def emit(stmt, psi):
-        if not constraint_valid(psi):
-            return
         if keep is not None and not keep(psi):
             return
         psi = canonical_constraint(psi)

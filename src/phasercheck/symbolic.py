@@ -251,46 +251,35 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
         # every other row of b must be coverable by some row of a or by
         # the environment bounds.
         compat = []
-        env_ok = []
         for tb, b_row in enumerate(pb.gaps):
             gb_row = [b_row[jb] for jb in pi_sel]
             row = [
                 ok and all(map(gap_leq, pa.gaps[ta], gb_row))
                 for ta, ok in enumerate(seq_ok[tb])
             ]
-            ok = True
-            for (ew_a, es_a), gb in zip(pa.egaps, gb_row):
-                if gb.bounds is not None and (ew_a > gb.bounds[0] or es_a > gb.bounds[1]):
-                    ok = False
-                    break
-            if not ok and not any(row):
+            if not any(row) and any(
+                gb.bounds is not None and (ew_a > gb.bounds[0] or es_a > gb.bounds[1])
+                for (ew_a, es_a), gb in zip(pa.egaps, gb_row)
+            ):
                 break  # this row of b has no place under this map
             compat.append(row)
-            env_ok.append(ok)
         else:
-            if _surjection_exists(compat, env_ok, n_ta, n_tb):
+            if _surjection_exists(compat, n_ta):
                 return True
     return False
 
 
-def _surjection_exists(compat, env_ok, n_ta, n_tb) -> bool:
-    # match each a-row to a distinct compatible b-row; unmatched b-rows
-    # must individually be absorbable (already checked above)
-    used = [False] * n_tb
-
-    def match(ta: int) -> bool:
-        if ta == n_ta:
+def _surjection_exists(compat, n_ta, ta=0, used=0) -> bool:
+    """Whether a-rows ``ta`` onward match distinct compatible b-rows
+    (``compat[tb][ta]``) outside the bitmask ``used``.  Unmatched b-rows
+    must be absorbable on their own, which ``entails`` checks first."""
+    if ta == n_ta:
+        return True
+    for tb, row in enumerate(compat):
+        bit = 1 << tb
+        if row[ta] and not used & bit and _surjection_exists(compat, n_ta, ta + 1, used | bit):
             return True
-        for tb in range(n_tb):
-            if used[tb] or not compat[tb][ta]:
-                continue
-            used[tb] = True
-            if match(ta + 1):
-                return True
-            used[tb] = False
-        return False
-
-    return match(0)
+    return False
 
 
 def minimize(constraints) -> list:

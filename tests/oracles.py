@@ -9,7 +9,6 @@ from phasercheck.pre import pre
 from phasercheck.symbolic import (
     Constraint,
     _seq_multiset,
-    _surjection_exists,
     gap_leq,
     is_free,
 )
@@ -198,7 +197,9 @@ def encoding_entails(ea: tuple, eb: tuple) -> bool:
 
 def entails_by_permutations(pa: Constraint, pb: Constraint) -> bool:
     """``symbolic.entails`` as it was before it pruned phaser maps: every
-    injective map of a's columns into b's is built and then tested."""
+    injective map of a's columns into b's is built and then tested, and
+    every injective choice of witness rows of b is enumerated, so no part
+    of the matcher under test is shared."""
     if pa is pb or pa == pb:
         return True
     for a, b in zip(pa.bv, pb.bv):
@@ -249,7 +250,11 @@ def entails_by_permutations(pa: Constraint, pb: Constraint) -> bool:
             env_ok.append(ok)
         if any(not env_ok[tb] and not any(compat[tb]) for tb in range(n_tb)):
             continue
-        if _surjection_exists(compat, env_ok, n_ta, n_tb):
+        # a distinct witness row of b for every row of a, by enumeration
+        if any(
+            all(compat[tb][ta] for ta, tb in enumerate(sel))
+            for sel in itertools.permutations(range(n_tb), n_ta)
+        ):
             return True
     return False
 

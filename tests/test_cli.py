@@ -225,8 +225,15 @@ def test_check_progress_stream_is_ndjson(capsys):
 
 
 def test_check_custom_requires_target(capsys):
-    assert run("check", path("selfwait"), "--property", "custom") == 2
-    assert "--target" in capsys.readouterr().err
+    custom_only = "error: --target requires --property custom"
+    for argv, message in [
+        (["--property", "custom"], "error: --property custom requires --target FILE"),
+        (["--target", "t.txt"], custom_only),
+        (["--property", "regerror", "--target", "t.txt"], custom_only),
+    ]:
+        assert run("check", path("assert_fail"), *argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n"), argv
 
 
 def test_check_custom_constraint_file(tmp_path, capsys):

@@ -36,35 +36,36 @@ BUILDERS = {
 PLAIN = PlainReachability(k=2, b=1)
 CTRL = ControlReachability(k=2)
 
-# (program, target kind, strategy, expected verdict); the slow
+# (program, target kind, strategy, expected result: Reachable, or the
+# Unreachable verdict with its pop count); the slow
 # producer_consumer_sw cells are exercised by the acceptance suite
 MATRIX = [
     ("assert_fail", "assert", PLAIN, Reachable),
     ("assert_fail", "assert", CTRL, Reachable),
-    ("assert_ok", "assert", PLAIN, Unreachable),
-    ("assert_ok", "assert", CTRL, Unreachable),
-    ("assign_chain", "assert", PLAIN, Unreachable),
+    ("assert_ok", "assert", PLAIN, Unreachable(1)),
+    ("assert_ok", "assert", CTRL, Unreachable(1)),
+    ("assign_chain", "assert", PLAIN, Unreachable(2)),
     ("assign_ndet", "assert", PLAIN, Reachable),
     ("assign_ndet", "assert", CTRL, Reachable),
-    ("chain_spawn", "regerr", PLAIN, Unreachable),
-    ("chain_spawn", "regerr", CTRL, Unreachable),
-    ("chain_spawn", "cyclic", PLAIN, Unreachable),
-    ("cross_deadlock", "regerr", PLAIN, Unreachable),
+    ("chain_spawn", "regerr", PLAIN, Unreachable(640)),
+    ("chain_spawn", "regerr", CTRL, Unreachable(640)),
+    ("chain_spawn", "cyclic", PLAIN, Unreachable(80)),
+    ("cross_deadlock", "regerr", PLAIN, Unreachable(59)),
     ("cross_deadlock", "cyclic", PLAIN, Reachable),
     ("drop_then_wait", "regerr", PLAIN, Reachable),
     ("drop_then_wait", "regerr", CTRL, Reachable),
-    ("drop_then_wait", "cyclic", PLAIN, Unreachable),
-    ("minsky_chain", "assert", PLAIN, Unreachable),
-    ("minsky_chain", "regerr", PLAIN, Unreachable),
-    ("minsky_chain", "cyclic", PLAIN, Unreachable),
-    ("phase_loop", "regerr", PLAIN, Unreachable),
-    ("phase_loop", "cyclic", PLAIN, Unreachable),
+    ("drop_then_wait", "cyclic", PLAIN, Unreachable(1)),
+    ("minsky_chain", "assert", PLAIN, Unreachable(2)),
+    ("minsky_chain", "regerr", PLAIN, Unreachable(57)),
+    ("minsky_chain", "cyclic", PLAIN, Unreachable(1)),
+    ("phase_loop", "regerr", PLAIN, Unreachable(5)),
+    ("phase_loop", "cyclic", PLAIN, Unreachable(2)),
     ("regerror_drop_signal", "regerr", PLAIN, Reachable),
     ("regerror_drop_signal", "regerr", CTRL, Reachable),
-    ("selfwait", "regerr", PLAIN, Unreachable),
+    ("selfwait", "regerr", PLAIN, Unreachable(2)),
     ("selfwait", "cyclic", PLAIN, Reachable),
-    ("sigwait_ok", "regerr", PLAIN, Unreachable),
-    ("sigwait_ok", "cyclic", PLAIN, Unreachable),
+    ("sigwait_ok", "regerr", PLAIN, Unreachable(3)),
+    ("sigwait_ok", "cyclic", PLAIN, Unreachable(1)),
 ]
 
 
@@ -78,14 +79,17 @@ def test_corpus_verdicts(name, kind, strategy, expected):
     targets = BUILDERS[kind](program)
     assert targets, (name, kind)
     result = check(program, targets, strategy)
+    if isinstance(expected, Unreachable):
+        # the pops pin the search, not just its verdict
+        assert result == expected, (name, kind, result)
+        return
     assert isinstance(result, expected), (name, kind, result)
-    if isinstance(result, Reachable):
-        trace = result.trace
-        assert models(initial_config(program), trace.constraints[0])
-        assert trace.constraints[-1] in targets
-        assert len(trace.constraints) == len(trace.stmts) + 1
-        report = validate_trace(program, trace)
-        assert report.ok, (name, kind, report)
+    trace = result.trace
+    assert models(initial_config(program), trace.constraints[0])
+    assert trace.constraints[-1] in targets
+    assert len(trace.constraints) == len(trace.stmts) + 1
+    report = validate_trace(program, trace)
+    assert report.ok, (name, kind, report)
 
 
 def test_unrestricted_budget_exhaustion():
