@@ -68,8 +68,9 @@ def _suffixes(seq: ControlSeq):
         yield seq[i:]
 
 
-def unrolled_suffixes(p: Program) -> frozenset:
-    """The finite set of control sequences reachable at task heads."""
+def unrolled_suffixes(p: Program) -> tuple:
+    """The finite set of control sequences reachable at task heads, in
+    ``seq_order_key`` order."""
     seen = set()
     work = []
     for t in p.tasks:
@@ -84,7 +85,7 @@ def unrolled_suffixes(p: Program) -> frozenset:
                 if s not in seen:
                     seen.add(s)
                     work.append(s)
-    return frozenset(seen)
+    return tuple(sorted(seen, key=seq_order_key))
 
 
 def start_distances(p: Program) -> dict:

@@ -4,15 +4,17 @@
 constraints into one antichain store, the only place where entailment
 prunes (a stored constraint whose models cover a candidate makes the
 candidate redundant; a candidate covering stored constraints evicts
-them).  Strategies make the run terminate:
+them).  Targets and predecessors reach the store unreduced: the target
+builders return every target, and ``pre`` may repeat a predecessor.
+Strategies make the run terminate:
 
-* control reachability: targets must be free (no finite upper bounds);
-  constraints over more than ``k`` phasers are dropped.  Sound and
-  complete for deciding reachability of control targets that never need
-  more than ``k`` simultaneously tracked phasers.
+* control reachability: targets must be free (no finite upper bounds)
+  and over at most ``k`` phasers; constraints over more are dropped.
+  Sound and complete for deciding reachability of control targets that
+  never need more than ``k`` simultaneously tracked phasers.
 * plain reachability: targets must be ``b``-good (every gap free or with
-  uppers at most ``b``); drops constraints over more than ``k`` phasers
-  or that are not ``b``-good.
+  uppers at most ``b``) and over at most ``k`` phasers; drops constraints
+  over more than ``k`` phasers or that are not ``b``-good.
 * unrestricted: no pruning, but gives up after a budget of processed
   constraints with a distinct inconclusive verdict.
 """
@@ -144,16 +146,14 @@ def check(program, targets, strategy, progress=None):
             "symbolic checking requires SIG_WAIT-only registrations; "
             "rewrite SIG/WAIT modes or use the concrete explorer"
         )
-    if isinstance(strategy, ControlReachability):
-        bad = [phi for phi in targets if not is_free(phi)]
-        if bad:
-            raise ValueError("control reachability requires free targets")
-    if isinstance(strategy, PlainReachability):
-        bad = [phi for phi in targets if not is_b_good(phi, strategy.b)]
-        if bad:
-            raise ValueError(
-                f"plain reachability requires {strategy.b}-good targets"
-            )
+    if isinstance(strategy, ControlReachability) and not all(map(is_free, targets)):
+        raise ValueError("control reachability requires free targets")
+    if isinstance(strategy, PlainReachability) and not all(is_b_good(t, strategy.b) for t in targets):
+        raise ValueError(f"plain reachability requires {strategy.b}-good targets")
+    wide = max((phi.n_phasers for phi in targets), default=0)
+    if not isinstance(strategy, Unrestricted) and wide > strategy.k:
+        # k would prune every predecessor of the wider targets unexplored
+        raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
     suffixes = program_suffixes(program)
     init = initial_config(program)
     task_bound = static_task_bound(program)

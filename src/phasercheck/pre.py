@@ -383,8 +383,8 @@ def _pre_assign(phi: Constraint, program, st: Assign) -> list:
 # Driver
 
 
-# the control sequences ``pre`` steps between; ``check`` computes them
-# once per run and passes them to every ``pre`` call
+# the control sequences ``pre`` steps between, in ``seq_order_key`` order;
+# ``check`` computes them once per run and passes them to every ``pre`` call
 program_suffixes = unrolled_suffixes
 
 
@@ -450,31 +450,23 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, suffixes=None, keep=None) -> list:
+def pre(phi: Constraint, program, suffixes, keep=None) -> list:
     """All (statement, predecessor constraint) pairs over every executing
-    role: each tracked task plus a fresh environment task.
+    role: each tracked task plus a fresh environment task, stepping from
+    each of the ordered ``suffixes`` (``program_suffixes(program)``) in
+    turn.  A pair may repeat; ``check``'s store drops repeats.
 
     ``keep``, when given, drops every predecessor it rejects before that
     predecessor is put into canonical form.  It must not depend on the
     order of rows and columns; then the result is exactly the unfiltered
     result with the rejected pairs removed."""
-    if suffixes is None:
-        suffixes = program_suffixes(program)
     results = []
-    seen = set()
 
     def emit(stmt, psi):
-        if keep is not None and not keep(psi):
-            return
-        psi = canonical_constraint(psi)
-        key = (str(stmt), psi)
-        if key in seen:
-            return
-        seen.add(key)
-        results.append((stmt, psi))
+        if keep is None or keep(psi):
+            results.append((stmt, canonical_constraint(psi)))
 
-    ordered = sorted(suffixes, key=lambda s: (len(s), tuple(str(x) for x in s)))
-    for s_pre in ordered:
+    for s_pre in suffixes:
         if not s_pre:
             continue
         for hs in head_successors(s_pre):

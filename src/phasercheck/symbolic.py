@@ -54,8 +54,6 @@ class Gap:
         )
 
 
-NREG = Gap(ANY, None)
-FREE = Gap(ANY, FREE_BOUNDS)
 OPT_FREE = Gap(ANY, FREE_BOUNDS, True)
 
 
@@ -280,18 +278,6 @@ def _surjection_exists(compat, n_ta, ta=0, used=0) -> bool:
         if row[ta] and not used & bit and _surjection_exists(compat, n_ta, ta + 1, used | bit):
             return True
     return False
-
-
-def minimize(constraints) -> list:
-    """Antichain reduction: drop constraints whose models are covered by
-    another kept constraint."""
-    kept = []
-    for phi in constraints:
-        if any(entails(psi, phi) for psi in kept):
-            continue
-        kept = [psi for psi in kept if not entails(phi, psi)]
-        kept.append(phi)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ plus the partial-configuration reader.
   bounds the enumerated distances between the cycle members' other phase
   values and the per-phaser level; real deadlocks with larger distances
   need a larger slack.
+
+Each builder returns every target it enumerates, in the order of the
+suffix closure, redundant ones included: ``check``'s antichain store
+reduces them.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from .symbolic import (
     OPT_FREE,
     Constraint,
     Gap,
-    canonical_constraint,
-    minimize,
 )
 from .syntax import Assert, Asynch, Drop, Signal, Wait, cond_outcomes, cond_vars
 
@@ -68,7 +70,7 @@ def _bv_from(partial: dict, bool_vars) -> tuple:
 
 def assertion_targets(program) -> list:
     out = []
-    for seq in sorted(unrolled_suffixes(program), key=lambda s: tuple(map(str, s))):
+    for seq in unrolled_suffixes(program):
         if not seq or not isinstance(seq[0], Assert):
             continue
         for partial in _minimal_falsifying(seq[0].cond, program.bool_vars):
@@ -80,13 +82,13 @@ def assertion_targets(program) -> list:
                     egaps=(),
                 )
             )
-    return minimize(out)
+    return out
 
 
 def registration_error_targets(program) -> list:
     out = []
     wild_bv = tuple(None for _ in program.bool_vars)
-    for seq in sorted(unrolled_suffixes(program), key=lambda s: tuple(map(str, s))):
+    for seq in unrolled_suffixes(program):
         if not seq:
             continue
         head = seq[0]
@@ -105,20 +107,15 @@ def registration_error_targets(program) -> list:
                     egaps=((0, 0),),
                 )
             )
-    return minimize(out)
+    return out
 
 
 def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
     """Wait cycles of lengths 1..max_cycle.  Task i waits on phaser i with
     its wait value at the level; task i+1 (mod the cycle length) holds a
     signal on phaser i at that same level, falsifying the guard."""
-    wait_suffixes = [
-        s
-        for s in sorted(unrolled_suffixes(program), key=lambda s: tuple(map(str, s)))
-        if s and isinstance(s[0], Wait)
-    ]
+    wait_suffixes = [s for s in unrolled_suffixes(program) if s and isinstance(s[0], Wait)]
     wild_bv = tuple(None for _ in program.bool_vars)
-    seen = set()
     out = []
     for m in range(1, max_cycle + 1):
         for seqs in itertools.product(wait_suffixes, repeat=m):
@@ -132,7 +129,7 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
                     itertools.product(range(slack + 1), repeat=2), repeat=m
                 )
             for dists in dist_space:
-                rows = [[None] * m for _ in range(m)]
+                rows = [[OPT_FREE] * m for _ in range(m)]
                 for i in range(m):
                     v = seqs[i][0].var
                     if m == 1:
@@ -141,20 +138,14 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
                     d, e = dists[i]
                     rows[i][i] = Gap(v, (0, d, 0, d))
                     rows[(i + 1) % m][i] = Gap(ANY, (e, 0, e, 0))
-                full = [
-                    [g if g is not None else OPT_FREE for g in r] for r in rows
-                ]
                 phi = Constraint(
                     bv=wild_bv,
                     seqs=tuple(seqs),
-                    gaps=tuple(tuple(r) for r in full),
+                    gaps=tuple(tuple(r) for r in rows),
                     egaps=tuple((0, 0) for _ in range(m)),
                 )
-                key = canonical_constraint(phi)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(phi)
-    return minimize(out)
+                out.append(phi)
+    return out
 
 
 # ---------------------------------------------------------------------------

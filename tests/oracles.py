@@ -5,20 +5,27 @@ import itertools
 
 from phasercheck.concrete import Configuration, PartialConfiguration, Reg
 from phasercheck.parser import write_record
-from phasercheck.pre import pre
+from phasercheck.pre import pre, program_suffixes
 from phasercheck.symbolic import (
     Constraint,
     _seq_multiset,
+    entails,
     gap_leq,
     is_free,
 )
-from phasercheck.syntax import ANY
+from phasercheck.syntax import ANY, NO_VAR
 
 
 def is_well_formed(c: Configuration) -> bool:
-    """Per-registration w <= s plus per-phaser level consistency (every
-    wait value at most every signal value), which the forward semantics
-    preserves and the gap representation assumes."""
+    """Per-registration w <= s, per-phaser level consistency (every wait
+    value at most every signal value) and at most one phaser per variable
+    of a task, which the forward semantics preserves (``newPhaser``
+    unbinds the variable's old phaser, spawn formals are distinct) and
+    the gap representation assumes."""
+    for row in c.phases:
+        names = [var for var, _ in row if var != NO_VAR]
+        if len(names) != len(set(names)):
+            return False
     for pi in range(c.n_phasers):
         waits, sigs = [], []
         for t in range(c.n_tasks):
@@ -269,13 +276,24 @@ def decode(e: tuple) -> Constraint:
     )
 
 
-def preserves_freeness_check(phi: Constraint, program, suffixes=None) -> list:
+def preserves_freeness_check(phi: Constraint, program) -> list:
     """For a free constraint, return the non-free predecessor constraints
     produced by ``pre`` (expected empty: backward steps keep freeness)."""
     assert is_free(phi)
-    return [
-        (stmt, psi) for stmt, psi in pre(phi, program, suffixes) if not is_free(psi)
-    ]
+    preds = pre(phi, program, program_suffixes(program))
+    return [(stmt, psi) for stmt, psi in preds if not is_free(psi)]
+
+
+def minimize(constraints) -> list:
+    """First-wins antichain reduction: drop each constraint whose models a
+    kept one covers, and the kept ones that a new constraint covers."""
+    kept = []
+    for phi in constraints:
+        if any(entails(psi, phi) for psi in kept):
+            continue
+        kept = [psi for psi in kept if not entails(phi, psi)]
+        kept.append(phi)
+    return kept
 
 
 def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:

@@ -28,6 +28,7 @@ from phasercheck.targets import (
 )
 
 from conftest import rand_constraint, sample_model
+from oracles import minimize
 
 
 def seq_pool_of(program):
@@ -43,12 +44,13 @@ def phaser_vars_of(program):
 
 
 def constraint_pool(rng, program, n_random, max_tasks=2, max_phasers=2):
-    """Target constraints of all three classes plus random constraints
-    over the program's control suffixes and phaser variables."""
+    """Target constraints of all three classes, each class reduced to an
+    antichain so that redundant targets do not crowd out the rest, plus
+    random constraints over the program's control suffixes and phaser
+    variables."""
     pool = []
-    pool.extend(assertion_targets(program))
-    pool.extend(registration_error_targets(program))
-    pool.extend(cyclic_wait_targets(program))
+    for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
+        pool.extend(minimize(build(program)))
     seq_pool = seq_pool_of(program)
     vars_ = phaser_vars_of(program)
     for _ in range(n_random):

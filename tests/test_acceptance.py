@@ -31,7 +31,7 @@ from phasercheck.engine import (
     validate_trace,
 )
 from phasercheck.parser import parse_seq
-from phasercheck.pre import AtomicUnsupported, pre
+from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
 from phasercheck.symbolic import entails, models
 from phasercheck.targets import (
     assertion_targets,
@@ -63,6 +63,7 @@ from oracles import (
 )
 
 SEED = 20260823
+USEFULNESS_SEEDS = (SEED, 1, 5)
 
 # finite corpus programs the symbolic engine accepts (SIG_WAIT-only, no
 # barrier blocks): the oracle-agreement set
@@ -250,7 +251,6 @@ REQUIRED_KINDS = {
 def test_c3_pre_sandwich(report):
     from phasercheck.parser import parse
 
-    rng = random.Random(SEED)
     programs = [(n, load(n)) for n in SANDWICH_PROGRAMS]
     programs.append(("loop_exit", parse(LOOP_EXIT_SRC)))
     cover_violations = []
@@ -259,23 +259,28 @@ def test_c3_pre_sandwich(report):
     n_constraints = 0
     edges_checked = 0
     models_checked = 0
-    for name, program in programs:
-        res = explored_graph(
-            program, max_steps=400, max_tasks=4, max_phasers=3, max_phase=3
-        )
-        pool = constraint_pool(rng, program, 95)
-        n_constraints += len(pool)
-        for phi in pool:
-            if res.edges:
-                v, covered = one_step_cover_violations(program, phi, res)
-                cover_violations.extend((name,) + x for x in v)
-                edges_checked += covered
-        for phi in pool[:30]:
-            for stmt, _ in pre(phi, program):
-                kinds.add(type(stmt).__name__)
-            v, n = one_step_usefulness_violations(rng, program, phi, samples=1)
-            useful_violations.extend((name,) + tuple(map(str, x)) for x in v)
-            models_checked += n
+    # the sampled usefulness half runs over more seeds than the
+    # exhaustive cover half
+    for seed in USEFULNESS_SEEDS:
+        rng = random.Random(seed)
+        for name, program in programs:
+            pool = constraint_pool(rng, program, 95)
+            if seed == SEED:
+                res = explored_graph(
+                    program, max_steps=400, max_tasks=4, max_phasers=3, max_phase=3
+                )
+                n_constraints += len(pool)
+                for phi in pool:
+                    if res.edges:
+                        v, covered = one_step_cover_violations(program, phi, res)
+                        cover_violations.extend((name,) + x for x in v)
+                        edges_checked += covered
+            for phi in pool[:30]:
+                for stmt, _ in pre(phi, program, program_suffixes(program)):
+                    kinds.add(type(stmt).__name__)
+                v, n = one_step_usefulness_violations(rng, program, phi, samples=1)
+                useful_violations.extend((name, seed) + tuple(map(str, x)) for x in v)
+                models_checked += n
     missing = REQUIRED_KINDS - kinds
     ok = (
         n_constraints >= 1000
@@ -287,7 +292,8 @@ def test_c3_pre_sandwich(report):
         "pre-sandwich",
         ok,
         f"{n_constraints} constraints, {edges_checked} covered edges, "
-        f"{models_checked} sampled models, {len(cover_violations)} cover "
+        f"{models_checked} sampled models over seeds {USEFULNESS_SEEDS}, "
+        f"{len(cover_violations)} cover "
         f"violations, {len(useful_violations)} usefulness violations, "
         f"missing kinds: {sorted(missing) or 'none'}",
     )
@@ -351,7 +357,7 @@ def test_c5_freeness_preservation(report):
                 if viols:
                     fired.append((name, phi, viols[:2]))
                     continue
-                nxt.extend(psi for _, psi in pre(phi, program))
+                nxt.extend(psi for _, psi in pre(phi, program, program_suffixes(program)))
             frontier = nxt
     report(
         "freeness-preservation",

@@ -188,6 +188,18 @@ def test_check_cyclic_wait_control_mode_rejects_bounded_targets(capsys):
     assert "free targets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,prop,k,width",
+    [("regerror_drop_signal", "regerror", 0, 1), ("cross_deadlock", "cyclic-wait", 1, 2)],
+)
+def test_check_rejects_k_below_a_target(capsys, name, prop, k, width):
+    # both cells are reachable, yet said "verdict unreachable" and exited 0
+    assert run("check", path(name), "--property", prop, "--k", str(k)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a target tracks {width} phasers, more than k={k}\n"
+
+
 def test_check_budget_exhaustion(capsys):
     code = run(
         "check",

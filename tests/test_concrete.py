@@ -168,6 +168,17 @@ def test_step_preserves_well_formedness():
         assert all(is_well_formed(c) for c in res.configs)
 
 
+def test_well_formedness_binds_a_variable_to_one_phaser():
+    # newPhaser unbinds the variable's old phaser and spawn formals are
+    # distinct, so no reachable task names two phasers with one variable
+    reg = Reg("SIG_WAIT", 0, 1)
+    seqs = (parse_seq("wait(p);"),)
+    assert is_well_formed(Configuration(bv=(), seqs=seqs, phases=((("p", reg), ("-", reg)),)))
+    for other in (("p", reg), ("p", None)):
+        twice = Configuration(bv=(), seqs=seqs, phases=((("p", reg), other),))
+        assert not is_well_formed(twice)
+
+
 def test_explore_finds_expected_errors():
     kinds = lambda name, **kw: {type(e).__name__ for e, _ in explored(name, **kw).errors}
     bounds = dict(max_steps=3000, max_tasks=3, max_phasers=3, max_phase=3)

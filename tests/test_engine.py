@@ -154,6 +154,22 @@ def test_plain_mode_requires_b_good_targets():
         check(program, targets, PlainReachability(k=2, b=0))
 
 
+@pytest.mark.parametrize(
+    "name,build,strategy",
+    [
+        ("regerror_drop_signal", registration_error_targets, PlainReachability(k=0, b=1)),
+        ("regerror_drop_signal", registration_error_targets, ControlReachability(k=0)),
+        ("cross_deadlock", cyclic_wait_targets, PlainReachability(k=1, b=1)),
+    ],
+)
+def test_targets_wider_than_k_are_rejected(name, build, strategy):
+    # both properties are reachable; pruning every predecessor of the
+    # wider targets used to answer Unreachable
+    program = load(name)
+    with pytest.raises(ValueError, match=f"more than k={strategy.k}$"):
+        check(program, build(program), strategy)
+
+
 def test_progress_callback_reports_pops():
     program = load("drop_then_wait")
     events = []

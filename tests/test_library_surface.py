@@ -1,6 +1,7 @@
 """The library ships only what its commands and engines use: every
-top-level function and class of ``phasercheck`` is read somewhere in the
-package outside its own body.  Test-only reference code lives in
+top-level function, class and assigned name (dunders aside) of
+``phasercheck`` is read somewhere in the package outside its own
+statement.  Test-only reference code lives in
 ``tests/oracles.py``.  Test modules read every name they import."""
 
 import ast
@@ -16,6 +17,11 @@ def test_every_definition_is_used_by_the_package():
             where = (path.stem, top.lineno)
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((where, top.name))
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if not name.startswith("__"):
+                        defs.append((where, name))
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 uses.setdefault(name, set()).add(where)

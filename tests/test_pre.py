@@ -59,17 +59,19 @@ def test_pre_outputs_are_canonical_and_valid(name, _, rng):
     # guard; it takes 30 random constraints per program to catch a wait
     # transformer that raises only the lower bound
     program = load(name)
+    suffixes = program_suffixes(program)
     for phi in constraint_pool(rng, program, 30):
-        for stmt, psi in pre(phi, program):
+        for stmt, psi in pre(phi, program, suffixes):
             assert constraint_valid(psi)
             assert canonical_constraint(psi) == psi
 
 
 def test_pre_is_deterministic(rng):
     program = load("cross_deadlock")
+    suffixes = program_suffixes(program)
     for phi in constraint_pool(rng, program, 4):
-        first = pre(phi, program)
-        again = pre(phi, program)
+        first = pre(phi, program, suffixes)
+        again = pre(phi, program, suffixes)
         assert [(str(s), p) for s, p in first] == [(str(s), p) for s, p in again]
 
 
@@ -115,7 +117,7 @@ def test_pre_rejects_barrier_blocks(rng):
     program = load("barrier_block")
     [phi] = constraint_pool(rng, program, 1)[-1:]
     with pytest.raises(AtomicUnsupported):
-        pre(phi, program)
+        pre(phi, program, program_suffixes(program))
 
 
 def test_suffixes_are_closed_under_head_successors():

@@ -4,10 +4,8 @@ from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import parse, parse_seq
 from phasercheck.symbolic import (
     ANY,
-    FREE,
     FREE_BOUNDS,
     INF,
-    NREG,
     OPT_FREE,
     Constraint,
     ConstraintFormatError,
@@ -19,13 +17,15 @@ from phasercheck.symbolic import (
     gap_valid,
     is_b_good,
     is_free,
-    minimize,
     models,
     parse_constraints,
 )
 
 from conftest import rand_constraint, sample_model, strengthen
-from oracles import decode, encode, encoding_entails, entails_by_permutations
+from oracles import decode, encode, encoding_entails, entails_by_permutations, minimize
+
+NREG = Gap(ANY, None)
+FREE = Gap(ANY, FREE_BOUNDS)
 
 POOL = (
     parse_seq("signal(p); wait(p);"),
