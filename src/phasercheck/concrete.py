@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from .control import head_successors
 from .syntax import (
-    ANY,
     NO_VAR,
     SIG,
     SIG_WAIT,
@@ -27,7 +26,6 @@ from .syntax import (
     Assert,
     Assign,
     Asynch,
-    ControlSeq,
     Drop,
     Exit,
     If,
@@ -140,100 +138,79 @@ def binding(c: Configuration, t: int, var: str):
     return None
 
 
-def bv_env(c: Configuration, p: Program) -> dict:
-    return dict(zip(p.bool_vars, c.bv))
-
-
 # ---------------------------------------------------------------------------
 # Step relation
 
 
-def _wait_blocked(c: Configuration, t: int, pi: int) -> bool:
-    my_wait = c.phases[t][pi][1].wait
-    for u in range(c.n_tasks):
-        reg = c.phases[u][pi][1]
-        if reg is not None and reg.sig is not None and reg.sig <= my_wait:
+def _blockers(c: Configuration, t: int) -> list:
+    """Tasks whose signal values hold back the wait at the head of task
+    ``t``: those registered with a signal value not past t's wait value.
+    Empty unless the head is a wait on a phaser t holds a wait value on."""
+    seq = c.seqs[t]
+    pi = binding(c, t, seq[0].var) if seq and isinstance(seq[0], Wait) else None
+    reg = None if pi is None else c.phases[t][pi][1]
+    if reg is None or reg.wait is None:
+        return []
+    holds_back = lambda r: r is not None and r.sig is not None and r.sig <= reg.wait
+    return [u for u, row in enumerate(c.phases) if holds_back(row[pi][1])]
+
+
+def _barrier_held(c: Configuration, t: int) -> bool:
+    """The head barrier of task ``t`` is on a phaser t is registered on, and
+    some registered task does not sit at the same barrier block."""
+    want = c.seqs[t][0]
+    pi = binding(c, t, want.var)
+    if pi is None or c.phases[t][pi][1] is None:
+        return False
+    for u, seq in enumerate(c.seqs):
+        if c.phases[u][pi][1] is None:
+            continue
+        if not seq or not isinstance(seq[0], NextBlock):
+            return True
+        if binding(c, u, seq[0].var) != pi or seq[0].body != want.body:
             return True
     return False
 
 
-def _barrier_ready(c: Configuration, t: int, pi: int) -> bool:
-    """All tasks registered on the phaser sit at the same barrier block."""
-    want = c.seqs[t][0]
-    assert isinstance(want, NextBlock)
-    for u in range(c.n_tasks):
-        reg = c.phases[u][pi][1]
-        if reg is None:
-            continue
-        seq = c.seqs[u]
-        if not seq or not isinstance(seq[0], NextBlock):
-            return False
-        if binding(c, u, seq[0].var) != pi:
-            return False
-        if seq[0].body != want.body:
-            return False
-    return True
-
-
-def enabled_steps(c: Configuration, p: Program) -> list:
+def enabled_steps(c: Configuration) -> list:
     """(task, head statement) pairs that can fire.  Erroneous heads
     (commands on unregistered phasers, failing assertions) are enabled and
     step to an error outcome; a guarded wait or barrier that is not ready
     is simply absent."""
     out = []
-    for t in range(c.n_tasks):
-        if c.atomic is not None and c.atomic != t:
-            continue
-        seq = c.seqs[t]
-        if not seq:
+    for t, seq in enumerate(c.seqs):
+        if not seq or c.atomic not in (None, t):
             continue
         head = seq[0]
-        if isinstance(head, Wait):
-            pi = binding(c, t, head.var)
-            if pi is None or c.phases[t][pi][1] is None:
-                out.append((t, head))  # registration error outcome
-            elif c.phases[t][pi][1].wait is None:
-                out.append((t, head))  # wait in SIG mode
-            elif not _wait_blocked(c, t, pi):
-                out.append((t, head))
-        elif isinstance(head, NextBlock):
-            if c.atomic == t:
-                out.append((t, head))
-            else:
-                pi = binding(c, t, head.var)
-                if pi is None or c.phases[t][pi][1] is None:
-                    out.append((t, head))
-                elif _barrier_ready(c, t, pi):
-                    out.append((t, head))
-        else:
-            out.append((t, head))
+        if isinstance(head, Wait) and _blockers(c, t):
+            continue
+        if isinstance(head, NextBlock) and c.atomic != t and _barrier_held(c, t):
+            continue
+        out.append((t, head))
     return out
 
 
-def step_choices(c: Configuration, p: Program, t: int, head: Stmt) -> list:
+def step_choices(head: Stmt) -> list:
     """Choice values resolving the nondeterminism of one enabled head."""
     if isinstance(head, (While, If, Assign, Assert)):
-        n = count_ndets(head.cond)
-        return list(itertools.product((False, True), repeat=n))
+        return list(itertools.product((False, True), repeat=count_ndets(head.cond)))
     return [()]
 
 
 def apply_step(c: Configuration, p: Program, t: int, choice: tuple = ()):
     """Fire the head statement of task ``t``; returns the successor
-    configuration or an error outcome.  Pre: (t, head) is enabled."""
+    configuration or an error outcome.  Pre: (t, head) is enabled.
+
+    The data effect is stated here; the next control sequence of every
+    head is ``head_successors``' (the first one, or the second for a
+    condition that evaluates false)."""
     seq = c.seqs[t]
-    head, tail = seq[0], seq[1:]
+    head = seq[0]
     seqs = list(c.seqs)
     phases = [list(row) for row in c.phases]
     bv = list(c.bv)
     atomic = c.atomic
-
-    def done(new_seq: ControlSeq) -> Configuration:
-        seqs[t] = new_seq
-        return Configuration(tuple(bv), tuple(seqs), tuple(tuple(r) for r in phases), atomic)
-
-    if isinstance(head, Exit):
-        return done(())
+    taken = True
 
     if isinstance(head, NewPhaser):
         for row in phases:
@@ -242,98 +219,73 @@ def apply_step(c: Configuration, p: Program, t: int, choice: tuple = ()):
             if v == head.var:
                 phases[t][pi] = (NO_VAR, reg)  # variable rebinds to the new phaser
         phases[t][-1] = (head.var, Reg(SIG_WAIT, 0, 0))
-        return done(tail)
 
-    if isinstance(head, (Signal, Wait, Drop)):
-        cmd = type(head).__name__.lower()
+    elif isinstance(head, (Signal, Wait, Drop)):
         pi = binding(c, t, head.var)
-        if pi is None or phases[t][pi][1] is None:
-            return RegistrationError(t, cmd, head.var)
-        reg = phases[t][pi][1]
-        if isinstance(head, Signal):
-            if reg.sig is None:
-                return RegistrationError(t, cmd, head.var)
+        reg = None if pi is None else phases[t][pi][1]
+        if isinstance(head, Signal) and reg is not None and reg.sig is not None:
             phases[t][pi] = (head.var, Reg(reg.mode, reg.wait, reg.sig + 1))
-        elif isinstance(head, Wait):
-            if reg.wait is None:
-                return RegistrationError(t, cmd, head.var)
+        elif isinstance(head, Wait) and reg is not None and reg.wait is not None:
             phases[t][pi] = (head.var, Reg(reg.mode, reg.wait + 1, reg.sig))
-        else:
+        elif isinstance(head, Drop) and reg is not None:
             phases[t][pi] = (head.var, None)
-        return done(tail)
+        else:  # unregistered, or registered in a mode without the command
+            return RegistrationError(t, type(head).__name__.lower(), head.var)
 
-    if isinstance(head, Asynch):
+    elif isinstance(head, Asynch):
         callee = p.task(head.task)
-        child_row = [(NO_VAR, None) for _ in range(len(phases[0]) if phases else 0)]
+        child_row = [(NO_VAR, None)] * c.n_phasers
         for v, mode, formal in zip(head.args, head.modes, callee.params):
             pi = binding(c, t, v)
-            if pi is None or phases[t][pi][1] is None:
+            reg = None if pi is None else phases[t][pi][1]
+            if reg is None or (mode != reg.mode and reg.mode != SIG_WAIT):
                 return RegistrationError(t, "asynch", v)
-            reg = phases[t][pi][1]
-            if mode != reg.mode and reg.mode != SIG_WAIT:
-                return RegistrationError(t, "asynch", v)
-            wait = reg.wait if mode in (SIG_WAIT, WAIT) else None
-            sig = reg.sig if mode in (SIG_WAIT, SIG) else None
-            if (mode in (SIG_WAIT, WAIT) and wait is None) or (
-                mode in (SIG_WAIT, SIG) and sig is None
-            ):
-                return RegistrationError(t, "asynch", v)
+            wait = None if mode == SIG else reg.wait
+            sig = None if mode == WAIT else reg.sig
             child_row[pi] = (formal, Reg(mode, wait, sig))
         seqs.append(callee.body)
         phases.append(child_row)
-        return done(tail)
 
-    if isinstance(head, Assign):
-        env = bv_env(c, p)
-        val = eval_cond(head.cond, env, iter(choice))
-        bv[p.bool_vars.index(head.var)] = val
-        return done(tail)
+    elif isinstance(head, (Assign, Assert, While, If)):
+        val = eval_cond(head.cond, dict(zip(p.bool_vars, c.bv)), iter(choice))
+        if isinstance(head, Assign):
+            bv[p.bool_vars.index(head.var)] = val
+        elif isinstance(head, Assert):
+            if not val:
+                return AssertionViolation(t)
+        else:
+            taken = val
 
-    if isinstance(head, Assert):
-        env = bv_env(c, p)
-        if not eval_cond(head.cond, env, iter(choice)):
-            return AssertionViolation(t)
-        return done(tail)
-
-    if isinstance(head, (While, If)):
-        env = bv_env(c, p)
-        branch = eval_cond(head.cond, env, iter(choice))
-        for step in head_successors(seq):
-            if step.branch == branch:
-                return done(step.next_seq)
-        raise AssertionError("unreachable")
-
-    if isinstance(head, NextBlock):
+    elif isinstance(head, NextBlock):
         if atomic == t and not head.body:
-            atomic = None
-            return done((Signal(head.var), Wait(head.var)) + tail)
-        pi = binding(c, t, head.var)
-        if pi is None or phases[t][pi][1] is None:
-            return RegistrationError(t, "next", head.var)
-        # barrier entry with t as executor
-        for u in range(c.n_tasks):
-            if u == t:
-                continue
-            reg = phases[u][pi][1]
-            if reg is None:
-                continue
-            nb = c.seqs[u][0]
-            seqs[u] = (Signal(nb.var), Wait(nb.var)) + c.seqs[u][1:]
-        if head.body:
-            atomic = t
-            return done(head.body + (NextBlock(head.var, ()),) + tail)
-        return done((Signal(head.var), Wait(head.var)) + tail)
+            atomic = None  # the executor leaves the barrier body
+        else:
+            pi = binding(c, t, head.var)
+            if pi is None or phases[t][pi][1] is None:
+                return RegistrationError(t, "next", head.var)
+            # t executes the body; every other participant skips it and
+            # unfolds its barrier as if the body were empty
+            for u in range(c.n_tasks):
+                if u != t and phases[u][pi][1] is not None:
+                    bare = (NextBlock(c.seqs[u][0].var, ()),) + c.seqs[u][1:]
+                    seqs[u] = head_successors(bare)[0].next_seq
+            if head.body:
+                atomic = t
 
-    raise TypeError(f"cannot step {head!r}")
+    elif not isinstance(head, Exit):
+        raise TypeError(f"cannot step {head!r}")
+
+    seqs[t] = head_successors(seq)[0 if taken else 1].next_seq
+    return Configuration(tuple(bv), tuple(seqs), tuple(tuple(r) for r in phases), atomic)
 
 
 def successors(c: Configuration, p: Program) -> list:
     """All (task, stmt, choice, outcome) tuples from enabled steps."""
-    out = []
-    for t, head in enabled_steps(c, p):
-        for choice in step_choices(c, p, t, head):
-            out.append((t, head, choice, apply_step(c, p, t, choice)))
-    return out
+    return [
+        (t, head, choice, apply_step(c, p, t, choice))
+        for t, head in enabled_steps(c)
+        for choice in step_choices(head)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -357,48 +309,33 @@ def canonical(c: Configuration) -> Configuration:
     per-phaser minimum phase (sound for reachability modulo equivalence)."""
     phases = [list(row) for row in c.phases]
     for p in range(c.n_phasers):
-        vals = []
-        for t in range(c.n_tasks):
-            reg = phases[t][p][1]
-            if reg is not None:
-                vals.append(reg.wait if reg.wait is not None else reg.sig)
-        if vals and min(vals) > 0:
-            k = min(vals)
-            for t in range(c.n_tasks):
-                var, reg = phases[t][p]
+        regs = [row[p][1] for row in phases if row[p][1] is not None]
+        k = min((r.wait if r.wait is not None else r.sig for r in regs), default=0)
+        if k > 0:
+            for row in phases:
+                var, reg = row[p]
                 if reg is not None:
-                    phases[t][p] = (
-                        var,
-                        Reg(
-                            reg.mode,
-                            None if reg.wait is None else reg.wait - k,
-                            None if reg.sig is None else reg.sig - k,
-                        ),
-                    )
-    task_order = list(range(c.n_tasks))
-    phaser_order = list(range(c.n_phasers))
-    for _ in range(2):
-        pkeys = {
-            p: tuple(sorted(_entry_key(phases[t][p]) for t in range(c.n_tasks)))
-            for p in phaser_order
-        }
-        phaser_order.sort(key=lambda p: (pkeys[p], p))
-        tkeys = {
-            t: (
-                tuple(str(s) for s in c.seqs[t]),
-                tuple(_entry_key(phases[t][p]) for p in phaser_order),
-            )
-            for t in task_order
-        }
-        task_order.sort(key=lambda t: (tkeys[t], t))
-    new_rows = tuple(
-        tuple(phases[t][p] for p in phaser_order) for t in task_order
+                    wait = None if reg.wait is None else reg.wait - k
+                    sig = None if reg.sig is None else reg.sig - k
+                    row[p] = (var, Reg(reg.mode, wait, sig))
+    # a phaser's key is a multiset over tasks, so one sort of each suffices
+    phaser_order = sorted(
+        range(c.n_phasers), key=lambda p: (sorted(_entry_key(row[p]) for row in phases), p)
     )
-    atomic = c.atomic
-    if atomic is not None:
-        atomic = task_order.index(atomic)
+    task_order = sorted(
+        range(c.n_tasks),
+        key=lambda t: (
+            tuple(str(s) for s in c.seqs[t]),
+            tuple(_entry_key(phases[t][p]) for p in phaser_order),
+            t,
+        ),
+    )
+    atomic = None if c.atomic is None else task_order.index(c.atomic)
     return Configuration(
-        c.bv, tuple(c.seqs[t] for t in task_order), new_rows, atomic
+        c.bv,
+        tuple(c.seqs[t] for t in task_order),
+        tuple(tuple(phases[t][p] for p in phaser_order) for t in task_order),
+        atomic,
     )
 
 
@@ -409,17 +346,8 @@ def canonical(c: Configuration) -> Configuration:
 def cyclic_waits(c: Configuration, p: Program):
     """A cycle of tasks each blocked at a wait whose guard the next task in
     the cycle falsifies, or None."""
-    blockers = {}  # blocked task -> the tasks whose signals block its wait
-    for t in range(c.n_tasks):
-        seq = c.seqs[t]
-        pi = binding(c, t, seq[0].var) if seq and isinstance(seq[0], Wait) else None
-        reg = None if pi is None else c.phases[t][pi][1]
-        if reg is None or reg.wait is None:
-            continue
-        regs = [c.phases[u][pi][1] for u in range(c.n_tasks)]
-        by = [u for u, r in enumerate(regs) if r is not None and r.sig is not None and r.sig <= reg.wait]
-        if by:
-            blockers[t] = by
+    # blocked task -> the tasks whose signals block its wait
+    blockers = {t: by for t in range(c.n_tasks) if (by := _blockers(c, t))}
     # depth-first search among blocked tasks; the first back edge closes a cycle
     done = set()
 
@@ -484,7 +412,6 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
     index = {init: 0}
     configs = [init]
     errors = []
-    error_seen = set()
     edges = []
     queue = deque([0])
     expansions = 0
@@ -497,28 +424,23 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
         c = configs[ci]
         expansions += 1
         cycle = cyclic_waits(c, p)
-        if cycle is not None:
-            key = ("cycle", ci)
-            if key not in error_seen:
-                error_seen.add(key)
-                errors.append((CyclicWait(cycle), ci))
+        found = [] if cycle is None else [CyclicWait(cycle)]
         for t, stmt, choice, outcome in successors(c, p):
-            if isinstance(outcome, Configuration):
-                if not _within(outcome, bounds):
-                    exhausted = False
-                    continue
-                cc = canonical(outcome)
-                if cc not in index:
-                    index[cc] = len(configs)
-                    configs.append(cc)
-                    queue.append(index[cc])
-                if record_graph:
-                    edges.append((ci, t, str(stmt), index[cc]))
-            else:
-                key = (type(outcome).__name__, ci, t)
-                if key not in error_seen:
-                    error_seen.add(key)
-                    errors.append((outcome, ci))
+            if not isinstance(outcome, Configuration):
+                if outcome not in found:
+                    found.append(outcome)
+                continue
+            if not _within(outcome, bounds):
+                exhausted = False
+                continue
+            cc = canonical(outcome)
+            if cc not in index:
+                index[cc] = len(configs)
+                configs.append(cc)
+                queue.append(index[cc])
+            if record_graph:
+                edges.append((ci, t, str(stmt), index[cc]))
+        errors.extend((e, ci) for e in found)
     return ExploreResult(configs, errors, exhausted, edges)
 
 

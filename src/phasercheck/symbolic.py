@@ -356,9 +356,6 @@ def constraint_to_text(phi: Constraint, bool_vars) -> str:
     return write_record("constraint", bool_vars, phi.bv, phi.seqs, phi.n_phasers, cells)
 
 
-ConstraintFormatError = RecordFormatError
-
-
 def _upper(word: str):
     return INF if word == "inf" else natural(word)
 
@@ -396,6 +393,6 @@ def parse_constraints(text: str, bool_vars) -> list:
             egaps=tuple(cells.get(("env", p), (0, 0)) for p in range(n_phasers)),
         )
         if not constraint_valid(phi):
-            raise ConstraintFormatError(f"line {line}: invalid gap bounds in constraint")
+            raise RecordFormatError(f"line {line}: invalid gap bounds in constraint")
         out.append(phi)
     return out

@@ -302,13 +302,6 @@ class TaskDef:
     modes: tuple  # declared registration mode per parameter
     body: ControlSeq
 
-    def __str__(self) -> str:
-        parts = []
-        for v, m in zip(self.params, self.modes):
-            parts.append(v if m == SIG_WAIT else f"{v}:{m}")
-        head = f"{self.name}({', '.join(parts)})"
-        return f"{head}{{ {seq_to_str(self.body)} }}"
-
 
 @dataclass(frozen=True)
 class Program:
@@ -334,14 +327,6 @@ class Program:
         for t in self.tasks:
             modes += [m for s, _ in walk(t.body) if isinstance(s, Asynch) for m in s.modes]
         return any(m != SIG_WAIT for m in modes)
-
-    def __str__(self) -> str:
-        lines = []
-        if self.bool_vars:
-            lines.append("bool " + ", ".join(self.bool_vars) + ";")
-        for t in self.tasks:
-            lines.append(str(t))
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

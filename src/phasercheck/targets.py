@@ -152,9 +152,6 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
 # Partial configurations
 
 
-PartialConfigFormatError = RecordFormatError
-
-
 def _read_phase(words) -> tuple:
     kv, flags = record_fields(words, ("var", "w", "s"), ("nreg", "free"))
     var = kv.pop("var", ANY)
@@ -173,7 +170,7 @@ def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
         text, "partial-config", bool_vars, {"phase": ("tp", _read_phase)}
     )
     if extra:
-        raise PartialConfigFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
+        raise RecordFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
     pc = PartialConfiguration(
         bv=bv,
         seqs=seqs,
@@ -185,7 +182,7 @@ def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
     try:
         from_partial_config(pc)
     except ValueError as e:
-        raise PartialConfigFormatError(f"line {opened}: {e}") from None
+        raise RecordFormatError(f"line {opened}: {e}") from None
     return pc
 
 

@@ -19,7 +19,7 @@ from phasercheck.concrete import (
     step_choices,
 )
 from phasercheck.pre import pre, program_suffixes
-from phasercheck.symbolic import models
+from phasercheck.symbolic import NO_VAR, models
 from phasercheck.syntax import Drop, NewPhaser, Signal, Wait
 from phasercheck.targets import (
     assertion_targets,
@@ -52,7 +52,7 @@ def constraint_pool(rng, program, n_random, max_tasks=2, max_phasers=2):
     for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
         pool.extend(minimize(build(program)))
     seq_pool = seq_pool_of(program)
-    vars_ = phaser_vars_of(program)
+    vars_ = phaser_vars_of(program) + [NO_VAR]  # unbound cells too
     for _ in range(n_random):
         pool.append(
             rand_constraint(
@@ -96,10 +96,10 @@ def one_step_cover_violations(program, phi, res):
 
 
 def _one_step_reaches(program, c, stmt, phi):
-    for t, head in enabled_steps(c, program):
+    for t, head in enabled_steps(c):
         if head != stmt:
             continue
-        for choice in step_choices(c, program, t, head):
+        for choice in step_choices(head):
             out = apply_step(c, program, t, choice)
             if isinstance(out, Configuration) and models(out, phi):
                 return True

@@ -168,6 +168,29 @@ def test_check_reachable_assertion(capsys):
     assert "trace replay: ok" in out
 
 
+COMPOUND = """
+bool a, b, c;
+main(){
+  a = ndet();
+  b = a || ndet();
+  c = !(a && b);
+  if(b && !c){
+    assert(!a || c);
+  }
+}
+"""
+
+
+def test_compound_conditions_agree_on_both_engines(tmp_path, capsys):
+    src = tmp_path / "compound.phz"
+    src.write_text(COMPOUND)
+    assert run("explore", str(src)) == 0
+    assert "error: AssertionViolation" in capsys.readouterr().out
+    assert run("check", str(src), "--property", "assert", "--validate") == 1
+    out = capsys.readouterr().out
+    assert "verdict reachable" in out and "trace replay: ok" in out
+
+
 def test_check_unreachable_regerror(capsys):
     assert run("check", path("sigwait_ok"), "--property", "regerror") == 0
     assert "verdict unreachable" in capsys.readouterr().out

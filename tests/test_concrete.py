@@ -1,3 +1,5 @@
+import pytest
+
 from phasercheck.concrete import (
     AssertionViolation,
     Bounds,
@@ -23,7 +25,7 @@ def run_to_end(prog, prefer=None):
     """Deterministically run a choice-free single-path program."""
     c = initial_config(prog)
     while True:
-        steps = enabled_steps(c, prog)
+        steps = enabled_steps(c)
         if not steps:
             return c
         t, head = steps[0]
@@ -66,7 +68,7 @@ def test_signal_then_wait_passes():
 def test_wait_blocks_on_own_signal():
     p = parse("main(){ q = newPhaser(); wait(q); }")
     c = apply_step(initial_config(p), p, 0)
-    assert enabled_steps(c, p) == []
+    assert enabled_steps(c) == []
     assert cyclic_waits(c, p) == (0,)
 
 
@@ -142,7 +144,7 @@ def test_wait_mode_holds_no_signal():
     assert c.phases[1][0][1] == Reg("WAIT", 0, None)
     # main's wait is not blocked by the WAIT-mode task
     c = apply_step(c, p, 0)  # signal
-    assert (0, c.seqs[0][0]) in enabled_steps(c, p)
+    assert (0, c.seqs[0][0]) in enabled_steps(c)
 
 
 def test_exit_keeps_registrations():
@@ -228,3 +230,68 @@ def test_successors_cover_all_choices():
     outs = successors(initial_config(p), p)
     values = {out.bv[0] for _, _, _, out in outs if isinstance(out, Configuration)}
     assert values == {False, True}
+
+
+def steps_of(prog, n):
+    """The configuration after ``n`` steps of main (task 0)."""
+    c = initial_config(prog)
+    for _ in range(n):
+        c = apply_step(c, prog, 0)
+    return c
+
+
+@pytest.mark.parametrize(
+    "src,error",
+    [
+        (
+            "main(){ q = newPhaser(); asynch(T, q:WAIT); exit; } T(r:WAIT){ signal(r); drop(r); }",
+            RegistrationError(1, "signal", "r"),
+        ),
+        (
+            "main(){ q = newPhaser(); asynch(T, q:SIG); exit; } T(r:SIG){ wait(r); drop(r); }",
+            RegistrationError(1, "wait", "r"),
+        ),
+        ("main(){ q = newPhaser(); drop(q); next(q){ } }", RegistrationError(0, "next", "q")),
+    ],
+    ids=["signal-in-wait-mode", "wait-in-sig-mode", "next-after-drop"],
+)
+def test_command_without_its_registration_is_an_error(src, error):
+    # the command is enabled and steps to the error, not blocked
+    assert run_to_end(parse(src)) == error
+
+
+def test_empty_barrier_releases_every_participant():
+    p = parse(
+        "main(){ q = newPhaser(); asynch(U); asynch(T, q); next(q){ } drop(q); }"
+        "T(r){ next(r){ } drop(r); } U(){ exit; }"
+    )
+    c = steps_of(p, 3)  # U is registered on nothing
+    assert [t for t, _ in enabled_steps(c)] == [0, 1, 2]
+    out = apply_step(c, p, 0)
+    assert out.seqs[0] == parse_seq("signal(q); wait(q); drop(q);")
+    assert out.seqs[2] == parse_seq("signal(r); wait(r); drop(r);")
+    assert out.seqs[1] == c.seqs[1] and out.atomic is None
+
+
+def test_barrier_fires_only_when_every_participant_is_at_it():
+    main = "main(){ q = newPhaser(); asynch(T, q); next(q){ a = true; } drop(q); }"
+    for task in (
+        "T(r){ next(r){ a = false; } drop(r); }",  # a different body
+        "T(r){ signal(r); next(r){ a = true; } drop(r); }",  # not at a barrier yet
+    ):
+        p = parse("bool a; " + main + task)
+        c = steps_of(p, 2)
+        assert (0, c.seqs[0][0]) not in enabled_steps(c)
+    p = parse(
+        "bool a; main(){ q = newPhaser(); s = newPhaser(); asynch(T, q, s); next(q){ a = true; } }"
+        "T(r, u){ next(u){ a = true; } drop(r); drop(u); }"
+    )
+    c = steps_of(p, 3)  # T sits at a barrier of the other phaser
+    assert enabled_steps(c) == []
+
+
+def test_explore_is_not_exhausted_when_a_bound_cuts():
+    assert not explored("chain_spawn", max_steps=3).exhausted
+    assert not explored("chain_spawn", max_tasks=2).exhausted
+    loop = parse("main(){ q = newPhaser(); while(true){ signal(q); } }")
+    assert not explore(loop, Bounds(max_phase=3)).exhausted

@@ -9,6 +9,7 @@ from phasercheck.engine import (
     ControlReachability,
     PlainReachability,
     Reachable,
+    Trace,
     Unreachable,
     Unrestricted,
     check,
@@ -90,6 +91,18 @@ def test_corpus_verdicts(name, kind, strategy, expected):
     assert len(trace.constraints) == len(trace.stmts) + 1
     report = validate_trace(program, trace)
     assert report.ok, (name, kind, report)
+
+
+def test_replay_rejects_a_broken_witness():
+    program = load("cross_deadlock")
+    trace = check(program, cyclic_wait_targets(program), PLAIN).trace
+    assert validate_trace(program, trace).ok
+    # the first step fires the wrong statement
+    wrong = Trace(trace.constraints, trace.stmts[1:2] + trace.stmts[1:])
+    assert validate_trace(program, wrong).failed_stage == 1
+    # the witness no longer starts at the initial configuration
+    late = Trace(trace.constraints[1:], trace.stmts[1:])
+    assert validate_trace(program, late).failed_stage == 0
 
 
 def test_unrestricted_budget_exhaustion():

@@ -47,9 +47,27 @@ main(){
 """
 
 
+# rebinds a phaser variable, so pre must rename an unbound column back
+REBIND_SRC = """
+main(){
+  p = newPhaser();
+  asynch(T, p);
+  p = newPhaser();
+  signal(p);
+  wait(p);
+  drop(p);
+}
+T(p){
+  signal(p);
+  drop(p);
+}
+"""
+
+
 def _programs():
     progs = [(name, load(name)) for name in SMALL_PROGRAMS]
     progs.append(("loop_exit", parse(LOOP_EXIT_SRC)))
+    progs.append(("rebind", parse(REBIND_SRC)))
     return progs
 
 

@@ -1,14 +1,13 @@
 import pytest
 
 from phasercheck.concrete import Configuration, Reg
-from phasercheck.parser import parse, parse_seq
+from phasercheck.parser import RecordFormatError, parse, parse_seq
 from phasercheck.symbolic import (
     ANY,
     FREE_BOUNDS,
     INF,
     OPT_FREE,
     Constraint,
-    ConstraintFormatError,
     Gap,
     canonical_constraint,
     constraint_to_text,
@@ -322,11 +321,11 @@ def test_serialization_keeps_optional_marker():
 
 
 def test_parse_constraints_rejects_malformed():
-    with pytest.raises(ConstraintFormatError):
+    with pytest.raises(RecordFormatError):
         parse_constraints("constraint {\n  tasks 1\n}", ())
-    with pytest.raises(ConstraintFormatError):
+    with pytest.raises(RecordFormatError):
         parse_constraints("constraint {\n  tasks 1\n  phasers 0\n", ())
-    with pytest.raises(ConstraintFormatError):
+    with pytest.raises(RecordFormatError):
         parse_constraints(
             "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=* lw=2 ls=0 uw=1 us=0\n}",
             (),
@@ -343,7 +342,7 @@ def test_parse_constraints_rejects_malformed():
         "bv a=maybe",
     ):
         text = f"constraint {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
-        with pytest.raises(ConstraintFormatError, match=r"^line 4: "):
+        with pytest.raises(RecordFormatError, match=r"^line 4: "):
             parse_constraints(text, ("a",))
 
 

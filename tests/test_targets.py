@@ -1,11 +1,10 @@
 import pytest
 
 from phasercheck.concrete import Configuration, PartialConfiguration, Reg
-from phasercheck.parser import parse_seq
+from phasercheck.parser import RecordFormatError, parse, parse_seq
 from phasercheck.symbolic import ANY, OPT_FREE, Gap, entails, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
 from phasercheck.targets import (
-    PartialConfigFormatError,
     assertion_targets,
     cyclic_wait_targets,
     from_partial_config,
@@ -27,6 +26,13 @@ def test_assertion_targets_pin_falsifying_booleans():
     assert phi.n_tasks == 1 and phi.n_phasers == 0
     assert isinstance(phi.seqs[0][0], Assert)
     assert is_free(phi)
+
+
+def test_assertion_targets_of_a_conjunction_pin_one_conjunct_each():
+    # each falsifying valuation keeps only the variable that falsifies it
+    targets = assertion_targets(parse("bool a, b; main(){ assert(a && b); }"))
+    assert len(targets) == 2
+    assert {phi.bv for phi in targets} == {(False, None), (None, False)}
 
 
 def test_assertion_targets_exist_even_when_unreachable():
@@ -137,15 +143,15 @@ def test_partial_config_text_round_trip():
 
 
 def test_partial_config_parse_errors():
-    with pytest.raises(PartialConfigFormatError):
+    with pytest.raises(RecordFormatError):
         parse_partial_config("config {\n}", ())
-    with pytest.raises(PartialConfigFormatError):
+    with pytest.raises(RecordFormatError):
         parse_partial_config("partial-config {\n  tasks 1\n", ())
-    with pytest.raises(PartialConfigFormatError):
+    with pytest.raises(RecordFormatError):
         parse_partial_config(
             "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p\n}", ()
         )
-    with pytest.raises(PartialConfigFormatError):
+    with pytest.raises(RecordFormatError):
         parse_partial_config("partial-config {\n  phasers 1\n}", ())
     for line in (
         "tasks",
@@ -157,9 +163,9 @@ def test_partial_config_parse_errors():
         "bv a=maybe",
     ):
         text = f"partial-config {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
-        with pytest.raises(PartialConfigFormatError, match=r"^line 4: "):
+        with pytest.raises(RecordFormatError, match=r"^line 4: "):
             parse_partial_config(text, ("a",))
-    with pytest.raises(PartialConfigFormatError, match="one record"):
+    with pytest.raises(RecordFormatError, match="one record"):
         parse_partial_config(PC_TEXT + PC_TEXT, ("a",))
 
 
