@@ -34,7 +34,7 @@ from .symbolic import (
     is_b_good,
     is_free,
     models,
-    _seq_multiset,
+    seq_set,
 )
 from .syntax import Asynch, NewPhaser, walk
 
@@ -190,7 +190,7 @@ def check(program, targets, strategy, progress=None):
     buckets: dict = {}
 
     def covered(phi) -> bool:
-        sset = _seq_multiset(phi)
+        sset = seq_set(phi)
         nt, np_ = phi.n_tasks, phi.n_phasers
         for key, items in buckets.items():
             if not key <= sset:
@@ -213,7 +213,7 @@ def check(program, targets, strategy, progress=None):
         if phi in parents or covered(phi):
             return
         parents[phi] = parent
-        sset = _seq_multiset(phi)
+        sset = seq_set(phi)
         nt, np_ = phi.n_tasks, phi.n_phasers
         for key, items in buckets.items():
             if not sset <= key:

@@ -50,8 +50,10 @@ from .syntax import (
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    """A syntax error at ``line:col``, or a validation error (no location)."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.message = message
         self.line = line
         self.col = col
@@ -332,7 +334,7 @@ def parse(text: str, check: bool = True) -> Program:
     if check:
         hard = [d for d in validate(prog) if not d.startswith("info:")]
         if hard:
-            raise ParseError("; ".join(hard), 0, 0)
+            raise ParseError("; ".join(hard))
     return prog
 
 

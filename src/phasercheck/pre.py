@@ -9,6 +9,10 @@ input.
 Each transformer builds valid constraints from a valid one (shifted lower
 bounds clamp at 0, uppers move with their lowers, and merged bounds that
 cross drop the candidate), so ``pre`` does not re-validate its output.
+Each rule is stated once: ``_columns`` picks the columns a phaser
+command may act on, ``_pre_cond`` pins the Booleans that a guard, an
+assert or an assignment reads, and ``_env_row`` is the row of an
+untracked task, whether it executes the step or is spawned by it.
 
 Atomic barrier bodies are rejected: their whole-body macro step cannot be
 captured exactly by per-statement reversal.
@@ -65,27 +69,22 @@ def _with_gap(phi: Constraint, t: int, p: int, g: Gap) -> Constraint:
     return _with_row(phi, t, row[:p] + (g,) + row[p + 1 :])
 
 
-def _pinned_columns(phi: Constraint, x: int, var: str) -> list:
-    return [
-        p for p in range(phi.n_phasers) if phi.gaps[x][p].var == var
-    ]
-
-
-def _registered_columns(phi: Constraint, x: int, var: str) -> list:
-    """Columns on which x's command on ``var`` may act: a column pinning
-    the variable wins; otherwise any registered wildcard column."""
-    pinned = _pinned_columns(phi, x, var)
+def _columns(phi: Constraint, x: int, var: str):
+    """The columns on which x's command on ``var`` may act, and whether it
+    may act on a phaser the constraint does not track: the columns pinning
+    the variable if there are any, and then no untracked phaser; otherwise
+    every wildcard column."""
+    row = phi.gaps[x]
+    pinned = [p for p, g in enumerate(row) if g.var == var]
     if pinned:
-        return [p for p in pinned if phi.gaps[x][p].bounds is not None]
-    return [
-        p
-        for p in range(phi.n_phasers)
-        if phi.gaps[x][p].var == ANY and phi.gaps[x][p].bounds is not None
-    ]
+        return pinned, False
+    return [p for p, g in enumerate(row) if g.var == ANY], True
 
 
-def _untracked_allowed(phi: Constraint, x: int, var: str) -> bool:
-    return not _pinned_columns(phi, x, var)
+def _registered(phi: Constraint, x: int, var: str):
+    """``_columns`` keeping the certain and optional registrations."""
+    cols, untracked = _columns(phi, x, var)
+    return [q for q in cols if phi.gaps[x][q].bounds is not None], untracked
 
 
 def _materialize_column(phi: Constraint, x: int, var: str) -> Constraint:
@@ -99,7 +98,14 @@ def _materialize_column(phi: Constraint, x: int, var: str) -> Constraint:
     return Constraint(phi.bv, phi.seqs, gaps, phi.egaps + ((0, 0),))
 
 
-def _seq_set(phi: Constraint, x: int, seq) -> Constraint:
+def _env_row(phi: Constraint) -> tuple:
+    """The row of a task the constraint does not track: per phaser
+    unregistered or satisfying the environment lower bounds, which an
+    optional cell expresses directly."""
+    return tuple(Gap(ANY, (ew, es, INF, INF), True) for ew, es in phi.egaps)
+
+
+def _with_seq(phi: Constraint, x: int, seq) -> Constraint:
     seqs = phi.seqs[:x] + (seq,) + phi.seqs[x + 1 :]
     return Constraint(phi.bv, seqs, phi.gaps, phi.egaps)
 
@@ -137,7 +143,8 @@ def _shift_level(phi: Constraint, q: int, d: int, x: int, gx: Gap):
 
 def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
     out = []
-    for q in _registered_columns(phi, x, st.var):
+    cols, untracked = _registered(phi, x, st.var)
+    for q in cols:
         lw, ls, uw, us = phi.gaps[x][q].bounds
         # same level: the signal moved s from one below
         if us >= 1:
@@ -147,17 +154,18 @@ def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
             psi = _shift_level(phi, q, -1, x, Gap(st.var, (max(lw - 1, 0), ls, uw - 1, us)))
             if psi is not None:
                 out.append(psi)
-    if _untracked_allowed(phi, x, st.var):
+    if untracked:
         out.append(_materialize_column(phi, x, st.var))
     return out
 
 
 def _pre_wait(phi: Constraint, x: int, st: Wait) -> list:
     out = []
-    for q in _registered_columns(phi, x, st.var):
+    cols, untracked = _registered(phi, x, st.var)
+    for q in cols:
         lw, ls, uw, us = phi.gaps[x][q].bounds
         out.append(_with_gap(phi, x, q, Gap(st.var, (lw + 1, ls, uw + 1, us))))
-    if _untracked_allowed(phi, x, st.var):
+    if untracked:
         psi = _materialize_column(phi, x, st.var)
         out.append(_with_gap(psi, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF))))
     return out
@@ -165,32 +173,25 @@ def _pre_wait(phi: Constraint, x: int, st: Wait) -> list:
 
 def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
     out = []
-    pinned = _pinned_columns(phi, x, st.var)
-    for q in range(phi.n_phasers):
+    cols, untracked = _columns(phi, x, st.var)
+    for q in cols:
         g = phi.gaps[x][q]
         # the executor ends up unregistered: definite and optional cells
         # qualify, a certain registration does not
-        if (g.bounds is not None and not g.opt) or g.var not in (st.var, ANY):
-            continue
-        if pinned and q not in pinned:
+        if g.bounds is not None and not g.opt:
             continue
         out.append(_with_gap(phi, x, q, Gap(st.var, FREE_BOUNDS)))
         # level shifted up: the dropped task's wait sat above every level
         # admissible for the remaining registrations
-        delta_max = 0
-        for t in range(phi.n_tasks):
-            gb = phi.gaps[t][q].bounds
-            if t == x or gb is None:
-                continue
-            delta_max = max(delta_max, gb[1])
-            if gb[3] != INF:
-                delta_max = max(delta_max, gb[3])
-        delta_max = max(delta_max, phi.egaps[q][1])
+        others = [r[q].bounds for t, r in enumerate(phi.gaps) if t != x and r[q].bounds is not None]
+        delta_max = max(
+            [phi.egaps[q][1]] + [b[1] for b in others] + [b[3] for b in others if b[3] != INF]
+        )
         for delta in range(1, delta_max + 1):
             psi = _shift_level(phi, q, delta, x, Gap(st.var, FREE_BOUNDS))
             if psi is not None:
                 out.append(psi)
-    if _untracked_allowed(phi, x, st.var):
+    if untracked:
         out.append(_materialize_column(phi, x, st.var))
     return out
 
@@ -208,27 +209,20 @@ def _rename_variants(phi: Constraint, x: int, var: str) -> list:
 
 def _pre_newphaser(phi: Constraint, x: int, st: NewPhaser) -> list:
     out = []
-    for q in range(phi.n_phasers):
-        g = phi.gaps[x][q]
-        if g.var not in (st.var, ANY) or g.bounds is None:
-            continue
-        lw, ls, uw, us = g.bounds
-        if lw != 0 or ls != 0:
+    cols, untracked = _columns(phi, x, st.var)
+    if len(cols) > 1 and not untracked:
+        cols = []  # after the step the variable names a single phaser
+    for q in cols:
+        b = phi.gaps[x][q].bounds
+        if b is None or b[:2] != (0, 0):
             continue  # fresh phaser starts with both distances pinned to 0
         if any(
-            (phi.gaps[t][q].bounds is not None and not phi.gaps[t][q].opt)
-            or phi.gaps[t][q].var not in (NO_VAR, ANY)
-            for t in range(phi.n_tasks)
+            (row[q].bounds is not None and not row[q].opt) or row[q].var not in (NO_VAR, ANY)
+            for t, row in enumerate(phi.gaps)
             if t != x
         ):
             # a fresh phaser has only its creator registered, and only the
             # creator's variable can name it
-            continue
-        if any(
-            phi.gaps[x][r].var == st.var
-            for r in range(phi.n_phasers)
-            if r != q
-        ):
             continue
         dropped = Constraint(
             phi.bv,
@@ -237,7 +231,7 @@ def _pre_newphaser(phi: Constraint, x: int, st: NewPhaser) -> list:
             phi.egaps[:q] + phi.egaps[q + 1 :],
         )
         out.extend(_rename_variants(dropped, x, st.var))
-    if _untracked_allowed(phi, x, st.var):
+    if untracked:
         out.extend(_rename_variants(phi, x, st.var))
     return out
 
@@ -257,10 +251,8 @@ def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
     # per spawn argument, a tracked column or None for an untracked phaser
     per_arg = []
     for v in st.args:
-        opts = _registered_columns(phi, x, v)
-        if _untracked_allowed(phi, x, v):
-            opts.append(None)
-        per_arg.append(opts)
+        cols, untracked = _registered(phi, x, v)
+        per_arg.append(cols + [None] * untracked)
     out = []
     for combo in itertools.product(*per_arg):
         tracked = [q for q in combo if q is not None]
@@ -283,15 +275,17 @@ def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols) -> lis
     pinned = list(phi.gaps[x])
     for v, q in zip(st.args, arg_cols):
         pinned[q] = Gap(v, pinned[q].bounds)
-
-    # case 1: the spawned task is a tracked row y
-    for y in range(phi.n_tasks):
-        if y == x:
-            continue
-        if phi.seqs[y] is not None and phi.seqs[y] != callee.body:
-            continue
+    # the spawned task is a tracked row y, or last an environment task
+    # (y None), whose row merges the environment lower bounds into the
+    # parent's phase at spawn time
+    children = [
+        (y, phi.gaps[y])
+        for y in range(phi.n_tasks)
+        if y != x and phi.seqs[y] in (None, callee.body)
+    ]
+    for y, child in children + [(None, _env_row(phi))]:
         row = list(pinned)
-        for p, gy in enumerate(phi.gaps[y]):
+        for p, gy in enumerate(child):
             if p in arg_cols:
                 formal = callee.params[arg_cols.index(p)]
                 if gy.bounds is None or gy.var not in (formal, ANY):
@@ -305,77 +299,30 @@ def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols) -> lis
             elif (gy.bounds is not None and not gy.opt) or gy.var not in (NO_VAR, ANY):
                 break
         else:
-            gaps = phi.gaps[:x] + (tuple(row),) + phi.gaps[x + 1 :]
-            seqs = phi.seqs[:y] + phi.seqs[y + 1 :]
-            psi = Constraint(phi.bv, seqs, gaps[:y] + gaps[y + 1 :], phi.egaps)
-            out.append((psi, x - 1 if y < x else x))
-
-    # case 2: the spawned task is an environment task: the parent's phase
-    # at spawn time must satisfy the environment lower bounds
-    for p in arg_cols:
-        merged = _merge_bounds(pinned[p].bounds, phi.egaps[p] + (INF, INF))
-        if merged is None:
-            return out
-        pinned[p] = Gap(pinned[p].var, merged)
-    out.append((_with_row(phi, x, tuple(pinned)), x))
+            psi = _with_row(phi, x, tuple(row))
+            if y is None:
+                out.append((psi, x))
+            else:  # the spawned row did not exist before the step
+                seqs, gaps = psi.seqs[:y] + psi.seqs[y + 1 :], psi.gaps[:y] + psi.gaps[y + 1 :]
+                out.append((Constraint(phi.bv, seqs, gaps, phi.egaps), x - 1 if y < x else x))
     return out
 
 
-def _valuations(names):
-    names = sorted(names)
+def _pre_cond(phi: Constraint, program, cond, ok) -> list:
+    """Pin the Booleans ``cond`` reads to each valuation that ``phi``
+    admits and under which some value of ``cond`` passes ``ok``."""
+    names = sorted(cond_vars(cond))
+    idx = [program.bool_vars.index(name) for name in names]
+    out = []
     for bits in itertools.product((False, True), repeat=len(names)):
-        yield dict(zip(names, bits))
-
-
-def _bv_compatible(phi: Constraint, program, val: dict, skip=()) -> bool:
-    for name, b in val.items():
-        if name in skip:
+        if any(phi.bv[i] not in (None, b) for i, b in zip(idx, bits)):
             continue
-        i = program.bool_vars.index(name)
-        if phi.bv[i] is not None and phi.bv[i] != b:
-            return False
-    return True
-
-
-def _bv_pinned(phi: Constraint, program, val: dict, clear=()) -> tuple:
-    bv = list(phi.bv)
-    for name, b in val.items():
-        bv[program.bool_vars.index(name)] = b
-    for name in clear:
-        bv[program.bool_vars.index(name)] = None
-    return tuple(bv)
-
-
-def _pre_branch(phi: Constraint, program, cond, want: bool) -> list:
-    """Condition heads (while/if guards and passing asserts) pin the
-    variables the condition reads to valuations that can take the
-    required value."""
-    out = []
-    for val in _valuations(cond_vars(cond)):
-        if want not in cond_outcomes(cond, val):
+        if not any(map(ok, cond_outcomes(cond, dict(zip(names, bits))))):
             continue
-        if not _bv_compatible(phi, program, val):
-            continue
-        out.append(Constraint(_bv_pinned(phi, program, val), phi.seqs, phi.gaps, phi.egaps))
-    return out
-
-
-def _pre_assign(phi: Constraint, program, st: Assign) -> list:
-    out = []
-    bi = program.bool_vars.index(st.var)
-    for val in _valuations(cond_vars(st.cond)):
-        if not _bv_compatible(phi, program, val, skip=(st.var,)):
-            continue
-        results = {
-            r
-            for r in cond_outcomes(st.cond, val)
-            if phi.bv[bi] is None or phi.bv[bi] == r
-        }
-        if not results:
-            continue
-        clear = () if st.var in val else (st.var,)
-        bv = _bv_pinned(phi, program, val, clear=clear)
-        out.append(Constraint(bv, phi.seqs, phi.gaps, phi.egaps))
+        bv = list(phi.bv)
+        for i, b in zip(idx, bits):
+            bv[i] = b
+        out.append(Constraint(tuple(bv), phi.seqs, phi.gaps, phi.egaps))
     return out
 
 
@@ -391,34 +338,14 @@ program_suffixes = unrolled_suffixes
 def _env_materializations(phi: Constraint, post_seq) -> list:
     """Extend the constraint with a row for a previously-untracked task.
 
-    After the step the new task is either an environment task (per tracked
-    phaser unregistered or satisfying the environment lower bounds, which
-    an optional cell expresses directly), or it coincides with a tracked
-    row: the task-to-row map may send several concrete tasks to the same
-    row, so the executor can share a compatible row's constraints."""
-    row = tuple(
-        Gap(ANY, (phi.egaps[p][0], phi.egaps[p][1], INF, INF), True)
-        for p in range(phi.n_phasers)
-    )
-    rows = [row]
-    for y in range(phi.n_tasks):
-        if phi.seqs[y] is None or phi.seqs[y] == post_seq:
-            rows.append(phi.gaps[y])
-    out = []
-    seen = set()
-    for r in rows:
-        if r in seen:
-            continue
-        seen.add(r)
-        out.append(
-            Constraint(
-                bv=phi.bv,
-                seqs=phi.seqs + (post_seq,),
-                gaps=phi.gaps + (r,),
-                egaps=phi.egaps,
-            )
-        )
-    return out
+    After the step the new task is either an environment task, or it
+    coincides with a tracked row: the task-to-row map may send several
+    concrete tasks to the same row, so the executor can share a compatible
+    row's constraints.  Rows may repeat; ``check``'s store drops repeats."""
+    rows = [_env_row(phi)] + [
+        row for row, s in zip(phi.gaps, phi.seqs) if s in (None, post_seq)
+    ]
+    return [Constraint(phi.bv, phi.seqs + (post_seq,), phi.gaps + (r,), phi.egaps) for r in rows]
 
 
 def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
@@ -438,11 +365,16 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
     elif isinstance(stmt, NewPhaser):
         results = _pre_newphaser(phi, x, stmt)
     elif isinstance(stmt, Assign):
-        results = _pre_assign(phi, program, stmt)
-    elif isinstance(stmt, Assert):
-        results = _pre_branch(phi, program, stmt.cond, True)
-    elif isinstance(stmt, (While, If)):
-        results = _pre_branch(phi, program, stmt.cond, branch)
+        # the assigned Boolean is free before the step unless the condition
+        # reads it, and the condition yields the value phi asks for
+        i = program.bool_vars.index(stmt.var)
+        want, bv = phi.bv[i], phi.bv[:i] + (None,) + phi.bv[i + 1 :]
+        cleared = Constraint(bv, phi.seqs, phi.gaps, phi.egaps)
+        results = _pre_cond(cleared, program, stmt.cond, lambda r: want in (None, r))
+    elif isinstance(stmt, (Assert, While, If)):
+        # a passing assert is a guard that takes its true branch
+        want = True if isinstance(stmt, Assert) else branch
+        results = _pre_cond(phi, program, stmt.cond, lambda r: r == want)
     elif isinstance(stmt, Exit):
         results = [phi]
     else:
@@ -472,14 +404,14 @@ def pre(phi: Constraint, program, suffixes, keep=None) -> list:
         for hs in head_successors(s_pre):
             # tracked roles
             for x in range(phi.n_tasks):
-                if phi.seqs[x] is not None and phi.seqs[x] != hs.next_seq:
+                if phi.seqs[x] not in (None, hs.next_seq):
                     continue
                 for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch):
-                    emit(hs.stmt, _seq_set(psi, xr, s_pre))
+                    emit(hs.stmt, _with_seq(psi, xr, s_pre))
             # environment role
             for ext in _env_materializations(phi, hs.next_seq):
                 u = ext.n_tasks - 1
                 for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch):
-                    emit(hs.stmt, _seq_set(psi, ur, s_pre))
+                    emit(hs.stmt, _with_seq(psi, ur, s_pre))
     return results
 

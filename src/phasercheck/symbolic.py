@@ -207,7 +207,8 @@ def gap_leq(ga: Gap, gb: Gap) -> bool:
     return lw_a <= lw_b and ls_a <= ls_b and uw_b <= uw_a and us_b <= us_a
 
 
-def _seq_multiset(phi: Constraint):
+def seq_set(phi: Constraint):
+    """The set of control sequences ``phi`` pins, cached on ``phi``."""
     hit = phi.__dict__.get("_seqset")
     if hit is None:
         hit = frozenset(s for s in phi.seqs if s is not None)
@@ -228,7 +229,7 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
         return False
     # necessary: every concrete control sequence pinned on the a side
     # must appear among b's pinned sequences
-    if not _seq_multiset(pa) <= _seq_multiset(pb):
+    if not seq_set(pa) <= seq_set(pb):
         return False
     # a column of a can only map to a column of b whose environment
     # bounds are at least as strong

@@ -383,6 +383,11 @@ def validate(p: Program) -> list:
         for stmt, _ in walk(t.body):
             uses, binds = _stmt_phaser_uses(stmt)
             phasers.update(uses, binds)
+            if isinstance(stmt, NextBlock) and any(
+                isinstance(s, NextBlock) for s, _ in walk(stmt.body)
+            ):
+                # the executor would take the inner block for the end of the body
+                out.append(f"{where}: barrier block inside a barrier body")
             if isinstance(stmt, (Assign, Assert, While, If)):
                 used = set(cond_vars(stmt.cond))
                 if isinstance(stmt, Assign):

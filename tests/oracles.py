@@ -8,10 +8,10 @@ from phasercheck.parser import write_record
 from phasercheck.pre import pre, program_suffixes
 from phasercheck.symbolic import (
     Constraint,
-    _seq_multiset,
     entails,
     gap_leq,
     is_free,
+    seq_set,
 )
 from phasercheck.syntax import ANY, NO_VAR
 
@@ -218,7 +218,7 @@ def entails_by_permutations(pa: Constraint, pb: Constraint) -> bool:
         return False
     # necessary: every concrete control sequence pinned on the a side
     # must appear among b's pinned sequences
-    if not _seq_multiset(pa) <= _seq_multiset(pb):
+    if not seq_set(pa) <= seq_set(pb):
         return False
     for pi_sel in itertools.permutations(range(n_pb), n_pa):
         if any(

@@ -15,6 +15,7 @@ from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import cyclic_wait_targets
 
 from conftest import CORPUS, load
+from test_pre import SELF_NEGATE_SRC
 
 
 def run(*argv):
@@ -183,12 +184,49 @@ main(){
 
 def test_compound_conditions_agree_on_both_engines(tmp_path, capsys):
     src = tmp_path / "compound.phz"
-    src.write_text(COMPOUND)
-    assert run("explore", str(src)) == 0
-    assert "error: AssertionViolation" in capsys.readouterr().out
-    assert run("check", str(src), "--property", "assert", "--validate") == 1
-    out = capsys.readouterr().out
-    assert "verdict reachable" in out and "trace replay: ok" in out
+    for text in (COMPOUND, SELF_NEGATE_SRC):
+        src.write_text(text)
+        assert run("explore", str(src)) == 0
+        assert "error: AssertionViolation" in capsys.readouterr().out
+        assert run("check", str(src), "--property", "assert", "--validate") == 1
+        out = capsys.readouterr().out
+        assert "verdict reachable" in out and "trace replay: ok" in out
+
+
+NESTED_BARRIER = """
+bool a;
+main(){
+  p = newPhaser();
+  q = newPhaser();
+  asynch(T, p, q);
+  next(p){ next(q){ } a = true; }
+}
+T(p, q){
+  next(p){ next(q){ } a = true; }
+}
+"""
+
+
+@pytest.mark.parametrize("cmd", ["explore", "check"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            NESTED_BARRIER,
+            "task main: barrier block inside a barrier body; "
+            "task T: barrier block inside a barrier body",
+        ),
+        ("bool a; main(){ assert(zz); }", "task main: undeclared Boolean 'zz'"),
+    ],
+    ids=["nested_barrier", "undeclared"],
+)
+def test_invalid_programs_exit_2_with_an_unlocated_message(cmd, text, message, tmp_path, capsys):
+    src = tmp_path / "bad.phz"
+    src.write_text(text)
+    assert run(cmd, str(src)) == 2
+    assert capsys.readouterr().err == f"{src}: {message}\n"
+    assert run("parse", str(src)) == 2
+    assert message.split("; ")[0] in capsys.readouterr().out.splitlines()
 
 
 def test_check_unreachable_regerror(capsys):

@@ -2,7 +2,8 @@
 top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
 statement.  Test-only reference code lives in
-``tests/oracles.py``.  Test modules read every name they import."""
+``tests/oracles.py``.  No module imports another's underscore-prefixed
+name.  Test modules read every name they import."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,15 @@ def test_every_definition_is_used_by_the_package():
                 uses.setdefault(name, set()).add(where)
     assert len(defs) > 100
     assert [name for where, name in defs if not uses.get(name, set()) - {where}] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_every_test_module_reads_what_it_imports():

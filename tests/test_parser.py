@@ -129,6 +129,17 @@ def test_boolean_misuse_rejected(src, message):
         parse(src)
 
 
+@pytest.mark.parametrize("inner", ["next(q){ }", "if(ndet()){ next(q){ a = true; } }"])
+def test_barrier_block_inside_a_barrier_body_rejected(inner):
+    src = f"bool a; main(){{ p = newPhaser(); q = newPhaser(); next(p){{ {inner} a = true; }} }}"
+    with pytest.raises(ParseError, match="^task main: barrier block inside a barrier body$"):
+        parse(src)
+
+
+def test_phase_advance_inside_a_barrier_body_is_accepted():
+    parse("bool a; main(){ p = newPhaser(); q = newPhaser(); next(p){ next(q); a = true; } }")
+
+
 def test_atomic_program_is_info_not_error():
     p = parse("main(){ p = newPhaser(); next(p){ } drop(p); }")
     diags = validate(p)

@@ -3,8 +3,9 @@ import pytest
 from phasercheck import engine
 from phasercheck.engine import PlainReachability, check
 from phasercheck.parser import parse
-from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
-from phasercheck.symbolic import constraint_valid, canonical_constraint, is_free
+from phasercheck.pre import AtomicUnsupported, pre, pre_stmt, program_suffixes
+from phasercheck.symbolic import Constraint, Gap, constraint_valid, canonical_constraint, is_free
+from phasercheck.syntax import NewPhaser
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -62,6 +63,10 @@ T(p){
   drop(p);
 }
 """
+
+
+# an assignment whose condition reads the variable it assigns
+SELF_NEGATE_SRC = "bool a; main(){ a = !a; assert(!a); }"
 
 
 def _programs():
@@ -136,6 +141,15 @@ def test_pre_rejects_barrier_blocks(rng):
     [phi] = constraint_pool(rng, program, 1)[-1:]
     with pytest.raises(AtomicUnsupported):
         pre(phi, program, program_suffixes(program))
+
+
+def test_newphaser_has_no_predecessor_when_two_columns_pin_its_variable():
+    # after p = newPhaser() the variable names exactly one phaser
+    program = parse("main(){ p = newPhaser(); signal(p); }")
+    cell = Gap("p", (0, 0, 0, 0))
+    phi = Constraint((), (program.main.body[1:],), ((cell, cell),), ((0, 0), (0, 0)))
+    assert constraint_valid(phi)
+    assert pre_stmt(phi, program, 0, NewPhaser("p"), None) == []
 
 
 def test_suffixes_are_closed_under_head_successors():
