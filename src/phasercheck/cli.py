@@ -32,6 +32,7 @@ from .engine import (
     Unreachable,
     Unrestricted,
     check,
+    static_phaser_bound,
     validate_trace,
 )
 from .parser import ParseError, natural, parse
@@ -159,9 +160,13 @@ def cmd_check(args) -> int:
         return EXIT_UNREACHABLE
     k = args.k
     if k is None:
+        # the static bound counts phasers of every spawned copy of a task,
+        # so k never prunes on a bounded program; creation sites serve
+        # only when the bound is infinite
+        bound = static_phaser_bound(program)
         k = max(
             [phi.n_phasers for phi in targets]
-            + [_static_phaser_count(program)]
+            + [_static_phaser_count(program) if bound is None else bound]
         )
     if args.mode == "control":
         strategy = ControlReachability(k=k)
@@ -183,6 +188,12 @@ def cmd_check(args) -> int:
     if isinstance(result, Unreachable):
         print("verdict unreachable")
         print(f"processed {result.processed} constraints")
+        if args.property == "cyclic-wait":
+            print(
+                f"note: cyclic-wait verdict holds for --slack {args.slack} "
+                f"and --max-cycle {args.max_cycle}; a larger value may find a cycle",
+                file=sys.stderr,
+            )
         return EXIT_UNREACHABLE
     if isinstance(result, BudgetExhausted):
         print("verdict unknown (budget exhausted)")

@@ -31,10 +31,12 @@ from .symbolic import (
     Constraint,
     constraint_order_key,
     entails,
+    fits,
     is_b_good,
     is_free,
     models,
     seq_set,
+    summary,
 )
 from .syntax import Asynch, NewPhaser, walk
 
@@ -186,17 +188,19 @@ def check(program, targets, strategy, progress=None):
 
     # the kept antichain, bucketed by the set of pinned control sequences:
     # a covering constraint can only live in a bucket whose sequence set is
-    # a subset of the candidate's, so most buckets are skipped wholesale
+    # a subset of the candidate's, so most buckets are skipped wholesale.
+    # Items are (constraint, total summary); a covering constraint's total
+    # fits the covered one's, so one int test skips most entailment calls.
     buckets: dict = {}
 
     def covered(phi) -> bool:
         sset = seq_set(phi)
-        nt, np_ = phi.n_tasks, phi.n_phasers
+        total = summary(phi)[0]
         for key, items in buckets.items():
             if not key <= sset:
                 continue
-            for psi, pt, pp in items:
-                if pt <= nt and pp <= np_ and entails(psi, phi):
+            for psi, pt in items:
+                if fits(pt, total) and entails(psi, phi):
                     return True
         return False
 
@@ -214,22 +218,20 @@ def check(program, targets, strategy, progress=None):
             return
         parents[phi] = parent
         sset = seq_set(phi)
-        nt, np_ = phi.n_tasks, phi.n_phasers
+        total = summary(phi)[0]
         for key, items in buckets.items():
             if not sset <= key:
                 continue
-            evicted = {
-                psi for psi, pt, pp in items if nt <= pt and np_ <= pp and entails(phi, psi)
-            }
+            evicted = {psi for psi, pt in items if fits(total, pt) and entails(phi, psi)}
             if evicted:
                 queued.difference_update(evicted)
                 n_visited -= len(evicted)
                 items[:] = [it for it in items if it[0] not in evicted]
-        buckets.setdefault(sset, []).append((phi, nt, np_))
+        buckets.setdefault(sset, []).append((phi, total))
         n_visited += 1
         queued.add(phi)
         counter += 1
-        heapq.heappush(working, ((forward_work(phi), nt, phi.n_phasers, counter), phi))
+        heapq.heappush(working, ((forward_work(phi), phi.n_tasks, phi.n_phasers, counter), phi))
 
     def trace_from(phi) -> Trace:
         constraints, stmts = [phi], []

@@ -216,31 +216,119 @@ def seq_set(phi: Constraint):
     return hit
 
 
+# A count summary packs non-negative fields into one int, one field per
+# _FIELD bits: a value clamped at _CLAMP under a guard bit.  Comparing
+# every field at once is one subtraction, because a field of ``b | _GUARDS``
+# keeps its guard bit after subtracting the same field of ``a`` exactly
+# when a's field is at most b's; clamping is monotone, so a fit of the
+# unclamped fields survives it.
+_FIELD = 6
+_CLAMP = (1 << (_FIELD - 1)) - 1
+_GUARDS = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(7))
+
+
+def fits(a: int, b: int) -> bool:
+    """Every field of summary ``a`` is at most the same field of ``b``."""
+    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
+
+
+def _clamped_sum(a: int, b: int) -> int:
+    # fields of at most _CLAMP add up without spilling into the next one;
+    # a sum above _CLAMP sets its guard bit and is clamped back
+    v = a + b
+    over = v & _GUARDS
+    return (v | (over - (over >> (_FIELD - 1)))) & ~_GUARDS if over else v
+
+
+def _cell_summary(g: Gap) -> int:
+    # fields, high to low: lw and ls of a certain cell, whether it is
+    # certain with finite uppers, unregistered, certain.  This is what a
+    # cell of the entailing side asks of the cell it is mapped to.  Fields
+    # that are mostly 0 come first, so most packed rows and columns are
+    # small ints that the interpreter shares.
+    b = g.bounds
+    if b is None:
+        return 1 << _FIELD
+    if g.opt:
+        return 0
+    lw, ls, uw, _ = b
+    return (
+        (min(lw, _CLAMP) << 4 * _FIELD)
+        + (min(ls, _CLAMP) << 3 * _FIELD)
+        + ((uw != INF) << 2 * _FIELD)
+        + 1
+    )
+
+
+def summary(phi: Constraint) -> tuple:
+    """Count summaries of ``phi``, cached on ``phi``: the total, then one
+    per row, then one per column.  Each counts certain cells, unregistered
+    cells and certain cells with finite uppers, and sums ``lw`` and ``ls``
+    over certain cells; the total also carries ``n_tasks`` and
+    ``n_phasers``."""
+    hit = phi.__dict__.get("_summary")
+    if hit is None:
+        rows, cols, total = [], [0] * phi.n_phasers, 0
+        for row in phi.gaps:
+            r = 0
+            for j, g in enumerate(row):
+                c = _cell_summary(g)
+                r = _clamped_sum(r, c)
+                cols[j] = _clamped_sum(cols[j], c)
+            rows.append(r)
+            total = _clamped_sum(total, r)
+        shape = (min(phi.n_tasks, _CLAMP) << _FIELD) | min(phi.n_phasers, _CLAMP)
+        hit = ((total << 2 * _FIELD) | shape, *rows, *cols)
+        object.__setattr__(phi, "_summary", hit)
+    return hit
+
+
 def entails(pa: Constraint, pb: Constraint) -> bool:
-    """True implies the models of ``pb`` are included in those of ``pa``."""
+    """True implies the models of ``pb`` are included in those of ``pa``.
+
+    ``gap_leq`` puts every certain or unregistered cell of ``pa`` over a
+    cell of the same kind in ``pb`` whose bounds are at least as strong.
+    The witness rows are distinct and the phaser map is injective, so a
+    map the matcher accepts sends each row and each column of ``pa`` to
+    one whose ``summary`` it fits, and the totals fit too: the summaries
+    reject pairs and maps that the matcher would reject anyway."""
     if pa is pb or pa == pb:
         return True
     for a, b in zip(pa.bv, pb.bv):
         if a is not None and a != b:
             return False
-    n_ta, n_pa = pa.n_tasks, pa.n_phasers
-    n_tb, n_pb = pb.n_tasks, pb.n_phasers
-    if n_tb < n_ta or n_pb < n_pa:
-        return False
     # necessary: every concrete control sequence pinned on the a side
     # must appear among b's pinned sequences
     if not seq_set(pa) <= seq_set(pb):
         return False
+    sum_a, sum_b = summary(pa), summary(pb)
+    if not fits(sum_a[0], sum_b[0]):
+        return False  # b has fewer rows, columns or cells of some kind
+    g = _GUARDS  # the comprehensions below inline ``fits``
+    n_ta, n_pa = pa.n_tasks, pa.n_phasers
+    n_tb = pb.n_tasks
+    rows_a, cols_a = sum_a[1 : 1 + n_ta], sum_a[1 + n_ta :]
+    rows_b, cols_b = sum_b[1 : 1 + n_tb], sum_b[1 + n_tb :]
     # a column of a can only map to a column of b whose environment
-    # bounds are at least as strong
+    # bounds are at least as strong and whose summary it fits
     targets = []
-    for ew_a, es_a in pa.egaps:
-        cols = [jb for jb, (ew_b, es_b) in enumerate(pb.egaps) if ew_a <= ew_b and es_a <= es_b]
+    for (ew_a, es_a), ca in zip(pa.egaps, cols_a):
+        cols = [
+            jb
+            for jb, ((ew_b, es_b), cb) in enumerate(zip(pb.egaps, cols_b))
+            if ew_a <= ew_b and es_a <= es_b and ((cb | g) - ca) & g == g
+        ]
         if not cols:
             return False
         targets.append(cols)
-    # control compatibility of a row pair does not depend on the map
-    seq_ok = [[sa is None or sa == sb for sa in pa.seqs] for sb in pb.seqs]
+    # whether row tb of b can stand for row ta of a, as far as control and
+    # the row summaries tell, does not depend on the map
+    seq_ok = [
+        [((rb | g) - ra) & g == g and (sa is None or sa == sb) for sa, ra in zip(pa.seqs, rows_a)]
+        for sb, rb in zip(pb.seqs, rows_b)
+    ]
+    if not all(map(any, zip(*seq_ok))):
+        return False  # some row of a has no candidate witness in b
     for pi_sel in itertools.product(*targets):
         if len(set(pi_sel)) < n_pa:
             continue  # the phaser map must be injective

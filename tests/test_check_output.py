@@ -1,7 +1,6 @@
 """Byte-identity gate: ``check`` prints exactly the recorded stdout and
-exits with the recorded code on 18 corpus cells (every cell of the
-benchmark but the two slow ``producer_consumer_sw`` ones), with
-``--validate`` on the reachable cells.  A change meant to keep behaviour
+exits with the recorded code on the 20 corpus cells of the benchmark,
+with ``--validate`` on the reachable cells.  A change meant to keep behaviour
 must leave this file's golden record as it is; a change meant to alter
 output re-records it on purpose with
 
@@ -34,12 +33,14 @@ CELLS = [
     ("chain_spawn", "regerror", False),
     ("chain_spawn", "cyclic-wait", False),
     ("producer_consumer_sw", "cyclic-wait", False),
+    ("producer_consumer_sw", "regerror", False),
     ("cross_deadlock", "cyclic-wait", True),
     ("selfwait", "cyclic-wait", True),
     ("regerror_drop_signal", "regerror", True),
     ("drop_then_wait", "regerror", True),
     ("assert_fail", "assert", True),
     ("assign_ndet", "assert", True),
+    ("producer_consumer_sw", "assert", True),
 ]
 
 

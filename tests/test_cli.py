@@ -261,6 +261,53 @@ def test_check_rejects_k_below_a_target(capsys, name, prop, k, width):
     assert captured.err == f"error: a target tracks {width} phasers, more than k={k}\n"
 
 
+SPAWNED_TWICE = """
+bool a;
+main(){
+  asynch(W);
+  asynch(W);
+}
+W(){
+  q = newPhaser();
+  asynch(X, q);
+  signal(q);
+  wait(q);
+  assert(a);
+  drop(q);
+}
+X(q){
+  a = true;
+  signal(q);
+  drop(q);
+}
+"""
+
+
+def test_default_k_counts_every_spawned_copy(tmp_path, capsys):
+    # one creation site, but both copies of W may hold a phaser at once;
+    # a default k of 1 pruned predecessors that --k 2 explores
+    src = tmp_path / "twice.phz"
+    src.write_text(SPAWNED_TWICE)
+    outs = {}
+    for k in ([], ["--k", "2"], ["--k", "1"]):
+        assert run("check", str(src), "--property", "regerror", *k) == 0
+        outs[tuple(k)] = capsys.readouterr().out
+    assert outs[()] == outs[("--k", "2")]
+    assert outs[()] != outs[("--k", "1")]
+
+
+def test_unreachable_cyclic_wait_names_its_settings(capsys):
+    # the cross deadlock needs slack 1, so slack 0 finds no cycle
+    argv = ["check", path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "0"]
+    assert run(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "verdict unreachable\nprocessed 2 constraints\n"
+    assert captured.err == (
+        "note: cyclic-wait verdict holds for --slack 0 and --max-cycle 2; "
+        "a larger value may find a cycle\n"
+    )
+
+
 def test_check_budget_exhaustion(capsys):
     code = run(
         "check",

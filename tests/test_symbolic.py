@@ -12,12 +12,14 @@ from phasercheck.symbolic import (
     canonical_constraint,
     constraint_to_text,
     entails,
+    fits,
     gap_leq,
     gap_valid,
     is_b_good,
     is_free,
     models,
     parse_constraints,
+    summary,
 )
 
 from conftest import rand_constraint, sample_model, strengthen
@@ -189,6 +191,30 @@ def test_entails_soundness_on_samples(rng):
     assert checked > 200
 
 
+def _with_cell(phi, t, p, g):
+    row = phi.gaps[t][:p] + (g,) + phi.gaps[t][p + 1 :]
+    return Constraint(phi.bv, phi.seqs, phi.gaps[:t] + (row,) + phi.gaps[t + 1 :], phi.egaps)
+
+
+def _certain_cells(phi):
+    return [
+        (t, p)
+        for t, row in enumerate(phi.gaps)
+        for p, g in enumerate(row)
+        if g.bounds is not None and not g.opt
+    ]
+
+
+def _raised(phi, d):
+    # every bound of every registered cell raised by d: sums of lower
+    # bounds then exceed what a summary field holds, so summaries clamp
+    rows = tuple(
+        tuple(g if g.bounds is None else Gap(g.var, tuple(x + d for x in g.bounds), g.opt) for g in row)
+        for row in phi.gaps
+    )
+    return Constraint(phi.bv, phi.seqs, rows, phi.egaps)
+
+
 def _pair(rng, kind):
     if kind == "no phasers":
         pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=0)
@@ -204,17 +230,54 @@ def _pair(rng, kind):
         twin = Constraint(pa.bv, pa.seqs, tuple(row * 2 for row in pa.gaps), (env, env))
         return twin, Constraint(pb.bv, pb.seqs, tuple(row + (NREG,) for row in pb.gaps), (env, (0, 0)))
     pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
-    if kind == "mixed" and rng.random() < 0.5:
-        return pa, rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
-    pb = _strengthen(rng, pa)
+    if kind in ("mixed", "large bounds") and rng.random() < 0.5:
+        pb = rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
+    else:
+        pb = _strengthen(rng, pa)
     if kind == "undominated" and pa.n_phasers:
         # one of a's environment bounds above those of every column of b
         top = max(max(e) for e in pb.egaps) + 1
         pa = Constraint(pa.bv, pa.seqs, pa.gaps, ((top, top),) + pa.egaps[1:])
+    cells = _certain_cells(pb)
+    if kind == "optional witness" and cells:
+        # one certain cell of b made optional: b loses a certain cell that
+        # a certain cell of a may have needed
+        t, p = rng.choice(cells)
+        g = pb.gaps[t][p]
+        pb = _with_cell(pb, t, p, Gap(g.var, g.bounds, True))
+    if kind == "lowered bound":
+        # one lower bound of b dropped below a's, where both cells are certain
+        certain_a = set(_certain_cells(pa))
+        cells = [
+            (t, p, i)
+            for t, p in cells
+            if (t, p) in certain_a
+            for i in (0, 1)
+            if pa.gaps[t][p].bounds[i]
+        ]
+        if cells:
+            t, p, i = rng.choice(cells)
+            g = pb.gaps[t][p]
+            bounds = list(g.bounds)
+            bounds[i] = pa.gaps[t][p].bounds[i] - 1
+            pb = _with_cell(pb, t, p, Gap(g.var, tuple(bounds)))
+    if kind == "large bounds":
+        pa, pb = _raised(pa, 40), _raised(pb, 40)
     return pa, pb
 
 
-@pytest.mark.parametrize("kind", ["mixed", "undominated", "twin columns", "no phasers"])
+KINDS = [
+    "mixed",
+    "undominated",
+    "twin columns",
+    "no phasers",
+    "optional witness",
+    "lowered bound",
+    "large bounds",
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_entails_agrees_with_every_phaser_map(kind, rng):
     # pruning phaser maps gives the answer of trying every injective map
     answers = []
@@ -226,6 +289,37 @@ def test_entails_agrees_with_every_phaser_map(kind, rng):
             assert not got
         answers.append(got)
     assert 0 < sum(answers) < len(answers)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_summaries_of_an_entailing_pair_fit(kind, rng):
+    # the summaries entails and the store compare before any phaser map
+    # are necessary: no pair the oracle accepts fails one of them
+    accepted = 0
+    for _ in range(400):
+        pa, pb = _pair(rng, kind)
+        if not entails_by_permutations(pa, pb):
+            continue
+        accepted += 1
+        sa, sb = summary(pa), summary(pb)
+        assert fits(sa[0], sb[0]), (pa, pb)
+        rows_b, cols_b = sb[1 : 1 + pb.n_tasks], sb[1 + pb.n_tasks :]
+        for ra in sa[1 : 1 + pa.n_tasks]:
+            assert any(fits(ra, rb) for rb in rows_b), (pa, pb)
+        for ca in sa[1 + pa.n_tasks :]:
+            assert any(fits(ca, cb) for cb in cols_b), (pa, pb)
+    assert accepted > 20
+
+
+def test_summary_counts_and_clamps():
+    certain = Gap(ANY, (40, 2, 45, 3))
+    phi = Constraint((), (None, None), ((certain, NREG), (OPT_FREE, certain)), ((0, 0), (0, 0)))
+    total, row0, row1, col0, col1 = summary(phi)
+    # fields, high to low: lw sum, ls sum, finite, unregistered, certain
+    assert row0 == (31 << 24) | (2 << 18) | (1 << 12) | (1 << 6) | 1
+    assert row1 == col0 == (31 << 24) | (2 << 18) | (1 << 12) | 1
+    assert col1 == row0 and total == ((31 << 24 | 4 << 18 | 2 << 12 | 1 << 6 | 2) << 12) | (2 << 6) | 2
+    assert fits(row1, row0) and not fits(row0, row1)
 
 
 def test_entails_absorbs_env_compatible_extra_rows(rng):
