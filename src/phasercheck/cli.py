@@ -32,13 +32,12 @@ from .engine import (
     Unreachable,
     Unrestricted,
     check,
-    static_phaser_bound,
     validate_trace,
 )
 from .parser import ParseError, natural, parse
 from .pre import AtomicUnsupported
 from .symbolic import constraint_to_text, parse_constraints
-from .syntax import NewPhaser, validate, walk
+from .syntax import validate
 from .targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -76,10 +75,6 @@ def _load_program(path: str, check: bool = True):
         raise SystemExit(EXIT_USAGE)
 
 
-def _static_phaser_count(program) -> int:
-    return sum(isinstance(s, NewPhaser) for t in program.tasks for s, _ in walk(t.body))
-
-
 def cmd_parse(args) -> int:
     program = _load_program(args.file, check=False)
     diags = validate(program)
@@ -91,7 +86,7 @@ def cmd_parse(args) -> int:
     print(
         f"ok: {len(program.tasks)} tasks, "
         f"{len(program.bool_vars)} booleans, "
-        f"{_static_phaser_count(program)} phaser creation sites"
+        f"{program.phaser_sites()} phaser creation sites"
     )
     return 0
 
@@ -154,24 +149,20 @@ def _load_targets(args, program) -> list:
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     targets = _load_targets(args, program)
+
+    def note(text):
+        # with --progress, stderr stays one JSON event per line
+        event = json.dumps({"event": "note", "text": text})
+        print(event if args.progress else f"note: {text}", file=sys.stderr, flush=True)
+
     if not targets:
         print("verdict unreachable")
-        print("note: no target constraints for this property", file=sys.stderr)
+        note("no target constraints for this property")
         return EXIT_UNREACHABLE
-    k = args.k
-    if k is None:
-        # the static bound counts phasers of every spawned copy of a task,
-        # so k never prunes on a bounded program; creation sites serve
-        # only when the bound is infinite
-        bound = static_phaser_bound(program)
-        k = max(
-            [phi.n_phasers for phi in targets]
-            + [_static_phaser_count(program) if bound is None else bound]
-        )
     if args.mode == "control":
-        strategy = ControlReachability(k=k)
+        strategy = ControlReachability(k=args.k)
     elif args.mode == "plain":
-        strategy = PlainReachability(k=k, b=args.b)
+        strategy = PlainReachability(k=args.k, b=args.b)
     else:
         strategy = Unrestricted(budget=args.budget)
 
@@ -189,10 +180,9 @@ def cmd_check(args) -> int:
         print("verdict unreachable")
         print(f"processed {result.processed} constraints")
         if args.property == "cyclic-wait":
-            print(
-                f"note: cyclic-wait verdict holds for --slack {args.slack} "
-                f"and --max-cycle {args.max_cycle}; a larger value may find a cycle",
-                file=sys.stderr,
+            note(
+                f"cyclic-wait verdict holds for --slack {args.slack} "
+                f"and --max-cycle {args.max_cycle}; a larger value may find a cycle"
             )
         return EXIT_UNREACHABLE
     if isinstance(result, BudgetExhausted):

@@ -17,12 +17,17 @@ Strategies make the run terminate:
   over more than ``k`` phasers or that are not ``b``-good.
 * unrestricted: no pruning, but gives up after a budget of processed
   constraints with a distinct inconclusive verdict.
+
+Every strategy also drops constraints over more tasks or phasers than
+any run has (``static_bounds``).  ``k=None`` leaves ``k`` to ``check``:
+the widest target or the larger phaser bound, so ``k`` never prunes a
+program with a finite bound; else the number of ``newPhaser`` sites.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .concrete import Configuration, initial_config, successors
 from .control import start_distances
@@ -43,12 +48,12 @@ from .syntax import Asynch, NewPhaser, walk
 
 @dataclass(frozen=True)
 class ControlReachability:
-    k: int
+    k: int | None  # None: inferred by ``check``
 
 
 @dataclass(frozen=True)
 class PlainReachability:
-    k: int
+    k: int | None  # None: inferred by ``check``
     b: int
 
 
@@ -82,47 +87,45 @@ class BudgetExhausted:
     processed: int
 
 
-def _static_count(program, kind):
-    """Upper bound on the ``kind`` statements (Asynch or NewPhaser) any run
-    executes, counting those of spawned tasks, or None if unbounded (a
-    counted site under a loop, or recursive spawning)."""
-    memo = {}
-    active = set()
+def instance_counts(program) -> dict:
+    """Upper bound on the instances of each task type that any run
+    spawns, for every type ``main`` reaches: ``main`` counts 1, and a type
+    is None (unbounded) when it is spawned under a loop, by recursion or
+    by an unbounded type."""
+    spawners = {"main": []}  # type -> (spawning type, looped) per asynch site
+    reached = ["main"]
+    for name in reached:  # grows as the walk meets new types
+        for s, looped in walk(program.task(name).body):
+            if isinstance(s, Asynch):
+                if s.task not in spawners:
+                    spawners[s.task] = []
+                    reached.append(s.task)
+                spawners[s.task].append((name, looped))
+    counts = {}
 
-    def total(name):
-        if name in active:
-            return None  # recursive spawning
-        if name not in memo:
-            active.add(name)
-            n = 0
-            for s, looped in walk(program.task(name).body):
-                k = int(isinstance(s, kind))
-                if isinstance(s, Asynch):
-                    sub = total(s.task)
-                    if sub is None:
-                        return None  # unbounded all the way to the root
-                    k += sub
-                if k and looped:
-                    return None
-                n += k
-            active.discard(name)
-            memo[name] = n
-        return memo[name]
+    def count(name):
+        if name not in counts:
+            counts[name] = None  # what a spawn cycle through ``name`` reads
+            ns = [None if looped else count(u) for u, looped in spawners[name]]
+            counts[name] = None if None in ns else int(name == "main") + sum(ns)
+        return counts[name]
 
-    return total("main")
+    return {name: count(name) for name in reached}
 
 
-def static_task_bound(program):
-    """Upper bound on concurrently existing tasks, or None if unbounded
-    (spawn sites under loops, or recursive spawning)."""
-    spawns = _static_count(program, Asynch)
-    return None if spawns is None else spawns + 1
-
-
-def static_phaser_bound(program):
-    """Upper bound on phasers any run can create (columns never disappear),
-    or None if unbounded (creation sites under loops or recursion)."""
-    return _static_count(program, NewPhaser)
+def static_bounds(program) -> tuple:
+    """(tasks, phasers): upper bounds on the tasks that exist at once and
+    on the phasers any run creates (columns never disappear), each None
+    when unbounded.  A creation site counts once per instance of its
+    type, and is unbounded under a loop."""
+    counts = instance_counts(program)
+    sites = [
+        None if looped else counts[name]
+        for name in counts
+        for s, looped in walk(program.task(name).body)
+        if isinstance(s, NewPhaser)
+    ]
+    return tuple(None if None in ns else sum(ns) for ns in (list(counts.values()), sites))
 
 
 def _keep(strategy, phi: Constraint) -> bool:
@@ -152,14 +155,17 @@ def check(program, targets, strategy, progress=None):
         raise ValueError("control reachability requires free targets")
     if isinstance(strategy, PlainReachability) and not all(is_b_good(t, strategy.b) for t in targets):
         raise ValueError(f"plain reachability requires {strategy.b}-good targets")
-    wide = max((phi.n_phasers for phi in targets), default=0)
-    if not isinstance(strategy, Unrestricted) and wide > strategy.k:
-        # k would prune every predecessor of the wider targets unexplored
-        raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
+    task_bound, phaser_bound = static_bounds(program)
+    if not isinstance(strategy, Unrestricted):
+        wide = max((phi.n_phasers for phi in targets), default=0)
+        if strategy.k is None:
+            bound = program.phaser_sites() if phaser_bound is None else phaser_bound
+            strategy = replace(strategy, k=max(wide, bound))
+        elif wide > strategy.k:
+            # k would prune every predecessor of the wider targets unexplored
+            raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
     suffixes = program_suffixes(program)
     init = initial_config(program)
-    task_bound = static_task_bound(program)
-    phaser_bound = static_phaser_bound(program)
     start_dist = start_distances(program)
 
     def within_static(phi: Constraint) -> bool:
@@ -267,8 +273,8 @@ def check(program, targets, strategy, progress=None):
         if models(init, phi):
             return Reachable(trace_from(phi))
         # predecessors are filtered before pre canonicalizes them, cheapest
-        # test first: the strategy's k/b pruning, then the static task and
-        # phaser bounds, then entailment by the popped constraint itself,
+        # test first: the static task and phaser bounds, then the strategy's
+        # k/b pruning, then entailment by the popped constraint itself,
         # which covers most environment-role predecessors.  Each test is
         # invariant under renaming rows and columns, so the survivors are
         # those that filtering the canonical predecessors would keep.
@@ -277,8 +283,8 @@ def check(program, targets, strategy, progress=None):
                 phi,
                 program,
                 suffixes,
-                keep=lambda psi: _keep(strategy, psi)
-                and within_static(psi)
+                keep=lambda psi: within_static(psi)
+                and _keep(strategy, psi)
                 and not entails(phi, psi),
             ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),

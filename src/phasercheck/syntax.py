@@ -321,6 +321,9 @@ class Program:
     def is_atomic(self) -> bool:
         return any(isinstance(s, NextBlock) for t in self.tasks for s, _ in walk(t.body))
 
+    def phaser_sites(self) -> int:
+        return sum(isinstance(s, NewPhaser) for t in self.tasks for s, _ in walk(t.body))
+
     def uses_modes(self) -> bool:
         """True when any registration deviates from full SIG_WAIT."""
         modes = [m for t in self.tasks for m in t.modes]

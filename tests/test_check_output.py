@@ -10,6 +10,7 @@ output re-records it on purpose with
 import contextlib
 import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,13 @@ def run_cell(prog, prop, reachable) -> dict:
 
 def _name(cell) -> str:
     return f"{cell[0]} {cell[1]}"
+
+
+def test_cells_are_the_benchmark_cells():
+    # the golden record gates exactly the cells the benchmark runs
+    verdicts = runpy.run_path(str(HERE.parent / "bench" / "expected.py"))["VERDICTS"]
+    assert len(CELLS) == len(verdicts)
+    assert {(p, q): ("unreachable", "reachable")[r] for p, q, r in CELLS} == verdicts
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=[_name(c) for c in CELLS])

@@ -334,10 +334,27 @@ def test_check_rejects_barrier_blocks(capsys):
 
 
 def test_check_progress_stream_is_ndjson(capsys):
-    assert run("check", path("drop_then_wait"), "--property", "regerror", "--progress") == 1
-    err = capsys.readouterr().err
-    events = [json.loads(ln) for ln in err.splitlines() if ln.strip()]
-    assert events and all(e["event"] == "pop" for e in events)
+    # notes are events too, so a line-by-line JSON reader reads all of
+    # stderr; stdout does not change
+    cyclic = (
+        "cyclic-wait verdict holds for --slack 0 and --max-cycle 2; "
+        "a larger value may find a cycle"
+    )
+    for argv, code, note in [
+        (["drop_then_wait", "--property", "regerror"], 1, None),
+        (["cross_deadlock", "--property", "cyclic-wait", "--slack", "0"], 0, cyclic),
+        (["sigwait_ok", "--property", "assert"], 0, "no target constraints for this property"),
+    ]:
+        argv = ["check", path(argv[0]), *argv[1:]]
+        assert run(*argv) == code
+        plain = capsys.readouterr()
+        assert run(*argv, "--progress") == code
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        events = [json.loads(ln) for ln in captured.err.splitlines()]
+        pops = [e for e in events if e["event"] == "pop"]
+        assert events and events == pops + [{"event": "note", "text": note}] * (note is not None)
+        assert plain.err == ("" if note is None else f"note: {note}\n")
 
 
 # ---------------------------------------------------------------------------

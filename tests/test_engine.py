@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from phasercheck.concrete import initial_config
+from phasercheck.concrete import Bounds, explore, initial_config
 from phasercheck.engine import (
     BudgetExhausted,
     ControlReachability,
@@ -13,8 +13,8 @@ from phasercheck.engine import (
     Unreachable,
     Unrestricted,
     check,
-    static_phaser_bound,
-    static_task_bound,
+    instance_counts,
+    static_bounds,
     validate_trace,
 )
 from phasercheck.parser import parse
@@ -26,7 +26,7 @@ from phasercheck.targets import (
     registration_error_targets,
 )
 
-from conftest import load
+from conftest import FINITE_PROGRAMS, load
 
 BUILDERS = {
     "assert": assertion_targets,
@@ -121,22 +121,64 @@ def test_unrestricted_finds_immediate_violation():
 
 
 def test_static_task_bound():
-    assert static_task_bound(load("sigwait_ok")) == 1
-    assert static_task_bound(load("cross_deadlock")) == 2
-    assert static_task_bound(load("chain_spawn")) == 3
-    assert static_task_bound(load("producer_consumer_sw")) == 3
-    assert static_task_bound(load("minsky_chain")) is None
+    assert static_bounds(load("sigwait_ok"))[0] == 1
+    assert static_bounds(load("cross_deadlock"))[0] == 2
+    assert static_bounds(load("chain_spawn"))[0] == 3
+    assert static_bounds(load("producer_consumer_sw"))[0] == 3
+    assert static_bounds(load("minsky_chain"))[0] is None
     recursive = parse("main(){ asynch(Loop); } Loop(){ asynch(Loop); }")
-    assert static_task_bound(recursive) is None
+    assert static_bounds(recursive)[0] is None
+    assert instance_counts(recursive) == {"main": 1, "Loop": None}
 
 
 def test_static_phaser_bound():
-    assert static_phaser_bound(load("sigwait_ok")) == 1
-    assert static_phaser_bound(load("cross_deadlock")) == 2
-    assert static_phaser_bound(load("chain_spawn")) == 2
-    assert static_phaser_bound(load("minsky_chain")) == 1
+    assert static_bounds(load("sigwait_ok"))[1] == 1
+    assert static_bounds(load("cross_deadlock"))[1] == 2
+    assert static_bounds(load("chain_spawn"))[1] == 2
+    assert static_bounds(load("minsky_chain"))[1] == 1
     looped = parse("main(){ while(ndet()){ p = newPhaser(); drop(p); } }")
-    assert static_phaser_bound(looped) is None
+    assert static_bounds(looped)[1] is None
+    # the unbounded recursion creates no phaser, so main's one site bounds it
+    recursive = parse("main(){ p = newPhaser(); asynch(Loop); } Loop(){ asynch(Loop); }")
+    assert static_bounds(recursive) == (None, 1)
+    spawned_in_recursion = parse(
+        "main(){ asynch(Loop); } Loop(){ p = newPhaser(); drop(p); asynch(Loop); }"
+    )
+    assert static_bounds(spawned_in_recursion) == (None, None)
+
+
+def _largest(program, bounds):
+    res = explore(program, bounds)
+    assert res.exhausted  # no bound cut a configuration short
+    return len(res.configs), (
+        max(c.n_tasks for c in res.configs),
+        max(c.n_phasers for c in res.configs),
+    )
+
+
+@pytest.mark.parametrize("name", FINITE_PROGRAMS)
+def test_static_bounds_are_reached_by_the_explorer(name):
+    # exact, not just sound: some configuration has as many tasks and
+    # phasers as the bounds allow, so an off-by-one either way fails
+    program = load(name)
+    bounds = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
+    assert _largest(program, bounds)[1] == static_bounds(program)
+
+
+# main spawns W twice, and every W spawns an X: one site per type, but
+# five tasks and two phasers at once
+SPAWNED_TWICE = """
+main(){ asynch(W); asynch(W); }
+W(){ q = newPhaser(); asynch(X, q); signal(q); wait(q); signal(q); wait(q); drop(q); }
+X(q){ signal(q); wait(q); signal(q); drop(q); }
+"""
+
+
+def test_instance_counts_count_every_spawned_copy():
+    program = parse(SPAWNED_TWICE)
+    assert instance_counts(program) == {"main": 1, "W": 2, "X": 2}
+    assert static_bounds(program) == (5, 2)
+    assert _largest(program, Bounds(max_tasks=5)) == (268, (5, 2))
 
 
 def test_mode_programs_are_rejected():
@@ -220,3 +262,23 @@ def test_check_keeps_no_constraint_alive():
     del targets
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+# W creates its phaser in a loop, so the phaser bound is infinite and
+# the inferred k falls back to the one creation site
+LOOPED_CREATION = """
+bool a;
+main(){ asynch(W); asynch(W); }
+W(){ while(ndet()){ q = newPhaser(); asynch(X, q); signal(q); wait(q); assert(a); drop(q); } }
+X(q){ a = true; signal(q); drop(q); }
+"""
+
+
+@pytest.mark.parametrize("strategy", [PlainReachability, ControlReachability])
+def test_k_none_falls_back_to_the_creation_sites(strategy):
+    program = parse(LOOPED_CREATION)
+    assert static_bounds(program) == (None, None)
+    targets = registration_error_targets(program)
+    extra = {"b": 1} if strategy is PlainReachability else {}
+    runs = {k: check(program, targets, strategy(k=k, **extra)) for k in (None, 1, 2)}
+    assert runs[None] == runs[1] != runs[2]
