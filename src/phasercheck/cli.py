@@ -121,9 +121,15 @@ def cmd_explore(args) -> int:
     return 0
 
 
+def _report(args, kind: str, text: str) -> None:
+    # with check --progress, stderr stays one JSON event per line
+    event = json.dumps({"event": kind, "text": text})
+    print(event if args.progress else f"{kind}: {text}", file=sys.stderr, flush=True)
+
+
 def _load_targets(args, program) -> list:
     if args.target is not None and args.property != "custom":
-        print("error: --target requires --property custom", file=sys.stderr)
+        _report(args, "error", "--target requires --property custom")
         raise SystemExit(EXIT_USAGE)
     if args.property == "assert":
         return assertion_targets(program)
@@ -133,7 +139,7 @@ def _load_targets(args, program) -> list:
         return cyclic_wait_targets(program, args.max_cycle, args.slack)
     # custom: a target file with constraints or a partial configuration
     if not args.target:
-        print("error: --property custom requires --target FILE", file=sys.stderr)
+        _report(args, "error", "--property custom requires --target FILE")
         raise SystemExit(EXIT_USAGE)
     text = _read(args.target)
     try:
@@ -149,15 +155,9 @@ def _load_targets(args, program) -> list:
 def cmd_check(args) -> int:
     program = _load_program(args.file)
     targets = _load_targets(args, program)
-
-    def note(text):
-        # with --progress, stderr stays one JSON event per line
-        event = json.dumps({"event": "note", "text": text})
-        print(event if args.progress else f"note: {text}", file=sys.stderr, flush=True)
-
     if not targets:
         print("verdict unreachable")
-        note("no target constraints for this property")
+        _report(args, "note", "no target constraints for this property")
         return EXIT_UNREACHABLE
     if args.mode == "control":
         strategy = ControlReachability(k=args.k)
@@ -173,14 +173,16 @@ def cmd_check(args) -> int:
     try:
         result = check(program, targets, strategy, progress=progress)
     except (AtomicUnsupported, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report(args, "error", str(e))
         return EXIT_USAGE
 
     if isinstance(result, Unreachable):
         print("verdict unreachable")
         print(f"processed {result.processed} constraints")
         if args.property == "cyclic-wait":
-            note(
+            _report(
+                args,
+                "note",
                 f"cyclic-wait verdict holds for --slack {args.slack} "
                 f"and --max-cycle {args.max_cycle}; a larger value may find a cycle"
             )

@@ -1,9 +1,10 @@
 """Control sequences: unrolled suffix closure and head-level unfolding.
 
-The closure starts from the suffixes of all task bodies and adds, until
+The closure of a task body starts from its suffixes and adds, until
 fixpoint, the suffixes produced by unrolling loop heads, conditional heads
-and barrier blocks.  It is finite for every program because every produced
-sequence is built from the finitely many sub-statements of the program.
+and barrier blocks.  A program's closure is the union over its bodies.  It
+is finite for every program because every produced sequence is built from
+the finitely many sub-statements of the program.
 """
 
 from __future__ import annotations
@@ -68,24 +69,30 @@ def _suffixes(seq: ControlSeq):
         yield seq[i:]
 
 
-def unrolled_suffixes(p: Program) -> tuple:
-    """The finite set of control sequences reachable at task heads, in
-    ``seq_order_key`` order."""
-    seen = set()
-    work = []
+def owners(p: Program) -> dict:
+    """Map each control sequence reachable at a task head to the frozenset
+    of task types whose own body's suffix closure contains it: a task at
+    the sequence runs the body of one of them."""
+    own = {}
     for t in p.tasks:
-        for s in _suffixes(t.body):
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    while work:
-        seq = work.pop()
-        for step in head_successors(seq):
-            for s in _suffixes(step.next_seq):
-                if s not in seen:
-                    seen.add(s)
-                    work.append(s)
-    return tuple(sorted(seen, key=seq_order_key))
+        seen = set(_suffixes(t.body))
+        work = list(seen)
+        while work:
+            seq = work.pop()
+            for step in head_successors(seq):
+                for s in _suffixes(step.next_seq):
+                    if s not in seen:
+                        seen.add(s)
+                        work.append(s)
+        for s in seen:
+            own[s] = own.get(s, frozenset()) | {t.name}
+    return own
+
+
+def unrolled_suffixes(p: Program) -> tuple:
+    """The finite set of control sequences reachable at task heads (the
+    union of the task bodies' closures), in ``seq_order_key`` order."""
+    return tuple(sorted(owners(p), key=seq_order_key))
 
 
 def start_distances(p: Program) -> dict:

@@ -19,9 +19,15 @@ Strategies make the run terminate:
   constraints with a distinct inconclusive verdict.
 
 Every strategy also drops constraints over more tasks or phasers than
-any run has (``static_bounds``).  ``k=None`` leaves ``k`` to ``check``:
-the widest target or the larger phaser bound, so ``k`` never prunes a
-program with a finite bound; else the number of ``newPhaser`` sites.
+any run has (``static_bounds``), and constraints with more rows on some
+task types' code than those types have instances (``type_bound``): in
+``main(){ asynch(W); asynch(W); }`` where each ``W`` spawns one ``X``,
+at most 1 row on ``main``'s code, 2 on ``W``'s and 2 on ``X``'s.  The
+per-type bound holds when the total is unbounded too, for ``main`` and
+every type with a finite instance count.  ``k=None`` leaves ``k`` to
+``check``: the widest target or the larger phaser bound, so ``k`` never
+prunes a program with a finite bound; else the number of ``newPhaser``
+sites.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .concrete import Configuration, initial_config, successors
-from .control import start_distances
+from .control import owners, start_distances
 from .pre import AtomicUnsupported, pre, program_suffixes
 from .symbolic import (
     Constraint,
@@ -128,6 +134,46 @@ def static_bounds(program) -> tuple:
     return tuple(None if None in ns else sum(ns) for ns in (list(counts.values()), sites))
 
 
+def type_bound(program):
+    """The per-type row bound: a predicate that is False only for
+    constraints without models.  A model maps distinct tasks to distinct
+    tracked rows, and a task at a control sequence is an instance of one
+    of the sequence's owners (``control.owners``; a ``*`` row may be an
+    instance of any type).  By Hall's condition such a map exists only
+    if, for every union ``U`` of the rows' owner sets, the rows whose
+    owners lie within ``U`` number at most the instances runs spawn of
+    ``U``'s types (``instance_counts``; 0 for a type ``main`` never
+    reaches).  Memoized on the sorted owner sets of the rows."""
+    counts = instance_counts(program)
+    own = owners(program)
+    every = frozenset(t.name for t in program.tasks)
+    memo = {}
+
+    def instances(types):
+        ns = [counts.get(t, 0) for t in types]
+        return None if None in ns else sum(ns)
+
+    def hall(key) -> bool:
+        unions = {frozenset()}
+        for o in set(key):
+            unions |= {u | o for u in unions}
+        for u in unions:
+            n = instances(u)
+            if n is not None and sum(o <= u for o in key) > n:
+                return False
+        return True
+
+    def fits_types(phi: Constraint) -> bool:
+        # a sequence no body reaches has no owner, so no task can be there
+        sets = (every if s is None else own.get(s, frozenset()) for s in phi.seqs)
+        key = tuple(sorted(sets, key=sorted))
+        if key not in memo:
+            memo[key] = hall(key)
+        return memo[key]
+
+    return fits_types
+
+
 def _keep(strategy, phi: Constraint) -> bool:
     if isinstance(strategy, ControlReachability):
         return phi.n_phasers <= strategy.k
@@ -168,12 +214,19 @@ def check(program, targets, strategy, progress=None):
     init = initial_config(program)
     start_dist = start_distances(program)
 
+    fits_types = type_bound(program)
+
     def within_static(phi: Constraint) -> bool:
-        # constraints needing more concurrent tasks or created phasers
-        # than any run of the program can have are unsatisfiable
+        # constraints needing more created phasers than any run of the
+        # program has, or more rows on some task types' code than those
+        # types have instances, are unsatisfiable; the per-type test
+        # implies the total task bound, which rejects most candidates
+        # more cheaply
         if task_bound is not None and phi.n_tasks > task_bound:
             return False
-        return phaser_bound is None or phi.n_phasers <= phaser_bound
+        if phaser_bound is not None and phi.n_phasers > phaser_bound:
+            return False
+        return fits_types(phi)
 
     def forward_work(phi: Constraint) -> int:
         # total forward control steps still separating the constraint's

@@ -334,16 +334,25 @@ def test_check_rejects_barrier_blocks(capsys):
 
 
 def test_check_progress_stream_is_ndjson(capsys):
-    # notes are events too, so a line-by-line JSON reader reads all of
-    # stderr; stdout does not change
+    # notes and errors are events too, so a line-by-line JSON reader reads
+    # all of stderr; stdout does not change
     cyclic = (
         "cyclic-wait verdict holds for --slack 0 and --max-cycle 2; "
         "a larger value may find a cycle"
     )
-    for argv, code, note in [
+    for argv, code, last in [
         (["drop_then_wait", "--property", "regerror"], 1, None),
-        (["cross_deadlock", "--property", "cyclic-wait", "--slack", "0"], 0, cyclic),
-        (["sigwait_ok", "--property", "assert"], 0, "no target constraints for this property"),
+        (["cross_deadlock", "--property", "cyclic-wait", "--slack", "0"], 0, ("note", cyclic)),
+        (
+            ["sigwait_ok", "--property", "assert"],
+            0,
+            ("note", "no target constraints for this property"),
+        ),
+        (
+            ["cross_deadlock", "--property", "cyclic-wait", "--k", "1"],
+            2,
+            ("error", "a target tracks 2 phasers, more than k=1"),
+        ),
     ]:
         argv = ["check", path(argv[0]), *argv[1:]]
         assert run(*argv) == code
@@ -353,8 +362,9 @@ def test_check_progress_stream_is_ndjson(capsys):
         assert captured.out == plain.out
         events = [json.loads(ln) for ln in captured.err.splitlines()]
         pops = [e for e in events if e["event"] == "pop"]
-        assert events and events == pops + [{"event": "note", "text": note}] * (note is not None)
-        assert plain.err == ("" if note is None else f"note: {note}\n")
+        ends = [] if last is None else [{"event": last[0], "text": last[1]}]
+        assert events and events == pops + ends
+        assert plain.err == ("" if last is None else f"{last[0]}: {last[1]}\n")
 
 
 # ---------------------------------------------------------------------------

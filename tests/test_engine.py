@@ -1,9 +1,11 @@
 import gc
 import weakref
+from random import Random
 
 import pytest
 
 from phasercheck.concrete import Bounds, explore, initial_config
+from phasercheck.control import owners
 from phasercheck.engine import (
     BudgetExhausted,
     ControlReachability,
@@ -15,11 +17,12 @@ from phasercheck.engine import (
     check,
     instance_counts,
     static_bounds,
+    type_bound,
     validate_trace,
 )
 from phasercheck.parser import parse
-from phasercheck.pre import AtomicUnsupported
-from phasercheck.symbolic import models
+from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
+from phasercheck.symbolic import Constraint, models
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -27,6 +30,7 @@ from phasercheck.targets import (
 )
 
 from conftest import FINITE_PROGRAMS, load
+from sandwich import constraint_pool
 
 BUILDERS = {
     "assert": assertion_targets,
@@ -48,16 +52,16 @@ MATRIX = [
     ("assign_chain", "assert", PLAIN, Unreachable(2)),
     ("assign_ndet", "assert", PLAIN, Reachable),
     ("assign_ndet", "assert", CTRL, Reachable),
-    ("chain_spawn", "regerr", PLAIN, Unreachable(640)),
-    ("chain_spawn", "regerr", CTRL, Unreachable(640)),
-    ("chain_spawn", "cyclic", PLAIN, Unreachable(80)),
-    ("cross_deadlock", "regerr", PLAIN, Unreachable(59)),
+    ("chain_spawn", "regerr", PLAIN, Unreachable(51)),
+    ("chain_spawn", "regerr", CTRL, Unreachable(51)),
+    ("chain_spawn", "cyclic", PLAIN, Unreachable(38)),
+    ("cross_deadlock", "regerr", PLAIN, Unreachable(38)),
     ("cross_deadlock", "cyclic", PLAIN, Reachable),
     ("drop_then_wait", "regerr", PLAIN, Reachable),
     ("drop_then_wait", "regerr", CTRL, Reachable),
     ("drop_then_wait", "cyclic", PLAIN, Unreachable(1)),
     ("minsky_chain", "assert", PLAIN, Unreachable(2)),
-    ("minsky_chain", "regerr", PLAIN, Unreachable(57)),
+    ("minsky_chain", "regerr", PLAIN, Unreachable(17)),
     ("minsky_chain", "cyclic", PLAIN, Unreachable(1)),
     ("phase_loop", "regerr", PLAIN, Unreachable(5)),
     ("phase_loop", "cyclic", PLAIN, Unreachable(2)),
@@ -179,6 +183,65 @@ def test_instance_counts_count_every_spawned_copy():
     assert instance_counts(program) == {"main": 1, "W": 2, "X": 2}
     assert static_bounds(program) == (5, 2)
     assert _largest(program, Bounds(max_tasks=5)) == (268, (5, 2))
+
+
+def test_spawned_twice_is_decided_and_agrees_with_the_explorer():
+    # each type's code holds at most as many rows as the type has
+    # instances; without that bound the cyclic-wait run found no verdict
+    # within 100 s
+    program = parse(SPAWNED_TWICE)
+    res = explore(program, Bounds(max_tasks=5))
+    assert res.exhausted and res.errors == []
+    assert check(program, cyclic_wait_targets(program), PLAIN) == Unreachable(1022)
+    assert check(program, registration_error_targets(program), PLAIN) == Unreachable(9)
+
+
+C1_BOUNDS = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
+
+
+def _with_copy_of_row(phi: Constraint, t: int) -> Constraint:
+    return Constraint(phi.bv, phi.seqs + (phi.seqs[t],), phi.gaps + (phi.gaps[t],), phi.egaps)
+
+
+# programs whose exploration is exhausted, with the bounds that exhaust it
+EXHAUSTED = {
+    "SPAWNED_TWICE": Bounds(max_tasks=5),
+    "chain_spawn": C1_BOUNDS,
+    "producer_consumer_sw": C1_BOUNDS,
+    "cross_deadlock": C1_BOUNDS,
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTED)
+def test_type_bound_is_exact(name):
+    # sound: no reached configuration models a predecessor the per-type
+    # bound rejects.  Tight: for every type, a kept predecessor that one
+    # more row on that type's own code would push over the bound is
+    # modeled, so a count one too high or one too low fails
+    program = parse(SPAWNED_TWICE) if name == "SPAWNED_TWICE" else load(name)
+    res = explore(program, EXHAUSTED[name])
+    assert res.exhausted
+    fits_types = type_bound(program)
+    own = owners(program)
+    suffixes = program_suffixes(program)
+    rejected, tight = set(), {}  # tight: type -> predecessors at its bound
+    for phi in constraint_pool(Random(7), program, 30):
+        for _, psi in pre(phi, program, suffixes):
+            if not fits_types(psi):
+                rejected.add(psi)
+                continue
+            for t, seq in enumerate(psi.seqs):
+                if seq is None or len(own[seq]) > 1:
+                    continue
+                if not fits_types(_with_copy_of_row(psi, t)):
+                    (owner,) = own[seq]
+                    tight.setdefault(owner, set()).add(psi)
+    task_bound = static_bounds(program)[0]
+    assert any(psi.n_tasks <= task_bound for psi in rejected)
+    assert not [psi for psi in rejected if any(models(c, psi) for c in res.configs)]
+    assert set(tight) == set(instance_counts(program))
+    for psis in tight.values():
+        assert any(models(c, psi) for psi in psis for c in res.configs)
 
 
 def test_mode_programs_are_rejected():
