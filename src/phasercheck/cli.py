@@ -53,30 +53,44 @@ EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
 
-def _open(path: str, mode: str = "r"):
+def _report(args, kind: str, text: str, path: str | None = None) -> None:
+    """Print a note or an error to stderr: ``KIND: TEXT``, or ``PATH:
+    TEXT`` for an error in an input file.  With check --progress, stderr
+    stays one JSON event per line, ``{"event": KIND, "text": ...}``,
+    whose text is the plain line without its ``KIND: `` tag."""
+    line = f"{path or kind}: {text}"
+    if args.progress:
+        line = json.dumps({"event": kind, "text": line if path else text})
+    print(line, file=sys.stderr, flush=True)
+
+
+def _fail(args, text: str, path: str | None = None):
+    _report(args, "error", text, path)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _open(args, path: str, mode: str = "r"):
     try:
         return open(path, mode)
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _fail(args, str(e))
 
 
-def _read(path: str) -> str:
-    with _open(path) as f:
+def _read(args, path: str) -> str:
+    with _open(args, path) as f:
         return f.read()
 
 
-def _load_program(path: str, check: bool = True):
-    text = _read(path)
+def _load_program(args, check: bool = True):
+    text = _read(args, args.file)
     try:
         return parse(text, check)
     except ParseError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _fail(args, str(e), args.file)
 
 
 def cmd_parse(args) -> int:
-    program = _load_program(args.file, check=False)
+    program = _load_program(args, check=False)
     diags = validate(program)
     for d in diags:
         print(d)
@@ -92,7 +106,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    program = _load_program(args.file)
+    program = _load_program(args)
     bounds = Bounds(
         max_steps=args.max_steps,
         max_tasks=args.max_tasks,
@@ -100,7 +114,7 @@ def cmd_explore(args) -> int:
         max_phase=args.max_phase,
     )
     # open the graph file first, so a bad path fails before exploring
-    with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
+    with nullcontext() if args.graph is None else _open(args, args.graph, "w") as graph:
         result = explore(program, bounds, record_graph=graph is not None)
         print(f"configurations: {len(result.configs)}")
         print(f"exhausted: {'yes' if result.exhausted else 'no'}")
@@ -121,16 +135,9 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def _report(args, kind: str, text: str) -> None:
-    # with check --progress, stderr stays one JSON event per line
-    event = json.dumps({"event": kind, "text": text})
-    print(event if args.progress else f"{kind}: {text}", file=sys.stderr, flush=True)
-
-
 def _load_targets(args, program) -> list:
     if args.target is not None and args.property != "custom":
-        _report(args, "error", "--target requires --property custom")
-        raise SystemExit(EXIT_USAGE)
+        _fail(args, "--target requires --property custom")
     if args.property == "assert":
         return assertion_targets(program)
     if args.property == "regerror":
@@ -139,21 +146,19 @@ def _load_targets(args, program) -> list:
         return cyclic_wait_targets(program, args.max_cycle, args.slack)
     # custom: a target file with constraints or a partial configuration
     if not args.target:
-        _report(args, "error", "--property custom requires --target FILE")
-        raise SystemExit(EXIT_USAGE)
-    text = _read(args.target)
+        _fail(args, "--property custom requires --target FILE")
+    text = _read(args, args.target)
     try:
         if "partial-config" in text.split("{", 1)[0]:
             pc = parse_partial_config(text, program.bool_vars)
             return from_partial_config(pc)
         return parse_constraints(text, program.bool_vars)
     except ValueError as e:
-        print(f"{args.target}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _fail(args, str(e), args.target)
 
 
 def cmd_check(args) -> int:
-    program = _load_program(args.file)
+    program = _load_program(args)
     targets = _load_targets(args, program)
     if not targets:
         print("verdict unreachable")
@@ -220,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="phasercheck",
         description="Reachability checker for phaser-synchronized programs",
     )
+    # only check has --progress; the others report to stderr in plain text
+    ap.set_defaults(progress=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("parse", help="parse and validate a program")

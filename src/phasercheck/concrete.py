@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .control import head_successors
+from .control import Program, head_successors
 from .syntax import (
     NO_VAR,
     SIG,
@@ -31,7 +31,6 @@ from .syntax import (
     If,
     NewPhaser,
     NextBlock,
-    Program,
     Signal,
     Stmt,
     Wait,

@@ -1,11 +1,14 @@
 """Backward reachability engine.
 
 ``check`` saturates the predecessor relation from a set of target
-constraints into one antichain store, the only place where entailment
-prunes (a stored constraint whose models cover a candidate makes the
-candidate redundant; a candidate covering stored constraints evicts
-them).  Targets and predecessors reach the store unreduced: the target
-builders return every target, and ``pre`` may repeat a predecessor.
+constraints into one antichain store (a stored constraint whose models
+cover a candidate makes the candidate redundant; a candidate covering
+stored constraints evicts them).  The store is where entailment prunes,
+with one exception: ``check``'s ``keep`` filter drops the predecessors
+that the popped constraint itself entails before they are built in
+canonical form.  Otherwise targets and predecessors reach the store
+unreduced: the target builders return every target, and ``pre`` may
+repeat a predecessor.
 Strategies make the run terminate:
 
 * control reachability: targets must be free (no finite upper bounds)
@@ -19,15 +22,15 @@ Strategies make the run terminate:
   constraints with a distinct inconclusive verdict.
 
 Every strategy also drops constraints over more tasks or phasers than
-any run has (``static_bounds``), and constraints with more rows on some
-task types' code than those types have instances (``type_bound``): in
-``main(){ asynch(W); asynch(W); }`` where each ``W`` spawns one ``X``,
-at most 1 row on ``main``'s code, 2 on ``W``'s and 2 on ``X``'s.  The
-per-type bound holds when the total is unbounded too, for ``main`` and
-every type with a finite instance count.  ``k=None`` leaves ``k`` to
-``check``: the widest target or the larger phaser bound, so ``k`` never
-prunes a program with a finite bound; else the number of ``newPhaser``
-sites.
+any run has (``Program.static_bounds``), and constraints with more rows
+on some task types' code than those types have instances
+(``type_bound``): in ``main(){ asynch(W); asynch(W); }`` where each
+``W`` spawns one ``X``, at most 1 row on ``main``'s code, 2 on ``W``'s
+and 2 on ``X``'s.  The per-type bound holds when the total is unbounded
+too, for ``main`` and every type with a finite instance count.
+``k=None`` leaves ``k`` to ``check``: the widest target or the larger
+phaser bound, so ``k`` never prunes a program with a finite bound; else
+the number of ``newPhaser`` sites.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .concrete import Configuration, initial_config, successors
-from .control import owners, start_distances
-from .pre import AtomicUnsupported, pre, program_suffixes
+from .pre import AtomicUnsupported, pre
 from .symbolic import (
     Constraint,
     constraint_order_key,
@@ -46,10 +48,7 @@ from .symbolic import (
     is_b_good,
     is_free,
     models,
-    seq_set,
-    summary,
 )
-from .syntax import Asynch, NewPhaser, walk
 
 
 @dataclass(frozen=True)
@@ -93,59 +92,18 @@ class BudgetExhausted:
     processed: int
 
 
-def instance_counts(program) -> dict:
-    """Upper bound on the instances of each task type that any run
-    spawns, for every type ``main`` reaches: ``main`` counts 1, and a type
-    is None (unbounded) when it is spawned under a loop, by recursion or
-    by an unbounded type."""
-    spawners = {"main": []}  # type -> (spawning type, looped) per asynch site
-    reached = ["main"]
-    for name in reached:  # grows as the walk meets new types
-        for s, looped in walk(program.task(name).body):
-            if isinstance(s, Asynch):
-                if s.task not in spawners:
-                    spawners[s.task] = []
-                    reached.append(s.task)
-                spawners[s.task].append((name, looped))
-    counts = {}
-
-    def count(name):
-        if name not in counts:
-            counts[name] = None  # what a spawn cycle through ``name`` reads
-            ns = [None if looped else count(u) for u, looped in spawners[name]]
-            counts[name] = None if None in ns else int(name == "main") + sum(ns)
-        return counts[name]
-
-    return {name: count(name) for name in reached}
-
-
-def static_bounds(program) -> tuple:
-    """(tasks, phasers): upper bounds on the tasks that exist at once and
-    on the phasers any run creates (columns never disappear), each None
-    when unbounded.  A creation site counts once per instance of its
-    type, and is unbounded under a loop."""
-    counts = instance_counts(program)
-    sites = [
-        None if looped else counts[name]
-        for name in counts
-        for s, looped in walk(program.task(name).body)
-        if isinstance(s, NewPhaser)
-    ]
-    return tuple(None if None in ns else sum(ns) for ns in (list(counts.values()), sites))
-
-
 def type_bound(program):
     """The per-type row bound: a predicate that is False only for
     constraints without models.  A model maps distinct tasks to distinct
     tracked rows, and a task at a control sequence is an instance of one
-    of the sequence's owners (``control.owners``; a ``*`` row may be an
+    of the sequence's owners (``Program.owners``; a ``*`` row may be an
     instance of any type).  By Hall's condition such a map exists only
     if, for every union ``U`` of the rows' owner sets, the rows whose
     owners lie within ``U`` number at most the instances runs spawn of
-    ``U``'s types (``instance_counts``; 0 for a type ``main`` never
-    reaches).  Memoized on the sorted owner sets of the rows."""
-    counts = instance_counts(program)
-    own = owners(program)
+    ``U``'s types (``Program.instance_counts``; 0 for a type ``main``
+    never reaches).  Memoized on the sorted owner sets of the rows."""
+    counts = program.instance_counts
+    own = program.owners
     every = frozenset(t.name for t in program.tasks)
     memo = {}
 
@@ -201,7 +159,7 @@ def check(program, targets, strategy, progress=None):
         raise ValueError("control reachability requires free targets")
     if isinstance(strategy, PlainReachability) and not all(is_b_good(t, strategy.b) for t in targets):
         raise ValueError(f"plain reachability requires {strategy.b}-good targets")
-    task_bound, phaser_bound = static_bounds(program)
+    task_bound, phaser_bound = program.static_bounds
     if not isinstance(strategy, Unrestricted):
         wide = max((phi.n_phasers for phi in targets), default=0)
         if strategy.k is None:
@@ -210,9 +168,8 @@ def check(program, targets, strategy, progress=None):
         elif wide > strategy.k:
             # k would prune every predecessor of the wider targets unexplored
             raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
-    suffixes = program_suffixes(program)
     init = initial_config(program)
-    start_dist = start_distances(program)
+    start_dist = program.start_distances
 
     fits_types = type_bound(program)
 
@@ -253,8 +210,8 @@ def check(program, targets, strategy, progress=None):
     buckets: dict = {}
 
     def covered(phi) -> bool:
-        sset = seq_set(phi)
-        total = summary(phi)[0]
+        sset = phi.seq_set
+        total = phi.summary[0]
         for key, items in buckets.items():
             if not key <= sset:
                 continue
@@ -276,8 +233,8 @@ def check(program, targets, strategy, progress=None):
         if phi in parents or covered(phi):
             return
         parents[phi] = parent
-        sset = seq_set(phi)
-        total = summary(phi)[0]
+        sset = phi.seq_set
+        total = phi.summary[0]
         for key, items in buckets.items():
             if not sset <= key:
                 continue
@@ -335,7 +292,6 @@ def check(program, targets, strategy, progress=None):
             pre(
                 phi,
                 program,
-                suffixes,
                 keep=lambda psi: within_static(psi)
                 and _keep(strategy, psi)
                 and not entails(phi, psi),
@@ -360,32 +316,20 @@ class TraceReport:
 
 def validate_trace(program, trace: Trace) -> TraceReport:
     """Replay a trace concretely: starting from the initial configuration,
-    each trace statement must be fireable (up to four times in a row) so
-    that some resulting configuration models the next trace constraint."""
+    each trace statement must fire once so that some resulting
+    configuration models the next trace constraint."""
     init = initial_config(program)
     if not models(init, trace.constraints[0]):
         return TraceReport(False, 0, "initial configuration does not model the first constraint")
-    frontier = [init]
+    frontier = {init}
     for i, stmt in enumerate(trace.stmts):
         target = trace.constraints[i + 1]
-        reached = []
-        seen = set()
-        layer = list(frontier)
-        for _ in range(4):
-            nxt = []
-            for c in layer:
-                for _, head, _, out in successors(c, program):
-                    if head != stmt or not isinstance(out, Configuration) or out in seen:
-                        continue
-                    seen.add(out)
-                    nxt.append(out)
-                    if models(out, target):
-                        reached.append(out)
-            if reached:
-                break
-            layer = nxt
-            if not layer:
-                break
+        reached = {
+            out
+            for c in frontier
+            for _, head, _, out in successors(c, program)
+            if head == stmt and isinstance(out, Configuration) and models(out, target)
+        }
         if not reached:
             return TraceReport(
                 False,

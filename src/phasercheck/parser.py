@@ -21,6 +21,7 @@ import re
 import shlex
 from dataclasses import dataclass
 
+from .control import Program, TaskDef
 from .syntax import (
     MODES,
     SIG_WAIT,
@@ -39,9 +40,7 @@ from .syntax import (
     Not,
     Ndet,
     Or,
-    Program,
     Signal,
-    TaskDef,
     Wait,
     While,
     seq_to_str,

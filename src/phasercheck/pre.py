@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .control import head_successors, unrolled_suffixes
+from .control import head_successors
 from .symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -330,11 +330,6 @@ def _pre_cond(phi: Constraint, program, cond, ok) -> list:
 # Driver
 
 
-# the control sequences ``pre`` steps between, in ``seq_order_key`` order;
-# ``check`` computes them once per run and passes them to every ``pre`` call
-program_suffixes = unrolled_suffixes
-
-
 def _env_materializations(phi: Constraint, post_seq) -> list:
     """Extend the constraint with a row for a previously-untracked task.
 
@@ -382,11 +377,11 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, suffixes, keep=None) -> list:
+def pre(phi: Constraint, program, keep=None) -> list:
     """All (statement, predecessor constraint) pairs over every executing
     role: each tracked task plus a fresh environment task, stepping from
-    each of the ordered ``suffixes`` (``program_suffixes(program)``) in
-    turn.  A pair may repeat; ``check``'s store drops repeats.
+    each of the ordered ``program.suffixes`` in turn.  A pair may repeat;
+    ``check``'s store drops repeats.
 
     ``keep``, when given, drops every predecessor it rejects before that
     predecessor is put into canonical form.  It must not depend on the
@@ -398,7 +393,7 @@ def pre(phi: Constraint, program, suffixes, keep=None) -> list:
         if keep is None or keep(psi):
             results.append((stmt, canonical_constraint(psi)))
 
-    for s_pre in suffixes:
+    for s_pre in program.suffixes:
         if not s_pre:
             continue
         for hs in head_successors(s_pre):

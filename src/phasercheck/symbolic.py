@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .control import seq_order_key
 from .parser import RecordFormatError, natural, read_records, record_fields, write_record
@@ -83,18 +84,38 @@ class Constraint:
     def n_phasers(self) -> int:
         return len(self.egaps)
 
+    def __hash__(self) -> int:
+        return self._hash
 
-def _constraint_hash(self) -> int:
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash((self.bv, self.seqs, self.gaps, self.egaps))
-        object.__setattr__(self, "_hash", h)
-    return h
+    @cached_property
+    def _hash(self) -> int:
+        # hashing a constraint walks every nested statement tuple; engine
+        # stores hash the same instances over and over
+        return hash((self.bv, self.seqs, self.gaps, self.egaps))
 
+    @cached_property
+    def seq_set(self) -> frozenset:
+        """The set of control sequences the constraint pins."""
+        return frozenset(s for s in self.seqs if s is not None)
 
-# hashing a constraint walks every nested statement tuple; engine stores
-# hash the same instances over and over, so cache per instance
-Constraint.__hash__ = _constraint_hash
+    @cached_property
+    def summary(self) -> tuple:
+        """Count summaries (see ``fits``): the total, then one per row,
+        then one per column.  Each counts certain cells, unregistered
+        cells and certain cells with finite uppers, and sums ``lw`` and
+        ``ls`` over certain cells; the total also carries ``n_tasks`` and
+        ``n_phasers``."""
+        rows, cols, total = [], [0] * self.n_phasers, 0
+        for row in self.gaps:
+            r = 0
+            for j, g in enumerate(row):
+                c = _cell_summary(g)
+                r = _clamped_sum(r, c)
+                cols[j] = _clamped_sum(cols[j], c)
+            rows.append(r)
+            total = _clamped_sum(total, r)
+        shape = (min(self.n_tasks, _CLAMP) << _FIELD) | min(self.n_phasers, _CLAMP)
+        return ((total << 2 * _FIELD) | shape, *rows, *cols)
 
 
 def constraint_valid(phi: Constraint) -> bool:
@@ -207,15 +228,6 @@ def gap_leq(ga: Gap, gb: Gap) -> bool:
     return lw_a <= lw_b and ls_a <= ls_b and uw_b <= uw_a and us_b <= us_a
 
 
-def seq_set(phi: Constraint):
-    """The set of control sequences ``phi`` pins, cached on ``phi``."""
-    hit = phi.__dict__.get("_seqset")
-    if hit is None:
-        hit = frozenset(s for s in phi.seqs if s is not None)
-        object.__setattr__(phi, "_seqset", hit)
-    return hit
-
-
 # A count summary packs non-negative fields into one int, one field per
 # _FIELD bits: a value clamped at _CLAMP under a guard bit.  Comparing
 # every field at once is one subtraction, because a field of ``b | _GUARDS``
@@ -260,29 +272,6 @@ def _cell_summary(g: Gap) -> int:
     )
 
 
-def summary(phi: Constraint) -> tuple:
-    """Count summaries of ``phi``, cached on ``phi``: the total, then one
-    per row, then one per column.  Each counts certain cells, unregistered
-    cells and certain cells with finite uppers, and sums ``lw`` and ``ls``
-    over certain cells; the total also carries ``n_tasks`` and
-    ``n_phasers``."""
-    hit = phi.__dict__.get("_summary")
-    if hit is None:
-        rows, cols, total = [], [0] * phi.n_phasers, 0
-        for row in phi.gaps:
-            r = 0
-            for j, g in enumerate(row):
-                c = _cell_summary(g)
-                r = _clamped_sum(r, c)
-                cols[j] = _clamped_sum(cols[j], c)
-            rows.append(r)
-            total = _clamped_sum(total, r)
-        shape = (min(phi.n_tasks, _CLAMP) << _FIELD) | min(phi.n_phasers, _CLAMP)
-        hit = ((total << 2 * _FIELD) | shape, *rows, *cols)
-        object.__setattr__(phi, "_summary", hit)
-    return hit
-
-
 def entails(pa: Constraint, pb: Constraint) -> bool:
     """True implies the models of ``pb`` are included in those of ``pa``.
 
@@ -299,9 +288,9 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
             return False
     # necessary: every concrete control sequence pinned on the a side
     # must appear among b's pinned sequences
-    if not seq_set(pa) <= seq_set(pb):
+    if not pa.seq_set <= pb.seq_set:
         return False
-    sum_a, sum_b = summary(pa), summary(pb)
+    sum_a, sum_b = pa.summary, pb.summary
     if not fits(sum_a[0], sum_b[0]):
         return False  # b has fewer rows, columns or cells of some kind
     g = _GUARDS  # the comprehensions below inline ``fits``
@@ -385,7 +374,7 @@ def constraint_order_key(phi: Constraint):
         phi.n_phasers,
         tuple(-1 if b is None else int(b) for b in phi.bv),
         tuple(
-            seq_order_key(s) if s is not None else (-1, ()) for s in phi.seqs
+            seq_order_key(s) if s is not None else (-1,) for s in phi.seqs
         ),
         tuple(tuple(_gap_key(g) for g in row) for row in phi.gaps),
         phi.egaps,
@@ -406,7 +395,7 @@ def canonical_constraint(phi: Constraint) -> Constraint:
     torder = sorted(
         range(phi.n_tasks),
         key=lambda t: (
-            seq_order_key(phi.seqs[t]) if phi.seqs[t] is not None else (-1, ()),
+            seq_order_key(phi.seqs[t]) if phi.seqs[t] is not None else (-1,),
             tuple(_gap_key(phi.gaps[t][p]) for p in porder),
             t,
         ),

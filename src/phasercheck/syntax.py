@@ -1,4 +1,5 @@
-"""AST for the phaser language: programs, tasks, statements, conditions.
+"""AST for the phaser language: statements and conditions, and ``validate``
+for programs (``control.Program`` holds the tasks).
 
 All nodes are frozen dataclasses so control sequences (tuples of statements)
 are hashable and safe to share.  ``next(v)`` never appears here: the parser
@@ -292,47 +293,6 @@ def walk(seq: ControlSeq, looped: bool = False) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# Tasks and programs
-
-
-@dataclass(frozen=True)
-class TaskDef:
-    name: str
-    params: tuple  # phaser variable names
-    modes: tuple  # declared registration mode per parameter
-    body: ControlSeq
-
-
-@dataclass(frozen=True)
-class Program:
-    bool_vars: tuple
-    tasks: tuple  # TaskDef values; "main" is one of them
-
-    def task(self, name: str) -> TaskDef:
-        for t in self.tasks:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
-    @property
-    def main(self) -> TaskDef:
-        return self.task("main")
-
-    def is_atomic(self) -> bool:
-        return any(isinstance(s, NextBlock) for t in self.tasks for s, _ in walk(t.body))
-
-    def phaser_sites(self) -> int:
-        return sum(isinstance(s, NewPhaser) for t in self.tasks for s, _ in walk(t.body))
-
-    def uses_modes(self) -> bool:
-        """True when any registration deviates from full SIG_WAIT."""
-        modes = [m for t in self.tasks for m in t.modes]
-        for t in self.tasks:
-            modes += [m for s, _ in walk(t.body) if isinstance(s, Asynch) for m in s.modes]
-        return any(m != SIG_WAIT for m in modes)
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -362,8 +322,9 @@ def _check_scopes(seq: ControlSeq, bound: frozenset, out: list, where: str) -> f
     return bound
 
 
-def validate(p: Program) -> list:
-    """Diagnostics for program-level invariants; empty list means well formed."""
+def validate(p) -> list:
+    """Diagnostics for the invariants of a ``control.Program``; empty list
+    means well formed."""
     out = []
     names = [t.name for t in p.tasks]
     for n in names:

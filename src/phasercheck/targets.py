@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 
 from .concrete import PartialConfiguration
-from .control import unrolled_suffixes
 from .parser import RecordFormatError, natural, read_records, record_fields
 from .symbolic import (
     ANY,
@@ -70,7 +69,7 @@ def _bv_from(partial: dict, bool_vars) -> tuple:
 
 def assertion_targets(program) -> list:
     out = []
-    for seq in unrolled_suffixes(program):
+    for seq in program.suffixes:
         if not seq or not isinstance(seq[0], Assert):
             continue
         for partial in _minimal_falsifying(seq[0].cond, program.bool_vars):
@@ -88,7 +87,7 @@ def assertion_targets(program) -> list:
 def registration_error_targets(program) -> list:
     out = []
     wild_bv = tuple(None for _ in program.bool_vars)
-    for seq in unrolled_suffixes(program):
+    for seq in program.suffixes:
         if not seq:
             continue
         head = seq[0]
@@ -114,7 +113,7 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
     """Wait cycles of lengths 1..max_cycle.  Task i waits on phaser i with
     its wait value at the level; task i+1 (mod the cycle length) holds a
     signal on phaser i at that same level, falsifying the guard."""
-    wait_suffixes = [s for s in unrolled_suffixes(program) if s and isinstance(s[0], Wait)]
+    wait_suffixes = [s for s in program.suffixes if s and isinstance(s[0], Wait)]
     wild_bv = tuple(None for _ in program.bool_vars)
     out = []
     for m in range(1, max_cycle + 1):

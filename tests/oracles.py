@@ -5,13 +5,12 @@ import itertools
 
 from phasercheck.concrete import Configuration, PartialConfiguration, Reg
 from phasercheck.parser import write_record
-from phasercheck.pre import pre, program_suffixes
+from phasercheck.pre import pre
 from phasercheck.symbolic import (
     Constraint,
     entails,
     gap_leq,
     is_free,
-    seq_set,
 )
 from phasercheck.syntax import ANY, NO_VAR
 
@@ -218,7 +217,7 @@ def entails_by_permutations(pa: Constraint, pb: Constraint) -> bool:
         return False
     # necessary: every concrete control sequence pinned on the a side
     # must appear among b's pinned sequences
-    if not seq_set(pa) <= seq_set(pb):
+    if not pa.seq_set <= pb.seq_set:
         return False
     for pi_sel in itertools.permutations(range(n_pb), n_pa):
         if any(
@@ -280,7 +279,7 @@ def preserves_freeness_check(phi: Constraint, program) -> list:
     """For a free constraint, return the non-free predecessor constraints
     produced by ``pre`` (expected empty: backward steps keep freeness)."""
     assert is_free(phi)
-    preds = pre(phi, program, program_suffixes(program))
+    preds = pre(phi, program)
     return [(stmt, psi) for stmt, psi in preds if not is_free(psi)]
 
 

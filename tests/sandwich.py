@@ -18,7 +18,7 @@ from phasercheck.concrete import (
     explore,
     step_choices,
 )
-from phasercheck.pre import pre, program_suffixes
+from phasercheck.pre import pre
 from phasercheck.symbolic import NO_VAR, models
 from phasercheck.syntax import Drop, NewPhaser, Signal, Wait
 from phasercheck.targets import (
@@ -32,12 +32,12 @@ from oracles import minimize
 
 
 def seq_pool_of(program):
-    return sorted(program_suffixes(program), key=lambda s: tuple(map(str, s)))
+    return sorted(program.suffixes, key=lambda s: tuple(map(str, s)))
 
 
 def phaser_vars_of(program):
     vars_ = set()
-    for seq in program_suffixes(program):
+    for seq in program.suffixes:
         if seq and isinstance(seq[0], (Signal, Wait, Drop, NewPhaser)):
             vars_.add(seq[0].var)
     return sorted(vars_) or ["p"]
@@ -69,7 +69,7 @@ def constraint_pool(rng, program, n_random, max_tasks=2, max_phasers=2):
 
 def _preds_by_stmt(phi, program):
     preds = {}
-    for stmt, psi in pre(phi, program, program_suffixes(program)):
+    for stmt, psi in pre(phi, program):
         preds.setdefault(str(stmt), []).append(psi)
     return preds
 
@@ -114,7 +114,7 @@ def one_step_usefulness_violations(rng, program, phi, samples=2):
     nb = len(program.bool_vars)
     violations = []
     checked = 0
-    for stmt, psi in pre(phi, program, program_suffixes(program)):
+    for stmt, psi in pre(phi, program):
         for _ in range(samples):
             c = sample_model(rng, psi, seq_pool, bool_count=nb)
             if c is None:

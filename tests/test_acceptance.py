@@ -31,7 +31,7 @@ from phasercheck.engine import (
     validate_trace,
 )
 from phasercheck.parser import parse_seq
-from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
+from phasercheck.pre import AtomicUnsupported, pre
 from phasercheck.symbolic import entails, models
 from phasercheck.targets import (
     assertion_targets,
@@ -276,7 +276,7 @@ def test_c3_pre_sandwich(report):
                         cover_violations.extend((name,) + x for x in v)
                         edges_checked += covered
             for phi in pool[:30]:
-                for stmt, _ in pre(phi, program, program_suffixes(program)):
+                for stmt, _ in pre(phi, program):
                     kinds.add(type(stmt).__name__)
                 v, n = one_step_usefulness_violations(rng, program, phi, samples=1)
                 useful_violations.extend((name, seed) + tuple(map(str, x)) for x in v)
@@ -357,7 +357,7 @@ def test_c5_freeness_preservation(report):
                 if viols:
                     fired.append((name, phi, viols[:2]))
                     continue
-                nxt.extend(psi for _, psi in pre(phi, program, program_suffixes(program)))
+                nxt.extend(psi for _, psi in pre(phi, program))
             frontier = nxt
     report(
         "freeness-preservation",

@@ -333,28 +333,42 @@ def test_check_rejects_barrier_blocks(capsys):
     assert "barrier" in capsys.readouterr().err
 
 
-def test_check_progress_stream_is_ndjson(capsys):
+def test_check_progress_stream_is_ndjson(tmp_path, capsys):
     # notes and errors are events too, so a line-by-line JSON reader reads
-    # all of stderr; stdout does not change
-    cyclic = (
-        "cyclic-wait verdict holds for --slack 0 and --max-cycle 2; "
-        "a larger value may find a cycle"
-    )
+    # all of stderr; stdout does not change.  The event text is the plain
+    # line without its "note: " or "error: " tag
+    bad_program = tmp_path / "bad.phz"
+    bad_program.write_text("main(){ signal(p) }")  # missing semicolon
+    bad_target = tmp_path / "bad.txt"
+    bad_target.write_text("not a constraint\n")
+    missing = str(tmp_path / "missing.phz")
     for argv, code, last in [
-        (["drop_then_wait", "--property", "regerror"], 1, None),
-        (["cross_deadlock", "--property", "cyclic-wait", "--slack", "0"], 0, ("note", cyclic)),
+        ([path("drop_then_wait"), "--property", "regerror"], 1, None),
         (
-            ["sigwait_ok", "--property", "assert"],
+            [path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "0"],
             0,
-            ("note", "no target constraints for this property"),
+            "note: cyclic-wait verdict holds for --slack 0 and --max-cycle 2; "
+            "a larger value may find a cycle",
         ),
         (
-            ["cross_deadlock", "--property", "cyclic-wait", "--k", "1"],
+            [path("sigwait_ok"), "--property", "assert"],
+            0,
+            "note: no target constraints for this property",
+        ),
+        (
+            [path("cross_deadlock"), "--property", "cyclic-wait", "--k", "1"],
             2,
-            ("error", "a target tracks 2 phasers, more than k=1"),
+            "error: a target tracks 2 phasers, more than k=1",
+        ),
+        ([missing], 2, f"error: [Errno 2] No such file or directory: '{missing}'"),
+        ([str(bad_program)], 2, f"{bad_program}: 1:19: expected ';', found '}}'"),
+        (
+            [path("assert_fail"), "--property", "custom", "--target", str(bad_target)],
+            2,
+            f"{bad_target}: line 1: expected 'constraint {{', found 'not a constraint'",
         ),
     ]:
-        argv = ["check", path(argv[0]), *argv[1:]]
+        argv = ["check", *argv]
         assert run(*argv) == code
         plain = capsys.readouterr()
         assert run(*argv, "--progress") == code
@@ -362,9 +376,12 @@ def test_check_progress_stream_is_ndjson(capsys):
         assert captured.out == plain.out
         events = [json.loads(ln) for ln in captured.err.splitlines()]
         pops = [e for e in events if e["event"] == "pop"]
-        ends = [] if last is None else [{"event": last[0], "text": last[1]}]
+        ends = []
+        if last is not None:
+            kind = "note" if last.startswith("note: ") else "error"
+            ends = [{"event": kind, "text": last.removeprefix(f"{kind}: ")}]
         assert events and events == pops + ends
-        assert plain.err == ("" if last is None else f"{last[0]}: {last[1]}\n")
+        assert plain.err == ("" if last is None else f"{last}\n")
 
 
 # ---------------------------------------------------------------------------

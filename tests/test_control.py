@@ -1,4 +1,4 @@
-from phasercheck.control import head_successors, unrolled_suffixes
+from phasercheck.control import head_successors
 from phasercheck.parser import parse, parse_seq
 from phasercheck.syntax import NextBlock, Signal, Wait
 
@@ -49,7 +49,7 @@ def test_unrolled_suffixes_closed_under_steps():
         "bool a; main(){ q = newPhaser(); while(ndet()){ signal(q); "
         "if(a){ wait(q); } } drop(q); }"
     )
-    suff = unrolled_suffixes(p)
+    suff = p.suffixes
     for seq in suff:
         for step in head_successors(seq):
             assert step.next_seq in suff
@@ -60,5 +60,5 @@ def test_unrolled_suffixes_finite_for_nested_loops():
         "main(){ q = newPhaser(); while(ndet()){ while(ndet()){ signal(q); } "
         "wait(q); } drop(q); }"
     )
-    suff = unrolled_suffixes(p)
+    suff = p.suffixes
     assert 0 < len(suff) < 200

@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from phasercheck.concrete import Bounds, explore, initial_config
-from phasercheck.control import owners
 from phasercheck.engine import (
     BudgetExhausted,
     ControlReachability,
@@ -15,13 +14,11 @@ from phasercheck.engine import (
     Unreachable,
     Unrestricted,
     check,
-    instance_counts,
-    static_bounds,
     type_bound,
     validate_trace,
 )
 from phasercheck.parser import parse
-from phasercheck.pre import AtomicUnsupported, pre, program_suffixes
+from phasercheck.pre import AtomicUnsupported, pre
 from phasercheck.symbolic import Constraint, models
 from phasercheck.targets import (
     assertion_targets,
@@ -109,6 +106,21 @@ def test_replay_rejects_a_broken_witness():
     assert validate_trace(program, late).failed_stage == 0
 
 
+def test_replay_fires_each_statement_once():
+    # a trace step is one firing of its statement: with two signal(p)
+    # steps collapsed into one, no single firing reaches the next constraint
+    program = parse("main(){ p = newPhaser(); signal(p); signal(p); drop(p); signal(p); }")
+    trace = check(program, registration_error_targets(program), PLAIN).trace
+    assert [str(s) for s in trace.stmts] == [
+        "p = newPhaser();", "signal(p);", "signal(p);", "drop(p);"
+    ]
+    assert validate_trace(program, trace).ok
+    collapsed = Trace(
+        trace.constraints[:2] + trace.constraints[3:], trace.stmts[:1] + trace.stmts[2:]
+    )
+    assert validate_trace(program, collapsed).failed_stage == 2
+
+
 def test_unrestricted_budget_exhaustion():
     program = load("minsky_chain")
     targets = registration_error_targets(program)
@@ -125,30 +137,30 @@ def test_unrestricted_finds_immediate_violation():
 
 
 def test_static_task_bound():
-    assert static_bounds(load("sigwait_ok"))[0] == 1
-    assert static_bounds(load("cross_deadlock"))[0] == 2
-    assert static_bounds(load("chain_spawn"))[0] == 3
-    assert static_bounds(load("producer_consumer_sw"))[0] == 3
-    assert static_bounds(load("minsky_chain"))[0] is None
+    assert load("sigwait_ok").static_bounds[0] == 1
+    assert load("cross_deadlock").static_bounds[0] == 2
+    assert load("chain_spawn").static_bounds[0] == 3
+    assert load("producer_consumer_sw").static_bounds[0] == 3
+    assert load("minsky_chain").static_bounds[0] is None
     recursive = parse("main(){ asynch(Loop); } Loop(){ asynch(Loop); }")
-    assert static_bounds(recursive)[0] is None
-    assert instance_counts(recursive) == {"main": 1, "Loop": None}
+    assert recursive.static_bounds[0] is None
+    assert recursive.instance_counts == {"main": 1, "Loop": None}
 
 
 def test_static_phaser_bound():
-    assert static_bounds(load("sigwait_ok"))[1] == 1
-    assert static_bounds(load("cross_deadlock"))[1] == 2
-    assert static_bounds(load("chain_spawn"))[1] == 2
-    assert static_bounds(load("minsky_chain"))[1] == 1
+    assert load("sigwait_ok").static_bounds[1] == 1
+    assert load("cross_deadlock").static_bounds[1] == 2
+    assert load("chain_spawn").static_bounds[1] == 2
+    assert load("minsky_chain").static_bounds[1] == 1
     looped = parse("main(){ while(ndet()){ p = newPhaser(); drop(p); } }")
-    assert static_bounds(looped)[1] is None
+    assert looped.static_bounds[1] is None
     # the unbounded recursion creates no phaser, so main's one site bounds it
     recursive = parse("main(){ p = newPhaser(); asynch(Loop); } Loop(){ asynch(Loop); }")
-    assert static_bounds(recursive) == (None, 1)
+    assert recursive.static_bounds == (None, 1)
     spawned_in_recursion = parse(
         "main(){ asynch(Loop); } Loop(){ p = newPhaser(); drop(p); asynch(Loop); }"
     )
-    assert static_bounds(spawned_in_recursion) == (None, None)
+    assert spawned_in_recursion.static_bounds == (None, None)
 
 
 def _largest(program, bounds):
@@ -166,7 +178,7 @@ def test_static_bounds_are_reached_by_the_explorer(name):
     # phasers as the bounds allow, so an off-by-one either way fails
     program = load(name)
     bounds = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
-    assert _largest(program, bounds)[1] == static_bounds(program)
+    assert _largest(program, bounds)[1] == program.static_bounds
 
 
 # main spawns W twice, and every W spawns an X: one site per type, but
@@ -180,8 +192,8 @@ X(q){ signal(q); wait(q); signal(q); drop(q); }
 
 def test_instance_counts_count_every_spawned_copy():
     program = parse(SPAWNED_TWICE)
-    assert instance_counts(program) == {"main": 1, "W": 2, "X": 2}
-    assert static_bounds(program) == (5, 2)
+    assert program.instance_counts == {"main": 1, "W": 2, "X": 2}
+    assert program.static_bounds == (5, 2)
     assert _largest(program, Bounds(max_tasks=5)) == (268, (5, 2))
 
 
@@ -222,11 +234,10 @@ def test_type_bound_is_exact(name):
     res = explore(program, EXHAUSTED[name])
     assert res.exhausted
     fits_types = type_bound(program)
-    own = owners(program)
-    suffixes = program_suffixes(program)
+    own = program.owners
     rejected, tight = set(), {}  # tight: type -> predecessors at its bound
     for phi in constraint_pool(Random(7), program, 30):
-        for _, psi in pre(phi, program, suffixes):
+        for _, psi in pre(phi, program):
             if not fits_types(psi):
                 rejected.add(psi)
                 continue
@@ -236,10 +247,10 @@ def test_type_bound_is_exact(name):
                 if not fits_types(_with_copy_of_row(psi, t)):
                     (owner,) = own[seq]
                     tight.setdefault(owner, set()).add(psi)
-    task_bound = static_bounds(program)[0]
+    task_bound = program.static_bounds[0]
     assert any(psi.n_tasks <= task_bound for psi in rejected)
     assert not [psi for psi in rejected if any(models(c, psi) for c in res.configs)]
-    assert set(tight) == set(instance_counts(program))
+    assert set(tight) == set(program.instance_counts)
     for psis in tight.values():
         assert any(models(c, psi) for psi in psis for c in res.configs)
 
@@ -340,7 +351,7 @@ X(q){ a = true; signal(q); drop(q); }
 @pytest.mark.parametrize("strategy", [PlainReachability, ControlReachability])
 def test_k_none_falls_back_to_the_creation_sites(strategy):
     program = parse(LOOPED_CREATION)
-    assert static_bounds(program) == (None, None)
+    assert program.static_bounds == (None, None)
     targets = registration_error_targets(program)
     extra = {"b": 1} if strategy is PlainReachability else {}
     runs = {k: check(program, targets, strategy(k=k, **extra)) for k in (None, 1, 2)}

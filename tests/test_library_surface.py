@@ -3,7 +3,8 @@ top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
 statement.  Test-only reference code lives in
 ``tests/oracles.py``.  No module imports another's underscore-prefixed
-name.  Test modules read every name they import."""
+name, and no module-level state is mutated or patched.  Test modules
+read every name they import."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,101 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and node.level:
                 private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+# methods that change a list, dict or set in place
+MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop",
+    "popitem", "remove", "reverse", "setdefault", "sort", "update",
+}
+
+
+def _mutations(tree) -> list:
+    """Lines of ``tree`` that change module-level state: a function that
+    declares ``global`` or stores into, or calls a mutating method on, a
+    module-level name it does not bind itself, and a top-level statement
+    that assigns an attribute (patching a class or module)."""
+    module = set()
+    for top in tree.body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            module |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    found = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found += [
+                node.lineno
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            ]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        bound |= {
+            n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        shared = module - bound
+
+        def is_shared(node):
+            return isinstance(node, ast.Name) and node.id in shared
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                found.append(node.lineno)
+            elif isinstance(node, (ast.Subscript, ast.Attribute)):
+                if not isinstance(node.ctx, ast.Load) and is_shared(node.value):
+                    found.append(node.lineno)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATORS and is_shared(node.func.value):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_module_level_state_is_mutated_or_patched():
+    found = []
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        found += [f"{path.stem}:{n}: {lines[n - 1].strip()}" for n in _mutations(ast.parse(text))]
+    assert found == []
+
+
+def test_the_mutation_scan_sees_each_kind_of_store():
+    src = """
+CACHE = {}
+SEEN = []
+COUNT = 0
+
+
+def memo(k):
+    CACHE[k] = 1
+
+
+def grow(x):
+    SEEN.append(x)
+
+
+def bump():
+    global COUNT
+    COUNT += 1
+
+
+def local_only(CACHE):
+    CACHE[0] = 1
+    seen = []
+    seen.append(1)
+
+
+class C:
+    pass
+
+
+C.f = memo
+"""
+    assert _mutations(ast.parse(src)) == [8, 12, 16, 30]
 
 
 def test_every_test_module_reads_what_it_imports():

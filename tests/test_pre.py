@@ -3,7 +3,7 @@ import pytest
 from phasercheck import engine
 from phasercheck.engine import PlainReachability, check
 from phasercheck.parser import parse
-from phasercheck.pre import AtomicUnsupported, pre, pre_stmt, program_suffixes
+from phasercheck.pre import AtomicUnsupported, pre, pre_stmt
 from phasercheck.symbolic import Constraint, Gap, constraint_valid, canonical_constraint, is_free
 from phasercheck.syntax import NewPhaser
 from phasercheck.targets import (
@@ -82,19 +82,17 @@ def test_pre_outputs_are_canonical_and_valid(name, _, rng):
     # guard; it takes 30 random constraints per program to catch a wait
     # transformer that raises only the lower bound
     program = load(name)
-    suffixes = program_suffixes(program)
     for phi in constraint_pool(rng, program, 30):
-        for stmt, psi in pre(phi, program, suffixes):
+        for stmt, psi in pre(phi, program):
             assert constraint_valid(psi)
             assert canonical_constraint(psi) == psi
 
 
 def test_pre_is_deterministic(rng):
     program = load("cross_deadlock")
-    suffixes = program_suffixes(program)
     for phi in constraint_pool(rng, program, 4):
-        first = pre(phi, program, suffixes)
-        again = pre(phi, program, suffixes)
+        first = pre(phi, program)
+        again = pre(phi, program)
         assert [(str(s), p) for s, p in first] == [(str(s), p) for s, p in again]
 
 
@@ -140,7 +138,7 @@ def test_pre_rejects_barrier_blocks(rng):
     program = load("barrier_block")
     [phi] = constraint_pool(rng, program, 1)[-1:]
     with pytest.raises(AtomicUnsupported):
-        pre(phi, program, program_suffixes(program))
+        pre(phi, program)
 
 
 def test_newphaser_has_no_predecessor_when_two_columns_pin_its_variable():
@@ -156,7 +154,7 @@ def test_suffixes_are_closed_under_head_successors():
     from phasercheck.control import head_successors
 
     program = load("chain_spawn")
-    suffixes = program_suffixes(program)
+    suffixes = program.suffixes
     for s in suffixes:
         for hs in head_successors(s):
             assert hs.next_seq in suffixes
@@ -172,9 +170,9 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     # give the unfiltered result minus the rejected pairs
     count = {"full": 0, "kept": 0, "pops": 0}
 
-    def both_ways(phi, program, suffixes, keep):
-        filtered = pre(phi, program, suffixes, keep=keep)
-        full = pre(phi, program, suffixes)
+    def both_ways(phi, program, keep):
+        filtered = pre(phi, program, keep=keep)
+        full = pre(phi, program)
         expected = [(str(s), psi) for s, psi in full if keep(psi)]
         assert [(str(s), psi) for s, psi in filtered] == expected
         count["full"] += len(full)

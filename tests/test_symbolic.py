@@ -19,7 +19,6 @@ from phasercheck.symbolic import (
     is_free,
     models,
     parse_constraints,
-    summary,
 )
 
 from conftest import rand_constraint, sample_model, strengthen
@@ -301,7 +300,7 @@ def test_summaries_of_an_entailing_pair_fit(kind, rng):
         if not entails_by_permutations(pa, pb):
             continue
         accepted += 1
-        sa, sb = summary(pa), summary(pb)
+        sa, sb = pa.summary, pb.summary
         assert fits(sa[0], sb[0]), (pa, pb)
         rows_b, cols_b = sb[1 : 1 + pb.n_tasks], sb[1 + pb.n_tasks :]
         for ra in sa[1 : 1 + pa.n_tasks]:
@@ -314,7 +313,7 @@ def test_summaries_of_an_entailing_pair_fit(kind, rng):
 def test_summary_counts_and_clamps():
     certain = Gap(ANY, (40, 2, 45, 3))
     phi = Constraint((), (None, None), ((certain, NREG), (OPT_FREE, certain)), ((0, 0), (0, 0)))
-    total, row0, row1, col0, col1 = summary(phi)
+    total, row0, row1, col0, col1 = phi.summary
     # fields, high to low: lw sum, ls sum, finite, unregistered, certain
     assert row0 == (31 << 24) | (2 << 18) | (1 << 12) | (1 << 6) | 1
     assert row1 == col0 == (31 << 24) | (2 << 18) | (1 << 12) | 1
