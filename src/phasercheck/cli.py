@@ -64,29 +64,30 @@ def _report(args, kind: str, text: str, path: str | None = None) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def _fail(args, text: str, path: str | None = None):
-    _report(args, "error", text, path)
-    raise SystemExit(EXIT_USAGE)
+class UsageError(Exception):
+    """A usage or input error, ``(text, path)`` with path None unless the
+    error is in an input file: ``main`` reports it and returns
+    ``EXIT_USAGE``."""
 
 
-def _open(args, path: str, mode: str = "r"):
+def _open(path: str, mode: str = "r"):
     try:
         return open(path, mode)
     except OSError as e:
-        _fail(args, str(e))
+        raise UsageError(str(e))
 
 
-def _read(args, path: str) -> str:
-    with _open(args, path) as f:
+def _read(path: str) -> str:
+    with _open(path) as f:
         return f.read()
 
 
 def _load_program(args, check: bool = True):
-    text = _read(args, args.file)
+    text = _read(args.file)
     try:
         return parse(text, check)
     except ParseError as e:
-        _fail(args, str(e), args.file)
+        raise UsageError(str(e), args.file)
 
 
 def cmd_parse(args) -> int:
@@ -114,7 +115,7 @@ def cmd_explore(args) -> int:
         max_phase=args.max_phase,
     )
     # open the graph file first, so a bad path fails before exploring
-    with nullcontext() if args.graph is None else _open(args, args.graph, "w") as graph:
+    with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
         result = explore(program, bounds, record_graph=graph is not None)
         print(f"configurations: {len(result.configs)}")
         print(f"exhausted: {'yes' if result.exhausted else 'no'}")
@@ -137,7 +138,7 @@ def cmd_explore(args) -> int:
 
 def _load_targets(args, program) -> list:
     if args.target is not None and args.property != "custom":
-        _fail(args, "--target requires --property custom")
+        raise UsageError("--target requires --property custom")
     if args.property == "assert":
         return assertion_targets(program)
     if args.property == "regerror":
@@ -146,15 +147,15 @@ def _load_targets(args, program) -> list:
         return cyclic_wait_targets(program, args.max_cycle, args.slack)
     # custom: a target file with constraints or a partial configuration
     if not args.target:
-        _fail(args, "--property custom requires --target FILE")
-    text = _read(args, args.target)
+        raise UsageError("--property custom requires --target FILE")
+    text = _read(args.target)
     try:
         if "partial-config" in text.split("{", 1)[0]:
             pc = parse_partial_config(text, program.bool_vars)
             return from_partial_config(pc)
         return parse_constraints(text, program.bool_vars)
     except ValueError as e:
-        _fail(args, str(e), args.target)
+        raise UsageError(str(e), args.target)
 
 
 def cmd_check(args) -> int:
@@ -178,8 +179,7 @@ def cmd_check(args) -> int:
     try:
         result = check(program, targets, strategy, progress=progress)
     except (AtomicUnsupported, ValueError) as e:
-        _report(args, "error", str(e))
-        return EXIT_USAGE
+        raise UsageError(str(e))
 
     if isinstance(result, Unreachable):
         print("verdict unreachable")
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except UsageError as e:
+        _report(args, "error", *e.args)
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader is gone; send what is still buffered to devnull so
         # the interpreter's final flush cannot raise again

@@ -2,7 +2,9 @@
 
 Configurations are immutable; tasks and phasers are row/column indices,
 and exploration deduplicates configurations up to renaming through
-canonicalization.
+canonicalization.  A head with a condition branches once per value the
+condition can take (``step_choices``), and ``apply_step`` fires it with
+that value.
 
 Reconstruction notes (the figure-level rules are not part of the available
 sources): exit only empties the control sequence and never deregisters; a
@@ -13,7 +15,6 @@ atomic macro-section owned by one participant.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -35,8 +36,7 @@ from .syntax import (
     Stmt,
     Wait,
     While,
-    count_ndets,
-    eval_cond,
+    cond_outcomes,
 )
 
 
@@ -189,20 +189,22 @@ def enabled_steps(c: Configuration) -> list:
     return out
 
 
-def step_choices(head: Stmt) -> list:
-    """Choice values resolving the nondeterminism of one enabled head."""
+def step_choices(c: Configuration, p: Program, head: Stmt) -> list:
+    """The values an enabled head can fire with: the sorted values of its
+    condition under ``c.bv``, or ``[None]`` for a head without one."""
     if isinstance(head, (While, If, Assign, Assert)):
-        return list(itertools.product((False, True), repeat=count_ndets(head.cond)))
-    return [()]
+        return sorted(cond_outcomes(head.cond, dict(zip(p.bool_vars, c.bv))))
+    return [None]
 
 
-def apply_step(c: Configuration, p: Program, t: int, choice: tuple = ()):
+def apply_step(c: Configuration, p: Program, t: int, value=None):
     """Fire the head statement of task ``t``; returns the successor
-    configuration or an error outcome.  Pre: (t, head) is enabled.
+    configuration or an error outcome.  Pre: (t, head) is enabled, and a
+    head with a condition fires with one of its ``step_choices``.
 
     The data effect is stated here; the next control sequence of every
     head is ``head_successors``' (the first one, or the second for a
-    condition that evaluates false)."""
+    condition whose value is false)."""
     seq = c.seqs[t]
     head = seq[0]
     seqs = list(c.seqs)
@@ -246,14 +248,15 @@ def apply_step(c: Configuration, p: Program, t: int, choice: tuple = ()):
         phases.append(child_row)
 
     elif isinstance(head, (Assign, Assert, While, If)):
-        val = eval_cond(head.cond, dict(zip(p.bool_vars, c.bv)), iter(choice))
+        if not isinstance(value, bool):
+            raise TypeError(f"{head} fired without the value of its condition")
         if isinstance(head, Assign):
-            bv[p.bool_vars.index(head.var)] = val
+            bv[p.bool_vars.index(head.var)] = value
         elif isinstance(head, Assert):
-            if not val:
+            if not value:
                 return AssertionViolation(t)
         else:
-            taken = val
+            taken = value
 
     elif isinstance(head, NextBlock):
         if atomic == t and not head.body:
@@ -279,11 +282,12 @@ def apply_step(c: Configuration, p: Program, t: int, choice: tuple = ()):
 
 
 def successors(c: Configuration, p: Program) -> list:
-    """All (task, stmt, choice, outcome) tuples from enabled steps."""
+    """All (task, stmt, value, outcome) tuples from enabled steps, one per
+    value of the head's condition."""
     return [
-        (t, head, choice, apply_step(c, p, t, choice))
+        (t, head, value, apply_step(c, p, t, value))
         for t, head in enabled_steps(c)
-        for choice in step_choices(head)
+        for value in step_choices(c, p, head)
     ]
 
 
@@ -424,7 +428,7 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
         expansions += 1
         cycle = cyclic_waits(c, p)
         found = [] if cycle is None else [CyclicWait(cycle)]
-        for t, stmt, choice, outcome in successors(c, p):
+        for t, stmt, _, outcome in successors(c, p):
             if not isinstance(outcome, Configuration):
                 if outcome not in found:
                     found.append(outcome)

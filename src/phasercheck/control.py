@@ -2,16 +2,17 @@
 
 ``head_successors`` unfolds the head of a control sequence.  A
 ``Program`` owns the static facts derived from its text, each computed
-once per program: the unrolled suffix closure (``owners`` and
-``suffixes``), the ``start_distances`` heuristic, and the bounds on
-task instances and created phasers (``instance_counts`` and
-``static_bounds``).
+once per program.  One breadth-first walk of head steps from each task
+body yields the control facts: the sequences tasks can reach (``owners``
+and ``suffixes``), every head step out of them (``steps``) and the
+``start_distances`` heuristic.  The bounds on task instances and created
+phasers are ``instance_counts`` and ``static_bounds``.
 
-The closure of a task body starts from its suffixes and adds, until
-fixpoint, the suffixes produced by unrolling loop heads, conditional heads
-and barrier blocks.  A program's closure is the union over its bodies.  It
-is finite for every program because every produced sequence is built from
-the finitely many sub-statements of the program.
+The reached sequences are finite for every program because every one is
+built from the finitely many sub-statements of the program.  They are
+the suffixes of the bodies and of their unrolled loop, conditional and
+barrier heads, except the statements after an ``exit``, which no run
+reaches.
 """
 
 from __future__ import annotations
@@ -76,11 +77,6 @@ def head_successors(seq: ControlSeq) -> tuple:
     return (HeadStep(head, None, tail),)
 
 
-def _suffixes(seq: ControlSeq):
-    for i in range(len(seq) + 1):
-        yield seq[i:]
-
-
 def seq_order_key(seq: ControlSeq) -> tuple:
     """Deterministic ordering key for control sequences: the length, then
     the text of each statement.  The key is rebuilt for every row a sort
@@ -130,52 +126,56 @@ class Program:
         return any(m != SIG_WAIT for m in modes)
 
     @cached_property
-    def owners(self) -> dict:
-        """Map each control sequence reachable at a task head to the
-        frozenset of task types whose own body's suffix closure contains
-        it: a task at the sequence runs the body of one of them."""
-        own = {}
+    def _walk(self) -> tuple:
+        """One breadth-first walk of head steps from each task body:
+        (the head steps out of each reached sequence, the task types
+        reaching it, the fewest steps from some body to it)."""
+        succ, owners, dist = {}, {}, {}
         for t in self.tasks:
-            seen = set(_suffixes(t.body))
-            work = list(seen)
-            while work:
-                seq = work.pop()
-                for step in head_successors(seq):
-                    for s in _suffixes(step.next_seq):
-                        if s not in seen:
-                            seen.add(s)
-                            work.append(s)
-            for s in seen:
-                own[s] = own.get(s, frozenset()) | {t.name}
-        return own
+            reached = {t.body: 0}
+            queue = deque(reached)
+            while queue:
+                seq = queue.popleft()
+                if seq not in succ:
+                    succ[seq] = head_successors(seq)
+                for step in succ[seq]:
+                    if step.next_seq not in reached:
+                        reached[step.next_seq] = reached[seq] + 1
+                        queue.append(step.next_seq)
+            for seq, d in reached.items():
+                owners[seq] = owners.get(seq, frozenset()) | {t.name}
+                dist[seq] = min(d, dist.get(seq, d))
+        return succ, owners, dist
+
+    @property
+    def owners(self) -> dict:
+        """Map each control sequence tasks can reach to the frozenset of
+        task types whose body reaches it: a task at the sequence runs the
+        body of one of them."""
+        return self._walk[1]
 
     @cached_property
     def suffixes(self) -> tuple:
-        """The finite set of control sequences reachable at task heads
-        (the union of the task bodies' closures), in ``seq_order_key``
+        """The control sequences tasks can reach, in ``seq_order_key``
         order."""
         return tuple(sorted(self.owners, key=seq_order_key))
 
     @cached_property
+    def steps(self) -> tuple:
+        """``(s_pre, HeadStep)`` for every head step out of a reachable
+        sequence, in the order of ``suffixes``."""
+        succ = self._walk[0]
+        return tuple((seq, step) for seq in self.suffixes for step in succ[seq])
+
+    @property
     def start_distances(self) -> dict:
         """Minimum number of forward control steps from some task-body
-        start to each reachable control sequence (breadth-first over head
-        steps).
+        start to each reachable control sequence.
 
         Used as a search heuristic: a constraint whose pinned sequences
         are all close to task starts needs little forward work to be
         realized."""
-        dist = {t.body: 0 for t in self.tasks}
-        queue = deque(dist)
-        while queue:
-            seq = queue.popleft()
-            d = dist[seq] + 1
-            for step in head_successors(seq):
-                nxt = step.next_seq
-                if nxt not in dist or dist[nxt] > d:
-                    dist[nxt] = d
-                    queue.append(nxt)
-        return dist
+        return self._walk[2]
 
     @cached_property
     def instance_counts(self) -> dict:

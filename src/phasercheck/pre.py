@@ -13,6 +13,8 @@ Each rule is stated once: ``_columns`` picks the columns a phaser
 command may act on, ``_pre_cond`` pins the Booleans that a guard, an
 assert or an assignment reads, and ``_env_row`` is the row of an
 untracked task, whether it executes the step or is spawned by it.
+The control steps are ``Program.steps``, indexed once per program, so
+``pre`` unfolds no control sequence itself.
 
 Atomic barrier bodies are rejected: their whole-body macro step cannot be
 captured exactly by per-statement reversal.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 
-from .control import head_successors
 from .symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -379,8 +380,8 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
 
 def pre(phi: Constraint, program, keep=None) -> list:
     """All (statement, predecessor constraint) pairs over every executing
-    role: each tracked task plus a fresh environment task, stepping from
-    each of the ordered ``program.suffixes`` in turn.  A pair may repeat;
+    role: each tracked task plus a fresh environment task, taking each of
+    the ordered ``program.steps`` in turn.  A pair may repeat;
     ``check``'s store drops repeats.
 
     ``keep``, when given, drops every predecessor it rejects before that
@@ -393,20 +394,17 @@ def pre(phi: Constraint, program, keep=None) -> list:
         if keep is None or keep(psi):
             results.append((stmt, canonical_constraint(psi)))
 
-    for s_pre in program.suffixes:
-        if not s_pre:
-            continue
-        for hs in head_successors(s_pre):
-            # tracked roles
-            for x in range(phi.n_tasks):
-                if phi.seqs[x] not in (None, hs.next_seq):
-                    continue
-                for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch):
-                    emit(hs.stmt, _with_seq(psi, xr, s_pre))
-            # environment role
-            for ext in _env_materializations(phi, hs.next_seq):
-                u = ext.n_tasks - 1
-                for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch):
-                    emit(hs.stmt, _with_seq(psi, ur, s_pre))
+    for s_pre, hs in program.steps:
+        # tracked roles
+        for x in range(phi.n_tasks):
+            if phi.seqs[x] not in (None, hs.next_seq):
+                continue
+            for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch):
+                emit(hs.stmt, _with_seq(psi, xr, s_pre))
+        # environment role
+        for ext in _env_materializations(phi, hs.next_seq):
+            u = ext.n_tasks - 1
+            for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch):
+                emit(hs.stmt, _with_seq(psi, ur, s_pre))
     return results
 

@@ -8,7 +8,6 @@ desugars it into ``signal(v); wait(v)``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -94,48 +93,24 @@ def cond_vars(c: Cond) -> frozenset:
     return frozenset()
 
 
-def count_ndets(c: Cond) -> int:
-    if isinstance(c, Ndet):
-        return 1
-    if isinstance(c, Not):
-        return count_ndets(c.operand)
-    if isinstance(c, (And, Or)):
-        return count_ndets(c.left) + count_ndets(c.right)
-    return 0
-
-
-def eval_cond(c: Cond, env, ndets: Iterator[bool]) -> bool:
-    """Evaluate under a variable valuation; ndet() occurrences consume
-    values from ``ndets`` left to right (no short-circuiting, so the
-    consumption order is deterministic)."""
-    if isinstance(c, Ndet):
-        return next(ndets)
-    if isinstance(c, BoolLit):
-        return c.value
-    if isinstance(c, BoolVar):
-        return env[c.name]
-    if isinstance(c, Not):
-        return not eval_cond(c.operand, env, ndets)
-    if isinstance(c, And):
-        left = eval_cond(c.left, env, ndets)
-        right = eval_cond(c.right, env, ndets)
-        return left and right
-    if isinstance(c, Or):
-        left = eval_cond(c.left, env, ndets)
-        right = eval_cond(c.right, env, ndets)
-        return left or right
-    raise TypeError(f"not a condition: {c!r}")
-
-
 def cond_outcomes(c: Cond, env) -> frozenset:
-    """All values the condition can take under ``env`` when ndet() is free."""
-    n = count_ndets(c)
-    out = set()
-    for bits in itertools.product((False, True), repeat=n):
-        out.add(eval_cond(c, env, iter(bits)))
-        if len(out) == 2:
-            break
-    return frozenset(out)
+    """All values the condition can take under ``env``.  Each ndet()
+    occurrence is an independent choice and the operands of an operator
+    share none, so an operator combines its operands' values pairwise."""
+    if isinstance(c, Ndet):
+        return frozenset((False, True))
+    if isinstance(c, BoolLit):
+        return frozenset((c.value,))
+    if isinstance(c, BoolVar):
+        return frozenset((env[c.name],))
+    if isinstance(c, Not):
+        return frozenset(not v for v in cond_outcomes(c.operand, env))
+    if isinstance(c, (And, Or)):
+        left, right = cond_outcomes(c.left, env), cond_outcomes(c.right, env)
+        if isinstance(c, And):
+            return frozenset(a and b for a in left for b in right)
+        return frozenset(a or b for a in left for b in right)
+    raise TypeError(f"not a condition: {c!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ plus the partial-configuration reader.
   values and the per-phaser level; real deadlocks with larger distances
   need a larger slack.
 
-Each builder returns every target it enumerates, in the order of the
-suffix closure, redundant ones included: ``check``'s antichain store
+Each builder returns every target it enumerates, in the order of
+``Program.suffixes``, redundant ones included: ``check``'s antichain store
 reduces them.
 """
 

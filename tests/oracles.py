@@ -12,7 +12,7 @@ from phasercheck.symbolic import (
     gap_leq,
     is_free,
 )
-from phasercheck.syntax import ANY, NO_VAR
+from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, Ndet, Not, Or
 
 
 def is_well_formed(c: Configuration) -> bool:
@@ -310,3 +310,39 @@ def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:
             else:
                 cells.append(f"phase t{t} p{p} var={var} w={val[0]} s={val[1]}")
     return write_record("partial-config", bool_vars, pc.bv, pc.seqs, pc.n_phasers, cells)
+
+
+def _count_ndets(c) -> int:
+    if isinstance(c, Ndet):
+        return 1
+    if isinstance(c, Not):
+        return _count_ndets(c.operand)
+    if isinstance(c, (And, Or)):
+        return _count_ndets(c.left) + _count_ndets(c.right)
+    return 0
+
+
+def _eval_cond(c, env, ndets) -> bool:
+    """The value under a variable valuation; ndet() occurrences consume
+    values from the iterator ``ndets`` left to right, without
+    short-circuiting."""
+    if isinstance(c, Ndet):
+        return next(ndets)
+    if isinstance(c, BoolLit):
+        return c.value
+    if isinstance(c, BoolVar):
+        return env[c.name]
+    if isinstance(c, Not):
+        return not _eval_cond(c.operand, env, ndets)
+    left = _eval_cond(c.left, env, ndets)
+    right = _eval_cond(c.right, env, ndets)
+    return (left and right) if isinstance(c, And) else (left or right)
+
+
+def cond_outcomes_by_bits(c, env) -> frozenset:
+    """Reference for ``syntax.cond_outcomes``: evaluate the condition under
+    each of the 2^n vectors of values for its n ndet() occurrences."""
+    return frozenset(
+        _eval_cond(c, env, iter(bits))
+        for bits in itertools.product((False, True), repeat=_count_ndets(c))
+    )

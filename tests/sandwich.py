@@ -99,8 +99,8 @@ def _one_step_reaches(program, c, stmt, phi):
     for t, head in enabled_steps(c):
         if head != stmt:
             continue
-        for choice in step_choices(head):
-            out = apply_step(c, program, t, choice)
+        for value in step_choices(c, program, head):
+            out = apply_step(c, program, t, value)
             if isinstance(out, Configuration) and models(out, phi):
                 return True
     return False

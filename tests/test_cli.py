@@ -113,6 +113,18 @@ def test_explore_dump_and_graph(tmp_path, capsys):
     assert text.startswith("digraph") and "->" in text
 
 
+def test_explore_graph_draws_one_edge_per_condition_value(tmp_path, capsys):
+    # the condition has two ndet() occurrences and two values: one edge
+    # each, where enumerating ndet bits drew the false edge three times
+    prog = tmp_path / "p.phz"
+    prog.write_text("bool a; main(){ if(ndet() && ndet()){ a = true; } }")
+    dot = tmp_path / "g.dot"
+    assert run("explore", str(prog), "--graph", str(dot)) == 0
+    edges = [ln for ln in dot.read_text().splitlines() if "->" in ln]
+    assert len(edges) == 3 and len(set(edges)) == 3
+    assert sum("if(ndet() && ndet())" in e for e in edges) == 2
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
 def test_explore_unwritable_graph_exits_2_before_exploring(where, tmp_path, capsys):
     graph = tmp_path / "no" / "such" / "g.dot" if where == "missing-dir" else tmp_path
@@ -382,6 +394,23 @@ def test_check_progress_stream_is_ndjson(tmp_path, capsys):
             ends = [{"event": kind, "text": last.removeprefix(f"{kind}: ")}]
         assert events and events == pops + ends
         assert plain.err == ("" if last is None else f"{last}\n")
+
+
+def test_check_input_errors_return_2_from_main(tmp_path, capsys):
+    # a library caller of main gets every input error as a return code
+    bad_program = tmp_path / "bad.phz"
+    bad_program.write_text("main(){ signal(p) }")  # missing semicolon
+    bad_target = tmp_path / "bad.txt"
+    bad_target.write_text("not a constraint\n")
+    for argv in [
+        [str(tmp_path / "missing.phz")],
+        [str(bad_program)],
+        [path("assert_fail"), "--property", "custom", "--target", str(bad_target)],
+        [path("assert_fail"), "--target", str(bad_target)],
+        [path("barrier_block"), "--property", "assert"],
+    ]:
+        assert main(["check", *argv]) == 2, argv
+        assert capsys.readouterr().err.count("\n") == 1, argv
 
 
 # ---------------------------------------------------------------------------

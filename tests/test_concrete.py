@@ -16,9 +16,10 @@ from phasercheck.concrete import (
     successors,
 )
 from phasercheck.parser import parse, parse_seq
+from phasercheck.syntax import And, BoolLit, BoolVar, Ndet, Not, Or, cond_outcomes
 
 from conftest import explored, load
-from oracles import equivalent, includes, is_well_formed, shifted
+from oracles import cond_outcomes_by_bits, equivalent, includes, is_well_formed, shifted
 
 
 def run_to_end(prog, prefer=None):
@@ -105,7 +106,7 @@ def test_signal_on_dropped_phaser_is_registration_error():
 
 def test_failed_assert_is_violation():
     p = parse("bool a; main(){ assert(a); }")
-    out = apply_step(initial_config(p), p, 0, ())
+    out = apply_step(initial_config(p), p, 0, False)
     assert out == AssertionViolation(0)
 
 
@@ -230,6 +231,40 @@ def test_successors_cover_all_choices():
     outs = successors(initial_config(p), p)
     values = {out.bv[0] for _, _, _, out in outs if isinstance(out, Configuration)}
     assert values == {False, True}
+
+
+def _rand_cond(rng, ndets, depth=3):
+    """A condition over a, b and true/false with at most ``ndets[0]``
+    ndet() occurrences, which it uses up."""
+    if depth == 0 or rng.random() < 0.3:
+        if ndets[0] and rng.random() < 0.5:
+            ndets[0] -= 1
+            return Ndet()
+        return rng.choice([BoolVar("a"), BoolVar("b"), BoolLit(True), BoolLit(False)])
+    if rng.random() < 0.3:
+        return Not(_rand_cond(rng, ndets, depth - 1))
+    op = rng.choice([And, Or])
+    return op(_rand_cond(rng, ndets, depth - 1), _rand_cond(rng, ndets, depth - 1))
+
+
+def test_cond_outcomes_match_the_ndet_bit_enumeration(rng):
+    seen = set()
+    for _ in range(500):
+        budget = rng.randint(0, 4)
+        ndets = [budget]
+        cond = _rand_cond(rng, ndets)
+        seen.add(budget - ndets[0])
+        for a in (False, True):
+            for b in (False, True):
+                env = {"a": a, "b": b}
+                assert cond_outcomes(cond, env) == cond_outcomes_by_bits(cond, env), str(cond)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_a_condition_head_needs_its_value():
+    p = parse("bool a; main(){ if(a){ exit; } }")
+    with pytest.raises(TypeError):
+        apply_step(initial_config(p), p, 0)
 
 
 def steps_of(prog, n):

@@ -1,8 +1,9 @@
 import pytest
 
 from phasercheck import engine
-from phasercheck.engine import PlainReachability, check
-from phasercheck.parser import parse
+from phasercheck.concrete import Bounds, explore
+from phasercheck.engine import PlainReachability, Unreachable, check
+from phasercheck.parser import parse, parse_seq
 from phasercheck.pre import AtomicUnsupported, pre, pre_stmt
 from phasercheck.symbolic import Constraint, Gap, constraint_valid, canonical_constraint, is_free
 from phasercheck.syntax import NewPhaser
@@ -67,6 +68,10 @@ T(p){
 
 # an assignment whose condition reads the variable it assigns
 SELF_NEGATE_SRC = "bool a; main(){ a = !a; assert(!a); }"
+
+
+# the assert(false) after exit is dead code: no run reaches it
+DEAD_CODE_SRC = "bool a; main(){ a = ndet(); if(a){ exit; assert(false); } assert(!a); }"
 
 
 def _programs():
@@ -153,11 +158,24 @@ def test_newphaser_has_no_predecessor_when_two_columns_pin_its_variable():
 def test_suffixes_are_closed_under_head_successors():
     from phasercheck.control import head_successors
 
-    program = load("chain_spawn")
-    suffixes = program.suffixes
-    for s in suffixes:
-        for hs in head_successors(s):
-            assert hs.next_seq in suffixes
+    for program in (load("chain_spawn"), parse(DEAD_CODE_SRC)):
+        suffixes = program.suffixes
+        for s in suffixes:
+            for hs in head_successors(s):
+                assert hs.next_seq in suffixes
+
+
+def test_dead_code_after_exit_is_not_in_the_closure():
+    program = parse(DEAD_CODE_SRC)
+    dead = parse_seq("assert(false); assert(!a);")
+    assert dead not in program.suffixes
+    assert all(s_pre != dead for s_pre, _ in program.steps)
+    targets = assertion_targets(program)
+    assert [phi.seqs for phi in targets] == [(parse_seq("assert(!a);"),)]
+    # the live assert never fails: both engines agree
+    res = explore(program, Bounds())
+    assert res.exhausted and res.errors == []
+    assert isinstance(check(program, targets, PlainReachability(k=None, b=1)), Unreachable)
 
 
 class _EnoughPops(Exception):
