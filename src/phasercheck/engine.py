@@ -6,7 +6,8 @@ cover a candidate makes the candidate redundant; a candidate covering
 stored constraints evicts them).  The store is where entailment prunes,
 with one exception: ``check``'s ``keep`` filter drops the predecessors
 that the popped constraint itself entails before they are built in
-canonical form.  Otherwise targets and predecessors reach the store
+canonical form; in plain mode it also drops those that are not
+``b``-good.  Otherwise targets and predecessors reach the store
 unreduced: the target builders return every target, and ``pre`` may
 repeat a predecessor.
 Strategies make the run terminate:
@@ -27,7 +28,9 @@ on some task types' code than those types have instances
 (``type_bound``): in ``main(){ asynch(W); asynch(W); }`` where each
 ``W`` spawns one ``X``, at most 1 row on ``main``'s code, 2 on ``W``'s
 and 2 on ``X``'s.  The per-type bound holds when the total is unbounded
-too, for ``main`` and every type with a finite instance count.
+too, for ``main`` and every type with a finite instance count.  These
+static limits, with ``k``, filter the targets; ``check`` hands them to
+``pre``, which never builds a predecessor that fails them.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
 the number of ``newPhaser`` sites.
@@ -41,6 +44,7 @@ from dataclasses import dataclass, replace
 from .concrete import Configuration, initial_config, successors
 from .pre import AtomicUnsupported, pre
 from .symbolic import (
+    INF,
     Constraint,
     constraint_order_key,
     entails,
@@ -93,18 +97,23 @@ class BudgetExhausted:
 
 
 def type_bound(program):
-    """The per-type row bound: a predicate that is False only for
-    constraints without models.  A model maps distinct tasks to distinct
-    tracked rows, and a task at a control sequence is an instance of one
-    of the sequence's owners (``Program.owners``; a ``*`` row may be an
-    instance of any type).  By Hall's condition such a map exists only
-    if, for every union ``U`` of the rows' owner sets, the rows whose
-    owners lie within ``U`` number at most the instances runs spawn of
-    ``U``'s types (``Program.instance_counts``; 0 for a type ``main``
-    never reaches).  Memoized on the sorted owner sets of the rows."""
+    """The per-type row bound: a predicate on a constraint's tuple of
+    control sequences (one per row, None for ``*``) that is False only
+    when no constraint with those rows has models.  A model maps distinct
+    tasks to distinct tracked rows, and a task at a control sequence is
+    an instance of one of the sequence's owners (``Program.owners``; a
+    ``*`` row may be an instance of any type).  By Hall's condition such
+    a map exists only if, for every union ``U`` of the rows' owner sets,
+    the rows whose owners lie within ``U`` number at most the instances
+    runs spawn of ``U``'s types (``Program.instance_counts``; 0 for a
+    type ``main`` never reaches).  That implies the total task bound of
+    ``Program.static_bounds``, which is tested first because it rejects
+    most tuples more cheaply.  Memoized on the sorted owner sets of the
+    rows."""
     counts = program.instance_counts
     own = program.owners
     every = frozenset(t.name for t in program.tasks)
+    task_bound = program.static_bounds[0]
     memo = {}
 
     def instances(types):
@@ -121,23 +130,17 @@ def type_bound(program):
                 return False
         return True
 
-    def fits_types(phi: Constraint) -> bool:
+    def fits_types(seqs) -> bool:
+        if task_bound is not None and len(seqs) > task_bound:
+            return False
         # a sequence no body reaches has no owner, so no task can be there
-        sets = (every if s is None else own.get(s, frozenset()) for s in phi.seqs)
+        sets = (every if s is None else own.get(s, frozenset()) for s in seqs)
         key = tuple(sorted(sets, key=sorted))
         if key not in memo:
             memo[key] = hall(key)
         return memo[key]
 
     return fits_types
-
-
-def _keep(strategy, phi: Constraint) -> bool:
-    if isinstance(strategy, ControlReachability):
-        return phi.n_phasers <= strategy.k
-    if isinstance(strategy, PlainReachability):
-        return phi.n_phasers <= strategy.k and is_b_good(phi, strategy.b)
-    return True
 
 
 def check(program, targets, strategy, progress=None):
@@ -159,7 +162,8 @@ def check(program, targets, strategy, progress=None):
         raise ValueError("control reachability requires free targets")
     if isinstance(strategy, PlainReachability) and not all(is_b_good(t, strategy.b) for t in targets):
         raise ValueError(f"plain reachability requires {strategy.b}-good targets")
-    task_bound, phaser_bound = program.static_bounds
+    phaser_bound = program.static_bounds[1]
+    cap = INF if phaser_bound is None else phaser_bound
     if not isinstance(strategy, Unrestricted):
         wide = max((phi.n_phasers for phi in targets), default=0)
         if strategy.k is None:
@@ -168,22 +172,17 @@ def check(program, targets, strategy, progress=None):
         elif wide > strategy.k:
             # k would prune every predecessor of the wider targets unexplored
             raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
+        cap = min(cap, strategy.k)
+    b = strategy.b if isinstance(strategy, PlainReachability) else None
     init = initial_config(program)
     start_dist = program.start_distances
 
-    fits_types = type_bound(program)
-
-    def within_static(phi: Constraint) -> bool:
-        # constraints needing more created phasers than any run of the
-        # program has, or more rows on some task types' code than those
-        # types have instances, are unsatisfiable; the per-type test
-        # implies the total task bound, which rejects most candidates
-        # more cheaply
-        if task_bound is not None and phi.n_tasks > task_bound:
-            return False
-        if phaser_bound is not None and phi.n_phasers > phaser_bound:
-            return False
-        return fits_types(phi)
+    # the static limits: constraints with more rows on some task types'
+    # code than those types have instances, or with more columns than
+    # any run creates phasers or than k allows, are unsatisfiable or
+    # pruned.  They filter the targets below, and ``pre`` never builds a
+    # predecessor that fails them
+    rows_fit = type_bound(program)
 
     def forward_work(phi: Constraint) -> int:
         # total forward control steps still separating the constraint's
@@ -258,9 +257,8 @@ def check(program, targets, strategy, progress=None):
         return Trace(tuple(constraints), tuple(stmts))
 
     for phi in sorted(targets, key=constraint_order_key):
-        if not within_static(phi):
-            continue
-        insert(phi, None)
+        if rows_fit(phi.seqs) and phi.n_phasers <= cap:
+            insert(phi, None)
     processed = 0
     while working:
         _, phi = heapq.heappop(working)
@@ -282,19 +280,20 @@ def check(program, targets, strategy, progress=None):
             return BudgetExhausted(processed)
         if models(init, phi):
             return Reachable(trace_from(phi))
-        # predecessors are filtered before pre canonicalizes them, cheapest
-        # test first: the static task and phaser bounds, then the strategy's
-        # k/b pruning, then entailment by the popped constraint itself,
-        # which covers most environment-role predecessors.  Each test is
-        # invariant under renaming rows and columns, so the survivors are
-        # those that filtering the canonical predecessors would keep.
+        # pre builds only predecessors within the static limits; the rest
+        # are filtered before pre canonicalizes them, cheapest test first:
+        # plain mode's b pruning, then entailment by the popped constraint
+        # itself, which covers most environment-role predecessors.  Each
+        # test is invariant under renaming rows and columns, so the
+        # survivors are those that filtering the canonical predecessors
+        # would keep.
         preds = sorted(
             pre(
                 phi,
                 program,
-                keep=lambda psi: within_static(psi)
-                and _keep(strategy, psi)
-                and not entails(phi, psi),
+                keep=lambda psi: (b is None or is_b_good(psi, b)) and not entails(phi, psi),
+                rows_fit=rows_fit,
+                cap=cap,
             ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),
         )

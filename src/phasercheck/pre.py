@@ -15,6 +15,9 @@ assert or an assignment reads, and ``_env_row`` is the row of an
 untracked task, whether it executes the step or is spawned by it.
 The control steps are ``Program.steps``, indexed once per program, so
 ``pre`` unfolds no control sequence itself.
+Given a run's static limits, ``pre`` tests each predecessor's control
+sequences and column count before it builds any of its cells, so
+``check`` never sees a predecessor that the limits reject.
 
 Atomic barrier bodies are rejected: their whole-body macro step cannot be
 captured exactly by per-statement reversal.
@@ -142,7 +145,7 @@ def _shift_level(phi: Constraint, q: int, d: int, x: int, gx: Gap):
 # the driver installs the pre control sequence afterwards.
 
 
-def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
+def _pre_signal(phi: Constraint, x: int, st: Signal, room) -> list:
     out = []
     cols, untracked = _registered(phi, x, st.var)
     for q in cols:
@@ -155,24 +158,24 @@ def _pre_signal(phi: Constraint, x: int, st: Signal) -> list:
             psi = _shift_level(phi, q, -1, x, Gap(st.var, (max(lw - 1, 0), ls, uw - 1, us)))
             if psi is not None:
                 out.append(psi)
-    if untracked:
+    if untracked and room > 0:
         out.append(_materialize_column(phi, x, st.var))
     return out
 
 
-def _pre_wait(phi: Constraint, x: int, st: Wait) -> list:
+def _pre_wait(phi: Constraint, x: int, st: Wait, room) -> list:
     out = []
     cols, untracked = _registered(phi, x, st.var)
     for q in cols:
         lw, ls, uw, us = phi.gaps[x][q].bounds
         out.append(_with_gap(phi, x, q, Gap(st.var, (lw + 1, ls, uw + 1, us))))
-    if untracked:
+    if untracked and room > 0:
         psi = _materialize_column(phi, x, st.var)
         out.append(_with_gap(psi, x, psi.n_phasers - 1, Gap(st.var, (1, 0, INF, INF))))
     return out
 
 
-def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
+def _pre_drop(phi: Constraint, x: int, st: Drop, room) -> list:
     out = []
     cols, untracked = _columns(phi, x, st.var)
     for q in cols:
@@ -192,7 +195,7 @@ def _pre_drop(phi: Constraint, x: int, st: Drop) -> list:
             psi = _shift_level(phi, q, delta, x, Gap(st.var, FREE_BOUNDS))
             if psi is not None:
                 out.append(psi)
-    if untracked:
+    if untracked and room > 0:
         out.append(_materialize_column(phi, x, st.var))
     return out
 
@@ -247,8 +250,14 @@ def _merge_bounds(a, b):
     return (lw, ls, uw, us)
 
 
-def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
+def _pre_asynch(phi: Constraint, x: int, st: Asynch, program, room, spawn_ok) -> list:
     callee = program.task(st.task)
+    # the spawned task is a tracked row y, or last an environment task
+    # (None)
+    spawned = [y for y in range(phi.n_tasks) if y != x and phi.seqs[y] in (None, callee.body)]
+    spawned = [y for y in spawned + [None] if spawn_ok(y)]
+    if not spawned:
+        return []
     # per spawn argument, a tracked column or None for an untracked phaser
     per_arg = []
     for v in st.args:
@@ -259,6 +268,8 @@ def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
         tracked = [q for q in combo if q is not None]
         if len(set(tracked)) != len(tracked):
             continue  # distinct arguments use distinct columns
+        if len(combo) - len(tracked) > room:
+            continue  # more fresh columns than the cap leaves
         # untracked arguments occupy freshly appended columns in order
         base, arg_cols = phi, []
         for v, q in zip(st.args, combo):
@@ -266,25 +277,20 @@ def _pre_asynch(phi: Constraint, x: int, st: Asynch, program) -> list:
                 base = _materialize_column(base, x, v)
                 q = base.n_phasers - 1
             arg_cols.append(q)
-        out.extend(_pre_asynch_on(base, x, st, callee, arg_cols))
+        out.extend(_pre_asynch_on(base, x, st, callee, arg_cols, spawned))
     return out
 
 
-def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols) -> list:
+def _pre_asynch_on(phi: Constraint, x: int, st: Asynch, callee, arg_cols, spawned) -> list:
     out = []
     # pin x's variable on each argument column
     pinned = list(phi.gaps[x])
     for v, q in zip(st.args, arg_cols):
         pinned[q] = Gap(v, pinned[q].bounds)
-    # the spawned task is a tracked row y, or last an environment task
-    # (y None), whose row merges the environment lower bounds into the
-    # parent's phase at spawn time
-    children = [
-        (y, phi.gaps[y])
-        for y in range(phi.n_tasks)
-        if y != x and phi.seqs[y] in (None, callee.body)
-    ]
-    for y, child in children + [(None, _env_row(phi))]:
+    # an environment child's row merges the environment lower bounds into
+    # the parent's phase at spawn time
+    for y in spawned:
+        child = _env_row(phi) if y is None else phi.gaps[y]
         row = list(pinned)
         for p, gy in enumerate(child):
             if p in arg_cols:
@@ -344,20 +350,31 @@ def _env_materializations(phi: Constraint, post_seq) -> list:
     return [Constraint(phi.bv, phi.seqs + (post_seq,), phi.gaps + (r,), phi.egaps) for r in rows]
 
 
-def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
+def _unlimited(_) -> bool:
+    return True
+
+
+def pre_stmt(
+    phi: Constraint, program, x: int, stmt, branch, room=INF, spawn_ok=_unlimited
+) -> list:
     """Backward transformer for one statement fired by tracked row ``x``
     (control sequences untouched).  Returns (constraint, executor row)
-    pairs: spawning steps remove a row, shifting the executor's index."""
+    pairs: spawning steps remove a row, shifting the executor's index.
+
+    ``room`` is how many columns a predecessor may add for phasers the
+    constraint does not track.  ``spawn_ok(y)`` tells whether an
+    ``asynch`` may have spawned row ``y`` (None: an untracked task); the
+    other spawned rows are never built."""
     if isinstance(stmt, NextBlock):
         raise AtomicUnsupported(str(stmt))
     if isinstance(stmt, Asynch):
-        return _pre_asynch(phi, x, stmt, program)
+        return _pre_asynch(phi, x, stmt, program, room, spawn_ok)
     if isinstance(stmt, Signal):
-        results = _pre_signal(phi, x, stmt)
+        results = _pre_signal(phi, x, stmt, room)
     elif isinstance(stmt, Wait):
-        results = _pre_wait(phi, x, stmt)
+        results = _pre_wait(phi, x, stmt, room)
     elif isinstance(stmt, Drop):
-        results = _pre_drop(phi, x, stmt)
+        results = _pre_drop(phi, x, stmt, room)
     elif isinstance(stmt, NewPhaser):
         results = _pre_newphaser(phi, x, stmt)
     elif isinstance(stmt, Assign):
@@ -378,33 +395,54 @@ def pre_stmt(phi: Constraint, program, x: int, stmt, branch) -> list:
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, keep=None) -> list:
+def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> list:
     """All (statement, predecessor constraint) pairs over every executing
     role: each tracked task plus a fresh environment task, taking each of
     the ordered ``program.steps`` in turn.  A pair may repeat;
     ``check``'s store drops repeats.
+
+    ``rows_fit`` and ``cap`` are a run's static limits: ``rows_fit(seqs)``
+    tests a predecessor's tuple of control sequences and ``cap`` bounds
+    its columns.  A predecessor that fails them is skipped before any of
+    its cells is built.  Its control sequences are known first: the
+    executor moves to the step's pre sequence, the environment role adds
+    a row, and an ``asynch`` removes the row of a tracked child.  Only a
+    phaser the constraint does not track adds a column.  When ``phi``
+    itself passes the limits, the result is exactly the unlimited result
+    without the pairs that fail them.
 
     ``keep``, when given, drops every predecessor it rejects before that
     predecessor is put into canonical form.  It must not depend on the
     order of rows and columns; then the result is exactly the unfiltered
     result with the rejected pairs removed."""
     results = []
+    room = cap - phi.n_phasers
 
     def emit(stmt, psi):
         if keep is None or keep(psi):
             results.append((stmt, canonical_constraint(psi)))
 
+    def leaving(seqs):
+        # the row test of a predecessor with control ``seqs`` once the row
+        # y that an asynch spawned leaves it (None: no row leaves)
+        return lambda y: rows_fit(seqs if y is None else seqs[:y] + seqs[y + 1 :])
+
     for s_pre, hs in program.steps:
+        spawns = isinstance(hs.stmt, Asynch)
         # tracked roles
         for x in range(phi.n_tasks):
             if phi.seqs[x] not in (None, hs.next_seq):
                 continue
-            for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch):
-                emit(hs.stmt, _with_seq(psi, xr, s_pre))
+            fits = leaving(phi.seqs[:x] + (s_pre,) + phi.seqs[x + 1 :])
+            if spawns or fits(None):
+                for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch, room, fits):
+                    emit(hs.stmt, _with_seq(psi, xr, s_pre))
         # environment role
-        for ext in _env_materializations(phi, hs.next_seq):
-            u = ext.n_tasks - 1
-            for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch):
-                emit(hs.stmt, _with_seq(psi, ur, s_pre))
+        fits = leaving(phi.seqs + (s_pre,))
+        if spawns or fits(None):
+            for ext in _env_materializations(phi, hs.next_seq):
+                u = ext.n_tasks - 1
+                for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch, room, fits):
+                    emit(hs.stmt, _with_seq(psi, ur, s_pre))
     return results
 

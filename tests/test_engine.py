@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from phasercheck import engine
 from phasercheck.concrete import Bounds, explore, initial_config
 from phasercheck.engine import (
     BudgetExhausted,
@@ -19,7 +20,7 @@ from phasercheck.engine import (
 )
 from phasercheck.parser import parse
 from phasercheck.pre import AtomicUnsupported, pre
-from phasercheck.symbolic import Constraint, models
+from phasercheck.symbolic import models
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -211,10 +212,6 @@ def test_spawned_twice_is_decided_and_agrees_with_the_explorer():
 C1_BOUNDS = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
 
 
-def _with_copy_of_row(phi: Constraint, t: int) -> Constraint:
-    return Constraint(phi.bv, phi.seqs + (phi.seqs[t],), phi.gaps + (phi.gaps[t],), phi.egaps)
-
-
 # programs whose exploration is exhausted, with the bounds that exhaust it
 EXHAUSTED = {
     "SPAWNED_TWICE": Bounds(max_tasks=5),
@@ -238,13 +235,13 @@ def test_type_bound_is_exact(name):
     rejected, tight = set(), {}  # tight: type -> predecessors at its bound
     for phi in constraint_pool(Random(7), program, 30):
         for _, psi in pre(phi, program):
-            if not fits_types(psi):
+            if not fits_types(psi.seqs):
                 rejected.add(psi)
                 continue
-            for t, seq in enumerate(psi.seqs):
+            for seq in psi.seqs:
                 if seq is None or len(own[seq]) > 1:
                     continue
-                if not fits_types(_with_copy_of_row(psi, t)):
+                if not fits_types(psi.seqs + (seq,)):
                     (owner,) = own[seq]
                     tight.setdefault(owner, set()).add(psi)
     task_bound = program.static_bounds[0]
@@ -253,6 +250,28 @@ def test_type_bound_is_exact(name):
     assert set(tight) == set(program.instance_counts)
     for psis in tight.values():
         assert any(models(c, psi) for psi in psis for c in res.configs)
+
+
+def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
+    # exact counters on the slowest bench cell: check pops 604 constraints
+    # and pre hands its keep filter 3,997 predecessors.  Without the
+    # limits, pre builds 32,744 on those pops: 21,724 over the task bound,
+    # 5,195 more over the per-type bound and 1,828 more over the phaser
+    # bound
+    program = load("producer_consumer_sw")
+    handed = []
+
+    def counted(phi, program, keep, **limits):
+        def seen(psi):
+            handed.append(psi)
+            return keep(psi)
+
+        return pre(phi, program, keep=seen, **limits)
+
+    monkeypatch.setattr(engine, "pre", counted)
+    strategy = PlainReachability(k=None, b=1)  # the bench cell's default
+    assert check(program, registration_error_targets(program), strategy) == Unreachable(604)
+    assert len(handed) == 3997
 
 
 def test_mode_programs_are_rejected():

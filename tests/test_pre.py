@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from phasercheck import engine
@@ -5,7 +7,7 @@ from phasercheck.concrete import Bounds, explore
 from phasercheck.engine import PlainReachability, Unreachable, check
 from phasercheck.parser import parse, parse_seq
 from phasercheck.pre import AtomicUnsupported, pre, pre_stmt
-from phasercheck.symbolic import Constraint, Gap, constraint_valid, canonical_constraint, is_free
+from phasercheck.symbolic import INF, Constraint, Gap, constraint_valid, canonical_constraint, is_free
 from phasercheck.syntax import NewPhaser
 from phasercheck.targets import (
     assertion_targets,
@@ -15,6 +17,7 @@ from phasercheck.targets import (
 
 from conftest import FINITE_PROGRAMS, load
 from oracles import preserves_freeness_check
+from test_engine import SPAWNED_TWICE
 from sandwich import (
     constraint_pool,
     explored_graph,
@@ -178,21 +181,62 @@ def test_dead_code_after_exit_is_not_in_the_closure():
     assert isinstance(check(program, targets, PlainReachability(k=None, b=1)), Unreachable)
 
 
+# W has two instances, so main and both W fill the task bound of 3
+TWO_W_SRC = "bool a; main(){ asynch(W); asynch(W); } W(){ a = true; }"
+
+
+def test_spawn_limits_test_the_rows_left_after_a_tracked_child():
+    # at the task bound an untracked spawner's row can come in only as
+    # its child's tracked row goes, so the row test must drop the child
+    program = parse(TWO_W_SRC)
+    body = program.task("W").body
+    phi = Constraint((None,), (body, body, None), ((), (), ()), ())
+    rows_fit = engine.type_bound(program)
+    limited = pre(phi, program, rows_fit=rows_fit)
+    assert limited == [(s, psi) for s, psi in pre(phi, program) if rows_fit(psi.seqs)]
+    assert any(psi.n_tasks == 3 for _, psi in limited)
+
+
 class _EnoughPops(Exception):
     pass
 
 
 def test_keep_drops_exactly_what_it_rejects(monkeypatch):
-    # check filters predecessors before pre canonicalizes them; on the
-    # first constraints it pops, with the predicate it builds, that must
-    # give the unfiltered result minus the rejected pairs
-    count = {"full": 0, "kept": 0, "pops": 0}
+    # check hands pre the static limits and filters the rest before pre
+    # canonicalizes them.  On the first constraints it pops, that must
+    # give the unfiltered result minus the pairs that fail the limits,
+    # restated here (the task and phaser bounds, the per-type bound and
+    # k), or keep (b and entailment by the popped constraint).  Each skip
+    # must fire, and every predecessor pre builds must pass the limits
+    k = 2
+    count = Counter()
 
-    def both_ways(phi, program, keep):
-        filtered = pre(phi, program, keep=keep)
+    def both_ways(phi, program, keep, rows_fit, cap):
+        task_bound, phaser_bound = program.static_bounds
+        hall = engine.type_bound(program)
+
+        def reject(psi):
+            # the first limit that psi fails: rows, then columns
+            if task_bound is not None and psi.n_tasks > task_bound:
+                return "rows"
+            if not hall(psi.seqs):
+                return "hall"
+            if psi.n_phasers > min(k, INF if phaser_bound is None else phaser_bound):
+                return "columns"
+            return None
+
+        handed = []
+
+        def seen(psi):
+            handed.append(psi)
+            return keep(psi)
+
+        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
         full = pre(phi, program)
-        expected = [(str(s), psi) for s, psi in full if keep(psi)]
+        expected = [(str(s), psi) for s, psi in full if reject(psi) is None and keep(psi)]
         assert [(str(s), psi) for s, psi in filtered] == expected
+        assert [psi for psi in handed if reject(psi) is not None] == []
+        count.update(reject(psi) for _, psi in full)
         count["full"] += len(full)
         count["kept"] += len(filtered)
         count["pops"] += 1
@@ -201,14 +245,21 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
         return filtered
 
     monkeypatch.setattr(engine, "pre", both_ways)
-    for name in FINITE_PROGRAMS:
-        program = load(name)
+    programs = [(name, load(name)) for name in FINITE_PROGRAMS]
+    programs.append(("SPAWNED_TWICE", parse(SPAWNED_TWICE)))
+    binding = {}
+    for name, program in programs:
         if program.uses_modes():
             continue  # check takes SIG_WAIT-only programs
+        before = count.copy()
         for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
             count["pops"] = 0
             try:
-                check(program, build(program), PlainReachability(k=2, b=1))
+                check(program, build(program), PlainReachability(k=k, b=1))
             except _EnoughPops:
                 pass
+        binding[name] = {r for r in ("rows", "hall", "columns") if count[r] > before[r]}
     assert 0 < count["kept"] < count["full"]
+    # where the bounds bind, each limit skips some predecessor
+    assert binding["producer_consumer_sw"] == {"rows", "hall", "columns"}
+    assert binding["chain_spawn"] == binding["SPAWNED_TWICE"] == {"hall", "columns"}
