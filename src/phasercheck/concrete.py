@@ -1,7 +1,9 @@
 """Concrete configurations, small-step semantics, and the bounded explorer.
 
 Configurations are immutable; tasks and phasers are row/column indices,
-and exploration deduplicates configurations up to renaming through
+and a task's control sequence is its id in the ``control.Program``
+tables, which give each id's head, next and barrier-skip ids.
+Exploration deduplicates configurations up to renaming through
 canonicalization.  A head with a condition branches once per value the
 condition can take (``step_choices``), and ``apply_step`` fires it with
 that value.
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .control import Program, head_successors
+from .control import Program
 from .syntax import (
     NO_VAR,
     SIG,
@@ -40,8 +43,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Reg:
+class Reg(NamedTuple):
     """Registration of one task on one phaser.
 
     ``wait`` is None in SIG mode and ``sig`` is None in WAIT mode (a
@@ -53,15 +55,11 @@ class Reg:
     sig: object  # int | None
 
 
-# One (task, phaser) cell: (variable name or "-", Reg or None for nreg).
-Entry = tuple
-
-
 @dataclass(frozen=True)
 class Configuration:
     bv: tuple  # one bool per program bool variable
-    seqs: tuple  # one ControlSeq per task
-    phases: tuple  # phases[t][p] -> Entry
+    seqs: tuple  # one control-sequence id per task
+    phases: tuple  # phases[t][p] -> (variable name or "-", Reg or None for nreg)
     atomic: object = None  # task index owning an atomic barrier body, or None
 
     @property
@@ -124,7 +122,7 @@ def initial_config(p: Program) -> Configuration:
     main = p.main
     return Configuration(
         bv=tuple(False for _ in p.bool_vars),
-        seqs=(main.body,),
+        seqs=(p.seq_ids[main.body],),
         phases=((),),
     )
 
@@ -141,12 +139,12 @@ def binding(c: Configuration, t: int, var: str):
 # Step relation
 
 
-def _blockers(c: Configuration, t: int) -> list:
+def _blockers(c: Configuration, p: Program, t: int) -> list:
     """Tasks whose signal values hold back the wait at the head of task
     ``t``: those registered with a signal value not past t's wait value.
     Empty unless the head is a wait on a phaser t holds a wait value on."""
-    seq = c.seqs[t]
-    pi = binding(c, t, seq[0].var) if seq and isinstance(seq[0], Wait) else None
+    head = p.heads[c.seqs[t]]
+    pi = binding(c, t, head.var) if isinstance(head, Wait) else None
     reg = None if pi is None else c.phases[t][pi][1]
     if reg is None or reg.wait is None:
         return []
@@ -154,36 +152,37 @@ def _blockers(c: Configuration, t: int) -> list:
     return [u for u, row in enumerate(c.phases) if holds_back(row[pi][1])]
 
 
-def _barrier_held(c: Configuration, t: int) -> bool:
+def _barrier_held(c: Configuration, p: Program, t: int) -> bool:
     """The head barrier of task ``t`` is on a phaser t is registered on, and
     some registered task does not sit at the same barrier block."""
-    want = c.seqs[t][0]
+    want = p.heads[c.seqs[t]]
     pi = binding(c, t, want.var)
     if pi is None or c.phases[t][pi][1] is None:
         return False
     for u, seq in enumerate(c.seqs):
         if c.phases[u][pi][1] is None:
             continue
-        if not seq or not isinstance(seq[0], NextBlock):
+        head = p.heads[seq]
+        if not isinstance(head, NextBlock):
             return True
-        if binding(c, u, seq[0].var) != pi or seq[0].body != want.body:
+        if binding(c, u, head.var) != pi or head.body != want.body:
             return True
     return False
 
 
-def enabled_steps(c: Configuration) -> list:
+def enabled_steps(c: Configuration, p: Program) -> list:
     """(task, head statement) pairs that can fire.  Erroneous heads
     (commands on unregistered phasers, failing assertions) are enabled and
     step to an error outcome; a guarded wait or barrier that is not ready
     is simply absent."""
     out = []
     for t, seq in enumerate(c.seqs):
-        if not seq or c.atomic not in (None, t):
+        head = p.heads[seq]
+        if head is None or c.atomic not in (None, t):
             continue
-        head = seq[0]
-        if isinstance(head, Wait) and _blockers(c, t):
+        if isinstance(head, Wait) and _blockers(c, p, t):
             continue
-        if isinstance(head, NextBlock) and c.atomic != t and _barrier_held(c, t):
+        if isinstance(head, NextBlock) and c.atomic != t and _barrier_held(c, p, t):
             continue
         out.append((t, head))
     return out
@@ -203,10 +202,9 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
     head with a condition fires with one of its ``step_choices``.
 
     The data effect is stated here; the next control sequence of every
-    head is ``head_successors``' (the first one, or the second for a
-    condition whose value is false)."""
-    seq = c.seqs[t]
-    head = seq[0]
+    head is ``p.next_ids``' (the first one, or the second for a condition
+    whose value is false)."""
+    head = p.heads[c.seqs[t]]
     seqs = list(c.seqs)
     phases = [list(row) for row in c.phases]
     bv = list(c.bv)
@@ -244,7 +242,7 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             wait = None if mode == SIG else reg.wait
             sig = None if mode == WAIT else reg.sig
             child_row[pi] = (formal, Reg(mode, wait, sig))
-        seqs.append(callee.body)
+        seqs.append(p.seq_ids[callee.body])
         phases.append(child_row)
 
     elif isinstance(head, (Assign, Assert, While, If)):
@@ -265,20 +263,18 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             pi = binding(c, t, head.var)
             if pi is None or phases[t][pi][1] is None:
                 return RegistrationError(t, "next", head.var)
-            # t executes the body; every other participant skips it and
-            # unfolds its barrier as if the body were empty
+            # t executes the body; every other participant skips it
             for u in range(c.n_tasks):
                 if u != t and phases[u][pi][1] is not None:
-                    bare = (NextBlock(c.seqs[u][0].var, ()),) + c.seqs[u][1:]
-                    seqs[u] = head_successors(bare)[0].next_seq
+                    seqs[u] = p.skip_ids[c.seqs[u]]
             if head.body:
                 atomic = t
 
     elif not isinstance(head, Exit):
         raise TypeError(f"cannot step {head!r}")
 
-    seqs[t] = head_successors(seq)[0 if taken else 1].next_seq
-    return Configuration(tuple(bv), tuple(seqs), tuple(tuple(r) for r in phases), atomic)
+    seqs[t] = p.next_ids[c.seqs[t]][0 if taken else 1]
+    return Configuration(tuple(bv), tuple(seqs), tuple(map(tuple, phases)), atomic)
 
 
 def successors(c: Configuration, p: Program) -> list:
@@ -286,7 +282,7 @@ def successors(c: Configuration, p: Program) -> list:
     value of the head's condition."""
     return [
         (t, head, value, apply_step(c, p, t, value))
-        for t, head in enabled_steps(c)
+        for t, head in enabled_steps(c, p)
         for value in step_choices(c, p, head)
     ]
 
@@ -295,49 +291,40 @@ def successors(c: Configuration, p: Program) -> list:
 # Canonicalization (dedup key for exploration)
 
 
-def _entry_key(entry: Entry):
-    var, reg = entry
-    if reg is None:
-        return (var, "nreg", -1, -1)
-    return (
-        var,
-        reg.mode,
-        -1 if reg.wait is None else reg.wait,
-        -1 if reg.sig is None else reg.sig,
-    )
+# the sort key of an unregistered cell (var, None) is (var, _NREG): "nreg"
+# sorts after every mode name, so after every registration on var
+_NREG = ("nreg",)
 
 
-def canonical(c: Configuration) -> Configuration:
+def canonical(c: Configuration, p: Program) -> Configuration:
     """Deterministically relabel tasks and phasers and subtract the
-    per-phaser minimum phase (sound for reachability modulo equivalence)."""
-    phases = [list(row) for row in c.phases]
-    for p in range(c.n_phasers):
-        regs = [row[p][1] for row in phases if row[p][1] is not None]
-        k = min((r.wait if r.wait is not None else r.sig for r in regs), default=0)
+    per-phaser minimum phase (sound for reachability modulo equivalence).
+    Tasks sort by the text of their sequence (``p.text_ranks``), then by
+    their cells in phaser order."""
+    cols = list(zip(*c.phases))
+    for q, col in enumerate(cols):
+        k = min([r.sig if r.wait is None else r.wait for _, r in col if r is not None], default=0)
         if k > 0:
-            for row in phases:
-                var, reg = row[p]
-                if reg is not None:
-                    wait = None if reg.wait is None else reg.wait - k
-                    sig = None if reg.sig is None else reg.sig - k
-                    row[p] = (var, Reg(reg.mode, wait, sig))
+            shift = lambda v: None if v is None else v - k
+            cols[q] = tuple(
+                (var, None if r is None else Reg(r.mode, shift(r.wait), shift(r.sig))) for var, r in col
+            )
+    # a registered cell is its own key: a mode fixes which of its values
+    # are None, so two registrations never compare None with an int
+    keys = [[e if e[1] is not None else (e[0], _NREG) for e in col] for col in cols]
     # a phaser's key is a multiset over tasks, so one sort of each suffices
-    phaser_order = sorted(
-        range(c.n_phasers), key=lambda p: (sorted(_entry_key(row[p]) for row in phases), p)
-    )
-    task_order = sorted(
-        range(c.n_tasks),
-        key=lambda t: (
-            tuple(str(s) for s in c.seqs[t]),
-            tuple(_entry_key(phases[t][p]) for p in phaser_order),
-            t,
-        ),
-    )
+    phaser_order = [q for _, q in sorted([(sorted(key), q) for q, key in enumerate(keys)])]
+    no_phasers = [()] * c.n_tasks
+    key_rows = list(zip(*[keys[q] for q in phaser_order])) or no_phasers
+    rows = list(zip(*[cols[q] for q in phaser_order])) or no_phasers
+    ranks = p.text_ranks
+    order = sorted(zip([ranks[s] for s in c.seqs], key_rows, range(c.n_tasks)))
+    task_order = [t for _, _, t in order]
     atomic = None if c.atomic is None else task_order.index(c.atomic)
     return Configuration(
         c.bv,
-        tuple(c.seqs[t] for t in task_order),
-        tuple(tuple(phases[t][p] for p in phaser_order) for t in task_order),
+        tuple([c.seqs[t] for t in task_order]),
+        tuple([rows[t] for t in task_order]),
         atomic,
     )
 
@@ -350,7 +337,7 @@ def cyclic_waits(c: Configuration, p: Program):
     """A cycle of tasks each blocked at a wait whose guard the next task in
     the cycle falsifies, or None."""
     # blocked task -> the tasks whose signals block its wait
-    blockers = {t: by for t in range(c.n_tasks) if (by := _blockers(c, t))}
+    blockers = {t: by for t in range(c.n_tasks) if (by := _blockers(c, p, t))}
     # depth-first search among blocked tasks; the first back edge closes a cycle
     done = set()
 
@@ -411,7 +398,7 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
     ``exhausted`` is True only when no frontier state was cut by a bound,
     so "no error found" is conclusive for the quotient modulo equivalence.
     """
-    init = canonical(initial_config(p))
+    init = canonical(initial_config(p), p)
     index = {init: 0}
     configs = [init]
     errors = []
@@ -436,13 +423,13 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
             if not _within(outcome, bounds):
                 exhausted = False
                 continue
-            cc = canonical(outcome)
-            if cc not in index:
-                index[cc] = len(configs)
+            cc = canonical(outcome, p)
+            j = index.setdefault(cc, len(configs))  # one hash per successor
+            if j == len(configs):
                 configs.append(cc)
-                queue.append(index[cc])
+                queue.append(j)
             if record_graph:
-                edges.append((ci, t, str(stmt), index[cc]))
+                edges.append((ci, t, str(stmt), j))
         errors.extend((e, ci) for e in found)
     return ExploreResult(configs, errors, exhausted, edges)
 
@@ -453,7 +440,7 @@ def config_to_text(c: Configuration, p: Program) -> str:
     for name, val in zip(p.bool_vars, c.bv):
         lines.append(f"  bv {name}={'true' if val else 'false'}")
     for t in range(c.n_tasks):
-        seq = " ".join(str(s) for s in c.seqs[t]) or "<done>"
+        seq = " ".join(map(str, p.suffixes[c.seqs[t]])) or "<done>"
         lines.append(f'  task t{t} seq "{seq}"')
     for t in range(c.n_tasks):
         for pi in range(c.n_phasers):

@@ -8,11 +8,17 @@ and ``suffixes``), every head step out of them (``steps``) and the
 ``start_distances`` heuristic.  The bounds on task instances and created
 phasers are ``instance_counts`` and ``static_bounds``.
 
+A reachable sequence's id is its index in ``suffixes``.  Per id, the
+program keeps the head statement (``heads``), the ids its head steps
+lead to (``next_ids``), its ``barrier_skip`` id (``skip_ids``) and its
+rank in statement-text order (``text_ranks``), so concrete
+configurations carry ids and never unfold or compare sequences.
+
 The reached sequences are finite for every program because every one is
 built from the finitely many sub-statements of the program.  They are
 the suffixes of the bodies and of their unrolled loop, conditional and
 barrier heads, except the statements after an ``exit``, which no run
-reaches.
+reaches, plus the barrier skips.
 """
 
 from __future__ import annotations
@@ -77,6 +83,15 @@ def head_successors(seq: ControlSeq) -> tuple:
     return (HeadStep(head, None, tail),)
 
 
+def barrier_skip(seq: ControlSeq):
+    """Where a participant of the barrier block at the head of ``seq``
+    goes when another task executes the body: the unfolding of the bare
+    barrier, ``signal; wait; tail``.  None unless the head is a barrier."""
+    if seq and isinstance(seq[0], NextBlock):
+        return (Signal(seq[0].var), Wait(seq[0].var)) + seq[1:]
+    return None
+
+
 def seq_order_key(seq: ControlSeq) -> tuple:
     """Deterministic ordering key for control sequences: the length, then
     the text of each statement.  The key is rebuilt for every row a sort
@@ -129,7 +144,9 @@ class Program:
     def _walk(self) -> tuple:
         """One breadth-first walk of head steps from each task body:
         (the head steps out of each reached sequence, the task types
-        reaching it, the fewest steps from some body to it)."""
+        reaching it, the fewest steps from some body to it).  A barrier
+        skip counts as a step: a body ending in ``exit`` reaches the
+        skip of its barrier only through another participant."""
         succ, owners, dist = {}, {}, {}
         for t in self.tasks:
             reached = {t.body: 0}
@@ -138,10 +155,10 @@ class Program:
                 seq = queue.popleft()
                 if seq not in succ:
                     succ[seq] = head_successors(seq)
-                for step in succ[seq]:
-                    if step.next_seq not in reached:
-                        reached[step.next_seq] = reached[seq] + 1
-                        queue.append(step.next_seq)
+                for nxt in (*(step.next_seq for step in succ[seq]), barrier_skip(seq)):
+                    if nxt is not None and nxt not in reached:
+                        reached[nxt] = reached[seq] + 1
+                        queue.append(nxt)
             for seq, d in reached.items():
                 owners[seq] = owners.get(seq, frozenset()) | {t.name}
                 dist[seq] = min(d, dist.get(seq, d))
@@ -159,6 +176,35 @@ class Program:
         """The control sequences tasks can reach, in ``seq_order_key``
         order."""
         return tuple(sorted(self.owners, key=seq_order_key))
+
+    @cached_property
+    def seq_ids(self) -> dict:
+        """The id of each reachable sequence: its index in ``suffixes``."""
+        return {seq: i for i, seq in enumerate(self.suffixes)}
+
+    @cached_property
+    def heads(self) -> tuple:
+        """Per id, the head statement, or None for the empty sequence."""
+        return tuple(seq[0] if seq else None for seq in self.suffixes)
+
+    @cached_property
+    def next_ids(self) -> tuple:
+        """Per id, the ids its ``head_successors`` lead to, in their order."""
+        succ, ids = self._walk[0], self.seq_ids
+        return tuple(tuple(ids[step.next_seq] for step in succ[seq]) for seq in self.suffixes)
+
+    @cached_property
+    def skip_ids(self) -> tuple:
+        """Per id, the id of its ``barrier_skip``, or None."""
+        return tuple(map(self.seq_ids.get, map(barrier_skip, self.suffixes)))
+
+    @cached_property
+    def text_ranks(self) -> tuple:
+        """Per id, the rank of ``tuple(str(s) for s in seq)`` among the
+        reachable sequences; equal text gives equal rank."""
+        texts = [tuple(map(str, seq)) for seq in self.suffixes]
+        rank = {text: r for r, text in enumerate(sorted(set(texts)))}
+        return tuple(map(rank.get, texts))
 
     @cached_property
     def steps(self) -> tuple:

@@ -278,7 +278,7 @@ def check(program, targets, strategy, progress=None):
             )
         if budget is not None and processed > budget:
             return BudgetExhausted(processed)
-        if models(init, phi):
+        if models(init, phi, program.suffixes):
             return Reachable(trace_from(phi))
         # pre builds only predecessors within the static limits; the rest
         # are filtered before pre canonicalizes them, cheapest test first:
@@ -317,8 +317,8 @@ def validate_trace(program, trace: Trace) -> TraceReport:
     """Replay a trace concretely: starting from the initial configuration,
     each trace statement must fire once so that some resulting
     configuration models the next trace constraint."""
-    init = initial_config(program)
-    if not models(init, trace.constraints[0]):
+    init, seqs = initial_config(program), program.suffixes
+    if not models(init, trace.constraints[0], seqs):
         return TraceReport(False, 0, "initial configuration does not model the first constraint")
     frontier = {init}
     for i, stmt in enumerate(trace.stmts):
@@ -327,7 +327,7 @@ def validate_trace(program, trace: Trace) -> TraceReport:
             out
             for c in frontier
             for _, head, _, out in successors(c, program)
-            if head == stmt and isinstance(out, Configuration) and models(out, target)
+            if head == stmt and isinstance(out, Configuration) and models(out, target, seqs)
         }
         if not reached:
             return TraceReport(

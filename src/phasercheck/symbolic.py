@@ -143,8 +143,9 @@ def is_b_good(phi: Constraint, b) -> bool:
 # Membership: configuration models constraint
 
 
-def models(c, phi: Constraint) -> bool:
-    """Whether the concrete configuration satisfies the constraint."""
+def models(c, phi: Constraint, seqs: tuple) -> bool:
+    """Whether the concrete configuration satisfies the constraint; its
+    sequence ids index ``seqs`` (a program's ``suffixes``)."""
     for pb, cb in zip(phi.bv, c.bv):
         if pb is not None and pb != cb:
             return False
@@ -157,7 +158,7 @@ def models(c, phi: Constraint) -> bool:
     for t in range(n_tc):
         opts = [-1]  # environment role
         for j in range(n_tp):
-            if phi.seqs[j] is None or phi.seqs[j] == c.seqs[t]:
+            if phi.seqs[j] is None or phi.seqs[j] == seqs[c.seqs[t]]:
                 opts.append(j)
         options.append(opts)
     for pi_sel in itertools.permutations(range(n_pc), n_pp):

@@ -88,16 +88,18 @@ def rand_constraint(
     return Constraint(bv, seqs, gaps, egaps)
 
 
-def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1):
+def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1, table=None):
     """Try to build a concrete configuration modeling the constraint by
     instantiating levels and phases; returns None when a random draw
-    fails the bounds."""
+    fails the bounds.  Its sequence ids index ``table`` (a program's
+    ``suffixes``), by default ``seq_pool``."""
+    intern = (seq_pool if table is None else table).index
     n_p = phi.n_phasers
     levels = [rng.randint(0, 2) for _ in range(n_p)]
     rows = []
     seqs = []
     for t in range(phi.n_tasks):
-        seqs.append(phi.seqs[t] if phi.seqs[t] is not None else rng.choice(seq_pool))
+        seqs.append(intern(phi.seqs[t] if phi.seqs[t] is not None else rng.choice(seq_pool)))
         row = []
         for p in range(n_p):
             g = phi.gaps[t][p]
@@ -123,7 +125,7 @@ def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1):
         rows.append(tuple(row))
     # optional environment tasks obeying the environment lower bounds
     for _ in range(rng.randint(0, extra_tasks)):
-        seqs.append(rng.choice(seq_pool))
+        seqs.append(intern(rng.choice(seq_pool)))
         row = []
         for p in range(n_p):
             if rng.random() < 0.5:

@@ -55,9 +55,10 @@ def _val_matches(pv, reg) -> bool:
     return True
 
 
-def includes(c: Configuration, pc: PartialConfiguration) -> bool:
+def includes(c: Configuration, pc: PartialConfiguration, seqs: tuple) -> bool:
     """Whether ``c`` includes the partial configuration (injective task and
-    phaser renamings with wildcard matching)."""
+    phaser renamings with wildcard matching); ``c``'s sequence ids index
+    ``seqs``."""
     for pb, cb in zip(pc.bv, c.bv):
         if pb is not None and pb != cb:
             return False
@@ -66,7 +67,7 @@ def includes(c: Configuration, pc: PartialConfiguration) -> bool:
     for tau in itertools.permutations(ctasks, pc.n_tasks):
         ok = True
         for tp, tc in enumerate(tau):
-            if pc.seqs[tp] is not None and pc.seqs[tp] != c.seqs[tc]:
+            if pc.seqs[tp] is not None and pc.seqs[tp] != seqs[c.seqs[tc]]:
                 ok = False
                 break
         if not ok:

@@ -85,23 +85,23 @@ def one_step_cover_violations(program, phi, res):
     for src, t, stmt_str, dst in res.edges:
         hit = post_cache.get(dst)
         if hit is None:
-            hit = post_cache[dst] = models(res.configs[dst], phi)
+            hit = post_cache[dst] = models(res.configs[dst], phi, program.suffixes)
         if not hit:
             continue
         covered += 1
         c_src = res.configs[src]
-        if not any(models(c_src, psi) for psi in preds.get(stmt_str, ())):
+        if not any(models(c_src, psi, program.suffixes) for psi in preds.get(stmt_str, ())):
             violations.append((src, t, stmt_str, dst))
     return violations, covered
 
 
 def _one_step_reaches(program, c, stmt, phi):
-    for t, head in enabled_steps(c):
+    for t, head in enabled_steps(c, program):
         if head != stmt:
             continue
         for value in step_choices(c, program, head):
             out = apply_step(c, program, t, value)
-            if isinstance(out, Configuration) and models(out, phi):
+            if isinstance(out, Configuration) and models(out, phi, program.suffixes):
                 return True
     return False
 
@@ -116,7 +116,7 @@ def one_step_usefulness_violations(rng, program, phi, samples=2):
     checked = 0
     for stmt, psi in pre(phi, program):
         for _ in range(samples):
-            c = sample_model(rng, psi, seq_pool, bool_count=nb)
+            c = sample_model(rng, psi, seq_pool, bool_count=nb, table=program.suffixes)
             if c is None:
                 continue
             checked += 1

@@ -195,7 +195,7 @@ def test_c2_entailment_soundness(report):
         if c is None:
             continue
         checked += 1
-        if not models(c, pa):
+        if not models(c, pa, pool):
             bad += 1
     report(
         "entailment-soundness",
@@ -409,7 +409,7 @@ def _step_signature(c, program):
     out = set()
     for t, stmt, choice, outcome in successors(c, program):
         if isinstance(outcome, Configuration):
-            key = canonical(outcome)
+            key = canonical(outcome, program)
         else:
             key = (type(outcome).__name__,) + tuple(
                 getattr(outcome, f.name) for f in outcome.__dataclass_fields__.values()

@@ -26,7 +26,7 @@ def run_to_end(prog, prefer=None):
     """Deterministically run a choice-free single-path program."""
     c = initial_config(prog)
     while True:
-        steps = enabled_steps(c)
+        steps = enabled_steps(c, prog)
         if not steps:
             return c
         t, head = steps[0]
@@ -62,14 +62,14 @@ def test_signal_then_wait_passes():
     p = parse("main(){ q = newPhaser(); signal(q); wait(q); drop(q); }")
     c = run_to_end(p)
     assert isinstance(c, Configuration)
-    assert c.seqs[0] == ()
+    assert p.suffixes[c.seqs[0]] == ()
     assert c.phases[0][0] == ("q", None)
 
 
 def test_wait_blocks_on_own_signal():
     p = parse("main(){ q = newPhaser(); wait(q); }")
     c = apply_step(initial_config(p), p, 0)
-    assert enabled_steps(c) == []
+    assert enabled_steps(c, p) == []
     assert cyclic_waits(c, p) == (0,)
 
 
@@ -77,16 +77,11 @@ def test_cyclic_waits_follows_every_out_edge():
     # t0 is blocked by t1 and t2 on a; t1 only by the finished t3 on b;
     # t2 by t0 on c.  The cycle t0 -> t2 -> t0 leaves through t0's
     # second out-edge.
-    p = parse("main(){ exit; }")
+    p = parse("main(){ exit; } A(a){ wait(a); } B(b){ wait(b); } C(c){ wait(c); }")
     na = ("-", None)
     c = Configuration(
         bv=(),
-        seqs=(
-            parse_seq("wait(a);"),
-            parse_seq("wait(b);"),
-            parse_seq("wait(c);"),
-            (),
-        ),
+        seqs=tuple(p.seq_ids[parse_seq(s)] for s in ("wait(a);", "wait(b);", "wait(c);", "")),
         phases=(
             (("a", Reg("SIG_WAIT", 1, 2)), na, ("c", Reg("SIG_WAIT", 0, 1))),
             (("a", Reg("SIG_WAIT", 0, 1)), ("b", Reg("SIG_WAIT", 1, 2)), na),
@@ -145,13 +140,13 @@ def test_wait_mode_holds_no_signal():
     assert c.phases[1][0][1] == Reg("WAIT", 0, None)
     # main's wait is not blocked by the WAIT-mode task
     c = apply_step(c, p, 0)  # signal
-    assert (0, c.seqs[0][0]) in enabled_steps(c)
+    assert (0, p.heads[c.seqs[0]]) in enabled_steps(c, p)
 
 
 def test_exit_keeps_registrations():
     p = parse("main(){ q = newPhaser(); exit; }")
     c = apply_step(apply_step(initial_config(p), p, 0), p, 0)
-    assert c.seqs[0] == ()
+    assert p.suffixes[c.seqs[0]] == ()
     assert c.phases[0][0][1] is not None
 
 
@@ -175,7 +170,7 @@ def test_well_formedness_binds_a_variable_to_one_phaser():
     # newPhaser unbinds the variable's old phaser and spawn formals are
     # distinct, so no reachable task names two phasers with one variable
     reg = Reg("SIG_WAIT", 0, 1)
-    seqs = (parse_seq("wait(p);"),)
+    seqs = (parse("main(){ p = newPhaser(); wait(p); }").seq_ids[parse_seq("wait(p);")],)
     assert is_well_formed(Configuration(bv=(), seqs=seqs, phases=((("p", reg), ("-", reg)),)))
     for other in (("p", reg), ("p", None)):
         twice = Configuration(bv=(), seqs=seqs, phases=((("p", reg), other),))
@@ -206,11 +201,11 @@ def test_includes_matches_up_to_renaming():
         seqs=(None,),
         phase=((("*", (0, 1)),),),
     )
-    assert includes(c, pc)
+    assert includes(c, pc, p.suffixes)
     pc_wrong = PartialConfiguration(bv=(), seqs=(None,), phase=((("*", (1, 1)),),))
-    assert not includes(c, pc_wrong)
+    assert not includes(c, pc_wrong, p.suffixes)
     pc_nreg = PartialConfiguration(bv=(), seqs=(None,), phase=((("*", "nreg"),),))
-    assert not includes(c, pc_nreg)
+    assert not includes(c, pc_nreg, p.suffixes)
 
 
 def test_equivalent_modulo_shift_and_renaming():
@@ -223,7 +218,7 @@ def test_equivalent_modulo_shift_and_renaming():
 def test_canonical_is_equivalence_invariant():
     p = parse("main(){ q = newPhaser(); signal(q); wait(q); drop(q); }")
     c = apply_step(apply_step(initial_config(p), p, 0), p, 0)
-    assert canonical(c) == canonical(shifted(c, {0: 2}))
+    assert canonical(c, p) == canonical(shifted(c, {0: 2}), p)
 
 
 def test_successors_cover_all_choices():
@@ -301,10 +296,10 @@ def test_empty_barrier_releases_every_participant():
         "T(r){ next(r){ } drop(r); } U(){ exit; }"
     )
     c = steps_of(p, 3)  # U is registered on nothing
-    assert [t for t, _ in enabled_steps(c)] == [0, 1, 2]
+    assert [t for t, _ in enabled_steps(c, p)] == [0, 1, 2]
     out = apply_step(c, p, 0)
-    assert out.seqs[0] == parse_seq("signal(q); wait(q); drop(q);")
-    assert out.seqs[2] == parse_seq("signal(r); wait(r); drop(r);")
+    assert p.suffixes[out.seqs[0]] == parse_seq("signal(q); wait(q); drop(q);")
+    assert p.suffixes[out.seqs[2]] == parse_seq("signal(r); wait(r); drop(r);")
     assert out.seqs[1] == c.seqs[1] and out.atomic is None
 
 
@@ -316,13 +311,13 @@ def test_barrier_fires_only_when_every_participant_is_at_it():
     ):
         p = parse("bool a; " + main + task)
         c = steps_of(p, 2)
-        assert (0, c.seqs[0][0]) not in enabled_steps(c)
+        assert (0, p.heads[c.seqs[0]]) not in enabled_steps(c, p)
     p = parse(
         "bool a; main(){ q = newPhaser(); s = newPhaser(); asynch(T, q, s); next(q){ a = true; } }"
         "T(r, u){ next(u){ a = true; } drop(r); drop(u); }"
     )
     c = steps_of(p, 3)  # T sits at a barrier of the other phaser
-    assert enabled_steps(c) == []
+    assert enabled_steps(c, p) == []
 
 
 def test_explore_is_not_exhausted_when_a_bound_cuts():

@@ -1,6 +1,40 @@
-from phasercheck.control import head_successors
+import runpy
+
+import pytest
+
+from phasercheck.concrete import Bounds, explore
+from phasercheck.control import barrier_skip, head_successors
 from phasercheck.parser import parse, parse_seq
 from phasercheck.syntax import NextBlock, Signal, Wait
+
+from conftest import CORPUS, load
+
+# main's barrier body ends in exit, so only a participant skipping the
+# body reaches ``signal(p); wait(p); assert(a); drop(p);``.  Here the two
+# bodies differ and the barrier never fires; with equal bodies it does
+SKIP_AFTER_EXIT = (
+    "bool a; main(){ p = newPhaser(); asynch(W, p); next(p){ a = true; exit; } assert(a); "
+    "drop(p); } W(p){ next(p){ a = true; } drop(p); }"
+)
+SKIP_AFTER_EXIT_FIRES = (
+    "bool a; main(){ p = newPhaser(); asynch(W, p); next(p){ a = true; exit; } assert(a); "
+    "drop(p); } W(p){ next(p){ a = true; exit; } assert(a); drop(p); }"
+)
+
+
+def _table_programs():
+    """Every corpus program, the generated programs of three benchmark
+    draws and the two programs above."""
+    families = runpy.run_path(str(CORPUS.parent / "bench" / "families.py"))
+    out = {path.stem: load(path.stem) for path in sorted(CORPUS.glob("*.phz"))}
+    for seed in (1, 2, 3):
+        out.update((g.name, parse(g.source)) for g in families["draw"](seed))
+    out["skip_after_exit"] = parse(SKIP_AFTER_EXIT)
+    out["skip_after_exit_fires"] = parse(SKIP_AFTER_EXIT_FIRES)
+    return out
+
+
+TABLE_PROGRAMS = _table_programs()
 
 
 def test_plain_statement_steps_to_tail():
@@ -62,3 +96,43 @@ def test_unrolled_suffixes_finite_for_nested_loops():
     )
     suff = p.suffixes
     assert 0 < len(suff) < 200
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PROGRAMS))
+def test_id_tables_agree_with_the_unfolding(name):
+    p = TABLE_PROGRAMS[name]
+    for i, seq in enumerate(p.suffixes):
+        assert p.seq_ids[seq] == i
+        assert p.heads[i] == (seq[0] if seq else None)
+        nexts = [p.suffixes[j] for j in p.next_ids[i]]
+        assert nexts == [step.next_seq for step in head_successors(seq)]
+        if seq and isinstance(seq[0], NextBlock):
+            # a participant that does not execute the body unfolds its
+            # barrier as if the body were empty
+            bare = (NextBlock(seq[0].var, ()),) + seq[1:]
+            assert p.suffixes[p.skip_ids[i]] == head_successors(bare)[0].next_seq
+        else:
+            assert p.skip_ids[i] is None
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PROGRAMS))
+def test_text_ranks_order_sequences_by_their_text(name):
+    p = TABLE_PROGRAMS[name]
+    texts = [tuple(str(s) for s in seq) for seq in p.suffixes]
+    ids = range(len(texts))
+    assert sorted(ids, key=lambda i: (p.text_ranks[i], i)) == sorted(ids, key=lambda i: (texts[i], i))
+    # equal text, equal rank, and the converse
+    assert len(set(zip(texts, p.text_ranks))) == len(set(texts)) == len(set(p.text_ranks))
+
+
+def test_the_walk_reaches_the_barrier_skip_after_an_exit():
+    skip = barrier_skip(parse_seq("next(p){ a = true; exit; } assert(a); drop(p);"))
+    assert skip == parse_seq("signal(p); wait(p); assert(a); drop(p);")
+    # the counts are those of the explorer that unfolded the bare barrier
+    # on the fly, before the tables existed
+    for src, configs, skipped in ((SKIP_AFTER_EXIT, 3, False), (SKIP_AFTER_EXIT_FIRES, 6, True)):
+        p = parse(src)
+        assert skip in p.owners
+        res = explore(p, Bounds())
+        assert res.exhausted and len(res.configs) == configs
+        assert any(p.seq_ids[skip] in c.seqs for c in res.configs) == skipped

@@ -97,9 +97,10 @@ def test_classification():
 
 
 def _cfg(cells, seqs=None, bv=()):
+    """A configuration whose sequence ids index ``POOL``."""
     return Configuration(
         bv=bv,
-        seqs=seqs if seqs is not None else tuple(() for _ in cells),
+        seqs=tuple(map(POOL.index, seqs if seqs is not None else [()] * len(cells))),
         phases=tuple(cells),
     )
 
@@ -107,25 +108,25 @@ def _cfg(cells, seqs=None, bv=()):
 def test_models_interval_on_single_cell():
     c = _cfg([(("q", Reg("SIG_WAIT", 0, 1)),)])
     phi = Constraint((), (None,), ((Gap(ANY, (0, 1, 0, 1)),),), ((0, 0),))
-    assert models(c, phi)  # level 0: l-w = 0, s-l = 1
+    assert models(c, phi, POOL)  # level 0: l-w = 0, s-l = 1
     loose = Constraint((), (None,), ((Gap(ANY, (1, 0, 1, 0)),),), ((0, 0),))
-    assert models(c, loose)  # level 1: l-w = 1, s-l = 0
+    assert models(c, loose, POOL)  # level 1: l-w = 1, s-l = 0
     too_tight = Constraint((), (None,), ((Gap(ANY, (2, 0, 2, 0)),),), ((0, 0),))
-    assert not models(c, too_tight)  # level 2 would put s below the level
+    assert not models(c, too_tight, POOL)  # level 2 would put s below the level
 
 
 def test_models_checks_variable_name_even_when_unregistered():
     c = _cfg([(("q", None),)])
     pinned = Constraint((), (None,), ((Gap("q", None),),), ((0, 0),))
     other = Constraint((), (None,), ((Gap("r", None),),), ((0, 0),))
-    assert models(c, pinned)
-    assert not models(c, other)
+    assert models(c, pinned, POOL)
+    assert not models(c, other, POOL)
 
 
 def test_models_optional_cell_accepts_both_statuses():
     phi = Constraint((), (None,), ((OPT_FREE,),), ((0, 0),))
-    assert models(_cfg([(("q", None),)]), phi)
-    assert models(_cfg([(("q", Reg("SIG_WAIT", 2, 5)),)]), phi)
+    assert models(_cfg([(("q", None),)]), phi, POOL)
+    assert models(_cfg([(("q", Reg("SIG_WAIT", 2, 5)),)]), phi, POOL)
 
 
 def test_models_env_lower_bounds():
@@ -139,12 +140,12 @@ def test_models_env_lower_bounds():
         [(("q", Reg("SIG_WAIT", 2, 2)),), (("r", Reg("SIG_WAIT", 1, 2)),)],
         seqs=(seq_a, seq_b),
     )
-    assert models(ok, phi)  # level 2; env wait 1 <= 2 - 1
+    assert models(ok, phi, POOL)  # level 2; env wait 1 <= 2 - 1
     bad = _cfg(
         [(("q", Reg("SIG_WAIT", 2, 2)),), (("r", Reg("SIG_WAIT", 2, 2)),)],
         seqs=(seq_a, seq_b),
     )
-    assert not models(bad, phi)  # env wait at the level violates ew = 1
+    assert not models(bad, phi, POOL)  # env wait at the level violates ew = 1
 
 
 def test_sampled_configs_model_their_constraint(rng):
@@ -155,7 +156,7 @@ def test_sampled_configs_model_their_constraint(rng):
         if c is None:
             continue
         hits += 1
-        assert models(c, phi)
+        assert models(c, phi, POOL)
     assert hits > 100
 
 
@@ -186,7 +187,7 @@ def test_entails_soundness_on_samples(rng):
             if c is None:
                 continue
             checked += 1
-            assert models(c, pa), (pa, pb, c)
+            assert models(c, pa, POOL), (pa, pb, c)
     assert checked > 200
 
 

@@ -101,13 +101,13 @@ def test_cycle_targets_grow_with_slack_and_cycle_length():
     seq_other = parse_seq("wait(q); drop(q); drop(p);")
     c = Configuration(
         bv=(),
-        seqs=(seq_main, seq_other),
+        seqs=(program.seq_ids[seq_main], program.seq_ids[seq_other]),
         phases=(
             (("p", Reg("SIG_WAIT", 0, 1)), ("q", Reg("SIG_WAIT", 0, 0))),
             (("p", Reg("SIG_WAIT", 0, 0)), ("q", Reg("SIG_WAIT", 0, 1))),
         ),
     )
-    assert any(models(c, phi) for phi in two_s1)
+    assert any(models(c, phi, program.suffixes) for phi in two_s1)
 
 
 def test_no_cycle_targets_without_waits():
@@ -174,20 +174,22 @@ def test_from_partial_config_models_match_inclusion():
     [phi] = from_partial_config(pc)
     assert phi.gaps[0][0] == Gap("p", (0, 1, 0, 1))  # level 1 = max wait
     assert phi.gaps[1][0] == Gap(ANY, None)
+    program = parse("bool a; main(){ p = newPhaser(); wait(p); drop(p); }")
+    seqs = (program.seq_ids[parse_seq("wait(p); drop(p);")], program.seq_ids[()])
     c = Configuration(
         bv=(True,),
-        seqs=(parse_seq("wait(p); drop(p);"), ()),
+        seqs=seqs,
         phases=((("p", Reg("SIG_WAIT", 1, 2)),), (("q", None),)),
     )
-    assert includes(c, pc)
-    assert models(c, phi)
+    assert includes(c, pc, program.suffixes)
+    assert models(c, phi, program.suffixes)
     off_level = Configuration(
         bv=(True,),
-        seqs=(parse_seq("wait(p); drop(p);"), ()),
+        seqs=seqs,
         phases=((("p", Reg("SIG_WAIT", 0, 2)),), (("q", None),)),
     )
-    assert not includes(off_level, pc)
-    assert not models(off_level, phi)
+    assert not includes(off_level, pc, program.suffixes)
+    assert not models(off_level, phi, program.suffixes)
 
 
 def test_from_partial_config_unconstrained_cells_stay_optional():
