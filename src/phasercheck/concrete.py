@@ -12,7 +12,8 @@ Reconstruction notes (the figure-level rules are not part of the available
 sources): exit only empties the control sequence and never deregisters; a
 wait is blocked while any registered task holding a signal value has not
 signalled past the waiter's wait value; barrier blocks run their body as an
-atomic macro-section owned by one participant.
+atomic macro-section owned by one participant, which ends at the body's end
+or at an ``exit`` inside it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ class Configuration:
 
 @dataclass(frozen=True)
 class PartialConfiguration:
-    """Wildcard-bearing pattern over configurations.
+    """Wildcard-bearing pattern over configurations, as a partial-config
+    record reads it: seqs hold control sequences, which
+    ``targets.from_partial_config`` interns through the program.
 
     bv entries and seqs may be None (= *); phase cells may be None
     (= unconstrained), or (var, val) with var in V + {"-", "*"} and val
@@ -119,10 +122,9 @@ class CyclicWait:
 
 
 def initial_config(p: Program) -> Configuration:
-    main = p.main
     return Configuration(
         bv=tuple(False for _ in p.bool_vars),
-        seqs=(p.seq_ids[main.body],),
+        seqs=(p.body_ids["main"],),
         phases=((),),
     )
 
@@ -242,7 +244,7 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             wait = None if mode == SIG else reg.wait
             sig = None if mode == WAIT else reg.sig
             child_row[pi] = (formal, Reg(mode, wait, sig))
-        seqs.append(p.seq_ids[callee.body])
+        seqs.append(p.body_ids[head.task])
         phases.append(child_row)
 
     elif isinstance(head, (Assign, Assert, While, If)):
@@ -270,7 +272,10 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             if head.body:
                 atomic = t
 
-    elif not isinstance(head, Exit):
+    elif isinstance(head, Exit):
+        atomic = None  # an executor that exits its barrier body leaves it
+
+    else:
         raise TypeError(f"cannot step {head!r}")
 
     seqs[t] = p.next_ids[c.seqs[t]][0 if taken else 1]

@@ -10,9 +10,13 @@ phasers are ``instance_counts`` and ``static_bounds``.
 
 A reachable sequence's id is its index in ``suffixes``.  Per id, the
 program keeps the head statement (``heads``), the ids its head steps
-lead to (``next_ids``), its ``barrier_skip`` id (``skip_ids``) and its
-rank in statement-text order (``text_ranks``), so concrete
-configurations carry ids and never unfold or compare sequences.
+lead to (``next_ids``), its ``barrier_skip`` id (``skip_ids``), its
+rank in statement-text order (``text_ranks``), its ``owners`` and its
+``start_distances``; ``body_ids`` names each task body's id.  Concrete
+configurations and symbolic constraints carry ids, so after parsing no
+layer unfolds, hashes or compares a sequence: the statement tuples live
+only here, while the tables are built, and in the record formats that
+print and read them (``intern`` maps read sequences to ids).
 
 The reached sequences are finite for every program because every one is
 built from the finitely many sub-statements of the program.  They are
@@ -92,14 +96,6 @@ def barrier_skip(seq: ControlSeq):
     return None
 
 
-def seq_order_key(seq: ControlSeq) -> tuple:
-    """Deterministic ordering key for control sequences: the length, then
-    the text of each statement.  The key is rebuilt for every row a sort
-    compares, so it is one flat tuple: a nested one raised the peak
-    memory of ``check``."""
-    return (len(seq), *map(str, seq))
-
-
 # ---------------------------------------------------------------------------
 # Tasks and programs
 
@@ -164,23 +160,45 @@ class Program:
                 dist[seq] = min(d, dist.get(seq, d))
         return succ, owners, dist
 
-    @property
-    def owners(self) -> dict:
-        """Map each control sequence tasks can reach to the frozenset of
-        task types whose body reaches it: a task at the sequence runs the
-        body of one of them."""
-        return self._walk[1]
-
     @cached_property
     def suffixes(self) -> tuple:
-        """The control sequences tasks can reach, in ``seq_order_key``
-        order."""
-        return tuple(sorted(self.owners, key=seq_order_key))
+        """The control sequences tasks can reach, ordered by length, then
+        by the text of each statement."""
+        return tuple(sorted(self._walk[1], key=lambda seq: (len(seq), *map(str, seq))))
 
     @cached_property
     def seq_ids(self) -> dict:
         """The id of each reachable sequence: its index in ``suffixes``."""
         return {seq: i for i, seq in enumerate(self.suffixes)}
+
+    def intern(self, seqs):
+        """The ids of a tuple of sequences (None, for ``*``, stays None),
+        or None when one of them is a sequence no task reaches."""
+        ids = self.seq_ids
+        if any(s is not None and s not in ids for s in seqs):
+            return None
+        return tuple(None if s is None else ids[s] for s in seqs)
+
+    @cached_property
+    def body_ids(self) -> dict:
+        """The id of each task's body, by task name."""
+        return {t.name: self.seq_ids[t.body] for t in self.tasks}
+
+    @cached_property
+    def owners(self) -> tuple:
+        """Per id, the frozenset of task types whose body reaches the
+        sequence: a task at the sequence runs the body of one of them."""
+        return tuple(map(self._walk[1].get, self.suffixes))
+
+    @cached_property
+    def start_distances(self) -> tuple:
+        """Per id, the fewest forward control steps from some task-body
+        start to the sequence.
+
+        Used as a search heuristic: a constraint whose pinned sequences
+        are all close to task starts needs little forward work to be
+        realized."""
+        return tuple(map(self._walk[2].get, self.suffixes))
 
     @cached_property
     def heads(self) -> tuple:
@@ -208,20 +226,15 @@ class Program:
 
     @cached_property
     def steps(self) -> tuple:
-        """``(s_pre, HeadStep)`` for every head step out of a reachable
-        sequence, in the order of ``suffixes``."""
+        """``(pre_id, stmt, branch, next_id)`` for every head step out of a
+        reachable sequence, in id order; ``stmt`` and ``branch`` are those
+        of the ``HeadStep``."""
         succ = self._walk[0]
-        return tuple((seq, step) for seq in self.suffixes for step in succ[seq])
-
-    @property
-    def start_distances(self) -> dict:
-        """Minimum number of forward control steps from some task-body
-        start to each reachable control sequence.
-
-        Used as a search heuristic: a constraint whose pinned sequences
-        are all close to task starts needs little forward work to be
-        realized."""
-        return self._walk[2]
+        return tuple(
+            (i, step.stmt, step.branch, j)
+            for i, seq in enumerate(self.suffixes)
+            for step, j in zip(succ[seq], self.next_ids[i])
+        )
 
     @cached_property
     def instance_counts(self) -> dict:

@@ -98,7 +98,7 @@ class BudgetExhausted:
 
 def type_bound(program):
     """The per-type row bound: a predicate on a constraint's tuple of
-    control sequences (one per row, None for ``*``) that is False only
+    sequence ids (one per row, None for ``*``) that is False only
     when no constraint with those rows has models.  A model maps distinct
     tasks to distinct tracked rows, and a task at a control sequence is
     an instance of one of the sequence's owners (``Program.owners``; a
@@ -133,8 +133,7 @@ def type_bound(program):
     def fits_types(seqs) -> bool:
         if task_bound is not None and len(seqs) > task_bound:
             return False
-        # a sequence no body reaches has no owner, so no task can be there
-        sets = (every if s is None else own.get(s, frozenset()) for s in seqs)
+        sets = (every if s is None else own[s] for s in seqs)
         key = tuple(sorted(sets, key=sorted))
         if key not in memo:
             memo[key] = hall(key)
@@ -188,9 +187,7 @@ def check(program, targets, strategy, progress=None):
         # total forward control steps still separating the constraint's
         # pinned sequences from task starts; 0 iff every pinned sequence
         # is a task body, which is where the initial configuration lives
-        return sum(
-            start_dist.get(s, 10**6) for s in phi.seqs if s is not None
-        )
+        return sum(start_dist[s] for s in phi.seqs if s is not None)
     budget = strategy.budget if isinstance(strategy, Unrestricted) else None
 
     # best-first toward the initial configuration: constraints whose
@@ -278,7 +275,7 @@ def check(program, targets, strategy, progress=None):
             )
         if budget is not None and processed > budget:
             return BudgetExhausted(processed)
-        if models(init, phi, program.suffixes):
+        if models(init, phi):
             return Reachable(trace_from(phi))
         # pre builds only predecessors within the static limits; the rest
         # are filtered before pre canonicalizes them, cheapest test first:
@@ -317,8 +314,8 @@ def validate_trace(program, trace: Trace) -> TraceReport:
     """Replay a trace concretely: starting from the initial configuration,
     each trace statement must fire once so that some resulting
     configuration models the next trace constraint."""
-    init, seqs = initial_config(program), program.suffixes
-    if not models(init, trace.constraints[0], seqs):
+    init = initial_config(program)
+    if not models(init, trace.constraints[0]):
         return TraceReport(False, 0, "initial configuration does not model the first constraint")
     frontier = {init}
     for i, stmt in enumerate(trace.stmts):
@@ -327,7 +324,7 @@ def validate_trace(program, trace: Trace) -> TraceReport:
             out
             for c in frontier
             for _, head, _, out in successors(c, program)
-            if head == stmt and isinstance(out, Configuration) and models(out, target, seqs)
+            if head == stmt and isinstance(out, Configuration) and models(out, target)
         }
         if not reached:
             return TraceReport(

@@ -13,8 +13,9 @@ Each rule is stated once: ``_columns`` picks the columns a phaser
 command may act on, ``_pre_cond`` pins the Booleans that a guard, an
 assert or an assignment reads, and ``_env_row`` is the row of an
 untracked task, whether it executes the step or is spawned by it.
-The control steps are ``Program.steps``, indexed once per program, so
-``pre`` unfolds no control sequence itself.
+The control steps are ``Program.steps``, indexed once per program, and
+constraints name control sequences by their ids in the program's
+tables, so ``pre`` unfolds, hashes and compares no sequence itself.
 Given a run's static limits, ``pre`` tests each predecessor's control
 sequences and column count before it builds any of its cells, so
 ``check`` never sees a predecessor that the limits reject.
@@ -109,8 +110,8 @@ def _env_row(phi: Constraint) -> tuple:
     return tuple(Gap(ANY, (ew, es, INF, INF), True) for ew, es in phi.egaps)
 
 
-def _with_seq(phi: Constraint, x: int, seq) -> Constraint:
-    seqs = phi.seqs[:x] + (seq,) + phi.seqs[x + 1 :]
+def _with_seq(phi: Constraint, x: int, s: int) -> Constraint:
+    seqs = phi.seqs[:x] + (s,) + phi.seqs[x + 1 :]
     return Constraint(phi.bv, seqs, phi.gaps, phi.egaps)
 
 
@@ -251,10 +252,10 @@ def _merge_bounds(a, b):
 
 
 def _pre_asynch(phi: Constraint, x: int, st: Asynch, program, room, spawn_ok) -> list:
-    callee = program.task(st.task)
+    callee, body = program.task(st.task), program.body_ids[st.task]
     # the spawned task is a tracked row y, or last an environment task
     # (None)
-    spawned = [y for y in range(phi.n_tasks) if y != x and phi.seqs[y] in (None, callee.body)]
+    spawned = [y for y in range(phi.n_tasks) if y != x and phi.seqs[y] in (None, body)]
     spawned = [y for y in spawned + [None] if spawn_ok(y)]
     if not spawned:
         return []
@@ -337,7 +338,7 @@ def _pre_cond(phi: Constraint, program, cond, ok) -> list:
 # Driver
 
 
-def _env_materializations(phi: Constraint, post_seq) -> list:
+def _env_materializations(phi: Constraint, post: int) -> list:
     """Extend the constraint with a row for a previously-untracked task.
 
     After the step the new task is either an environment task, or it
@@ -345,9 +346,9 @@ def _env_materializations(phi: Constraint, post_seq) -> list:
     concrete tasks to the same row, so the executor can share a compatible
     row's constraints.  Rows may repeat; ``check``'s store drops repeats."""
     rows = [_env_row(phi)] + [
-        row for row, s in zip(phi.gaps, phi.seqs) if s in (None, post_seq)
+        row for row, s in zip(phi.gaps, phi.seqs) if s in (None, post)
     ]
-    return [Constraint(phi.bv, phi.seqs + (post_seq,), phi.gaps + (r,), phi.egaps) for r in rows]
+    return [Constraint(phi.bv, phi.seqs + (post,), phi.gaps + (r,), phi.egaps) for r in rows]
 
 
 def _unlimited(_) -> bool:
@@ -402,7 +403,7 @@ def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> li
     ``check``'s store drops repeats.
 
     ``rows_fit`` and ``cap`` are a run's static limits: ``rows_fit(seqs)``
-    tests a predecessor's tuple of control sequences and ``cap`` bounds
+    tests a predecessor's tuple of sequence ids and ``cap`` bounds
     its columns.  A predecessor that fails them is skipped before any of
     its cells is built.  Its control sequences are known first: the
     executor moves to the step's pre sequence, the environment role adds
@@ -427,22 +428,22 @@ def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> li
         # y that an asynch spawned leaves it (None: no row leaves)
         return lambda y: rows_fit(seqs if y is None else seqs[:y] + seqs[y + 1 :])
 
-    for s_pre, hs in program.steps:
-        spawns = isinstance(hs.stmt, Asynch)
+    for s_pre, stmt, branch, s_post in program.steps:
+        spawns = isinstance(stmt, Asynch)
         # tracked roles
         for x in range(phi.n_tasks):
-            if phi.seqs[x] not in (None, hs.next_seq):
+            if phi.seqs[x] not in (None, s_post):
                 continue
             fits = leaving(phi.seqs[:x] + (s_pre,) + phi.seqs[x + 1 :])
             if spawns or fits(None):
-                for psi, xr in pre_stmt(phi, program, x, hs.stmt, hs.branch, room, fits):
-                    emit(hs.stmt, _with_seq(psi, xr, s_pre))
+                for psi, xr in pre_stmt(phi, program, x, stmt, branch, room, fits):
+                    emit(stmt, _with_seq(psi, xr, s_pre))
         # environment role
         fits = leaving(phi.seqs + (s_pre,))
         if spawns or fits(None):
-            for ext in _env_materializations(phi, hs.next_seq):
+            for ext in _env_materializations(phi, s_post):
                 u = ext.n_tasks - 1
-                for psi, ur in pre_stmt(ext, program, u, hs.stmt, hs.branch, room, fits):
-                    emit(hs.stmt, _with_seq(psi, ur, s_pre))
+                for psi, ur in pre_stmt(ext, program, u, stmt, branch, room, fits):
+                    emit(stmt, _with_seq(psi, ur, s_pre))
     return results
 

@@ -12,6 +12,12 @@ uppers is *free*.  Tasks of a configuration not captured by the tracked
 rows are environment tasks: per tracked phaser, ``egap = (ew, es)`` gives
 lower bounds ``ew <= l - w`` and ``es <= s - l`` that every registered
 environment task must satisfy.
+
+A tracked task's control location is the id of its sequence in the
+program's tables (``control.Program.suffixes``), or None for ``*``, as
+in a concrete configuration: membership, entailment and canonical forms
+compare and sort ints.  Only the text format prints and reads the
+statements, through the program.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .control import seq_order_key
 from .parser import RecordFormatError, natural, read_records, record_fields, write_record
 from .syntax import ANY, NO_VAR
 
@@ -72,7 +77,7 @@ def gap_valid(g: Gap) -> bool:
 @dataclass(frozen=True)
 class Constraint:
     bv: tuple  # bool | None (= *) per program bool variable
-    seqs: tuple  # ControlSeq | None (= *) per tracked task
+    seqs: tuple  # sequence id | None (= *) per tracked task
     gaps: tuple  # gaps[task][phaser] -> Gap
     egaps: tuple  # (ew, es) per tracked phaser
 
@@ -89,13 +94,13 @@ class Constraint:
 
     @cached_property
     def _hash(self) -> int:
-        # hashing a constraint walks every nested statement tuple; engine
+        # hashing a constraint walks every cell of every row; engine
         # stores hash the same instances over and over
         return hash((self.bv, self.seqs, self.gaps, self.egaps))
 
     @cached_property
     def seq_set(self) -> frozenset:
-        """The set of control sequences the constraint pins."""
+        """The set of sequence ids the constraint pins."""
         return frozenset(s for s in self.seqs if s is not None)
 
     @cached_property
@@ -143,9 +148,8 @@ def is_b_good(phi: Constraint, b) -> bool:
 # Membership: configuration models constraint
 
 
-def models(c, phi: Constraint, seqs: tuple) -> bool:
-    """Whether the concrete configuration satisfies the constraint; its
-    sequence ids index ``seqs`` (a program's ``suffixes``)."""
+def models(c, phi: Constraint) -> bool:
+    """Whether the concrete configuration satisfies the constraint."""
     for pb, cb in zip(phi.bv, c.bv):
         if pb is not None and pb != cb:
             return False
@@ -158,7 +162,7 @@ def models(c, phi: Constraint, seqs: tuple) -> bool:
     for t in range(n_tc):
         opts = [-1]  # environment role
         for j in range(n_tp):
-            if phi.seqs[j] is None or phi.seqs[j] == seqs[c.seqs[t]]:
+            if phi.seqs[j] is None or phi.seqs[j] == c.seqs[t]:
                 opts.append(j)
         options.append(opts)
     for pi_sel in itertools.permutations(range(n_pc), n_pp):
@@ -374,9 +378,7 @@ def constraint_order_key(phi: Constraint):
         phi.n_tasks,
         phi.n_phasers,
         tuple(-1 if b is None else int(b) for b in phi.bv),
-        tuple(
-            seq_order_key(s) if s is not None else (-1,) for s in phi.seqs
-        ),
+        tuple(-1 if s is None else s for s in phi.seqs),
         tuple(tuple(_gap_key(g) for g in row) for row in phi.gaps),
         phi.egaps,
     )
@@ -396,7 +398,7 @@ def canonical_constraint(phi: Constraint) -> Constraint:
     torder = sorted(
         range(phi.n_tasks),
         key=lambda t: (
-            seq_order_key(phi.seqs[t]) if phi.seqs[t] is not None else (-1,),
+            -1 if phi.seqs[t] is None else phi.seqs[t],
             tuple(_gap_key(phi.gaps[t][p]) for p in porder),
             t,
         ),
@@ -417,7 +419,9 @@ def _num(x) -> str:
     return "inf" if x == INF else str(x)
 
 
-def constraint_to_text(phi: Constraint, bool_vars) -> str:
+def constraint_to_text(phi: Constraint, program) -> str:
+    """One constraint record; its sequence ids name ``program``'s
+    sequences."""
     cells = []
     for t in range(phi.n_tasks):
         for p in range(phi.n_phasers):
@@ -432,7 +436,8 @@ def constraint_to_text(phi: Constraint, bool_vars) -> str:
                     f"lw={_num(lw)} ls={_num(ls)} uw={_num(uw)} us={_num(us)}"
                 )
     cells += [f"env p{p} ew={ew} es={es}" for p, (ew, es) in enumerate(phi.egaps)]
-    return write_record("constraint", bool_vars, phi.bv, phi.seqs, phi.n_phasers, cells)
+    seqs = tuple(None if s is None else program.suffixes[s] for s in phi.seqs)
+    return write_record("constraint", program.bool_vars, phi.bv, seqs, phi.n_phasers, cells)
 
 
 def _upper(word: str):
@@ -457,14 +462,18 @@ def _read_env(words) -> tuple:
     return natural(kv["ew"]), natural(kv["es"])
 
 
-def parse_constraints(text: str, bool_vars) -> list:
-    """Parse one or more serialized constraint records."""
+def parse_constraints(text: str, program) -> list:
+    """Parse one or more serialized constraint records over ``program``.
+    A record that pins a sequence no task of the program reaches has no
+    model, so it is checked and then left out."""
     out = []
     tags = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
-    for line, bv, seqs, n_phasers, cells in read_records(text, "constraint", bool_vars, tags):
+    records = read_records(text, "constraint", program.bool_vars, tags)
+    for line, bv, seqs, n_phasers, cells in records:
+        ids = program.intern(seqs)
         phi = Constraint(
             bv=bv,
-            seqs=seqs,
+            seqs=(None,) * len(seqs) if ids is None else ids,
             gaps=tuple(
                 tuple(cells.get(("gap", t, p), OPT_FREE) for p in range(n_phasers))
                 for t in range(len(seqs))
@@ -473,5 +482,6 @@ def parse_constraints(text: str, bool_vars) -> list:
         )
         if not constraint_valid(phi):
             raise RecordFormatError(f"line {line}: invalid gap bounds in constraint")
-        out.append(phi)
+        if ids is not None:
+            out.append(phi)
     return out

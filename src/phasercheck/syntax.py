@@ -2,7 +2,8 @@
 for programs (``control.Program`` holds the tasks).
 
 All nodes are frozen dataclasses so control sequences (tuples of statements)
-are hashable and safe to share.  ``next(v)`` never appears here: the parser
+are hashable and safe to share; ``control.Program`` hashes them only while
+it builds its tables, and every later layer names a sequence by its id.  ``next(v)`` never appears here: the parser
 desugars it into ``signal(v); wait(v)``.
 """
 
@@ -218,40 +219,6 @@ Stmt = Union[
 
 # A control sequence is a tuple of statements; () is a finished task.
 ControlSeq = tuple
-
-# Statements and conditions are shared widely and used as dictionary keys;
-# memoize their hash and text per instance so deep nodes pay the recursive
-# cost only once.
-
-
-def _install_caches(*classes) -> None:
-    for cls in classes:
-        field_hash = cls.__hash__
-        to_str = cls.__str__
-
-        def cached_hash(self, _inner=field_hash):
-            h = self.__dict__.get("_hash")
-            if h is None:
-                h = _inner(self)
-                object.__setattr__(self, "_hash", h)
-            return h
-
-        def cached_str(self, _inner=to_str):
-            s = self.__dict__.get("_str")
-            if s is None:
-                s = _inner(self)
-                object.__setattr__(self, "_str", s)
-            return s
-
-        cls.__hash__ = cached_hash
-        cls.__str__ = cached_str
-
-
-_install_caches(
-    Ndet, BoolLit, BoolVar, Not, And, Or,
-    NewPhaser, Asynch, Drop, Signal, Wait, NextBlock,
-    Assign, Assert, While, If, Exit,
-)
 
 
 def seq_to_str(seq: ControlSeq) -> str:

@@ -15,7 +15,7 @@ plus the partial-configuration reader.
 
 Each builder returns every target it enumerates, in the order of
 ``Program.suffixes``, redundant ones included: ``check``'s antichain store
-reduces them.
+reduces them.  Targets pin sequence ids, read off the program's ``heads``.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ def _bv_from(partial: dict, bool_vars) -> tuple:
 
 def assertion_targets(program) -> list:
     out = []
-    for seq in program.suffixes:
-        if not seq or not isinstance(seq[0], Assert):
+    for i, head in enumerate(program.heads):
+        if not isinstance(head, Assert):
             continue
-        for partial in _minimal_falsifying(seq[0].cond, program.bool_vars):
+        for partial in _minimal_falsifying(head.cond, program.bool_vars):
             out.append(
                 Constraint(
                     bv=_bv_from(partial, program.bool_vars),
-                    seqs=(seq,),
+                    seqs=(i,),
                     gaps=((),),
                     egaps=(),
                 )
@@ -87,10 +87,7 @@ def assertion_targets(program) -> list:
 def registration_error_targets(program) -> list:
     out = []
     wild_bv = tuple(None for _ in program.bool_vars)
-    for seq in program.suffixes:
-        if not seq:
-            continue
-        head = seq[0]
+    for i, head in enumerate(program.heads):
         if isinstance(head, (Signal, Wait, Drop)):
             vars_used = (head.var,)
         elif isinstance(head, Asynch):
@@ -101,7 +98,7 @@ def registration_error_targets(program) -> list:
             out.append(
                 Constraint(
                     bv=wild_bv,
-                    seqs=(seq,),
+                    seqs=(i,),
                     gaps=((Gap(v, None),),),
                     egaps=((0, 0),),
                 )
@@ -113,11 +110,12 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
     """Wait cycles of lengths 1..max_cycle.  Task i waits on phaser i with
     its wait value at the level; task i+1 (mod the cycle length) holds a
     signal on phaser i at that same level, falsifying the guard."""
-    wait_suffixes = [s for s in program.suffixes if s and isinstance(s[0], Wait)]
+    heads = program.heads
+    waits = [i for i, head in enumerate(heads) if isinstance(head, Wait)]
     wild_bv = tuple(None for _ in program.bool_vars)
     out = []
     for m in range(1, max_cycle + 1):
-        for seqs in itertools.product(wait_suffixes, repeat=m):
+        for seqs in itertools.product(waits, repeat=m):
             if m == 1:
                 dist_space = [()]
             else:
@@ -130,7 +128,7 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
             for dists in dist_space:
                 rows = [[OPT_FREE] * m for _ in range(m)]
                 for i in range(m):
-                    v = seqs[i][0].var
+                    v = heads[seqs[i]].var
                     if m == 1:
                         rows[0][0] = Gap(v, (0, 0, 0, 0))
                         continue
@@ -139,7 +137,7 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
                     rows[(i + 1) % m][i] = Gap(ANY, (e, 0, e, 0))
                 phi = Constraint(
                     bv=wild_bv,
-                    seqs=tuple(seqs),
+                    seqs=seqs,
                     gaps=tuple(tuple(r) for r in rows),
                     egaps=tuple((0, 0) for _ in range(m)),
                 )
@@ -163,10 +161,11 @@ def _read_phase(words) -> tuple:
     return (var, (natural(kv["w"]), natural(kv["s"])))
 
 
-def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
-    """Parse a file holding one level-consistent partial-config record."""
+def parse_partial_config(text: str, program) -> PartialConfiguration:
+    """Parse a file holding one level-consistent partial-config record
+    over ``program``."""
     [(opened, bv, seqs, n_phasers, cells), *extra] = read_records(
-        text, "partial-config", bool_vars, {"phase": ("tp", _read_phase)}
+        text, "partial-config", program.bool_vars, {"phase": ("tp", _read_phase)}
     )
     if extra:
         raise RecordFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
@@ -179,21 +178,22 @@ def parse_partial_config(text: str, bool_vars) -> PartialConfiguration:
         ),
     )
     try:
-        from_partial_config(pc)
+        from_partial_config(pc, program)
     except ValueError as e:
         raise RecordFormatError(f"line {opened}: {e}") from None
     return pc
 
 
-def from_partial_config(pc: PartialConfiguration) -> list:
-    """Constraints whose models are exactly the configurations including
-    the partial configuration.
+def from_partial_config(pc: PartialConfiguration, program) -> list:
+    """Constraints whose models are exactly the configurations of
+    ``program`` including the partial configuration.
 
     Concrete (w, s) cells pin gaps against the per-phaser level chosen as
     the maximum concrete wait; undefined cells become optional free gaps
     (registered or not, unconstrained).  Raises ValueError when the
     concrete cells are not level-consistent (no reachable configuration
-    can include them).
+    can include them).  A pattern that pins a sequence no task reaches
+    is included in no configuration: it gives no constraint.
     """
     n_t, n_p = pc.n_tasks, pc.n_phasers
     levels = []
@@ -225,10 +225,13 @@ def from_partial_config(pc: PartialConfiguration) -> list:
                         f"task {t} has signal {s} below wait level {l} on phaser {p}"
                     )
                 base[t][p] = Gap(var, (l - w, s - l, l - w, s - l))
+    seqs = program.intern(pc.seqs)
+    if seqs is None:
+        return []
     return [
         Constraint(
             bv=pc.bv,
-            seqs=pc.seqs,
+            seqs=seqs,
             gaps=tuple(tuple(r) for r in base),
             egaps=tuple((0, 0) for _ in range(n_p)),
         )

@@ -73,6 +73,8 @@ def rand_gap(rng, vars=("p", "q")):
 def rand_constraint(
     rng, seq_pool, bool_count=0, max_tasks=3, max_phasers=2, vars=("p", "q")
 ):
+    """A random valid constraint whose rows pin sequence ids drawn from
+    ``seq_pool``, or ``*``."""
     n_t = rng.randint(1, max_tasks)
     n_p = rng.randint(0, max_phasers)
     bv = tuple(rng.choice([None, False, True]) for _ in range(bool_count))
@@ -88,18 +90,17 @@ def rand_constraint(
     return Constraint(bv, seqs, gaps, egaps)
 
 
-def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1, table=None):
+def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1):
     """Try to build a concrete configuration modeling the constraint by
     instantiating levels and phases; returns None when a random draw
-    fails the bounds.  Its sequence ids index ``table`` (a program's
-    ``suffixes``), by default ``seq_pool``."""
-    intern = (seq_pool if table is None else table).index
+    fails the bounds.  A ``*`` row and an environment task take a
+    sequence id from ``seq_pool``."""
     n_p = phi.n_phasers
     levels = [rng.randint(0, 2) for _ in range(n_p)]
     rows = []
     seqs = []
     for t in range(phi.n_tasks):
-        seqs.append(intern(phi.seqs[t] if phi.seqs[t] is not None else rng.choice(seq_pool)))
+        seqs.append(phi.seqs[t] if phi.seqs[t] is not None else rng.choice(seq_pool))
         row = []
         for p in range(n_p):
             g = phi.gaps[t][p]
@@ -125,7 +126,7 @@ def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1, t
         rows.append(tuple(row))
     # optional environment tasks obeying the environment lower bounds
     for _ in range(rng.randint(0, extra_tasks)):
-        seqs.append(intern(rng.choice(seq_pool)))
+        seqs.append(rng.choice(seq_pool))
         row = []
         for p in range(n_p):
             if rng.random() < 0.5:

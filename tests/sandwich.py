@@ -32,7 +32,8 @@ from oracles import minimize
 
 
 def seq_pool_of(program):
-    return sorted(program.suffixes, key=lambda s: tuple(map(str, s)))
+    """The program's sequence ids in the text order of their sequences."""
+    return sorted(range(len(program.suffixes)), key=program.text_ranks.__getitem__)
 
 
 def phaser_vars_of(program):
@@ -85,12 +86,12 @@ def one_step_cover_violations(program, phi, res):
     for src, t, stmt_str, dst in res.edges:
         hit = post_cache.get(dst)
         if hit is None:
-            hit = post_cache[dst] = models(res.configs[dst], phi, program.suffixes)
+            hit = post_cache[dst] = models(res.configs[dst], phi)
         if not hit:
             continue
         covered += 1
         c_src = res.configs[src]
-        if not any(models(c_src, psi, program.suffixes) for psi in preds.get(stmt_str, ())):
+        if not any(models(c_src, psi) for psi in preds.get(stmt_str, ())):
             violations.append((src, t, stmt_str, dst))
     return violations, covered
 
@@ -101,7 +102,7 @@ def _one_step_reaches(program, c, stmt, phi):
             continue
         for value in step_choices(c, program, head):
             out = apply_step(c, program, t, value)
-            if isinstance(out, Configuration) and models(out, phi, program.suffixes):
+            if isinstance(out, Configuration) and models(out, phi):
                 return True
     return False
 
@@ -116,7 +117,7 @@ def one_step_usefulness_violations(rng, program, phi, samples=2):
     checked = 0
     for stmt, psi in pre(phi, program):
         for _ in range(samples):
-            c = sample_model(rng, psi, seq_pool, bool_count=nb, table=program.suffixes)
+            c = sample_model(rng, psi, seq_pool, bool_count=nb)
             if c is None:
                 continue
             checked += 1

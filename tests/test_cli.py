@@ -433,7 +433,7 @@ def test_check_custom_constraint_file(tmp_path, capsys):
     program = load("selfwait")
     [phi] = cyclic_wait_targets(program, max_cycle=1)
     target = tmp_path / "target.txt"
-    target.write_text(constraint_to_text(phi, program.bool_vars))
+    target.write_text(constraint_to_text(phi, program))
     code = run(
         "check",
         path("selfwait"),
@@ -472,6 +472,19 @@ def test_check_custom_malformed_target(tmp_path, capsys):
     )
     assert code == 2
     assert str(target) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["constraint", "partial-config"])
+def test_check_target_at_a_sequence_no_task_reaches(tmp_path, capsys, header):
+    # it has no model: check runs on no target, and the property's
+    # "no target constraints" note does not apply
+    target = tmp_path / "target.txt"
+    target.write_text(
+        f'{header} {{\n  tasks 1\n  phasers 0\n  seq t0 "assert(a); assert(a); assert(a);"\n}}\n'
+    )
+    code = run("check", path("assert_fail"), "--property", "custom", "--target", str(target))
+    assert code == 0
+    assert capsys.readouterr() == ("verdict unreachable\nprocessed 0 constraints\n", "")
 
 
 MALFORMED_TARGETS = [

@@ -320,6 +320,20 @@ def test_barrier_fires_only_when_every_participant_is_at_it():
     assert enabled_steps(c, p) == []
 
 
+def test_an_exit_in_a_barrier_body_ends_the_atomic_section():
+    # main exits inside its barrier body; W, registered on nothing, must
+    # step again and see a = true
+    p = parse("bool a; main(){ p = newPhaser(); asynch(W); next(p){ a = true; exit; } } W(){ assert(!a); }")
+    c = steps_of(p, 3)  # newPhaser, asynch, next: main holds the body
+    assert c.atomic == 0
+    c = apply_step(apply_step(c, p, 0, True), p, 0)  # a = true; exit;
+    assert p.suffixes[c.seqs[0]] == () and c.atomic is None
+    assert [t for t, _ in enabled_steps(c, p)] == [1]
+    res = explore(p, Bounds())
+    assert res.exhausted and len(res.configs) == 10
+    assert res.errors == [(AssertionViolation(1), 8)]
+
+
 def test_explore_is_not_exhausted_when_a_bound_cuts():
     assert not explored("chain_spawn", max_steps=3).exhausted
     assert not explored("chain_spawn", max_tasks=2).exhausted

@@ -88,7 +88,7 @@ def test_corpus_verdicts(name, kind, strategy, expected):
         return
     assert isinstance(result, expected), (name, kind, result)
     trace = result.trace
-    assert models(initial_config(program), trace.constraints[0], program.suffixes)
+    assert models(initial_config(program), trace.constraints[0])
     assert trace.constraints[-1] in targets
     assert len(trace.constraints) == len(trace.stmts) + 1
     report = validate_trace(program, trace)
@@ -246,11 +246,10 @@ def test_type_bound_is_exact(name):
                     tight.setdefault(owner, set()).add(psi)
     task_bound = program.static_bounds[0]
     assert any(psi.n_tasks <= task_bound for psi in rejected)
-    seqs = program.suffixes
-    assert not [psi for psi in rejected if any(models(c, psi, seqs) for c in res.configs)]
+    assert not [psi for psi in rejected if any(models(c, psi) for c in res.configs)]
     assert set(tight) == set(program.instance_counts)
     for psis in tight.values():
-        assert any(models(c, psi, seqs) for psi in psis for c in res.configs)
+        assert any(models(c, psi) for psi in psis for c in res.configs)
 
 
 def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):

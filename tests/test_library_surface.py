@@ -3,8 +3,9 @@ top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
 statement.  Test-only reference code lives in
 ``tests/oracles.py``.  No module imports another's underscore-prefixed
-name, and no module-level state is mutated or patched.  Test modules
-read every name they import."""
+name, no module-level state is mutated or patched, and no module runs a
+bare call when it is imported.  Test modules read every name they
+import."""
 
 import ast
 from pathlib import Path
@@ -98,6 +99,17 @@ def test_no_module_level_state_is_mutated_or_patched():
         lines = text.splitlines()
         found += [f"{path.stem}:{n}: {lines[n - 1].strip()}" for n in _mutations(ast.parse(text))]
     assert found == []
+
+
+def test_no_module_makes_a_bare_call_at_import():
+    # a top-level call statement is how a module patches classes or
+    # registers itself as a side effect of being imported
+    calls = []
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.Expr) and isinstance(top.value, ast.Call):
+                calls.append(f"{path.stem}:{top.lineno}")
+    assert calls == []
 
 
 def test_the_mutation_scan_sees_each_kind_of_store():

@@ -153,7 +153,7 @@ def test_newphaser_has_no_predecessor_when_two_columns_pin_its_variable():
     # after p = newPhaser() the variable names exactly one phaser
     program = parse("main(){ p = newPhaser(); signal(p); }")
     cell = Gap("p", (0, 0, 0, 0))
-    phi = Constraint((), (program.main.body[1:],), ((cell, cell),), ((0, 0), (0, 0)))
+    phi = Constraint((), (program.seq_ids[program.main.body[1:]],), ((cell, cell),), ((0, 0), (0, 0)))
     assert constraint_valid(phi)
     assert pre_stmt(phi, program, 0, NewPhaser("p"), None) == []
 
@@ -172,9 +172,9 @@ def test_dead_code_after_exit_is_not_in_the_closure():
     program = parse(DEAD_CODE_SRC)
     dead = parse_seq("assert(false); assert(!a);")
     assert dead not in program.suffixes
-    assert all(s_pre != dead for s_pre, _ in program.steps)
+    assert all(program.suffixes[s_pre] != dead for s_pre, *_ in program.steps)
     targets = assertion_targets(program)
-    assert [phi.seqs for phi in targets] == [(parse_seq("assert(!a);"),)]
+    assert [phi.seqs for phi in targets] == [(program.seq_ids[parse_seq("assert(!a);")],)]
     # the live assert never fails: both engines agree
     res = explore(program, Bounds())
     assert res.exhausted and res.errors == []
@@ -189,7 +189,7 @@ def test_spawn_limits_test_the_rows_left_after_a_tracked_child():
     # at the task bound an untracked spawner's row can come in only as
     # its child's tracked row goes, so the row test must drop the child
     program = parse(TWO_W_SRC)
-    body = program.task("W").body
+    body = program.body_ids["W"]
     phi = Constraint((None,), (body, body, None), ((), (), ()), ())
     rows_fit = engine.type_bound(program)
     limited = pre(phi, program, rows_fit=rows_fit)

@@ -4,7 +4,8 @@ transformer branches, the predecessors ``pre`` emits have exactly the
 recorded sha256 digest.  The inputs are ``constraint_pool(Random(7),
 program, 30)`` plus the first 30 constraints ``check`` pops for each
 target kind.  ``pre`` may repeat a pair, so the digest is taken over the
-sorted set of ``(str(stmt), repr(psi))``.  A change meant to keep the
+sorted set of ``(str(stmt), repr(psi))``, with the sequence ids of
+``psi`` replaced by the sequences they name.  A change meant to keep the
 predecessor relation must leave the golden record as it is; a change
 meant to alter it re-records it on purpose with
 
@@ -13,6 +14,7 @@ meant to alter it re-records it on purpose with
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -78,9 +80,10 @@ def popped(program) -> list:
 
 def digest(name) -> dict:
     program = parse(EXTRA[name]) if name in EXTRA else load(name)
+    named = lambda psi: replace(psi, seqs=tuple(s if s is None else program.suffixes[s] for s in psi.seqs))
     pairs = set()
     for phi in constraint_pool(Random(7), program, 30) + popped(program):
-        pairs.update((str(s), repr(psi)) for s, psi in pre(phi, program))
+        pairs.update((str(s), repr(named(psi))) for s, psi in pre(phi, program))
     text = "\n".join(f"{s}\t{psi}" for s, psi in sorted(pairs))
     return {"pairs": len(pairs), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 

@@ -1,7 +1,7 @@
 import pytest
 
 from phasercheck.concrete import Configuration, Reg
-from phasercheck.parser import RecordFormatError, parse, parse_seq
+from phasercheck.parser import RecordFormatError, parse
 from phasercheck.symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -20,19 +20,19 @@ from phasercheck.symbolic import (
     models,
     parse_constraints,
 )
+from phasercheck.targets import assertion_targets, cyclic_wait_targets, registration_error_targets
 
-from conftest import rand_constraint, sample_model, strengthen
+from conftest import CORPUS, load, rand_constraint, sample_model, strengthen
 from oracles import decode, encode, encoding_entails, entails_by_permutations, minimize
 
 NREG = Gap(ANY, None)
 FREE = Gap(ANY, FREE_BOUNDS)
 
-POOL = (
-    parse_seq("signal(p); wait(p);"),
-    parse_seq("wait(p);"),
-    parse_seq("drop(q);"),
-    (),
-)
+# the sequences ``signal(p); wait(p);``, ``wait(p);``, ``drop(q);`` and
+# (); random constraints pin their ids, which index ``POOL``
+POOL_PROGRAM = parse("bool a, b; main(){ signal(p); wait(p); } T(){ drop(q); }", check=False)
+POOL = POOL_PROGRAM.suffixes
+IDS = range(len(POOL))
 
 
 # ---------------------------------------------------------------------------
@@ -97,42 +97,40 @@ def test_classification():
 
 
 def _cfg(cells, seqs=None, bv=()):
-    """A configuration whose sequence ids index ``POOL``."""
-    return Configuration(
-        bv=bv,
-        seqs=tuple(map(POOL.index, seqs if seqs is not None else [()] * len(cells))),
-        phases=tuple(cells),
-    )
+    """A configuration whose sequence ids index ``POOL``; its tasks are
+    done unless ``seqs`` names their ids."""
+    done = (POOL.index(()),) * len(cells)
+    return Configuration(bv=bv, seqs=done if seqs is None else seqs, phases=tuple(cells))
 
 
 def test_models_interval_on_single_cell():
     c = _cfg([(("q", Reg("SIG_WAIT", 0, 1)),)])
     phi = Constraint((), (None,), ((Gap(ANY, (0, 1, 0, 1)),),), ((0, 0),))
-    assert models(c, phi, POOL)  # level 0: l-w = 0, s-l = 1
+    assert models(c, phi)  # level 0: l-w = 0, s-l = 1
     loose = Constraint((), (None,), ((Gap(ANY, (1, 0, 1, 0)),),), ((0, 0),))
-    assert models(c, loose, POOL)  # level 1: l-w = 1, s-l = 0
+    assert models(c, loose)  # level 1: l-w = 1, s-l = 0
     too_tight = Constraint((), (None,), ((Gap(ANY, (2, 0, 2, 0)),),), ((0, 0),))
-    assert not models(c, too_tight, POOL)  # level 2 would put s below the level
+    assert not models(c, too_tight)  # level 2 would put s below the level
 
 
 def test_models_checks_variable_name_even_when_unregistered():
     c = _cfg([(("q", None),)])
     pinned = Constraint((), (None,), ((Gap("q", None),),), ((0, 0),))
     other = Constraint((), (None,), ((Gap("r", None),),), ((0, 0),))
-    assert models(c, pinned, POOL)
-    assert not models(c, other, POOL)
+    assert models(c, pinned)
+    assert not models(c, other)
 
 
 def test_models_optional_cell_accepts_both_statuses():
     phi = Constraint((), (None,), ((OPT_FREE,),), ((0, 0),))
-    assert models(_cfg([(("q", None),)]), phi, POOL)
-    assert models(_cfg([(("q", Reg("SIG_WAIT", 2, 5)),)]), phi, POOL)
+    assert models(_cfg([(("q", None),)]), phi)
+    assert models(_cfg([(("q", Reg("SIG_WAIT", 2, 5)),)]), phi)
 
 
 def test_models_env_lower_bounds():
     # an untracked second task must satisfy the environment gap bounds;
     # pinned control sequences keep it from doubling up on the tracked row
-    seq_a, seq_b = POOL[0], POOL[1]
+    seq_a, seq_b = 0, 1
     phi = Constraint(
         (), (seq_a,), ((Gap(ANY, (0, 0, 0, 0)),),), ((1, 0),)
     )
@@ -140,23 +138,23 @@ def test_models_env_lower_bounds():
         [(("q", Reg("SIG_WAIT", 2, 2)),), (("r", Reg("SIG_WAIT", 1, 2)),)],
         seqs=(seq_a, seq_b),
     )
-    assert models(ok, phi, POOL)  # level 2; env wait 1 <= 2 - 1
+    assert models(ok, phi)  # level 2; env wait 1 <= 2 - 1
     bad = _cfg(
         [(("q", Reg("SIG_WAIT", 2, 2)),), (("r", Reg("SIG_WAIT", 2, 2)),)],
         seqs=(seq_a, seq_b),
     )
-    assert not models(bad, phi, POOL)  # env wait at the level violates ew = 1
+    assert not models(bad, phi)  # env wait at the level violates ew = 1
 
 
 def test_sampled_configs_model_their_constraint(rng):
     hits = 0
     for _ in range(400):
-        phi = rand_constraint(rng, POOL)
-        c = sample_model(rng, phi, POOL)
+        phi = rand_constraint(rng, IDS)
+        c = sample_model(rng, phi, IDS)
         if c is None:
             continue
         hits += 1
-        assert models(c, phi, POOL)
+        assert models(c, phi)
     assert hits > 100
 
 
@@ -165,12 +163,12 @@ def test_sampled_configs_model_their_constraint(rng):
 
 
 def _strengthen(rng, phi):
-    return strengthen(rng, phi, POOL)
+    return strengthen(rng, phi, IDS)
 
 
 def test_entails_accepts_shape_preserving_strengthenings(rng):
     for _ in range(300):
-        pa = rand_constraint(rng, POOL)
+        pa = rand_constraint(rng, IDS)
         pb = _strengthen(rng, pa)
         assert entails(pa, pb)
 
@@ -178,16 +176,16 @@ def test_entails_accepts_shape_preserving_strengthenings(rng):
 def test_entails_soundness_on_samples(rng):
     checked = 0
     for _ in range(1500):
-        pa = rand_constraint(rng, POOL)
-        pb = _strengthen(rng, pa) if rng.random() < 0.6 else rand_constraint(rng, POOL)
+        pa = rand_constraint(rng, IDS)
+        pb = _strengthen(rng, pa) if rng.random() < 0.6 else rand_constraint(rng, IDS)
         if not entails(pa, pb):
             continue
         for _ in range(4):
-            c = sample_model(rng, pb, POOL)
+            c = sample_model(rng, pb, IDS)
             if c is None:
                 continue
             checked += 1
-            assert models(c, pa, POOL), (pa, pb, c)
+            assert models(c, pa), (pa, pb, c)
     assert checked > 200
 
 
@@ -217,21 +215,21 @@ def _raised(phi, d):
 
 def _pair(rng, kind):
     if kind == "no phasers":
-        pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=0)
-        return pa, rand_constraint(rng, POOL, bool_count=1, max_phasers=rng.choice((0, 2)))
+        pa = rand_constraint(rng, IDS, bool_count=1, max_phasers=0)
+        return pa, rand_constraint(rng, IDS, bool_count=1, max_phasers=rng.choice((0, 2)))
     if kind == "twin columns":
         # both columns of a fit only the first column of b, so only a map
         # sending both to it, which is not injective, would entail
-        pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=1)
+        pa = rand_constraint(rng, IDS, bool_count=1, max_phasers=1)
         pb = _strengthen(rng, pa)
         if not pa.n_phasers:
             return pa, pb
         env = (max(1, pb.egaps[0][0]), max(1, pb.egaps[0][1]))
         twin = Constraint(pa.bv, pa.seqs, tuple(row * 2 for row in pa.gaps), (env, env))
         return twin, Constraint(pb.bv, pb.seqs, tuple(row + (NREG,) for row in pb.gaps), (env, (0, 0)))
-    pa = rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
+    pa = rand_constraint(rng, IDS, bool_count=1, max_phasers=3)
     if kind in ("mixed", "large bounds") and rng.random() < 0.5:
-        pb = rand_constraint(rng, POOL, bool_count=1, max_phasers=3)
+        pb = rand_constraint(rng, IDS, bool_count=1, max_phasers=3)
     else:
         pb = _strengthen(rng, pa)
     if kind == "undominated" and pa.n_phasers:
@@ -324,7 +322,7 @@ def test_summary_counts_and_clamps():
 
 def test_entails_absorbs_env_compatible_extra_rows(rng):
     for _ in range(100):
-        pa = rand_constraint(rng, POOL, max_tasks=2)
+        pa = rand_constraint(rng, IDS, max_tasks=2)
         ew_es = pa.egaps
         extra = tuple(
             Gap(ANY, (ew, es, INF, INF)) for ew, es in ew_es
@@ -347,7 +345,7 @@ def test_entails_rejects_unabsorbable_extra_row():
 
 
 def test_minimize_yields_an_antichain(rng):
-    cs = [rand_constraint(rng, POOL) for _ in range(120)]
+    cs = [rand_constraint(rng, IDS) for _ in range(120)]
     kept = minimize(cs)
     for i, a in enumerate(kept):
         for j, b in enumerate(kept):
@@ -364,16 +362,16 @@ def test_minimize_yields_an_antichain(rng):
 
 def test_encode_decode_round_trip(rng):
     for _ in range(200):
-        phi = rand_constraint(rng, POOL)
+        phi = rand_constraint(rng, IDS)
         assert decode(encode(phi)) == phi
 
 
 def test_encoding_entails_implies_entails(rng):
     hits = 0
     for _ in range(2000):
-        pa = rand_constraint(rng, POOL, max_tasks=2)
+        pa = rand_constraint(rng, IDS, max_tasks=2)
         pb = _strengthen(rng, pa) if rng.random() < 0.5 else rand_constraint(
-            rng, POOL, max_tasks=2
+            rng, IDS, max_tasks=2
         )
         if pa.n_phasers != pb.n_phasers:
             continue
@@ -386,10 +384,13 @@ def test_encoding_entails_implies_entails(rng):
 # ---------------------------------------------------------------------------
 # Canonical form and serialization
 
+NO_BOOLS = parse("main(){ exit; }")
+BOOL_A = parse("bool a; main(){ exit; }")
+
 
 def test_canonical_constraint_preserves_meaning(rng):
     for _ in range(150):
-        phi = rand_constraint(rng, POOL)
+        phi = rand_constraint(rng, IDS)
         canon = canonical_constraint(phi)
         assert entails(phi, canon) and entails(canon, phi)
         # idempotent: canonicalizing again gives an equal constraint
@@ -397,32 +398,41 @@ def test_canonical_constraint_preserves_meaning(rng):
 
 
 def test_serialization_round_trip(rng):
-    prog = parse("bool a, b; main(){ exit; }")
     for _ in range(150):
-        phi = rand_constraint(rng, POOL, bool_count=2)
-        text = constraint_to_text(phi, prog.bool_vars)
-        [back] = parse_constraints(text, prog.bool_vars)
+        phi = rand_constraint(rng, IDS, bool_count=2)
+        text = constraint_to_text(phi, POOL_PROGRAM)
+        [back] = parse_constraints(text, POOL_PROGRAM)
         assert back == phi
+    # every target of every corpus program, through its own tables
+    checked = 0
+    for path in sorted(CORPUS.glob("*.phz")):
+        program = load(path.stem)
+        for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
+            for phi in build(program):
+                [back] = parse_constraints(constraint_to_text(phi, program), program)
+                assert back == phi, (path.stem, phi)
+                checked += 1
+    assert checked > 500
 
 
 def test_serialization_keeps_optional_marker():
     phi = Constraint((), (None,), ((OPT_FREE, NREG),), ((0, 0), (1, 2)))
-    text = constraint_to_text(phi, ())
+    text = constraint_to_text(phi, NO_BOOLS)
     assert "opt" in text and "nreg" in text
-    [back] = parse_constraints(text, ())
+    [back] = parse_constraints(text, NO_BOOLS)
     assert back.gaps[0][0].opt
     assert back.gaps[0][1].bounds is None
 
 
 def test_parse_constraints_rejects_malformed():
     with pytest.raises(RecordFormatError):
-        parse_constraints("constraint {\n  tasks 1\n}", ())
+        parse_constraints("constraint {\n  tasks 1\n}", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_constraints("constraint {\n  tasks 1\n  phasers 0\n", ())
+        parse_constraints("constraint {\n  tasks 1\n  phasers 0\n", NO_BOOLS)
     with pytest.raises(RecordFormatError):
         parse_constraints(
             "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=* lw=2 ls=0 uw=1 us=0\n}",
-            (),
+            NO_BOOLS,
         )
     # each line below, inside an otherwise valid one-task one-phaser record
     for line in (
@@ -437,9 +447,9 @@ def test_parse_constraints_rejects_malformed():
     ):
         text = f"constraint {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
         with pytest.raises(RecordFormatError, match=r"^line 4: "):
-            parse_constraints(text, ("a",))
+            parse_constraints(text, BOOL_A)
 
 
 def test_unspecified_cells_parse_as_optional_free():
-    [phi] = parse_constraints("constraint {\n  tasks 1\n  phasers 1\n}", ())
+    [phi] = parse_constraints("constraint {\n  tasks 1\n  phasers 1\n}", NO_BOOLS)
     assert phi.gaps[0][0] == OPT_FREE

@@ -21,10 +21,11 @@ from oracles import includes, partial_config_to_text
 
 
 def test_assertion_targets_pin_falsifying_booleans():
-    [phi] = assertion_targets(load("assert_fail"))
+    program = load("assert_fail")
+    [phi] = assertion_targets(program)
     assert phi.bv == (False,)
     assert phi.n_tasks == 1 and phi.n_phasers == 0
-    assert isinstance(phi.seqs[0][0], Assert)
+    assert isinstance(program.heads[phi.seqs[0]], Assert)
     assert is_free(phi)
 
 
@@ -38,10 +39,11 @@ def test_assertion_targets_of_a_conjunction_pin_one_conjunct_each():
 def test_assertion_targets_exist_even_when_unreachable():
     # the target is a control location plus booleans; reachability is the
     # engine's question, not the target builder's
-    targets = assertion_targets(load("assert_ok"))
+    program = load("assert_ok")
+    targets = assertion_targets(program)
     assert targets
     for phi in targets:
-        assert isinstance(phi.seqs[0][0], Assert)
+        assert isinstance(program.heads[phi.seqs[0]], Assert)
 
 
 def test_assertion_targets_empty_without_asserts():
@@ -53,10 +55,11 @@ def test_assertion_targets_empty_without_asserts():
 
 
 def test_regerror_targets_pin_unregistered_variable():
-    targets = registration_error_targets(load("regerror_drop_signal"))
+    program = load("regerror_drop_signal")
+    targets = registration_error_targets(program)
     assert targets
     for phi in targets:
-        head = phi.seqs[0][0]
+        head = program.heads[phi.seqs[0]]
         assert isinstance(head, (Signal, Wait, Drop, Asynch))
         assert phi.n_tasks == 1 and phi.n_phasers == 1
         g = phi.gaps[0][0]
@@ -65,8 +68,9 @@ def test_regerror_targets_pin_unregistered_variable():
 
 
 def test_regerror_targets_cover_every_command_head():
-    targets = registration_error_targets(load("cross_deadlock"))
-    heads = {type(phi.seqs[0][0]) for phi in targets}
+    program = load("cross_deadlock")
+    targets = registration_error_targets(program)
+    heads = {type(program.heads[phi.seqs[0]]) for phi in targets}
     assert {Signal, Wait, Drop, Asynch} <= heads
 
 
@@ -75,12 +79,14 @@ def test_regerror_targets_cover_every_command_head():
 
 
 def test_selfwait_cycle_target_shape():
-    targets = cyclic_wait_targets(load("selfwait"), max_cycle=1)
+    program = load("selfwait")
+    targets = cyclic_wait_targets(program, max_cycle=1)
     assert targets
     for phi in targets:
         assert phi.n_tasks == 1 and phi.n_phasers == 1
-        assert isinstance(phi.seqs[0][0], Wait)
-        assert phi.gaps[0][0] == Gap(phi.seqs[0][0].var, (0, 0, 0, 0))
+        head = program.heads[phi.seqs[0]]
+        assert isinstance(head, Wait)
+        assert phi.gaps[0][0] == Gap(head.var, (0, 0, 0, 0))
 
 
 def test_cycle_targets_grow_with_slack_and_cycle_length():
@@ -107,7 +113,7 @@ def test_cycle_targets_grow_with_slack_and_cycle_length():
             (("p", Reg("SIG_WAIT", 0, 0)), ("q", Reg("SIG_WAIT", 0, 1))),
         ),
     )
-    assert any(models(c, phi, program.suffixes) for phi in two_s1)
+    assert any(models(c, phi) for phi in two_s1)
 
 
 def test_no_cycle_targets_without_waits():
@@ -117,6 +123,10 @@ def test_no_cycle_targets_without_waits():
 # ---------------------------------------------------------------------------
 # Partial configurations
 
+
+# the program PC_TEXT is read against: it reaches ``wait(p); drop(p);``
+PC_PROGRAM = parse("bool a; main(){ p = newPhaser(); wait(p); drop(p); }")
+NO_BOOLS = parse("main(){ exit; }")
 
 PC_TEXT = """
 partial-config {
@@ -132,27 +142,27 @@ partial-config {
 
 
 def test_partial_config_text_round_trip():
-    pc = parse_partial_config(PC_TEXT, ("a",))
+    pc = parse_partial_config(PC_TEXT, PC_PROGRAM)
     assert pc.bv == (True,)
     assert pc.n_tasks == 2 and pc.n_phasers == 1
     assert pc.seqs[1] is None
     assert pc.phase[0][0] == ("p", (1, 2))
     assert pc.phase[1][0] == (ANY, "nreg")
     text = partial_config_to_text(pc, ("a",))
-    assert parse_partial_config(text, ("a",)) == pc
+    assert parse_partial_config(text, PC_PROGRAM) == pc
 
 
 def test_partial_config_parse_errors():
     with pytest.raises(RecordFormatError):
-        parse_partial_config("config {\n}", ())
+        parse_partial_config("config {\n}", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_partial_config("partial-config {\n  tasks 1\n", ())
+        parse_partial_config("partial-config {\n  tasks 1\n", NO_BOOLS)
     with pytest.raises(RecordFormatError):
         parse_partial_config(
-            "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p\n}", ()
+            "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p\n}", NO_BOOLS
         )
     with pytest.raises(RecordFormatError):
-        parse_partial_config("partial-config {\n  phasers 1\n}", ())
+        parse_partial_config("partial-config {\n  phasers 1\n}", NO_BOOLS)
     for line in (
         "tasks",
         'seq t0 "wait(p"',
@@ -164,17 +174,17 @@ def test_partial_config_parse_errors():
     ):
         text = f"partial-config {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
         with pytest.raises(RecordFormatError, match=r"^line 4: "):
-            parse_partial_config(text, ("a",))
+            parse_partial_config(text, PC_PROGRAM)
     with pytest.raises(RecordFormatError, match="one record"):
-        parse_partial_config(PC_TEXT + PC_TEXT, ("a",))
+        parse_partial_config(PC_TEXT + PC_TEXT, PC_PROGRAM)
 
 
 def test_from_partial_config_models_match_inclusion():
-    pc = parse_partial_config(PC_TEXT, ("a",))
-    [phi] = from_partial_config(pc)
+    program = PC_PROGRAM
+    pc = parse_partial_config(PC_TEXT, program)
+    [phi] = from_partial_config(pc, program)
     assert phi.gaps[0][0] == Gap("p", (0, 1, 0, 1))  # level 1 = max wait
     assert phi.gaps[1][0] == Gap(ANY, None)
-    program = parse("bool a; main(){ p = newPhaser(); wait(p); drop(p); }")
     seqs = (program.seq_ids[parse_seq("wait(p); drop(p);")], program.seq_ids[()])
     c = Configuration(
         bv=(True,),
@@ -182,19 +192,19 @@ def test_from_partial_config_models_match_inclusion():
         phases=((("p", Reg("SIG_WAIT", 1, 2)),), (("q", None),)),
     )
     assert includes(c, pc, program.suffixes)
-    assert models(c, phi, program.suffixes)
+    assert models(c, phi)
     off_level = Configuration(
         bv=(True,),
         seqs=seqs,
         phases=((("p", Reg("SIG_WAIT", 0, 2)),), (("q", None),)),
     )
     assert not includes(off_level, pc, program.suffixes)
-    assert not models(off_level, phi, program.suffixes)
+    assert not models(off_level, phi)
 
 
 def test_from_partial_config_unconstrained_cells_stay_optional():
     pc = PartialConfiguration(bv=(), seqs=(None,), phase=((None,),))
-    [phi] = from_partial_config(pc)
+    [phi] = from_partial_config(pc, NO_BOOLS)
     assert phi.gaps[0][0] == OPT_FREE
 
 
@@ -205,4 +215,4 @@ def test_from_partial_config_rejects_level_inconsistency():
         phase=((("p", (2, 2)),), (("p", (0, 1)),)),
     )
     with pytest.raises(ValueError, match="level-consistent"):
-        from_partial_config(pc)
+        from_partial_config(pc, NO_BOOLS)
