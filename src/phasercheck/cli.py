@@ -24,19 +24,9 @@ import sys
 from contextlib import nullcontext
 
 from .concrete import Bounds, config_to_text, explore
-from .engine import (
-    BudgetExhausted,
-    ControlReachability,
-    PlainReachability,
-    Reachable,
-    Unreachable,
-    Unrestricted,
-    check,
-    validate_trace,
-)
+from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
 from .parser import ParseError, natural, parse
-from .pre import AtomicUnsupported
-from .symbolic import constraint_to_text, parse_constraints
+from .symbolic import INF, constraint_to_text, parse_constraints
 from .syntax import validate
 from .targets import (
     assertion_targets,
@@ -149,38 +139,45 @@ def _load_targets(args, program) -> list:
     if not args.target:
         raise UsageError("--property custom requires --target FILE")
     text = _read(args.target)
+    left_out = []
     try:
         if "partial-config" in text.split("{", 1)[0]:
-            pc = parse_partial_config(text, program)
-            return from_partial_config(pc, program)
-        return parse_constraints(text, program)
+            pc = parse_partial_config(text, program, left_out)
+            targets = from_partial_config(pc, program)
+        else:
+            targets = parse_constraints(text, program, left_out)
     except ValueError as e:
         raise UsageError(str(e), args.target)
+    why = "no task reaches a sequence this record pins, so it has no model"
+    for line in left_out:
+        _report(args, "note", f"{args.target}: line {line}: {why}")
+    return targets
 
 
 def cmd_check(args) -> int:
     program = _load_program(args)
     targets = _load_targets(args, program)
     # a target file's records that pin a sequence no task reaches have no
-    # model and give no target, so check runs, and processes nothing
+    # model and give no target (each gets a note), so check runs, and
+    # processes nothing
     if not targets and args.property != "custom":
         print("verdict unreachable")
         _report(args, "note", "no target constraints for this property")
         return EXIT_UNREACHABLE
     if args.mode == "control":
-        strategy = ControlReachability(k=args.k)
+        limits = dict(k=args.k)
     elif args.mode == "plain":
-        strategy = PlainReachability(k=args.k, b=args.b)
+        limits = dict(k=args.k, b=args.b)
     else:
-        strategy = Unrestricted(budget=args.budget)
+        limits = dict(k=INF, budget=args.budget)
 
     progress = None
     if args.progress:
         progress = lambda ev: print(json.dumps(ev), file=sys.stderr, flush=True)
 
     try:
-        result = check(program, targets, strategy, progress=progress)
-    except (AtomicUnsupported, ValueError) as e:
+        result = check(program, targets, **limits, progress=progress)
+    except ValueError as e:
         raise UsageError(str(e))
 
     if isinstance(result, Unreachable):
@@ -200,17 +197,16 @@ def cmd_check(args) -> int:
         return EXIT_BUDGET
     assert isinstance(result, Reachable)
     print("verdict reachable")
-    trace = result.trace
     print("trace {")
-    for i, phi in enumerate(trace.constraints):
+    for i, phi in enumerate(result.constraints):
         print(f"  # step {i}")
         for line in constraint_to_text(phi, program).splitlines():
             print("  " + line)
-        if i < len(trace.stmts):
-            print(f"  stmt {trace.stmts[i]}")
+        if i < len(result.stmts):
+            print(f"  stmt {result.stmts[i]}")
     print("}")
     if args.validate:
-        report = validate_trace(program, trace)
+        report = validate_trace(program, result)
         print(f"trace replay: {'ok' if report.ok else 'FAILED: ' + report.message}")
     return EXIT_REACHABLE
 

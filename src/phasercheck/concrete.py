@@ -72,30 +72,6 @@ class Configuration:
         return len(self.phases[0]) if self.phases else 0
 
 
-@dataclass(frozen=True)
-class PartialConfiguration:
-    """Wildcard-bearing pattern over configurations, as a partial-config
-    record reads it: seqs hold control sequences, which
-    ``targets.from_partial_config`` interns through the program.
-
-    bv entries and seqs may be None (= *); phase cells may be None
-    (= unconstrained), or (var, val) with var in V + {"-", "*"} and val
-    either "nreg" or a pair whose components are naturals or "*".
-    """
-
-    bv: tuple
-    seqs: tuple
-    phase: tuple  # phase[t][p] -> None | (var, val)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.seqs)
-
-    @property
-    def n_phasers(self) -> int:
-        return len(self.phase[0]) if self.phase else 0
-
-
 # ---------------------------------------------------------------------------
 # Error outcomes
 

@@ -6,23 +6,30 @@ cover a candidate makes the candidate redundant; a candidate covering
 stored constraints evicts them).  The store is where entailment prunes,
 with one exception: ``check``'s ``keep`` filter drops the predecessors
 that the popped constraint itself entails before they are built in
-canonical form; in plain mode it also drops those that are not
+canonical form; with a ``b`` it also drops those that are not
 ``b``-good.  Otherwise targets and predecessors reach the store
 unreduced: the target builders return every target, and ``pre`` may
 repeat a predecessor.
-Strategies make the run terminate:
 
-* control reachability: targets must be free (no finite upper bounds)
-  and over at most ``k`` phasers; constraints over more are dropped.
-  Sound and complete for deciding reachability of control targets that
-  never need more than ``k`` simultaneously tracked phasers.
-* plain reachability: targets must be ``b``-good (every gap free or with
-  uppers at most ``b``) and over at most ``k`` phasers; drops constraints
-  over more than ``k`` phasers or that are not ``b``-good.
-* unrestricted: no pruning, but gives up after a budget of processed
-  constraints with a distinct inconclusive verdict.
+The formulations of the verification problem are this one loop under
+three limits, ``check``'s parameters:
 
-Every strategy also drops constraints over more tasks or phasers than
+* ``k``, the column cap: constraints over more than ``k`` phasers are
+  dropped, and a wider target is an error (``symbolic.INF``: no cap
+  beyond the static phaser bound).
+* ``b``, the gap prune: predecessors that are not ``b``-good (every gap
+  free or with uppers at most ``b``) are dropped, and targets must be
+  ``b``-good.  ``b`` never prunes a free constraint.
+* ``budget``: past that many pops, ``check`` gives up with a distinct
+  inconclusive verdict.
+
+Plain reachability sets ``k`` and ``b``; control reachability sets
+``k`` alone and needs free targets, which ``pre`` keeps free, so there
+the two agree whatever ``b`` is.  Both terminate, and decide targets
+that never need more than ``k`` simultaneously tracked phasers.
+Unrestricted search sets ``k=INF`` and a ``budget``.
+
+Every run also drops constraints over more tasks or phasers than
 any run has (``Program.static_bounds``), and constraints with more rows
 on some task types' code than those types have instances
 (``type_bound``): in ``main(){ asynch(W); asynch(W); }`` where each
@@ -39,12 +46,11 @@ the number of ``newPhaser`` sites.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .concrete import Configuration, initial_config, successors
-from .pre import AtomicUnsupported, pre
+from .pre import pre
 from .symbolic import (
-    INF,
     Constraint,
     constraint_order_key,
     entails,
@@ -56,34 +62,13 @@ from .symbolic import (
 
 
 @dataclass(frozen=True)
-class ControlReachability:
-    k: int | None  # None: inferred by ``check``
-
-
-@dataclass(frozen=True)
-class PlainReachability:
-    k: int | None  # None: inferred by ``check``
-    b: int
-
-
-@dataclass(frozen=True)
-class Unrestricted:
-    budget: int = 100000
-
-
-@dataclass(frozen=True)
-class Trace:
+class Reachable:
     """Forward witness: constraints[0] is modeled by the initial
     configuration, constraints[-1] is a target, and stmts[i] steps from
     models of constraints[i] into models of constraints[i+1]."""
 
     constraints: tuple
     stmts: tuple
-
-
-@dataclass(frozen=True)
-class Reachable:
-    trace: Trace
 
 
 @dataclass(frozen=True)
@@ -142,37 +127,35 @@ def type_bound(program):
     return fits_types
 
 
-def check(program, targets, strategy, progress=None):
-    """Decide whether any target constraint has a reachable model.
+def check(program, targets, k=None, b=None, budget=None, progress=None):
+    """Decide whether any target constraint has a reachable model, under
+    the limits ``k``, ``b`` and ``budget`` (see the module docstring).
 
-    Returns Reachable (with a trace), Unreachable, or BudgetExhausted
-    (unrestricted strategy only).  Raises AtomicUnsupported for programs
-    with barrier-body statements and ValueError when the targets do not
-    satisfy the strategy's requirements.
+    Returns Reachable, Unreachable, or BudgetExhausted (with a
+    ``budget`` only).  Raises ValueError for a program it cannot decide
+    (barrier-body statements, SIG/WAIT modes) and when the targets do
+    not satisfy the limits.
     """
     if program.is_atomic():
-        raise AtomicUnsupported("program contains a barrier block body")
+        raise ValueError("program contains a barrier block body")
     if program.uses_modes():
         raise ValueError(
             "symbolic checking requires SIG_WAIT-only registrations; "
             "rewrite SIG/WAIT modes or use the concrete explorer"
         )
-    if isinstance(strategy, ControlReachability) and not all(map(is_free, targets)):
+    if b is not None:
+        if not all(is_b_good(t, b) for t in targets):
+            raise ValueError(f"plain reachability requires {b}-good targets")
+    elif budget is None and not all(map(is_free, targets)):
         raise ValueError("control reachability requires free targets")
-    if isinstance(strategy, PlainReachability) and not all(is_b_good(t, strategy.b) for t in targets):
-        raise ValueError(f"plain reachability requires {strategy.b}-good targets")
     phaser_bound = program.static_bounds[1]
-    cap = INF if phaser_bound is None else phaser_bound
-    if not isinstance(strategy, Unrestricted):
-        wide = max((phi.n_phasers for phi in targets), default=0)
-        if strategy.k is None:
-            bound = program.phaser_sites() if phaser_bound is None else phaser_bound
-            strategy = replace(strategy, k=max(wide, bound))
-        elif wide > strategy.k:
-            # k would prune every predecessor of the wider targets unexplored
-            raise ValueError(f"a target tracks {wide} phasers, more than k={strategy.k}")
-        cap = min(cap, strategy.k)
-    b = strategy.b if isinstance(strategy, PlainReachability) else None
+    wide = max((phi.n_phasers for phi in targets), default=0)
+    if k is None:
+        k = max(wide, program.phaser_sites() if phaser_bound is None else phaser_bound)
+    elif wide > k:
+        # k would prune every predecessor of the wider targets unexplored
+        raise ValueError(f"a target tracks {wide} phasers, more than k={k}")
+    cap = k if phaser_bound is None else min(k, phaser_bound)
     init = initial_config(program)
     start_dist = program.start_distances
 
@@ -188,7 +171,6 @@ def check(program, targets, strategy, progress=None):
         # pinned sequences from task starts; 0 iff every pinned sequence
         # is a task body, which is where the initial configuration lives
         return sum(start_dist[s] for s in phi.seqs if s is not None)
-    budget = strategy.budget if isinstance(strategy, Unrestricted) else None
 
     # best-first toward the initial configuration: constraints whose
     # pinned sequences need the least forward work are popped first, with
@@ -220,7 +202,7 @@ def check(program, targets, strategy, progress=None):
     # included, mapped to the (statement, successor) each was derived
     # from, or None for a target.  A covered candidate is never pushed,
     # popped or on a trace, so it is not recorded.  The store only ever
-    # gets weaker (evictions replace items by covering ones), so a repeat
+    # gets weaker (evictions swap items for covering ones), so a repeat
     # is still covered, and a parent chain, fixed on entry, is the trace.
     parents = {}
 
@@ -245,13 +227,13 @@ def check(program, targets, strategy, progress=None):
         counter += 1
         heapq.heappush(working, ((forward_work(phi), phi.n_tasks, phi.n_phasers, counter), phi))
 
-    def trace_from(phi) -> Trace:
+    def trace_from(phi) -> Reachable:
         constraints, stmts = [phi], []
         while parents[phi] is not None:
             stmt, phi = parents[phi]
             stmts.append(stmt)
             constraints.append(phi)
-        return Trace(tuple(constraints), tuple(stmts))
+        return Reachable(tuple(constraints), tuple(stmts))
 
     for phi in sorted(targets, key=constraint_order_key):
         if rows_fit(phi.seqs) and phi.n_phasers <= cap:
@@ -276,10 +258,10 @@ def check(program, targets, strategy, progress=None):
         if budget is not None and processed > budget:
             return BudgetExhausted(processed)
         if models(init, phi):
-            return Reachable(trace_from(phi))
+            return trace_from(phi)
         # pre builds only predecessors within the static limits; the rest
         # are filtered before pre canonicalizes them, cheapest test first:
-        # plain mode's b pruning, then entailment by the popped constraint
+        # the b prune, then entailment by the popped constraint
         # itself, which covers most environment-role predecessors.  Each
         # test is invariant under renaming rows and columns, so the
         # survivors are those that filtering the canonical predecessors
@@ -300,7 +282,7 @@ def check(program, targets, strategy, progress=None):
 
 
 # ---------------------------------------------------------------------------
-# Trace replay
+# Witness replay
 
 
 @dataclass
@@ -310,7 +292,7 @@ class TraceReport:
     message: str = ""
 
 
-def validate_trace(program, trace: Trace) -> TraceReport:
+def validate_trace(program, trace: Reachable) -> TraceReport:
     """Replay a trace concretely: starting from the initial configuration,
     each trace statement must fire once so that some resulting
     configuration models the next trace constraint."""

@@ -20,8 +20,9 @@ Given a run's static limits, ``pre`` tests each predecessor's control
 sequences and column count before it builds any of its cells, so
 ``check`` never sees a predecessor that the limits reject.
 
-Atomic barrier bodies are rejected: their whole-body macro step cannot be
-captured exactly by per-statement reversal.
+A barrier step has no transformer: its atomic whole-body macro step
+cannot be captured exactly by per-statement reversal, so ``check``
+rejects programs with barrier bodies.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .syntax import (
     Drop,
     Exit,
     NewPhaser,
-    NextBlock,
     Signal,
     Wait,
     While,
@@ -53,11 +53,6 @@ from .syntax import (
     cond_outcomes,
     cond_vars,
 )
-
-
-class AtomicUnsupported(Exception):
-    """Raised when a barrier block statement is encountered: the atomic
-    body step has no exact per-statement reversal."""
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +361,6 @@ def pre_stmt(
     constraint does not track.  ``spawn_ok(y)`` tells whether an
     ``asynch`` may have spawned row ``y`` (None: an untracked task); the
     other spawned rows are never built."""
-    if isinstance(stmt, NextBlock):
-        raise AtomicUnsupported(str(stmt))
     if isinstance(stmt, Asynch):
         return _pre_asynch(phi, x, stmt, program, room, spawn_ok)
     if isinstance(stmt, Signal):

@@ -462,10 +462,11 @@ def _read_env(words) -> tuple:
     return natural(kv["ew"]), natural(kv["es"])
 
 
-def parse_constraints(text: str, program) -> list:
+def parse_constraints(text: str, program, left_out=None) -> list:
     """Parse one or more serialized constraint records over ``program``.
     A record that pins a sequence no task of the program reaches has no
-    model, so it is checked and then left out."""
+    model, so it is checked and then left out; its opening line is
+    appended to the list ``left_out``, when given."""
     out = []
     tags = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
     records = read_records(text, "constraint", program.bool_vars, tags)
@@ -484,4 +485,6 @@ def parse_constraints(text: str, program) -> list:
             raise RecordFormatError(f"line {line}: invalid gap bounds in constraint")
         if ids is not None:
             out.append(phi)
+        elif left_out is not None:
+            left_out.append(line)
     return out

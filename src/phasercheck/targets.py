@@ -21,8 +21,8 @@ reduces them.  Targets pin sequence ids, read off the program's ``heads``.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from .concrete import PartialConfiguration
 from .parser import RecordFormatError, natural, read_records, record_fields
 from .symbolic import (
     ANY,
@@ -149,6 +149,30 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
 # Partial configurations
 
 
+@dataclass(frozen=True)
+class PartialConfiguration:
+    """Wildcard-bearing pattern over configurations, as a partial-config
+    record reads it: seqs hold control sequences, which
+    ``from_partial_config`` interns through the program.
+
+    bv entries and seqs may be None (= *); phase cells may be None
+    (= unconstrained), or (var, val) with var in V + {"-", "*"} and val
+    either "nreg" or a pair whose components are naturals or "*".
+    """
+
+    bv: tuple
+    seqs: tuple
+    phase: tuple  # phase[t][p] -> None | (var, val)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.seqs)
+
+    @property
+    def n_phasers(self) -> int:
+        return len(self.phase[0]) if self.phase else 0
+
+
 def _read_phase(words) -> tuple:
     kv, flags = record_fields(words, ("var", "w", "s"), ("nreg", "free"))
     var = kv.pop("var", ANY)
@@ -161,9 +185,11 @@ def _read_phase(words) -> tuple:
     return (var, (natural(kv["w"]), natural(kv["s"])))
 
 
-def parse_partial_config(text: str, program) -> PartialConfiguration:
+def parse_partial_config(text: str, program, left_out=None) -> PartialConfiguration:
     """Parse a file holding one level-consistent partial-config record
-    over ``program``."""
+    over ``program``.  When the record pins a sequence no task reaches,
+    so that ``from_partial_config`` leaves it out, its opening line is
+    appended to the list ``left_out``, when given."""
     [(opened, bv, seqs, n_phasers, cells), *extra] = read_records(
         text, "partial-config", program.bool_vars, {"phase": ("tp", _read_phase)}
     )
@@ -178,9 +204,11 @@ def parse_partial_config(text: str, program) -> PartialConfiguration:
         ),
     )
     try:
-        from_partial_config(pc, program)
+        targets = from_partial_config(pc, program)
     except ValueError as e:
         raise RecordFormatError(f"line {opened}: {e}") from None
+    if not targets and left_out is not None:
+        left_out.append(opened)
     return pc
 
 

@@ -3,7 +3,7 @@ the checker itself never runs them."""
 
 import itertools
 
-from phasercheck.concrete import Configuration, PartialConfiguration, Reg
+from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import write_record
 from phasercheck.pre import pre
 from phasercheck.symbolic import (
@@ -13,6 +13,7 @@ from phasercheck.symbolic import (
     is_free,
 )
 from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, Ndet, Not, Or
+from phasercheck.targets import PartialConfiguration
 
 
 def is_well_formed(c: Configuration) -> bool:

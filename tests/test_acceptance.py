@@ -22,16 +22,13 @@ from phasercheck.concrete import (
 )
 from phasercheck.engine import (
     BudgetExhausted,
-    ControlReachability,
-    PlainReachability,
     Reachable,
     Unreachable,
-    Unrestricted,
     check,
     validate_trace,
 )
-from phasercheck.pre import AtomicUnsupported, pre
-from phasercheck.symbolic import entails, models
+from phasercheck.pre import pre
+from phasercheck.symbolic import INF, entails, models
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -93,8 +90,11 @@ ERROR_OF = {
     "cyclic": CyclicWait,
 }
 
-PLAIN = PlainReachability(k=2, b=1)
-CTRL = ControlReachability(k=2)
+# check's limits for plain, control and unrestricted reachability, as
+# hashable (name, value) pairs
+PLAIN = (("k", 2), ("b", 1))
+CTRL = (("k", 2),)
+UNRESTRICTED = (("k", INF), ("budget", 800))
 
 
 @pytest.fixture
@@ -111,12 +111,12 @@ def report(capsys):
 
 
 # verdicts shared between the oracle, termination, and trace criteria:
-# (program, kind, strategy) -> (result or "rejected", elapsed seconds)
+# (program, kind, limits) -> (result or "rejected", elapsed seconds)
 _RUNS = {}
 
 
-def _run(name, kind, strategy):
-    key = (name, kind, strategy)
+def _run(name, kind, limits):
+    key = (name, kind, limits)
     if key not in _RUNS:
         program = load(name)
         targets = BUILDERS[kind](program)
@@ -125,8 +125,8 @@ def _run(name, kind, strategy):
             result = Unreachable(0)
         else:
             try:
-                result = check(program, targets, strategy)
-            except (AtomicUnsupported, ValueError):
+                result = check(program, targets, **dict(limits))
+            except ValueError:
                 result = "rejected"
         _RUNS[key] = (result, time.monotonic() - t0)
     return _RUNS[key]
@@ -304,16 +304,16 @@ def test_c4_termination(report):
     bad = []
     for name in names:
         for kind in ("assert", "regerror", "cyclic"):
-            for strategy in (PLAIN, CTRL):
-                result, dt = _run(name, kind, strategy)
+            for limits in (PLAIN, CTRL):
+                result, dt = _run(name, kind, limits)
                 if dt > 300:
-                    over.append((name, kind, strategy, dt))
+                    over.append((name, kind, limits, dt))
                 if not (
                     result == "rejected"
                     or isinstance(result, (Reachable, Unreachable))
                 ):
-                    bad.append((name, kind, strategy, result))
-            result, dt = _run(name, kind, Unrestricted(budget=800))
+                    bad.append((name, kind, limits, result))
+            result, dt = _run(name, kind, UNRESTRICTED)
             if dt > 300:
                 over.append((name, kind, "unrestricted", dt))
             if not (
@@ -444,15 +444,15 @@ def test_c8_trace_validity(report):
     assert _RUNS, "earlier criteria populate the run cache"
     n_traces = 0
     bad = []
-    for (name, kind, strategy), (result, _) in sorted(
+    for (name, kind, limits), (result, _) in sorted(
         _RUNS.items(), key=lambda kv: str(kv[0])
     ):
         if not isinstance(result, Reachable):
             continue
         n_traces += 1
-        replay = validate_trace(load(name), result.trace)
+        replay = validate_trace(load(name), result)
         if not replay.ok:
-            bad.append((name, kind, strategy, replay))
+            bad.append((name, kind, limits, replay))
     report(
         "trace-validity",
         n_traces > 0 and not bad,

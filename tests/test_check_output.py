@@ -1,6 +1,9 @@
 """Byte-identity gate: ``check`` prints exactly the recorded stdout and
 exits with the recorded code on the 20 corpus cells of the benchmark,
-with ``--validate`` on the reachable cells.  A change meant to keep behaviour
+with ``--validate`` on the reachable cells.  The record is taken in the
+default plain mode; ``--mode unrestricted`` prints the same on every
+cell, and ``--mode control`` on every cell whose targets are free (all
+but the cyclic-wait ones).  A change meant to keep behaviour
 must leave this file's golden record as it is; a change meant to alter
 output re-records it on purpose with
 
@@ -45,8 +48,9 @@ CELLS = [
 ]
 
 
-def run_cell(prog, prop, reachable) -> dict:
+def run_cell(prog, prop, reachable, mode="plain") -> dict:
     argv = ["check", str(HERE.parent / "corpus" / f"{prog}.phz"), "--property", prop]
+    argv += ["--mode", mode]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv + ["--validate"] * reachable)
@@ -68,6 +72,16 @@ def test_cells_are_the_benchmark_cells():
 def test_check_output_matches_the_golden_record(cell):
     golden = json.loads(GOLDEN.read_text())[_name(cell)]
     assert run_cell(*cell) == golden
+
+
+MODE_CELLS = [("unrestricted", c) for c in CELLS]
+MODE_CELLS += [("control", c) for c in CELLS if c[1] != "cyclic-wait"]
+
+
+@pytest.mark.parametrize("mode,cell", MODE_CELLS, ids=[f"{m} {_name(c)}" for m, c in MODE_CELLS])
+def test_every_mode_matches_the_golden_record(mode, cell):
+    golden = json.loads(GOLDEN.read_text())[_name(cell)]
+    assert run_cell(*cell, mode=mode) == golden
 
 
 if __name__ == "__main__":

@@ -477,14 +477,23 @@ def test_check_custom_malformed_target(tmp_path, capsys):
 @pytest.mark.parametrize("header", ["constraint", "partial-config"])
 def test_check_target_at_a_sequence_no_task_reaches(tmp_path, capsys, header):
     # it has no model: check runs on no target, and the property's
-    # "no target constraints" note does not apply
+    # "no target constraints" note does not apply; a note names the
+    # record's opening line, so a typo does not read as a proof
     target = tmp_path / "target.txt"
     target.write_text(
-        f'{header} {{\n  tasks 1\n  phasers 0\n  seq t0 "assert(a); assert(a); assert(a);"\n}}\n'
+        f'# one assert too many\n{header} {{\n  tasks 1\n  phasers 0\n'
+        '  seq t0 "assert(a); assert(a); assert(a);"\n}\n'
     )
-    code = run("check", path("assert_fail"), "--property", "custom", "--target", str(target))
-    assert code == 0
-    assert capsys.readouterr() == ("verdict unreachable\nprocessed 0 constraints\n", "")
+    argv = ["check", path("assert_fail"), "--property", "custom", "--target", str(target)]
+    note = f"{target}: line 2: no task reaches a sequence this record pins, so it has no model"
+    assert run(*argv) == 0
+    assert capsys.readouterr() == (
+        "verdict unreachable\nprocessed 0 constraints\n", f"note: {note}\n"
+    )
+    assert run(*argv, "--progress") == 0
+    out, err = capsys.readouterr()
+    assert out == "verdict unreachable\nprocessed 0 constraints\n"
+    assert [json.loads(line) for line in err.splitlines()] == [{"event": "note", "text": note}]
 
 
 MALFORMED_TARGETS = [

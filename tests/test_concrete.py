@@ -4,7 +4,6 @@ from phasercheck.concrete import (
     AssertionViolation,
     Bounds,
     Configuration,
-    PartialConfiguration,
     Reg,
     RegistrationError,
     apply_step,
@@ -17,6 +16,7 @@ from phasercheck.concrete import (
 )
 from phasercheck.parser import parse, parse_seq
 from phasercheck.syntax import And, BoolLit, BoolVar, Ndet, Not, Or, cond_outcomes
+from phasercheck.targets import PartialConfiguration
 
 from conftest import explored, load
 from oracles import cond_outcomes_by_bits, equivalent, includes, is_well_formed, shifted

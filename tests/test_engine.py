@@ -8,19 +8,15 @@ from phasercheck import engine
 from phasercheck.concrete import Bounds, explore, initial_config
 from phasercheck.engine import (
     BudgetExhausted,
-    ControlReachability,
-    PlainReachability,
     Reachable,
-    Trace,
     Unreachable,
-    Unrestricted,
     check,
     type_bound,
     validate_trace,
 )
 from phasercheck.parser import parse
-from phasercheck.pre import AtomicUnsupported, pre
-from phasercheck.symbolic import models
+from phasercheck.pre import pre
+from phasercheck.symbolic import INF, models
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -36,10 +32,16 @@ BUILDERS = {
     "cyclic": cyclic_wait_targets,
 }
 
-PLAIN = PlainReachability(k=2, b=1)
-CTRL = ControlReachability(k=2)
+# check's limits for plain and for control reachability
+PLAIN = dict(k=2, b=1)
+CTRL = dict(k=2)
 
-# (program, target kind, strategy, expected result: Reachable, or the
+
+def _formulation(limits) -> str:
+    return "PlainReachability" if "b" in limits else "ControlReachability"
+
+
+# (program, target kind, limits, expected result: Reachable, or the
 # Unreachable verdict with its pop count); the slow
 # producer_consumer_sw cells are exercised by the acceptance suite
 MATRIX = [
@@ -73,37 +75,36 @@ MATRIX = [
 
 
 @pytest.mark.parametrize(
-    "name,kind,strategy,expected",
+    "name,kind,limits,expected",
     MATRIX,
-    ids=[f"{n}-{k}-{type(s).__name__}" for n, k, s, _ in MATRIX],
+    ids=[f"{n}-{k}-{_formulation(s)}" for n, k, s, _ in MATRIX],
 )
-def test_corpus_verdicts(name, kind, strategy, expected):
+def test_corpus_verdicts(name, kind, limits, expected):
     program = load(name)
     targets = BUILDERS[kind](program)
     assert targets, (name, kind)
-    result = check(program, targets, strategy)
+    result = check(program, targets, **limits)
     if isinstance(expected, Unreachable):
         # the pops pin the search, not just its verdict
         assert result == expected, (name, kind, result)
         return
     assert isinstance(result, expected), (name, kind, result)
-    trace = result.trace
-    assert models(initial_config(program), trace.constraints[0])
-    assert trace.constraints[-1] in targets
-    assert len(trace.constraints) == len(trace.stmts) + 1
-    report = validate_trace(program, trace)
+    assert models(initial_config(program), result.constraints[0])
+    assert result.constraints[-1] in targets
+    assert len(result.constraints) == len(result.stmts) + 1
+    report = validate_trace(program, result)
     assert report.ok, (name, kind, report)
 
 
 def test_replay_rejects_a_broken_witness():
     program = load("cross_deadlock")
-    trace = check(program, cyclic_wait_targets(program), PLAIN).trace
+    trace = check(program, cyclic_wait_targets(program), **PLAIN)
     assert validate_trace(program, trace).ok
     # the first step fires the wrong statement
-    wrong = Trace(trace.constraints, trace.stmts[1:2] + trace.stmts[1:])
+    wrong = Reachable(trace.constraints, trace.stmts[1:2] + trace.stmts[1:])
     assert validate_trace(program, wrong).failed_stage == 1
     # the witness no longer starts at the initial configuration
-    late = Trace(trace.constraints[1:], trace.stmts[1:])
+    late = Reachable(trace.constraints[1:], trace.stmts[1:])
     assert validate_trace(program, late).failed_stage == 0
 
 
@@ -111,12 +112,12 @@ def test_replay_fires_each_statement_once():
     # a trace step is one firing of its statement: with two signal(p)
     # steps collapsed into one, no single firing reaches the next constraint
     program = parse("main(){ p = newPhaser(); signal(p); signal(p); drop(p); signal(p); }")
-    trace = check(program, registration_error_targets(program), PLAIN).trace
+    trace = check(program, registration_error_targets(program), **PLAIN)
     assert [str(s) for s in trace.stmts] == [
         "p = newPhaser();", "signal(p);", "signal(p);", "drop(p);"
     ]
     assert validate_trace(program, trace).ok
-    collapsed = Trace(
+    collapsed = Reachable(
         trace.constraints[:2] + trace.constraints[3:], trace.stmts[:1] + trace.stmts[2:]
     )
     assert validate_trace(program, collapsed).failed_stage == 2
@@ -125,16 +126,16 @@ def test_replay_fires_each_statement_once():
 def test_unrestricted_budget_exhaustion():
     program = load("minsky_chain")
     targets = registration_error_targets(program)
-    result = check(program, targets, Unrestricted(budget=5))
+    result = check(program, targets, k=INF, budget=5)
     assert isinstance(result, BudgetExhausted)
     assert result.processed == 6  # gives up on the first over-budget pop
 
 
 def test_unrestricted_finds_immediate_violation():
     program = load("assert_fail")
-    result = check(program, assertion_targets(program), Unrestricted(budget=100))
+    result = check(program, assertion_targets(program), k=INF, budget=100)
     assert isinstance(result, Reachable)
-    assert validate_trace(program, result.trace).ok
+    assert validate_trace(program, result).ok
 
 
 def test_static_task_bound():
@@ -205,8 +206,8 @@ def test_spawned_twice_is_decided_and_agrees_with_the_explorer():
     program = parse(SPAWNED_TWICE)
     res = explore(program, Bounds(max_tasks=5))
     assert res.exhausted and res.errors == []
-    assert check(program, cyclic_wait_targets(program), PLAIN) == Unreachable(1022)
-    assert check(program, registration_error_targets(program), PLAIN) == Unreachable(9)
+    assert check(program, cyclic_wait_targets(program), **PLAIN) == Unreachable(1022)
+    assert check(program, registration_error_targets(program), **PLAIN) == Unreachable(9)
 
 
 C1_BOUNDS = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
@@ -269,8 +270,8 @@ def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
         return pre(phi, program, keep=seen, **limits)
 
     monkeypatch.setattr(engine, "pre", counted)
-    strategy = PlainReachability(k=None, b=1)  # the bench cell's default
-    assert check(program, registration_error_targets(program), strategy) == Unreachable(604)
+    # b=1 and no k: the bench cell's default
+    assert check(program, registration_error_targets(program), b=1) == Unreachable(604)
     assert len(handed) == 3997
 
 
@@ -278,50 +279,50 @@ def test_mode_programs_are_rejected():
     program = load("producer_consumer")
     targets = assertion_targets(program)
     with pytest.raises(ValueError, match="SIG_WAIT-only"):
-        check(program, targets, PLAIN)
+        check(program, targets, **PLAIN)
 
 
 def test_barrier_blocks_are_rejected():
     program = load("barrier_block")
     targets = assertion_targets(program)
-    with pytest.raises(AtomicUnsupported):
-        check(program, targets, PLAIN)
+    with pytest.raises(ValueError, match="barrier block body"):
+        check(program, targets, **PLAIN)
 
 
 def test_control_mode_requires_free_targets():
     program = load("selfwait")
     targets = cyclic_wait_targets(program)
     with pytest.raises(ValueError, match="free targets"):
-        check(program, targets, CTRL)
+        check(program, targets, **CTRL)
 
 
 def test_plain_mode_requires_b_good_targets():
     program = load("cross_deadlock")
     targets = cyclic_wait_targets(program, max_cycle=2, slack=1)
     with pytest.raises(ValueError, match="0-good"):
-        check(program, targets, PlainReachability(k=2, b=0))
+        check(program, targets, k=2, b=0)
 
 
 @pytest.mark.parametrize(
-    "name,build,strategy",
+    "name,build,limits",
     [
-        ("regerror_drop_signal", registration_error_targets, PlainReachability(k=0, b=1)),
-        ("regerror_drop_signal", registration_error_targets, ControlReachability(k=0)),
-        ("cross_deadlock", cyclic_wait_targets, PlainReachability(k=1, b=1)),
+        ("regerror_drop_signal", registration_error_targets, dict(k=0, b=1)),
+        ("regerror_drop_signal", registration_error_targets, dict(k=0)),
+        ("cross_deadlock", cyclic_wait_targets, dict(k=1, b=1)),
     ],
 )
-def test_targets_wider_than_k_are_rejected(name, build, strategy):
+def test_targets_wider_than_k_are_rejected(name, build, limits):
     # both properties are reachable; pruning every predecessor of the
     # wider targets used to answer Unreachable
     program = load(name)
-    with pytest.raises(ValueError, match=f"more than k={strategy.k}$"):
-        check(program, build(program), strategy)
+    with pytest.raises(ValueError, match=f"more than k={limits['k']}$"):
+        check(program, build(program), **limits)
 
 
 def test_progress_callback_reports_pops():
     program = load("drop_then_wait")
     events = []
-    check(program, registration_error_targets(program), PLAIN, progress=events.append)
+    check(program, registration_error_targets(program), **PLAIN, progress=events.append)
     assert events and all(e["event"] == "pop" for e in events)
     assert [e["processed"] for e in events] == list(range(1, len(events) + 1))
 
@@ -351,7 +352,7 @@ def test_check_keeps_no_constraint_alive():
     program = parse(HELD_OTHER)
     targets = registration_error_targets(program)
     refs = [weakref.ref(phi) for phi in targets]
-    assert isinstance(check(program, targets, PLAIN), Unreachable)
+    assert isinstance(check(program, targets, **PLAIN), Unreachable)
     del targets
     gc.collect()
     assert [r for r in refs if r() is not None] == []
@@ -367,11 +368,10 @@ X(q){ a = true; signal(q); drop(q); }
 """
 
 
-@pytest.mark.parametrize("strategy", [PlainReachability, ControlReachability])
-def test_k_none_falls_back_to_the_creation_sites(strategy):
+@pytest.mark.parametrize("b", [1, None], ids=["PlainReachability", "ControlReachability"])
+def test_k_none_falls_back_to_the_creation_sites(b):
     program = parse(LOOPED_CREATION)
     assert program.static_bounds == (None, None)
     targets = registration_error_targets(program)
-    extra = {"b": 1} if strategy is PlainReachability else {}
-    runs = {k: check(program, targets, strategy(k=k, **extra)) for k in (None, 1, 2)}
+    runs = {k: check(program, targets, k=k, b=b) for k in (None, 1, 2)}
     assert runs[None] == runs[1] != runs[2]

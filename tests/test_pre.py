@@ -4,9 +4,9 @@ import pytest
 
 from phasercheck import engine
 from phasercheck.concrete import Bounds, explore
-from phasercheck.engine import PlainReachability, Unreachable, check
+from phasercheck.engine import Unreachable, check
 from phasercheck.parser import parse, parse_seq
-from phasercheck.pre import AtomicUnsupported, pre, pre_stmt
+from phasercheck.pre import pre, pre_stmt
 from phasercheck.symbolic import INF, Constraint, Gap, constraint_valid, canonical_constraint, is_free
 from phasercheck.syntax import NewPhaser
 from phasercheck.targets import (
@@ -145,7 +145,7 @@ def test_pre_preserves_freeness(name, program, rng):
 def test_pre_rejects_barrier_blocks(rng):
     program = load("barrier_block")
     [phi] = constraint_pool(rng, program, 1)[-1:]
-    with pytest.raises(AtomicUnsupported):
+    with pytest.raises(TypeError, match="no backward transformer"):
         pre(phi, program)
 
 
@@ -178,7 +178,7 @@ def test_dead_code_after_exit_is_not_in_the_closure():
     # the live assert never fails: both engines agree
     res = explore(program, Bounds())
     assert res.exhausted and res.errors == []
-    assert isinstance(check(program, targets, PlainReachability(k=None, b=1)), Unreachable)
+    assert isinstance(check(program, targets, b=1), Unreachable)
 
 
 # W has two instances, so main and both W fill the task bound of 3
@@ -255,7 +255,7 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
         for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
             count["pops"] = 0
             try:
-                check(program, build(program), PlainReachability(k=k, b=1))
+                check(program, build(program), k=k, b=1)
             except _EnoughPops:
                 pass
         binding[name] = {r for r in ("rows", "hall", "columns") if count[r] > before[r]}

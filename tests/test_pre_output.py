@@ -21,7 +21,7 @@ from random import Random
 import pytest
 
 from phasercheck import engine
-from phasercheck.engine import PlainReachability, check
+from phasercheck.engine import check
 from phasercheck.parser import parse
 from phasercheck.pre import pre
 from phasercheck.targets import (
@@ -70,7 +70,7 @@ def popped(program) -> list:
         for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
             runs.append([])
             try:
-                check(program, build(program), PlainReachability(k=2, b=1))
+                check(program, build(program), k=2, b=1)
             except _EnoughPops:
                 pass
     finally:

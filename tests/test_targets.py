@@ -1,10 +1,11 @@
 import pytest
 
-from phasercheck.concrete import Configuration, PartialConfiguration, Reg
+from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import RecordFormatError, parse, parse_seq
 from phasercheck.symbolic import ANY, OPT_FREE, Gap, entails, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
 from phasercheck.targets import (
+    PartialConfiguration,
     assertion_targets,
     cyclic_wait_targets,
     from_partial_config,
