@@ -9,7 +9,7 @@ Subcommands:
   custom target file (serialized constraints or a partial configuration).
 
 ``check`` exit codes: 0 unreachable, 1 reachable (trace printed),
-2 usage/input error, 3 budget exhausted (unrestricted mode only).
+2 usage/input error, 3 budget exhausted (only with ``--budget``).
 Every command exits 141 (128 + SIGPIPE, what a shell reports for a
 process killed by a closed pipe), without a traceback, when standard
 output is closed before it finishes printing.
@@ -26,12 +26,11 @@ from contextlib import nullcontext
 from .concrete import Bounds, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
 from .parser import ParseError, natural, parse
-from .symbolic import INF, constraint_to_text, parse_constraints
+from .symbolic import constraint_to_text, natural_or_inf, parse_constraints
 from .syntax import validate
 from .targets import (
     assertion_targets,
     cyclic_wait_targets,
-    from_partial_config,
     parse_partial_config,
     registration_error_targets,
 )
@@ -142,8 +141,7 @@ def _load_targets(args, program) -> list:
     left_out = []
     try:
         if "partial-config" in text.split("{", 1)[0]:
-            pc = parse_partial_config(text, program, left_out)
-            targets = from_partial_config(pc, program)
+            _, targets = parse_partial_config(text, program, left_out)
         else:
             targets = parse_constraints(text, program, left_out)
     except ValueError as e:
@@ -164,19 +162,13 @@ def cmd_check(args) -> int:
         print("verdict unreachable")
         _report(args, "note", "no target constraints for this property")
         return EXIT_UNREACHABLE
-    if args.mode == "control":
-        limits = dict(k=args.k)
-    elif args.mode == "plain":
-        limits = dict(k=args.k, b=args.b)
-    else:
-        limits = dict(k=INF, budget=args.budget)
 
     progress = None
     if args.progress:
         progress = lambda ev: print(json.dumps(ev), file=sys.stderr, flush=True)
 
     try:
-        result = check(program, targets, **limits, progress=progress)
+        result = check(program, targets, k=args.k, b=args.b, budget=args.budget, progress=progress)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -249,10 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="assert",
     )
     c.add_argument("--target", metavar="PATH", help="target file for --property custom")
-    c.add_argument("--mode", choices=("control", "plain", "unrestricted"), default="plain")
-    c.add_argument("--k", type=natural, default=None, help="max tracked phasers (default: inferred)")
-    c.add_argument("--b", type=natural, default=1, help="gap bound for plain mode")
-    c.add_argument("--budget", type=natural, default=100000, help="unrestricted-mode budget")
+    c.add_argument("--k", type=natural_or_inf, help="max tracked phasers (default: inferred)")
+    c.add_argument("--b", type=natural_or_inf, default=1, help="max finite gap upper (default: 1)")
+    c.add_argument("--budget", type=natural, help="give up after N pops (default: none)")
     c.add_argument("--slack", type=natural, default=1, help="cyclic-wait distance bound")
     c.add_argument("--max-cycle", type=positive, default=2, help="max wait-cycle length")
     c.add_argument("--validate", action="store_true", help="replay the trace concretely")

@@ -360,16 +360,19 @@ class ExploreResult:
     edges: list = field(default_factory=list)  # (src, task, stmt str, dst)
 
 
-def _within(c: Configuration, b: Bounds) -> bool:
+def _within(c: Configuration, b: Bounds, t: int) -> bool:
+    """Whether task ``t``'s step into ``c``, from a configuration within
+    the bounds, stays within them.  A step moves phase values only in
+    ``t``'s row: an ``asynch`` child copies values of that row, and
+    ``newPhaser`` adds a column at 0."""
     if c.n_tasks > b.max_tasks or c.n_phasers > b.max_phasers:
         return False
-    for row in c.phases:
-        for _, reg in row:
-            if reg is None:
-                continue
-            for v in (reg.wait, reg.sig):
-                if v is not None and v > b.max_phase:
-                    return False
+    for _, reg in c.phases[t]:
+        if reg is None:
+            continue
+        for v in (reg.wait, reg.sig):
+            if v is not None and v > b.max_phase:
+                return False
     return True
 
 
@@ -401,7 +404,7 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
                 if outcome not in found:
                     found.append(outcome)
                 continue
-            if not _within(outcome, bounds):
+            if not _within(outcome, bounds, t):
                 exhausted = False
                 continue
             cc = canonical(outcome, p)

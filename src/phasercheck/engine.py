@@ -6,10 +6,9 @@ cover a candidate makes the candidate redundant; a candidate covering
 stored constraints evicts them).  The store is where entailment prunes,
 with one exception: ``check``'s ``keep`` filter drops the predecessors
 that the popped constraint itself entails before they are built in
-canonical form; with a ``b`` it also drops those that are not
-``b``-good.  Otherwise targets and predecessors reach the store
-unreduced: the target builders return every target, and ``pre`` may
-repeat a predecessor.
+canonical form, and those that are not ``b``-good.  Otherwise targets
+and predecessors reach the store unreduced: the target builders return
+every target, and ``pre`` may repeat a predecessor.
 
 The formulations of the verification problem are this one loop under
 three limits, ``check``'s parameters:
@@ -19,15 +18,18 @@ three limits, ``check``'s parameters:
   beyond the static phaser bound).
 * ``b``, the gap prune: predecessors that are not ``b``-good (every gap
   free or with uppers at most ``b``) are dropped, and targets must be
-  ``b``-good.  ``b`` never prunes a free constraint.
+  ``b``-good.  ``b`` never prunes a free constraint; ``b=INF`` (the
+  default) prunes nothing.
 * ``budget``: past that many pops, ``check`` gives up with a distinct
   inconclusive verdict.
 
-Plain reachability sets ``k`` and ``b``; control reachability sets
-``k`` alone and needs free targets, which ``pre`` keeps free, so there
-the two agree whatever ``b`` is.  Both terminate, and decide targets
-that never need more than ``k`` simultaneously tracked phasers.
-Unrestricted search sets ``k=INF`` and a ``budget``.
+A finite ``k`` with a finite ``b`` (plain reachability) terminates,
+and so does a finite ``k`` on free targets, which ``pre`` keeps free,
+so that ``b`` never prunes them (control reachability).  Both decide
+targets that never need more than ``k`` simultaneously tracked phasers.
+Any other run (``k=INF``, or ``b=INF`` on targets that are not free)
+is sure to stop only under a ``budget``; ``check`` rejects the second
+without one.
 
 Every run also drops constraints over more tasks or phasers than
 any run has (``Program.static_bounds``), and constraints with more rows
@@ -51,6 +53,7 @@ from dataclasses import dataclass
 from .concrete import Configuration, initial_config, successors
 from .pre import pre
 from .symbolic import (
+    INF,
     Constraint,
     constraint_order_key,
     entails,
@@ -127,7 +130,7 @@ def type_bound(program):
     return fits_types
 
 
-def check(program, targets, k=None, b=None, budget=None, progress=None):
+def check(program, targets, k=None, b=INF, budget=None, progress=None):
     """Decide whether any target constraint has a reachable model, under
     the limits ``k``, ``b`` and ``budget`` (see the module docstring).
 
@@ -143,11 +146,10 @@ def check(program, targets, k=None, b=None, budget=None, progress=None):
             "symbolic checking requires SIG_WAIT-only registrations; "
             "rewrite SIG/WAIT modes or use the concrete explorer"
         )
-    if b is not None:
-        if not all(is_b_good(t, b) for t in targets):
-            raise ValueError(f"plain reachability requires {b}-good targets")
-    elif budget is None and not all(map(is_free, targets)):
-        raise ValueError("control reachability requires free targets")
+    if not all(is_b_good(t, b) for t in targets):
+        raise ValueError(f"plain reachability requires {b}-good targets")
+    if b == INF and budget is None and not all(map(is_free, targets)):
+        raise ValueError("a run with b=inf and no budget needs free targets")
     phaser_bound = program.static_bounds[1]
     wide = max((phi.n_phasers for phi in targets), default=0)
     if k is None:
@@ -270,7 +272,7 @@ def check(program, targets, k=None, b=None, budget=None, progress=None):
             pre(
                 phi,
                 program,
-                keep=lambda psi: (b is None or is_b_good(psi, b)) and not entails(phi, psi),
+                keep=lambda psi: is_b_good(psi, b) and not entails(phi, psi),
                 rows_fit=rows_fit,
                 cap=cap,
             ),

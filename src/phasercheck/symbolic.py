@@ -440,7 +440,8 @@ def constraint_to_text(phi: Constraint, program) -> str:
     return write_record("constraint", program.bool_vars, phi.bv, seqs, phi.n_phasers, cells)
 
 
-def _upper(word: str):
+def natural_or_inf(word: str):
+    """A natural number, or ``INF`` for ``inf``: gap uppers, ``--k``, ``--b``."""
     return INF if word == "inf" else natural(word)
 
 
@@ -451,7 +452,8 @@ def _read_gap(words) -> Gap:
         return Gap(var, None)
     if len(kv) != 4:
         raise ValueError("a gap needs lw=, ls=, uw= and us= (or nreg)")
-    bounds = (natural(kv["lw"]), natural(kv["ls"]), _upper(kv["uw"]), _upper(kv["us"]))
+    uppers = natural_or_inf(kv["uw"]), natural_or_inf(kv["us"])
+    bounds = (natural(kv["lw"]), natural(kv["ls"]), *uppers)
     return Gap(var, bounds, "opt" in flags)
 
 

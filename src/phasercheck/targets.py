@@ -185,11 +185,12 @@ def _read_phase(words) -> tuple:
     return (var, (natural(kv["w"]), natural(kv["s"])))
 
 
-def parse_partial_config(text: str, program, left_out=None) -> PartialConfiguration:
+def parse_partial_config(text: str, program, left_out=None) -> tuple:
     """Parse a file holding one level-consistent partial-config record
-    over ``program``.  When the record pins a sequence no task reaches,
-    so that ``from_partial_config`` leaves it out, its opening line is
-    appended to the list ``left_out``, when given."""
+    over ``program``: the pattern, and the constraints
+    ``from_partial_config`` builds from it.  When the record pins a
+    sequence no task reaches, so that it gives no constraint, its opening
+    line is appended to the list ``left_out``, when given."""
     [(opened, bv, seqs, n_phasers, cells), *extra] = read_records(
         text, "partial-config", program.bool_vars, {"phase": ("tp", _read_phase)}
     )
@@ -209,7 +210,7 @@ def parse_partial_config(text: str, program, left_out=None) -> PartialConfigurat
         raise RecordFormatError(f"line {opened}: {e}") from None
     if not targets and left_out is not None:
         left_out.append(opened)
-    return pc
+    return pc, targets
 
 
 def from_partial_config(pc: PartialConfiguration, program) -> list:

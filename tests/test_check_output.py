@@ -1,9 +1,10 @@
 """Byte-identity gate: ``check`` prints exactly the recorded stdout and
 exits with the recorded code on the 20 corpus cells of the benchmark,
-with ``--validate`` on the reachable cells.  The record is taken in the
-default plain mode; ``--mode unrestricted`` prints the same on every
-cell, and ``--mode control`` on every cell whose targets are free (all
-but the cyclic-wait ones).  A change meant to keep behaviour
+with ``--validate`` on the reachable cells.  The record is taken with
+the default flags (plain reachability); unrestricted search
+(``--k inf --b inf --budget 100000``) prints the same on every cell, and
+control reachability (``--b inf``) on every cell whose targets are free
+(all but the cyclic-wait ones).  A change meant to keep behaviour
 must leave this file's golden record as it is; a change meant to alter
 output re-records it on purpose with
 
@@ -48,9 +49,17 @@ CELLS = [
 ]
 
 
+# each formulation as flags; the golden record is the plain run
+FLAGS = {
+    "plain": [],
+    "unrestricted": ["--k", "inf", "--b", "inf", "--budget", "100000"],
+    "control": ["--b", "inf"],
+}
+
+
 def run_cell(prog, prop, reachable, mode="plain") -> dict:
     argv = ["check", str(HERE.parent / "corpus" / f"{prog}.phz"), "--property", prop]
-    argv += ["--mode", mode]
+    argv += FLAGS[mode]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv + ["--validate"] * reachable)

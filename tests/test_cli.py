@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import phasercheck
+from phasercheck import targets
 from phasercheck.cli import main
 from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import cyclic_wait_targets
@@ -160,13 +161,16 @@ def test_closed_stdout_exits_141_quietly():
     "argv",
     [["explore", f"--max-{b}", "-1"] for b in ("steps", "tasks", "phasers", "phase")]
     + [["check", f"--{b}", "-1"] for b in ("k", "b", "budget", "slack")]
-    + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"]],
+    + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"]]
+    + [["check", "--k", "infinity"], ["check", "--b", "INF"], ["check", "--budget", "inf"]],
 )
 def test_out_of_range_bounds_exit_2(capsys, argv):
     # cross_deadlock's cyclic wait is reachable, yet --k -1 said unreachable
     prop = ["--property", "cyclic-wait"] if argv[0] == "check" else []
     assert run(argv[0], path("cross_deadlock"), *prop, *argv[1:]) == 2
-    assert f"argument {argv[1]}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: " in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +257,24 @@ def test_check_without_targets_is_unreachable(capsys):
     assert "no target constraints" in captured.err
 
 
-def test_check_cyclic_wait_control_mode_rejects_bounded_targets(capsys):
-    code = run(
-        "check", path("selfwait"), "--property", "cyclic-wait", "--mode", "control"
-    )
+def test_check_b_inf_without_budget_rejects_bounded_targets(capsys):
+    # control reachability: with no b prune and no budget, only free
+    # targets are sure to terminate
+    code = run("check", path("selfwait"), "--property", "cyclic-wait", "--b", "inf")
     assert code == 2
     assert "free targets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--k", "inf"], ["--b", "inf"], ["--k", "inf", "--b", "inf"]])
+def test_check_accepts_inf_limits(capsys, flags):
+    # regerror targets are free, so --b inf needs no budget
+    assert run("check", path("sigwait_ok"), "--property", "regerror", *flags) == 0
+    assert capsys.readouterr().out.startswith("verdict unreachable\n")
+
+
+def test_check_mode_flag_is_gone(capsys):
+    assert run("check", path("sigwait_ok"), "--mode", "plain") == 2
+    assert "unrecognized arguments: --mode plain" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -322,17 +338,19 @@ def test_unreachable_cyclic_wait_names_its_settings(capsys):
 
 def test_check_budget_exhaustion(capsys):
     code = run(
-        "check",
-        path("minsky_chain"),
-        "--property",
-        "regerror",
-        "--mode",
-        "unrestricted",
-        "--budget",
-        "5",
+        "check", path("minsky_chain"), "--property", "regerror",
+        "--k", "inf", "--b", "inf", "--budget", "5",
     )
     assert code == 3
     assert "budget exhausted" in capsys.readouterr().out
+
+
+def test_check_budget_applies_to_the_default_run(capsys):
+    # --budget bounds every run; the plain run ignored it and said
+    # "verdict unreachable" after 17 pops
+    argv = ["check", path("minsky_chain"), "--property", "regerror", "--budget", "1"]
+    assert run(*argv) == 3
+    assert capsys.readouterr().out == "verdict unknown (budget exhausted)\nprocessed 2 constraints\n"
 
 
 def test_check_rejects_mode_programs(capsys):
@@ -448,7 +466,11 @@ def test_check_custom_constraint_file(tmp_path, capsys):
     assert "verdict reachable" in out and "trace replay: ok" in out
 
 
-def test_check_custom_partial_config(tmp_path, capsys):
+def test_check_custom_partial_config(tmp_path, capsys, monkeypatch):
+    # the record's constraints are built once, while it is read
+    built = []
+    build = targets.from_partial_config
+    monkeypatch.setattr(targets, "from_partial_config", lambda *a: built.append(a) or build(*a))
     target = tmp_path / "pc.txt"
     target.write_text(
         "partial-config {\n"
@@ -462,6 +484,7 @@ def test_check_custom_partial_config(tmp_path, capsys):
     )
     assert code == 1
     assert "verdict reachable" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_check_custom_malformed_target(tmp_path, capsys):
@@ -578,7 +601,7 @@ def test_check_fuzzed_target_files_exit_cleanly(tmp_path, capsys, text):
     target.write_text(text)
     code = run(
         "check", path("assert_ok"), "--property", "custom", "--target", str(target),
-        "--mode", "unrestricted", "--budget", "50",
+        "--k", "inf", "--b", "inf", "--budget", "50",
     )
     assert code in (0, 1, 2, 3)
     capsys.readouterr()

@@ -368,7 +368,7 @@ X(q){ a = true; signal(q); drop(q); }
 """
 
 
-@pytest.mark.parametrize("b", [1, None], ids=["PlainReachability", "ControlReachability"])
+@pytest.mark.parametrize("b", [1, INF], ids=["PlainReachability", "ControlReachability"])
 def test_k_none_falls_back_to_the_creation_sites(b):
     program = parse(LOOPED_CREATION)
     assert program.static_bounds == (None, None)

@@ -143,14 +143,14 @@ partial-config {
 
 
 def test_partial_config_text_round_trip():
-    pc = parse_partial_config(PC_TEXT, PC_PROGRAM)
+    pc, targets = parse_partial_config(PC_TEXT, PC_PROGRAM)
     assert pc.bv == (True,)
     assert pc.n_tasks == 2 and pc.n_phasers == 1
     assert pc.seqs[1] is None
     assert pc.phase[0][0] == ("p", (1, 2))
     assert pc.phase[1][0] == (ANY, "nreg")
     text = partial_config_to_text(pc, ("a",))
-    assert parse_partial_config(text, PC_PROGRAM) == pc
+    assert parse_partial_config(text, PC_PROGRAM) == (pc, targets)
 
 
 def test_partial_config_parse_errors():
@@ -182,8 +182,7 @@ def test_partial_config_parse_errors():
 
 def test_from_partial_config_models_match_inclusion():
     program = PC_PROGRAM
-    pc = parse_partial_config(PC_TEXT, program)
-    [phi] = from_partial_config(pc, program)
+    pc, [phi] = parse_partial_config(PC_TEXT, program)
     assert phi.gaps[0][0] == Gap("p", (0, 1, 0, 1))  # level 1 = max wait
     assert phi.gaps[1][0] == Gap(ANY, None)
     seqs = (program.seq_ids[parse_seq("wait(p); drop(p);")], program.seq_ids[()])
