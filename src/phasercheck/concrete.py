@@ -184,30 +184,30 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
     whose value is false)."""
     head = p.heads[c.seqs[t]]
     seqs = list(c.seqs)
-    phases = [list(row) for row in c.phases]
-    bv = list(c.bv)
+    phases = c.phases  # rows are tuples: a step rebuilds only those it changes
+    bv = c.bv
     atomic = c.atomic
     taken = True
 
     if isinstance(head, NewPhaser):
-        for row in phases:
-            row.append((NO_VAR, None))
-        for pi, (v, reg) in enumerate(phases[t][:-1]):
-            if v == head.var:
-                phases[t][pi] = (NO_VAR, reg)  # variable rebinds to the new phaser
-        phases[t][-1] = (head.var, Reg(SIG_WAIT, 0, 0))
+        # the variable rebinds to the new phaser
+        own = tuple((NO_VAR, reg) if v == head.var else (v, reg) for v, reg in phases[t])
+        phases = tuple(row + ((NO_VAR, None),) for row in phases)
+        phases = phases[:t] + (own + ((head.var, Reg(SIG_WAIT, 0, 0)),),) + phases[t + 1 :]
 
     elif isinstance(head, (Signal, Wait, Drop)):
         pi = binding(c, t, head.var)
         reg = None if pi is None else phases[t][pi][1]
         if isinstance(head, Signal) and reg is not None and reg.sig is not None:
-            phases[t][pi] = (head.var, Reg(reg.mode, reg.wait, reg.sig + 1))
+            cell = (head.var, Reg(reg.mode, reg.wait, reg.sig + 1))
         elif isinstance(head, Wait) and reg is not None and reg.wait is not None:
-            phases[t][pi] = (head.var, Reg(reg.mode, reg.wait + 1, reg.sig))
+            cell = (head.var, Reg(reg.mode, reg.wait + 1, reg.sig))
         elif isinstance(head, Drop) and reg is not None:
-            phases[t][pi] = (head.var, None)
+            cell = (head.var, None)
         else:  # unregistered, or registered in a mode without the command
             return RegistrationError(t, type(head).__name__.lower(), head.var)
+        row = phases[t][:pi] + (cell,) + phases[t][pi + 1 :]
+        phases = phases[:t] + (row,) + phases[t + 1 :]
 
     elif isinstance(head, Asynch):
         callee = p.task(head.task)
@@ -221,13 +221,14 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             sig = None if mode == WAIT else reg.sig
             child_row[pi] = (formal, Reg(mode, wait, sig))
         seqs.append(p.body_ids[head.task])
-        phases.append(child_row)
+        phases += (tuple(child_row),)
 
     elif isinstance(head, (Assign, Assert, While, If)):
         if not isinstance(value, bool):
             raise TypeError(f"{head} fired without the value of its condition")
         if isinstance(head, Assign):
-            bv[p.bool_vars.index(head.var)] = value
+            i = p.bool_vars.index(head.var)
+            bv = bv[:i] + (value,) + bv[i + 1 :]
         elif isinstance(head, Assert):
             if not value:
                 return AssertionViolation(t)
@@ -255,7 +256,7 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
         raise TypeError(f"cannot step {head!r}")
 
     seqs[t] = p.next_ids[c.seqs[t]][0 if taken else 1]
-    return Configuration(tuple(bv), tuple(seqs), tuple(map(tuple, phases)), atomic)
+    return Configuration(bv, tuple(seqs), phases, atomic)
 
 
 def successors(c: Configuration, p: Program) -> list:

@@ -5,8 +5,11 @@
 once per program.  One breadth-first walk of head steps from each task
 body yields the control facts: the sequences tasks can reach (``owners``
 and ``suffixes``), every head step out of them (``steps``) and the
-``start_distances`` heuristic.  The bounds on task instances and created
-phasers are ``instance_counts`` and ``static_bounds``.
+``start_distances`` heuristic.  The reachable ``asynch`` sites are
+``spawners``, and ``spawn_order`` holds the ids a task can sit at once
+it has spawned a given type.  The bounds on task instances and created
+phasers are ``instance_counts``, read from ``spawners``, and
+``static_bounds``.
 
 A reachable sequence's id is its index in ``suffixes``.  Per id, the
 program keeps the head statement (``heads``), the ids its head steps
@@ -236,27 +239,65 @@ class Program:
             for step, j in zip(succ[seq], self.next_ids[i])
         )
 
+    def _closure(self, starts) -> frozenset:
+        """The ids reachable from the ids ``starts`` (included) over head
+        steps and barrier skips."""
+        seen, stack = set(starts), list(starts)
+        while stack:
+            i = stack.pop()
+            for j in (*self.next_ids[i], self.skip_ids[i]):
+                if j is not None and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return frozenset(seen)
+
+    @cached_property
+    def spawners(self) -> dict:
+        """Per task type, one ``(spawning type, looped)`` pair per reachable
+        ``asynch`` site for it: the ``asynch`` head step out of a reachable
+        sequence, once for each of the sequence's owners.  A site is
+        looped when its sequence can reach itself, so one task may pass it
+        more than once."""
+        sites = {}
+        for i, stmt, _, j in self.steps:
+            if isinstance(stmt, Asynch):
+                looped = i in self._closure((j,))
+                sites.setdefault(stmt.task, []).extend((v, looped) for v in sorted(self.owners[i]))
+        return {w: tuple(pairs) for w, pairs in sites.items()}
+
+    @cached_property
+    def spawn_order(self) -> dict:
+        """Per task type ``W`` with a reachable ``asynch(W)`` site, the
+        frozenset of ids a task can sit at once it has executed an
+        ``asynch(W)``: the forward closure of the sites' post ids.  A task
+        at any other id has never spawned a ``W``."""
+        posts = {}
+        for _, stmt, _, j in self.steps:
+            if isinstance(stmt, Asynch):
+                posts.setdefault(stmt.task, []).append(j)
+        return {w: self._closure(js) for w, js in posts.items()}
+
     @cached_property
     def instance_counts(self) -> dict:
         """Upper bound on the instances of each task type that any run
-        spawns, for every type ``main`` reaches: ``main`` counts 1, and a
-        type is None (unbounded) when it is spawned under a loop, by
-        recursion or by an unbounded type."""
-        spawners = {"main": []}  # type -> (spawning type, looped) per asynch site
+        spawns, for every type ``main`` reaches through ``spawners``:
+        ``main`` counts 1, and a type is None (unbounded) when it is
+        spawned at a looped site, by recursion or by an unbounded type."""
+        spawners = self.spawners
         reached = ["main"]
         for name in reached:  # grows as the walk meets new types
-            for s, looped in walk(self.task(name).body):
-                if isinstance(s, Asynch):
-                    if s.task not in spawners:
-                        spawners[s.task] = []
-                        reached.append(s.task)
-                    spawners[s.task].append((name, looped))
+            reached += [
+                w
+                for w, sites in spawners.items()
+                if w not in reached and any(v == name for v, _ in sites)
+            ]
         counts = {}
 
         def count(name):
             if name not in counts:
                 counts[name] = None  # what a spawn cycle through ``name`` reads
-                ns = [None if looped else count(u) for u, looped in spawners[name]]
+                sites = [(v, looped) for v, looped in spawners.get(name, ()) if v in reached]
+                ns = [None if looped else count(v) for v, looped in sites]
                 counts[name] = None if None in ns else int(name == "main") + sum(ns)
             return counts[name]
 

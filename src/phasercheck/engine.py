@@ -37,9 +37,17 @@ on some task types' code than those types have instances
 (``type_bound``): in ``main(){ asynch(W); asynch(W); }`` where each
 ``W`` spawns one ``X``, at most 1 row on ``main``'s code, 2 on ``W``'s
 and 2 on ``X``'s.  The per-type bound holds when the total is unbounded
-too, for ``main`` and every type with a finite instance count.  These
-static limits, with ``k``, filter the targets; ``check`` hands them to
-``pre``, which never builds a predecessor that fails them.
+too, for ``main`` and every type with a finite instance count.  The same
+row test drops constraints whose rows break spawn order: a task of type
+``W`` exists only once some task has executed an ``asynch(W)``.  In
+``main(){ asynch(W); x = true; asynch(X); }``, a row of ``main`` at
+``x = true; asynch(X);`` has spawned a ``W`` but no ``X``, and ``main``
+is the only spawner of ``X``, so no row may sit at ``X``'s code with
+it.  This is exact: ``main`` runs once, tasks never leave a
+configuration, and no step after ``asynch(X)`` leads back to
+``x = true; asynch(X);``.  ``type_bound`` states the rule in full.
+These static limits, with ``k``, filter the targets; ``check`` hands
+them to ``pre``, which never builds a predecessor that fails them.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
 the number of ``newPhaser`` sites.
@@ -84,25 +92,66 @@ class BudgetExhausted:
     processed: int
 
 
+def _unspawned_at(program) -> dict:
+    """Per task type ``W`` other than ``main`` and per type ``V`` with a
+    reachable ``asynch(W)`` site (``Program.spawners``), the ids at which
+    a row shows that no ``V`` instance has spawned a ``W`` yet: ids that
+    only ``V`` reaches, outside ``W``'s ``Program.spawn_order`` table,
+    when runs spawn ``V`` at most once, so the row is its one instance."""
+    counts = program.instance_counts
+    once = [
+        (s, v)
+        for s, (v, *others) in enumerate(program.owners)
+        if not others and counts.get(v) == 1
+    ]
+    out = {}
+    for t in program.tasks:
+        if t.name != "main":
+            after = program.spawn_order.get(t.name, ())
+            out[t.name] = {
+                v: frozenset(s for s, u in once if u == v and s not in after)
+                for v, _ in program.spawners.get(t.name, ())
+            }
+    return out
+
+
 def type_bound(program):
-    """The per-type row bound: a predicate on a constraint's tuple of
-    sequence ids (one per row, None for ``*``) that is False only
-    when no constraint with those rows has models.  A model maps distinct
-    tasks to distinct tracked rows, and a task at a control sequence is
-    an instance of one of the sequence's owners (``Program.owners``; a
-    ``*`` row may be an instance of any type).  By Hall's condition such
-    a map exists only if, for every union ``U`` of the rows' owner sets,
-    the rows whose owners lie within ``U`` number at most the instances
-    runs spawn of ``U``'s types (``Program.instance_counts``; 0 for a
-    type ``main`` never reaches).  That implies the total task bound of
+    """The static row test: a predicate on a constraint's tuple of
+    sequence ids (one per row, None for ``*``) that is False only when
+    no constraint with those rows has models.  It applies two rules.
+
+    *Per-type (Hall) bound.*  A model maps distinct tasks to distinct
+    tracked rows, and a task at a control sequence is an instance of one
+    of the sequence's owners (``Program.owners``; a ``*`` row may be an
+    instance of any type).  By Hall's condition such a map exists only
+    if, for every union ``U`` of the rows' owner sets, the rows whose
+    owners lie within ``U`` number at most the instances runs spawn of
+    ``U``'s types (``Program.instance_counts``; 0 for a type ``main``
+    never reaches).  That implies the total task bound of
     ``Program.static_bounds``, which is tested first because it rejects
     most tuples more cheaply.  Memoized on the sorted owner sets of the
-    rows."""
+    rows.
+
+    *Spawn order.*  A type ``W`` other than ``main`` is dead, given the
+    pinned rows, when each of its spawners ``V`` (``Program.spawners``)
+    is dead too, or has one instance at most and a row at an id that
+    only ``V`` reaches, outside ``W``'s ``Program.spawn_order`` table;
+    dead types are the least fixpoint of that rule.  A tuple with a row
+    whose owners are all dead fails.  In ``bool x; main(){ asynch(W);
+    x = true; asynch(X); } W(){ x = false; } X(){ assert(x); }``, a row
+    of ``main`` at ``x = true; asynch(X);`` makes ``X`` dead, so no row
+    at ``X``'s body may join it, while rows of ``W`` may.  The rule is
+    exact: tasks never leave a configuration and ``spawn_order`` is
+    closed under forward steps, so the one ``V`` instance sitting
+    outside it has never run ``asynch(W)``; a dead spawner has no
+    instance, so it has never run one either; and a type no task has
+    spawned has no instance.  Memoized on the set of pinned ids."""
     counts = program.instance_counts
     own = program.owners
     every = frozenset(t.name for t in program.tasks)
     task_bound = program.static_bounds[0]
-    memo = {}
+    unspawned = _unspawned_at(program)
+    hall_memo, order_memo = {}, {}
 
     def instances(types):
         ns = [counts.get(t, 0) for t in types]
@@ -118,14 +167,31 @@ def type_bound(program):
                 return False
         return True
 
+    def in_spawn_order(pinned) -> bool:
+        dead, grew = set(), True
+        while grew:
+            grew = False
+            for w, blockers in unspawned.items():
+                if w not in dead and all(
+                    v in dead or not pinned.isdisjoint(at) for v, at in blockers.items()
+                ):
+                    dead.add(w)
+                    grew = True
+        return not any(own[s] <= dead for s in pinned)
+
     def fits_types(seqs) -> bool:
         if task_bound is not None and len(seqs) > task_bound:
             return False
         sets = (every if s is None else own[s] for s in seqs)
         key = tuple(sorted(sets, key=sorted))
-        if key not in memo:
-            memo[key] = hall(key)
-        return memo[key]
+        if key not in hall_memo:
+            hall_memo[key] = hall(key)
+        if not hall_memo[key]:
+            return False
+        pinned = frozenset(seqs).difference((None,))
+        if pinned not in order_memo:
+            order_memo[pinned] = in_spawn_order(pinned)
+        return order_memo[pinned]
 
     return fits_types
 

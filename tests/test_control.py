@@ -139,3 +139,23 @@ def test_the_walk_reaches_the_barrier_skip_after_an_exit():
         assert any(p.seq_ids[skip] in c.seqs for c in res.configs) == skipped
     # W's last step is the signal at the head of the skip
     assert [(t, stmt) for _, t, stmt, _ in res.edges[-1:]] == [(1, "signal(p);")]
+
+
+# X is spawned under a loop, and the asynch(Y) after the exit is dead code
+SPAWN_SITES = (
+    "bool a; main(){ asynch(W); while(ndet()){ asynch(X); } exit; asynch(Y); } "
+    "W(){ a = true; } X(){ a = true; } Y(){ a = true; }"
+)
+
+
+def test_spawners_and_spawn_order_follow_the_reachable_asynch_sites():
+    program = parse(SPAWN_SITES)
+    assert program.spawners == {"W": (("main", False),), "X": (("main", True),)}
+    assert program.instance_counts == {"main": 1, "W": 1, "X": None}
+    body = program.main.body
+    loop, inside = program.seq_ids[body[1:]], program.seq_ids[body[1].body + body[1:]]
+    assert program.body_ids["main"] not in program.spawn_order["W"]
+    assert {loop, inside} <= program.spawn_order["W"]
+    # a task back at the loop head may or may not have spawned an X
+    assert {loop, inside} <= program.spawn_order["X"]
+    assert "Y" not in program.spawn_order

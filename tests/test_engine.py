@@ -1,4 +1,7 @@
+import copy
+import functools
 import gc
+import runpy
 import weakref
 from random import Random
 
@@ -17,13 +20,14 @@ from phasercheck.engine import (
 from phasercheck.parser import parse
 from phasercheck.pre import pre
 from phasercheck.symbolic import INF, models
+from phasercheck.syntax import Asynch
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
     registration_error_targets,
 )
 
-from conftest import FINITE_PROGRAMS, load
+from conftest import CORPUS, FINITE_PROGRAMS, load
 from sandwich import constraint_pool
 
 BUILDERS = {
@@ -52,10 +56,10 @@ MATRIX = [
     ("assign_chain", "assert", PLAIN, Unreachable(2)),
     ("assign_ndet", "assert", PLAIN, Reachable),
     ("assign_ndet", "assert", CTRL, Reachable),
-    ("chain_spawn", "regerr", PLAIN, Unreachable(51)),
-    ("chain_spawn", "regerr", CTRL, Unreachable(51)),
-    ("chain_spawn", "cyclic", PLAIN, Unreachable(38)),
-    ("cross_deadlock", "regerr", PLAIN, Unreachable(38)),
+    ("chain_spawn", "regerr", PLAIN, Unreachable(40)),
+    ("chain_spawn", "regerr", CTRL, Unreachable(40)),
+    ("chain_spawn", "cyclic", PLAIN, Unreachable(26)),
+    ("cross_deadlock", "regerr", PLAIN, Unreachable(37)),
     ("cross_deadlock", "cyclic", PLAIN, Reachable),
     ("drop_then_wait", "regerr", PLAIN, Reachable),
     ("drop_then_wait", "regerr", CTRL, Reachable),
@@ -253,12 +257,104 @@ def test_type_bound_is_exact(name):
         assert any(models(c, psi) for psi in psis for c in res.configs)
 
 
+# W executes the barrier body and ends in exit, so main passes its
+# barrier only by the skip: ``signal(p); wait(p); assert(a); drop(p);``
+# lies after ``asynch(W, p)`` only through a barrier-skip edge
+SKIPPED_AFTER_SPAWN = (
+    "bool a; main(){ p = newPhaser(); asynch(W, p); next(p){ a = true; exit; } assert(a); "
+    "drop(p); } W(p){ next(p){ a = true; exit; } drop(p); }"
+)
+
+
+def _spawn_order_programs() -> dict:
+    """Every corpus program, the generated programs of two benchmark
+    draws and the two programs above, each with the bounds it is
+    explored under."""
+    families = runpy.run_path(str(CORPUS.parent / "bench" / "families.py"))
+    out = {path.stem: (load(path.stem), Bounds(max_tasks=5)) for path in sorted(CORPUS.glob("*.phz"))}
+    for seed in (1, 2):
+        for g in families["draw"](seed):
+            bounds = Bounds(300000, g.max_tasks, g.max_phasers, max_phase=8)
+            out[f"{g.name}@{seed}"] = (parse(g.source), bounds)
+    out["SPAWNED_TWICE"] = (parse(SPAWNED_TWICE), Bounds(max_tasks=5))
+    out["SKIPPED_AFTER_SPAWN"] = (parse(SKIPPED_AFTER_SPAWN), Bounds())
+    return out
+
+
+SPAWN_ORDER_PROGRAMS = _spawn_order_programs()
+
+
+@functools.cache
+def _reached(name) -> list:
+    program, bounds = SPAWN_ORDER_PROGRAMS[name]
+    return explore(program, bounds).configs
+
+
+def _rejected(name) -> int:
+    fits_types = type_bound(SPAWN_ORDER_PROGRAMS[name][0])
+    return sum(not fits_types(c.seqs) for c in _reached(name))
+
+
+@pytest.mark.parametrize("name", SPAWN_ORDER_PROGRAMS)
+def test_every_explored_configuration_passes_the_row_test(name):
+    # the static row test, spawn order included, drops only constraints
+    # without reachable models: every configuration explore reaches
+    # passes it (a bounded exploration reaches only reachable ones)
+    assert _rejected(name) == 0
+
+
+def _with(program, **tables):
+    # a copy of the program whose cached tables are replaced
+    mutant = copy.copy(program)
+    mutant.__dict__.update(tables)
+    return mutant
+
+
+def _post_ids_only(program):
+    posts = {}
+    for _, stmt, _, j in program.steps:
+        if isinstance(stmt, Asynch):
+            posts.setdefault(stmt.task, set()).add(j)
+    return _with(program, spawn_order={w: frozenset(js) for w, js in posts.items()})
+
+
+def _no_skip_edges(program):
+    mutant = _with(program, skip_ids=(None,) * len(program.suffixes))
+    mutant.__dict__.pop("spawn_order", None)  # rebuilt over head steps alone
+    return mutant
+
+
+def _one_instance_each(program):
+    return _with(program, instance_counts=dict.fromkeys(program.instance_counts, 1))
+
+
+@pytest.mark.parametrize(
+    "mutate,caught_on",
+    [
+        (_post_ids_only, "chain_spawn"),
+        (_no_skip_edges, "SKIPPED_AFTER_SPAWN"),
+        (_one_instance_each, "SPAWNED_TWICE"),
+    ],
+    ids=["post_ids_only", "no_skip_edges", "one_instance_each"],
+)
+def test_the_row_test_gate_catches_a_broken_spawn_order(mutate, caught_on, monkeypatch):
+    # each mutation feeds the spawn-order rule a wrong table, so the
+    # containment gate above must reject some explored configuration: the
+    # table without its forward closure, the closure without barrier
+    # skips, and a row of a type with two instances taken as proof that
+    # its type has spawned nothing (the per-type bound keeps the true
+    # counts)
+    unspawned_at = engine._unspawned_at
+    monkeypatch.setattr(engine, "_unspawned_at", lambda p: unspawned_at(mutate(p)))
+    assert _rejected(caught_on) > 0
+
+
 def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
-    # exact counters on the slowest bench cell: check pops 604 constraints
-    # and pre hands its keep filter 3,997 predecessors.  Without the
-    # limits, pre builds 32,744 on those pops: 21,724 over the task bound,
-    # 5,195 more over the per-type bound and 1,828 more over the phaser
-    # bound
+    # exact counters on the slowest bench cell: check pops 342 constraints
+    # and pre hands its keep filter 1,763 predecessors.  Without the
+    # limits, pre builds 18,724 on those pops: 10,065 over the task bound,
+    # 4,000 more over the per-type bound, 2,355 more out of spawn order
+    # and 541 more over the phaser bound
     program = load("producer_consumer_sw")
     handed = []
 
@@ -271,8 +367,8 @@ def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
 
     monkeypatch.setattr(engine, "pre", counted)
     # b=1 and no k: the bench cell's default
-    assert check(program, registration_error_targets(program), b=1) == Unreachable(604)
-    assert len(handed) == 3997
+    assert check(program, registration_error_targets(program), b=1) == Unreachable(342)
+    assert len(handed) == 1763
 
 
 def test_mode_programs_are_rejected():

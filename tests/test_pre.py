@@ -17,7 +17,7 @@ from phasercheck.targets import (
 
 from conftest import FINITE_PROGRAMS, load
 from oracles import preserves_freeness_check
-from test_engine import SPAWNED_TWICE
+from test_engine import SPAWNED_TWICE, _with
 from sandwich import (
     constraint_pool,
     explored_graph,
@@ -205,15 +205,21 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     # check hands pre the static limits and filters the rest before pre
     # canonicalizes them.  On the first constraints it pops, that must
     # give the unfiltered result minus the pairs that fail the limits,
-    # restated here (the task and phaser bounds, the per-type bound and
-    # k), or keep (b and entailment by the popped constraint).  Each skip
-    # must fire, and every predecessor pre builds must pass the limits
+    # restated here (the task and phaser bounds, the per-type bound,
+    # spawn order and k), or keep (b and entailment by the popped
+    # constraint).  Each skip must fire, and every predecessor pre builds
+    # must pass the limits
     k = 2
     count = Counter()
 
     def both_ways(phi, program, keep, rows_fit, cap):
         task_bound, phaser_bound = program.static_bounds
-        hall = engine.type_bound(program)
+        row_test = engine.type_bound(program)
+        # with every id in every spawn-order table no row blocks a spawn
+        # and only the per-type bound is left
+        every_id = frozenset(range(len(program.suffixes)))
+        no_order = dict.fromkeys(program.spawners, every_id)
+        hall = engine.type_bound(_with(program, spawn_order=no_order))
 
         def reject(psi):
             # the first limit that psi fails: rows, then columns
@@ -221,6 +227,8 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
                 return "rows"
             if not hall(psi.seqs):
                 return "hall"
+            if not row_test(psi.seqs):
+                return "spawn"
             if psi.n_phasers > min(k, INF if phaser_bound is None else phaser_bound):
                 return "columns"
             return None
@@ -258,8 +266,9 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
                 check(program, build(program), k=k, b=1)
             except _EnoughPops:
                 pass
-        binding[name] = {r for r in ("rows", "hall", "columns") if count[r] > before[r]}
+        binding[name] = {r for r in ("rows", "hall", "spawn", "columns") if count[r] > before[r]}
     assert 0 < count["kept"] < count["full"]
     # where the bounds bind, each limit skips some predecessor
-    assert binding["producer_consumer_sw"] == {"rows", "hall", "columns"}
-    assert binding["chain_spawn"] == binding["SPAWNED_TWICE"] == {"hall", "columns"}
+    assert binding["cross_deadlock"] == {"rows", "hall", "spawn", "columns"}
+    assert binding["producer_consumer_sw"] == {"hall", "spawn", "columns"}
+    assert binding["chain_spawn"] == binding["SPAWNED_TWICE"] == {"hall", "spawn", "columns"}
