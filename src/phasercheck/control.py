@@ -5,11 +5,15 @@
 once per program.  One breadth-first walk of head steps from each task
 body yields the control facts: the sequences tasks can reach (``owners``
 and ``suffixes``), every head step out of them (``steps``) and the
-``start_distances`` heuristic.  The reachable ``asynch`` sites are
+``start_distances`` heuristic.  The reachable ``newPhaser``, ``asynch``
+and barrier heads are ``sites``; every static fact about them reads that
+table, so code no run reaches counts nowhere.  The ``asynch`` sites give
 ``spawners``, and ``spawn_order`` holds the ids a task can sit at once
-it has spawned a given type.  The bounds on task instances and created
-phasers are ``instance_counts``, read from ``spawners``, and
-``static_bounds``.
+it has spawned a given type.  ``held_sites`` is a flow-insensitive
+points-to table of phaser variables: the ``newPhaser`` sites whose
+phaser each task type may name with each variable.  The bounds on task
+instances and created phasers are ``instance_counts``, read from
+``spawners``, and ``static_bounds``.
 
 A reachable sequence's id is its index in ``suffixes``.  Per id, the
 program keeps the head statement (``heads``), the ids its head steps
@@ -46,7 +50,6 @@ from .syntax import (
     Stmt,
     Wait,
     While,
-    walk,
 )
 
 
@@ -127,16 +130,18 @@ class Program:
         return self.task("main")
 
     def is_atomic(self) -> bool:
-        return any(isinstance(s, NextBlock) for t in self.tasks for s, _ in walk(t.body))
+        """True when some reachable head is a barrier block."""
+        return any(isinstance(stmt, NextBlock) for _, stmt, _, _ in self.sites)
 
     def phaser_sites(self) -> int:
-        return sum(isinstance(s, NewPhaser) for t in self.tasks for s, _ in walk(t.body))
+        """The reachable ``newPhaser`` sites, once per owning type."""
+        return sum(len(owners) for _, stmt, owners, _ in self.sites if isinstance(stmt, NewPhaser))
 
     def uses_modes(self) -> bool:
-        """True when any registration deviates from full SIG_WAIT."""
+        """True when a declared parameter or a reachable ``asynch``
+        registers in a mode other than full SIG_WAIT."""
         modes = [m for t in self.tasks for m in t.modes]
-        for t in self.tasks:
-            modes += [m for s, _ in walk(t.body) if isinstance(s, Asynch) for m in s.modes]
+        modes += [m for _, stmt, _, _ in self.sites if isinstance(stmt, Asynch) for m in stmt.modes]
         return any(m != SIG_WAIT for m in modes)
 
     @cached_property
@@ -252,18 +257,28 @@ class Program:
         return frozenset(seen)
 
     @cached_property
+    def sites(self) -> tuple:
+        """``(id, stmt, owners, looped)`` for every reachable ``newPhaser``,
+        ``asynch`` and barrier head, in id order: the head step out of a
+        reachable sequence, with the sequence's ``owners``.  A site is
+        looped when its sequence can reach itself, so one task may pass it
+        more than once.  Code after an ``exit`` has no site, and a loop
+        whose body ends in ``exit`` does not make its sites looped."""
+        return tuple(
+            (i, stmt, self.owners[i], i in self._closure((j,)))
+            for i, stmt, _, j in self.steps
+            if isinstance(stmt, (NewPhaser, Asynch, NextBlock))
+        )
+
+    @cached_property
     def spawners(self) -> dict:
         """Per task type, one ``(spawning type, looped)`` pair per reachable
-        ``asynch`` site for it: the ``asynch`` head step out of a reachable
-        sequence, once for each of the sequence's owners.  A site is
-        looped when its sequence can reach itself, so one task may pass it
-        more than once."""
-        sites = {}
-        for i, stmt, _, j in self.steps:
+        ``asynch`` site for it, once for each of the site's owners."""
+        spawns = {}
+        for _, stmt, owners, looped in self.sites:
             if isinstance(stmt, Asynch):
-                looped = i in self._closure((j,))
-                sites.setdefault(stmt.task, []).extend((v, looped) for v in sorted(self.owners[i]))
-        return {w: tuple(pairs) for w, pairs in sites.items()}
+                spawns.setdefault(stmt.task, []).extend((v, looped) for v in sorted(owners))
+        return {w: tuple(pairs) for w, pairs in spawns.items()}
 
     @cached_property
     def spawn_order(self) -> dict:
@@ -272,10 +287,37 @@ class Program:
         ``asynch(W)``: the forward closure of the sites' post ids.  A task
         at any other id has never spawned a ``W``."""
         posts = {}
-        for _, stmt, _, j in self.steps:
+        for i, stmt, _, _ in self.sites:
             if isinstance(stmt, Asynch):
-                posts.setdefault(stmt.task, []).append(j)
+                posts.setdefault(stmt.task, []).extend(self.next_ids[i])
         return {w: self._closure(js) for w, js in posts.items()}
+
+    @cached_property
+    def held_sites(self) -> dict:
+        """Per (task type, phaser variable), the frozenset of ids of the
+        reachable ``newPhaser`` sites whose phaser a task of that type may
+        name with that variable: the least fixpoint of two rules over
+        ``sites``.  ``v = newPhaser()`` at id ``i`` in type ``T`` adds ``i``
+        to ``(T, v)``, and ``asynch(W, ..., a_k, ...)`` in ``T`` adds the
+        sites of ``(T, a_k)`` to ``(W, k-th parameter of W)``.  Pairs that
+        hold no site are absent."""
+        held, flows = {}, []
+        for i, stmt, owners, _ in self.sites:
+            for t in owners:
+                if isinstance(stmt, NewPhaser):
+                    held.setdefault((t, stmt.var), set()).add(i)
+                elif isinstance(stmt, Asynch):
+                    params = self.task(stmt.task).params
+                    flows += [((t, a), (stmt.task, f)) for a, f in zip(stmt.args, params)]
+        grew = True
+        while grew:
+            grew = False
+            for src, dst in flows:
+                new = held.get(src, set()) - held.get(dst, set())
+                if new:
+                    held.setdefault(dst, set()).update(new)
+                    grew = True
+        return {key: frozenset(ids) for key, ids in held.items()}
 
     @cached_property
     def instance_counts(self) -> dict:
@@ -307,13 +349,14 @@ class Program:
     def static_bounds(self) -> tuple:
         """(tasks, phasers): upper bounds on the tasks that exist at once
         and on the phasers any run creates (columns never disappear), each
-        None when unbounded.  A creation site counts once per instance of
-        its type, and is unbounded under a loop."""
+        None when unbounded.  A reachable ``newPhaser`` site counts once per
+        instance of each owning type, and is unbounded when looped."""
         counts = self.instance_counts
         sites = [
             None if looped else counts[name]
-            for name in counts
-            for s, looped in walk(self.task(name).body)
-            if isinstance(s, NewPhaser)
+            for _, stmt, owners, looped in self.sites
+            if isinstance(stmt, NewPhaser)
+            for name in owners
+            if name in counts
         ]
         return tuple(None if None in ns else sum(ns) for ns in (list(counts.values()), sites))

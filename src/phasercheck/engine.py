@@ -46,8 +46,20 @@ is the only spawner of ``X``, so no row may sit at ``X``'s code with
 it.  This is exact: ``main`` runs once, tasks never leave a
 configuration, and no step after ``asynch(X)`` leads back to
 ``x = true; asynch(X);``.  ``type_bound`` states the rule in full.
+A column test (``flow_bound``) drops constraints that ask tasks to name
+one phaser with variables that no run lets name the same phaser.
+``Program.held_sites`` gives the ``newPhaser`` sites each variable of
+each task type may hold, and the rows that name a variable in one
+column must share a site.  In ``main(){ p = newPhaser(); q =
+newPhaser(); asynch(W, q); ... } W(q){ ... }``, ``main``'s ``p`` holds
+only the first site and ``W``'s ``q`` only the second, so no column may
+have both.  This is exact: a phaser comes from exactly one site, and a
+task's variable names only phasers of the sites its type and variable
+hold.
 These static limits, with ``k``, filter the targets; ``check`` hands
-them to ``pre``, which never builds a predecessor that fails them.
+them to ``pre``, which never builds a predecessor that fails the row
+test or the column cap, and drops those that fail the column test
+before it puts them into canonical form.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
 the number of ``newPhaser`` sites.
@@ -70,6 +82,7 @@ from .symbolic import (
     is_free,
     models,
 )
+from .syntax import ANY, NO_VAR
 
 
 @dataclass(frozen=True)
@@ -196,13 +209,54 @@ def type_bound(program):
     return fits_types
 
 
+def flow_bound(program):
+    """The static column test: a predicate on a constraint that is False
+    only when the constraint has no model.
+
+    In a column, take every row whose cell names a variable (not ``*``
+    or ``-``), and the ``newPhaser`` sites that the variable may hold in
+    the row's owner types (``Program.held_sites``; a ``*`` row may be
+    any type).  The constraint fails when, in some column, these site
+    sets have no common element.  In ``main(){ p = newPhaser();
+    asynch(W, p); q = newPhaser(); drop(q); ... } W(r){ ... }``, ``main``'s
+    ``q`` and ``W``'s ``r`` cannot share a column, while ``main``'s ``p``
+    and ``W``'s ``r`` can.  The rule is exact: a model maps each row to
+    a task of one of its owners whose variable names the column's
+    phaser, a task's variable holds only phasers of the sites
+    ``held_sites`` gives it, and a phaser comes from exactly one site.
+    Memoized on (sequence id, variable)."""
+    held = program.held_sites
+    own = program.owners
+    every = frozenset(t.name for t in program.tasks)
+    memo = {}
+
+    def sites(s, var) -> frozenset:
+        if (s, var) not in memo:
+            types = every if s is None else own[s]
+            memo[s, var] = frozenset().union(*(held.get((t, var), ()) for t in types))
+        return memo[s, var]
+
+    def fits_columns(phi) -> bool:
+        for q in range(phi.n_phasers):
+            common = None
+            for s, row in zip(phi.seqs, phi.gaps):
+                var = row[q].var
+                if var != ANY and var != NO_VAR:
+                    common = sites(s, var) if common is None else common & sites(s, var)
+                    if not common:
+                        return False
+        return True
+
+    return fits_columns
+
+
 def check(program, targets, k=None, b=INF, budget=None, progress=None):
     """Decide whether any target constraint has a reachable model, under
     the limits ``k``, ``b`` and ``budget`` (see the module docstring).
 
     Returns Reachable, Unreachable, or BudgetExhausted (with a
     ``budget`` only).  Raises ValueError for a program it cannot decide
-    (barrier-body statements, SIG/WAIT modes) and when the targets do
+    (a reachable barrier block, SIG/WAIT modes) and when the targets do
     not satisfy the limits.
     """
     if program.is_atomic():
@@ -228,11 +282,13 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
     start_dist = program.start_distances
 
     # the static limits: constraints with more rows on some task types'
-    # code than those types have instances, or with more columns than
-    # any run creates phasers or than k allows, are unsatisfiable or
-    # pruned.  They filter the targets below, and ``pre`` never builds a
-    # predecessor that fails them
+    # code than those types have instances, with a column that no task
+    # could hold, or with more columns than any run creates phasers or
+    # than k allows, are unsatisfiable or pruned.  They filter the
+    # targets below, and ``pre`` drops every predecessor that fails them
+    # before it is put into canonical form
     rows_fit = type_bound(program)
+    cols_fit = flow_bound(program)
 
     def forward_work(phi: Constraint) -> int:
         # total forward control steps still separating the constraint's
@@ -304,7 +360,7 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
         return Reachable(tuple(constraints), tuple(stmts))
 
     for phi in sorted(targets, key=constraint_order_key):
-        if rows_fit(phi.seqs) and phi.n_phasers <= cap:
+        if rows_fit(phi.seqs) and cols_fit(phi) and phi.n_phasers <= cap:
             insert(phi, None)
     processed = 0
     while working:
@@ -340,6 +396,7 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
                 program,
                 keep=lambda psi: is_b_good(psi, b) and not entails(phi, psi),
                 rows_fit=rows_fit,
+                cols_fit=cols_fit,
                 cap=cap,
             ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),

@@ -17,7 +17,8 @@ The control steps are ``Program.steps``, indexed once per program, and
 constraints name control sequences by their ids in the program's
 tables, so ``pre`` unfolds, hashes and compares no sequence itself.
 Given a run's static limits, ``pre`` tests each predecessor's control
-sequences and column count before it builds any of its cells, so
+sequences and column count before it builds any of its cells, and the
+variables of its columns before it puts it into canonical form, so
 ``check`` never sees a predecessor that the limits reject.
 
 A barrier step has no transformer: its atomic whole-body macro step
@@ -389,21 +390,26 @@ def pre_stmt(
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> list:
+def pre(
+    phi: Constraint, program, keep=None, rows_fit=_unlimited, cols_fit=_unlimited, cap=INF
+) -> list:
     """All (statement, predecessor constraint) pairs over every executing
     role: each tracked task plus a fresh environment task, taking each of
     the ordered ``program.steps`` in turn.  A pair may repeat;
     ``check``'s store drops repeats.
 
-    ``rows_fit`` and ``cap`` are a run's static limits: ``rows_fit(seqs)``
-    tests a predecessor's tuple of sequence ids and ``cap`` bounds
-    its columns.  A predecessor that fails them is skipped before any of
-    its cells is built.  Its control sequences are known first: the
-    executor moves to the step's pre sequence, the environment role adds
-    a row, and an ``asynch`` removes the row of a tracked child.  Only a
-    phaser the constraint does not track adds a column.  When ``phi``
-    itself passes the limits, the result is exactly the unlimited result
-    without the pairs that fail them.
+    ``rows_fit``, ``cols_fit`` and ``cap`` are a run's static limits:
+    ``rows_fit(seqs)`` tests a predecessor's tuple of sequence ids,
+    ``cols_fit(psi)`` the built predecessor, and ``cap`` bounds its
+    columns.  A predecessor that fails ``rows_fit`` or ``cap`` is skipped
+    before any of its cells is built.  Its control sequences are known
+    first: the executor moves to the step's pre sequence, the
+    environment role adds a row, and an ``asynch`` removes the row of a
+    tracked child.  Only a phaser the constraint does not track adds a
+    column.  One that fails ``cols_fit`` is dropped before ``keep`` sees
+    it.  When ``phi`` itself passes ``rows_fit`` and ``cap``, the result
+    is exactly the unlimited result without the pairs that fail the
+    limits.
 
     ``keep``, when given, drops every predecessor it rejects before that
     predecessor is put into canonical form.  It must not depend on the
@@ -413,7 +419,7 @@ def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> li
     room = cap - phi.n_phasers
 
     def emit(stmt, psi):
-        if keep is None or keep(psi):
+        if cols_fit(psi) and (keep is None or keep(psi)):
             results.append((stmt, canonical_constraint(psi)))
 
     def leaving(seqs):

@@ -363,6 +363,15 @@ def test_check_rejects_barrier_blocks(capsys):
     assert "barrier" in capsys.readouterr().err
 
 
+def test_check_decides_a_program_whose_barrier_no_run_reaches(tmp_path, capsys):
+    src = tmp_path / "dead_barrier.phz"
+    src.write_text("bool a; main(){ p = newPhaser(); drop(p); exit; next(p){ a = true; } }")
+    assert run("check", str(src), "--property", "regerror") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "verdict unreachable\nprocessed 1 constraints\n"
+    assert captured.err == ""
+
+
 def test_check_progress_stream_is_ndjson(tmp_path, capsys):
     # notes and errors are events too, so a line-by-line JSON reader reads
     # all of stderr; stdout does not change.  The event text is the plain

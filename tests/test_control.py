@@ -5,7 +5,7 @@ import pytest
 from phasercheck.concrete import Bounds, explore
 from phasercheck.control import barrier_skip, head_successors
 from phasercheck.parser import parse, parse_seq
-from phasercheck.syntax import NextBlock, Signal, Wait
+from phasercheck.syntax import SIG_WAIT, Asynch, NewPhaser, NextBlock, Signal, Wait, walk
 
 from conftest import CORPUS, load
 
@@ -159,3 +159,85 @@ def test_spawners_and_spawn_order_follow_the_reachable_asynch_sites():
     # a task back at the loop head may or may not have spawned an X
     assert {loop, inside} <= program.spawn_order["X"]
     assert "Y" not in program.spawn_order
+
+
+def _walked(program) -> tuple:
+    """The site facts of the syntactic walk over the program text, dead
+    code included: per task, each ``newPhaser`` and ``asynch`` statement
+    with its loop flag; whether a barrier block occurs; the number of
+    ``newPhaser`` statements; whether a registration is not SIG_WAIT;
+    and the phaser bound, counting each statement once per instance."""
+    walks = {t.name: list(walk(t.body)) for t in program.tasks}
+    per_task = {
+        name: sorted((str(s), looped) for s, looped in w if isinstance(s, (NewPhaser, Asynch)))
+        for name, w in walks.items()
+    }
+    stmts = [s for w in walks.values() for s, _ in w]
+    modes = [m for t in program.tasks for m in t.modes]
+    modes += [m for s in stmts if isinstance(s, Asynch) for m in s.modes]
+    counts = program.instance_counts
+    created = [
+        None if looped else counts[name]
+        for name in counts
+        for s, looped in walks[name]
+        if isinstance(s, NewPhaser)
+    ]
+    return (
+        per_task,
+        any(isinstance(s, NextBlock) for s in stmts),
+        sum(isinstance(s, NewPhaser) for s in stmts),
+        any(m != SIG_WAIT for m in modes),
+        None if None in created else sum(created),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PROGRAMS))
+def test_the_site_table_agrees_with_the_walk_without_dead_code(name):
+    # none of these programs has code that no run reaches, so the
+    # reachable sites give what the walk over the text gave
+    p = TABLE_PROGRAMS[name]
+    per_task = {
+        t.name: sorted(
+            (str(stmt), looped)
+            for _, stmt, owners, looped in p.sites
+            if isinstance(stmt, (NewPhaser, Asynch)) and t.name in owners
+        )
+        for t in p.tasks
+    }
+    facts = (per_task, p.is_atomic(), p.phaser_sites(), p.uses_modes(), p.static_bounds[1])
+    assert facts == _walked(p)
+
+
+def test_code_no_run_reaches_has_no_site():
+    # after main's exit, and in a loop whose body ends in exit, the walk
+    # saw a second phaser and a phaser per pass
+    after_exit = parse("main(){ p = newPhaser(); drop(p); exit; q = newPhaser(); drop(q); }")
+    assert after_exit.static_bounds == (1, 1)
+    assert after_exit.phaser_sites() == 1
+    assert _walked(after_exit)[2:] == (2, False, 2)
+    exit_in_loop = parse("bool a; main(){ while(ndet()){ p = newPhaser(); drop(p); exit; } }")
+    assert exit_in_loop.static_bounds == (1, 1)
+    assert _walked(exit_in_loop)[4] is None
+    dead_barrier = parse("bool a; main(){ p = newPhaser(); drop(p); exit; next(p){ a = true; } }")
+    assert not dead_barrier.is_atomic()
+    assert _walked(dead_barrier)[1]
+
+
+# W receives main's first phaser as r and passes it on to X as s.  The
+# table is flow-insensitive: p names two phasers in turn, so r and s may
+# hold either of them, but never q's
+HELD = (
+    "main(){ p = newPhaser(); asynch(W, p); drop(p); q = newPhaser(); drop(q); "
+    "p = newPhaser(); drop(p); } W(r){ asynch(X, r); drop(r); } X(s){ drop(s); }"
+)
+
+
+def test_held_sites_follow_creation_and_spawn_arguments():
+    p = parse(HELD)
+    first, second, third = (i for i, stmt, _, _ in p.sites if isinstance(stmt, NewPhaser))
+    assert p.held_sites == {
+        ("main", "p"): {first, third},
+        ("main", "q"): {second},
+        ("W", "r"): {first, third},
+        ("X", "s"): {first, third},
+    }

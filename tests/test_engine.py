@@ -1,8 +1,12 @@
 import copy
 import functools
 import gc
+import os
 import runpy
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -19,8 +23,8 @@ from phasercheck.engine import (
 )
 from phasercheck.parser import parse
 from phasercheck.pre import pre
-from phasercheck.symbolic import INF, models
-from phasercheck.syntax import Asynch
+from phasercheck.symbolic import FREE_BOUNDS, INF, Constraint, Gap, models
+from phasercheck.syntax import Asynch, NewPhaser
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,
@@ -56,10 +60,10 @@ MATRIX = [
     ("assign_chain", "assert", PLAIN, Unreachable(2)),
     ("assign_ndet", "assert", PLAIN, Reachable),
     ("assign_ndet", "assert", CTRL, Reachable),
-    ("chain_spawn", "regerr", PLAIN, Unreachable(40)),
-    ("chain_spawn", "regerr", CTRL, Unreachable(40)),
+    ("chain_spawn", "regerr", PLAIN, Unreachable(23)),
+    ("chain_spawn", "regerr", CTRL, Unreachable(23)),
     ("chain_spawn", "cyclic", PLAIN, Unreachable(26)),
-    ("cross_deadlock", "regerr", PLAIN, Unreachable(37)),
+    ("cross_deadlock", "regerr", PLAIN, Unreachable(29)),
     ("cross_deadlock", "cyclic", PLAIN, Reachable),
     ("drop_then_wait", "regerr", PLAIN, Reachable),
     ("drop_then_wait", "regerr", CTRL, Reachable),
@@ -349,12 +353,112 @@ def test_the_row_test_gate_catches_a_broken_spawn_order(mutate, caught_on, monke
     assert _rejected(caught_on) > 0
 
 
+def _as_constraint(c) -> Constraint:
+    # a configuration read as a constraint over its own variables: each
+    # cell names the variable the task holds the phaser by
+    gaps = tuple(
+        tuple(Gap(var, None if reg is None else FREE_BOUNDS) for var, reg in row)
+        for row in c.phases
+    )
+    return Constraint(c.bv, c.seqs, gaps, ((0, 0),) * c.n_phasers)
+
+
+def _flow_rejected(name) -> int:
+    fits_columns = engine.flow_bound(SPAWN_ORDER_PROGRAMS[name][0])
+    return sum(not fits_columns(_as_constraint(c)) for c in _reached(name))
+
+
+@pytest.mark.parametrize("name", SPAWN_ORDER_PROGRAMS)
+def test_every_explored_configuration_passes_the_column_test(name):
+    # the phaser-flow column test drops only constraints without
+    # reachable models: every configuration explore reaches passes it
+    assert _flow_rejected(name) == 0
+
+
+def _feed_sites_without(monkeypatch, dropped):
+    # the column test reads a flow table rebuilt from the reachable sites
+    # that ``dropped`` does not match
+    flow_bound = engine.flow_bound
+
+    def mutant(program):
+        m = _with(program, sites=tuple(s for s in program.sites if not dropped(*s)))
+        m.__dict__.pop("held_sites", None)
+        return flow_bound(m)
+
+    monkeypatch.setattr(engine, "flow_bound", mutant)
+
+
+def _no_formal_flow(monkeypatch):
+    _feed_sites_without(monkeypatch, lambda i, stmt, owners, looped: isinstance(stmt, Asynch))
+
+
+def _dash_read_as_a_name(monkeypatch):
+    monkeypatch.setattr(engine, "NO_VAR", None)
+
+
+def _only_main_seeds(monkeypatch):
+    _feed_sites_without(
+        monkeypatch,
+        lambda i, stmt, owners, looped: isinstance(stmt, NewPhaser) and "main" not in owners,
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate,caught_on",
+    [
+        (_no_formal_flow, "chain_spawn"),
+        (_no_formal_flow, "producer_consumer_sw"),
+        (_dash_read_as_a_name, "chain_spawn"),
+        (_dash_read_as_a_name, "SPAWNED_TWICE"),
+        (_only_main_seeds, "chain_spawn"),
+    ],
+    ids=[
+        "no_formal_flow-chain_spawn",
+        "no_formal_flow-producer_consumer_sw",
+        "dash_read_as_a_name-chain_spawn",
+        "dash_read_as_a_name-SPAWNED_TWICE",
+        "only_main_seeds-chain_spawn",
+    ],
+)
+def test_the_column_test_gate_catches_a_broken_flow(mutate, caught_on, monkeypatch):
+    # each mutation breaks the phaser-flow rule, so the containment gate
+    # above must reject some explored configuration: spawn arguments that
+    # do not flow into the callee's parameters, a task naming a phaser
+    # with no variable taken to name it by the variable "-", and only
+    # main's creation sites seeding the flow
+    mutate(monkeypatch)
+    assert _flow_rejected(caught_on) > 0
+
+
+def test_explore_and_importing_the_cli_build_no_flow_table():
+    # the flow table is built inside check only: explore never pays for
+    # it, and importing the command line builds no program at all
+    program = load("chain_spawn")
+    assert explore(program, C1_BOUNDS).exhausted
+    assert "held_sites" not in program.__dict__
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    probe = (
+        "import gc, phasercheck.cli; from phasercheck.control import Program; "
+        "print(sum(isinstance(o, Program) for o in gc.get_objects()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out == "0\n"
+
+
 def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
-    # exact counters on the slowest bench cell: check pops 342 constraints
-    # and pre hands its keep filter 1,763 predecessors.  Without the
-    # limits, pre builds 18,724 on those pops: 10,065 over the task bound,
-    # 4,000 more over the per-type bound, 2,355 more out of spawn order
-    # and 541 more over the phaser bound
+    # exact counters on the slowest bench cell: check pops 153 constraints
+    # and pre hands its keep filter 752 predecessors.  Without the
+    # limits, pre builds 8,040 on those pops: 2,803 over the task bound,
+    # 2,374 more over the per-type bound, 1,396 more out of spawn order,
+    # 321 more over the phaser bound and 394 more that fail the
+    # phaser-flow column test
     program = load("producer_consumer_sw")
     handed = []
 
@@ -367,8 +471,8 @@ def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
 
     monkeypatch.setattr(engine, "pre", counted)
     # b=1 and no k: the bench cell's default
-    assert check(program, registration_error_targets(program), b=1) == Unreachable(342)
-    assert len(handed) == 1763
+    assert check(program, registration_error_targets(program), b=1) == Unreachable(153)
+    assert len(handed) == 752
 
 
 def test_mode_programs_are_rejected():

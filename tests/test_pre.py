@@ -206,13 +206,13 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     # canonicalizes them.  On the first constraints it pops, that must
     # give the unfiltered result minus the pairs that fail the limits,
     # restated here (the task and phaser bounds, the per-type bound,
-    # spawn order and k), or keep (b and entailment by the popped
-    # constraint).  Each skip must fire, and every predecessor pre builds
-    # must pass the limits
+    # spawn order, k and the phaser-flow column test), or keep (b and
+    # entailment by the popped constraint).  Each skip must fire, and
+    # every predecessor pre hands to keep must pass the limits
     k = 2
     count = Counter()
 
-    def both_ways(phi, program, keep, rows_fit, cap):
+    def both_ways(phi, program, keep, rows_fit, cols_fit, cap):
         task_bound, phaser_bound = program.static_bounds
         row_test = engine.type_bound(program)
         # with every id in every spawn-order table no row blocks a spawn
@@ -220,6 +220,7 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
         every_id = frozenset(range(len(program.suffixes)))
         no_order = dict.fromkeys(program.spawners, every_id)
         hall = engine.type_bound(_with(program, spawn_order=no_order))
+        flow = engine.flow_bound(program)
 
         def reject(psi):
             # the first limit that psi fails: rows, then columns
@@ -231,6 +232,8 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
                 return "spawn"
             if psi.n_phasers > min(k, INF if phaser_bound is None else phaser_bound):
                 return "columns"
+            if not flow(psi):
+                return "flow"
             return None
 
         handed = []
@@ -239,7 +242,7 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
             handed.append(psi)
             return keep(psi)
 
-        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
+        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cols_fit=cols_fit, cap=cap)
         full = pre(phi, program)
         expected = [(str(s), psi) for s, psi in full if reject(psi) is None and keep(psi)]
         assert [(str(s), psi) for s, psi in filtered] == expected
@@ -266,9 +269,13 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
                 check(program, build(program), k=k, b=1)
             except _EnoughPops:
                 pass
-        binding[name] = {r for r in ("rows", "hall", "spawn", "columns") if count[r] > before[r]}
+        binding[name] = {
+            r for r in ("rows", "hall", "spawn", "columns", "flow") if count[r] > before[r]
+        }
     assert 0 < count["kept"] < count["full"]
     # where the bounds bind, each limit skips some predecessor
-    assert binding["cross_deadlock"] == {"rows", "hall", "spawn", "columns"}
-    assert binding["producer_consumer_sw"] == {"hall", "spawn", "columns"}
-    assert binding["chain_spawn"] == binding["SPAWNED_TWICE"] == {"hall", "spawn", "columns"}
+    every = {"rows", "hall", "spawn", "columns", "flow"}
+    assert binding["cross_deadlock"] == binding["producer_consumer_sw"] == every
+    assert binding["chain_spawn"] == every - {"rows"}
+    # every variable of SPAWNED_TWICE holds the one site in W
+    assert binding["SPAWNED_TWICE"] == every - {"rows", "flow"}
