@@ -81,11 +81,12 @@ def _load_program(args, check: bool = True):
 
 def cmd_parse(args) -> int:
     program = _load_program(args, check=False)
-    diags = validate(program)
-    for d in diags:
-        print(d)
-    hard = [d for d in diags if not d.startswith("info:")]
-    if hard:
+    errors = validate(program)
+    for e in errors:
+        print(e)
+    if program.is_atomic():
+        print("info: atomic program (next-with-body): exact symbolic engine unavailable")
+    if errors:
         return EXIT_USAGE
     print(
         f"ok: {len(program.tasks)} tasks, "
@@ -155,14 +156,6 @@ def _load_targets(args, program) -> list:
 def cmd_check(args) -> int:
     program = _load_program(args)
     targets = _load_targets(args, program)
-    # a target file's records that pin a sequence no task reaches have no
-    # model and give no target (each gets a note), so check runs, and
-    # processes nothing
-    if not targets and args.property != "custom":
-        print("verdict unreachable")
-        _report(args, "note", "no target constraints for this property")
-        return EXIT_UNREACHABLE
-
     progress = None
     if args.progress:
         progress = lambda ev: print(json.dumps(ev), file=sys.stderr, flush=True)
@@ -175,7 +168,10 @@ def cmd_check(args) -> int:
     if isinstance(result, Unreachable):
         print("verdict unreachable")
         print(f"processed {result.processed} constraints")
-        if args.property == "cyclic-wait":
+        # without targets, check ran only to refuse what it cannot decide
+        if not targets and args.property != "custom":
+            _report(args, "note", "no target constraints for this property")
+        elif args.property == "cyclic-wait":
             _report(
                 args,
                 "note",

@@ -1,29 +1,32 @@
 """Control sequences and the programs that run them.
 
-``head_successors`` unfolds the head of a control sequence.  A
-``Program`` owns the static facts derived from its text, each computed
-once per program.  One breadth-first walk of head steps from each task
-body yields the control facts: the sequences tasks can reach (``owners``
-and ``suffixes``), every head step out of them (``steps``) and the
-``start_distances`` heuristic.  The reachable ``newPhaser``, ``asynch``
-and barrier heads are ``sites``; every static fact about them reads that
-table, so code no run reaches counts nowhere.  The ``asynch`` sites give
-``spawners``, and ``spawn_order`` holds the ids a task can sit at once
-it has spawned a given type.  ``held_sites`` is a flow-insensitive
-points-to table of phaser variables: the ``newPhaser`` sites whose
-phaser each task type may name with each variable.  The bounds on task
-instances and created phasers are ``instance_counts``, read from
-``spawners``, and ``static_bounds``.
+``head_successors`` unfolds the head of a control sequence into the
+sequences one step away.  A ``Program`` owns the static facts derived
+from its text, each computed once per program.  One breadth-first walk
+of head steps from each task body yields the control facts: the
+sequences tasks can reach (``owners`` and ``suffixes``), the id tables
+below and the ``start_distances`` heuristic.  The reachable
+``newPhaser``, ``asynch`` and barrier heads are ``sites``; every static
+fact about them reads that table, so code no run reaches counts nowhere.
+The ``asynch`` sites give ``spawners``, and ``spawn_order`` holds the
+ids a task can sit at once it has spawned a given type.
+``held_sites`` is a flow-insensitive points-to table of phaser
+variables: the ``newPhaser`` sites whose phaser each task type may name
+with each variable.  The bounds on task instances and created phasers
+are ``instance_counts``, read from ``spawners``, and ``static_bounds``.
 
 A reachable sequence's id is its index in ``suffixes``.  Per id, the
-program keeps the head statement (``heads``), the ids its head steps
-lead to (``next_ids``), its ``barrier_skip`` id (``skip_ids``), its
-rank in statement-text order (``text_ranks``), its ``owners`` and its
-``start_distances``; ``body_ids`` names each task body's id.  Concrete
-configurations and symbolic constraints carry ids, so after parsing no
-layer unfolds, hashes or compares a sequence: the statement tuples live
-only here, while the tables are built, and in the record formats that
-print and read them (``intern`` maps read sequences to ids).
+program keeps the head statement (``heads``), the ids of its
+``head_successors`` (``next_ids``, a condition's taken branch first),
+its ``barrier_skip`` id (``skip_ids``), its rank in statement-text order
+(``text_ranks``), its ``owners`` and its ``start_distances``;
+``body_ids`` names each task body's id.  These tables are the one step
+relation: both engines read a step as a head and its next ids.
+Concrete configurations and symbolic constraints carry ids, so after
+parsing no layer unfolds, hashes or compares a sequence: the statement
+tuples live only here, while the tables are built, and in the record
+formats that print and read them (``intern`` maps read sequences to
+ids).
 
 The reached sequences are finite for every program because every one is
 built from the finitely many sub-statements of the program.  They are
@@ -47,50 +50,30 @@ from .syntax import (
     NewPhaser,
     NextBlock,
     Signal,
-    Stmt,
     Wait,
     While,
 )
 
 
-@dataclass(frozen=True)
-class HeadStep:
-    """One control-level step available at the head of a sequence.
-
-    ``branch`` is None for plain statements, True/False for the two
-    outcomes of a condition head, "enter" for a barrier block with a body
-    (the executor's unfolding) and "release" for the empty barrier.
-    """
-
-    stmt: Stmt
-    branch: object
-    next_seq: ControlSeq
-
-
 def head_successors(seq: ControlSeq) -> tuple:
-    """Unfold the head of a non-empty control sequence."""
+    """The sequences one step from the head of a non-empty control
+    sequence, a condition's taken branch first.  A barrier block with a
+    body unfolds it (the executor's step); the empty barrier releases to
+    its ``barrier_skip``."""
     if not seq:
         return ()
     head, tail = seq[0], seq[1:]
     if isinstance(head, While):
-        return (
-            HeadStep(head, True, head.body + seq),
-            HeadStep(head, False, tail),
-        )
+        return (head.body + seq, tail)
     if isinstance(head, If):
-        return (
-            HeadStep(head, True, head.body + tail),
-            HeadStep(head, False, tail),
-        )
+        return (head.body + tail, tail)
     if isinstance(head, NextBlock):
         if head.body:
-            return (
-                HeadStep(head, "enter", head.body + (NextBlock(head.var, ()),) + tail),
-            )
-        return (HeadStep(head, "release", (Signal(head.var), Wait(head.var)) + tail),)
+            return (head.body + (NextBlock(head.var, ()),) + tail,)
+        return (barrier_skip(seq),)
     if isinstance(head, Exit):
-        return (HeadStep(head, None, ()),)
-    return (HeadStep(head, None, tail),)
+        return ((),)
+    return (tail,)
 
 
 def barrier_skip(seq: ControlSeq):
@@ -147,7 +130,7 @@ class Program:
     @cached_property
     def _walk(self) -> tuple:
         """One breadth-first walk of head steps from each task body:
-        (the head steps out of each reached sequence, the task types
+        (the successors of each reached sequence, the task types
         reaching it, the fewest steps from some body to it).  A barrier
         skip counts as a step: a body ending in ``exit`` reaches the
         skip of its barrier only through another participant."""
@@ -159,7 +142,7 @@ class Program:
                 seq = queue.popleft()
                 if seq not in succ:
                     succ[seq] = head_successors(seq)
-                for nxt in (*(step.next_seq for step in succ[seq]), barrier_skip(seq)):
+                for nxt in (*succ[seq], barrier_skip(seq)):
                     if nxt is not None and nxt not in reached:
                         reached[nxt] = reached[seq] + 1
                         queue.append(nxt)
@@ -215,9 +198,10 @@ class Program:
 
     @cached_property
     def next_ids(self) -> tuple:
-        """Per id, the ids its ``head_successors`` lead to, in their order."""
+        """Per id, the ids of its ``head_successors``, in their order: for a
+        condition head, the taken branch and then the other."""
         succ, ids = self._walk[0], self.seq_ids
-        return tuple(tuple(ids[step.next_seq] for step in succ[seq]) for seq in self.suffixes)
+        return tuple(tuple(ids[nxt] for nxt in succ[seq]) for seq in self.suffixes)
 
     @cached_property
     def skip_ids(self) -> tuple:
@@ -231,18 +215,6 @@ class Program:
         texts = [tuple(map(str, seq)) for seq in self.suffixes]
         rank = {text: r for r, text in enumerate(sorted(set(texts)))}
         return tuple(map(rank.get, texts))
-
-    @cached_property
-    def steps(self) -> tuple:
-        """``(pre_id, stmt, branch, next_id)`` for every head step out of a
-        reachable sequence, in id order; ``stmt`` and ``branch`` are those
-        of the ``HeadStep``."""
-        succ = self._walk[0]
-        return tuple(
-            (i, step.stmt, step.branch, j)
-            for i, seq in enumerate(self.suffixes)
-            for step, j in zip(succ[seq], self.next_ids[i])
-        )
 
     def _closure(self, starts) -> frozenset:
         """The ids reachable from the ids ``starts`` (included) over head
@@ -259,14 +231,14 @@ class Program:
     @cached_property
     def sites(self) -> tuple:
         """``(id, stmt, owners, looped)`` for every reachable ``newPhaser``,
-        ``asynch`` and barrier head, in id order: the head step out of a
-        reachable sequence, with the sequence's ``owners``.  A site is
-        looped when its sequence can reach itself, so one task may pass it
-        more than once.  Code after an ``exit`` has no site, and a loop
-        whose body ends in ``exit`` does not make its sites looped."""
+        ``asynch`` and barrier head, in id order, with the sequence's
+        ``owners``.  A site is looped when its sequence can reach itself,
+        so one task may pass it more than once.  Code after an ``exit`` has
+        no site, and a loop whose body ends in ``exit`` does not make its
+        sites looped."""
         return tuple(
-            (i, stmt, self.owners[i], i in self._closure((j,)))
-            for i, stmt, _, j in self.steps
+            (i, stmt, self.owners[i], i in self._closure(self.next_ids[i]))
+            for i, stmt in enumerate(self.heads)
             if isinstance(stmt, (NewPhaser, Asynch, NextBlock))
         )
 

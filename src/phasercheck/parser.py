@@ -325,15 +325,15 @@ class _Parser:
 
 
 def parse(text: str, check: bool = True) -> Program:
-    """Parse a program source; with ``check`` also enforce well-formedness
-    (undeclared tasks, arity, duplicate asynch arguments, unbound phaser
-    variables) and raise ParseError on hard violations."""
+    """Parse a program source; with ``check`` also raise ParseError on
+    the errors ``validate`` finds (undeclared tasks, arity, modes,
+    duplicate asynch arguments, unbound phaser variables, ...)."""
     p = _Parser(text)
     prog = p.program()
     if check:
-        hard = [d for d in validate(prog) if not d.startswith("info:")]
-        if hard:
-            raise ParseError("; ".join(hard))
+        errors = validate(prog)
+        if errors:
+            raise ParseError("; ".join(errors))
     return prog
 
 

@@ -13,9 +13,10 @@ Each rule is stated once: ``_columns`` picks the columns a phaser
 command may act on, ``_pre_cond`` pins the Booleans that a guard, an
 assert or an assignment reads, and ``_env_row`` is the row of an
 untracked task, whether it executes the step or is spawned by it.
-The control steps are ``Program.steps``, indexed once per program, and
-constraints name control sequences by their ids in the program's
-tables, so ``pre`` unfolds, hashes and compares no sequence itself.
+The control steps are the program's id tables: a head statement
+(``Program.heads``) steps to each of its ``Program.next_ids``, a
+condition's taken branch first.  Constraints name control sequences by
+those ids, so ``pre`` unfolds, hashes and compares no sequence itself.
 Given a run's static limits, ``pre`` tests each predecessor's control
 sequences and column count before it builds any of its cells, and the
 variables of its columns before it puts it into canonical form, so
@@ -352,10 +353,11 @@ def _unlimited(_) -> bool:
 
 
 def pre_stmt(
-    phi: Constraint, program, x: int, stmt, branch, room=INF, spawn_ok=_unlimited
+    phi: Constraint, program, x: int, stmt, taken, room=INF, spawn_ok=_unlimited
 ) -> list:
     """Backward transformer for one statement fired by tracked row ``x``
-    (control sequences untouched).  Returns (constraint, executor row)
+    (control sequences untouched); ``taken`` tells whether a condition
+    head took its true branch.  Returns (constraint, executor row)
     pairs: spawning steps remove a row, shifting the executor's index.
 
     ``room`` is how many columns a predecessor may add for phasers the
@@ -381,7 +383,7 @@ def pre_stmt(
         results = _pre_cond(cleared, program, stmt.cond, lambda r: want in (None, r))
     elif isinstance(stmt, (Assert, While, If)):
         # a passing assert is a guard that takes its true branch
-        want = True if isinstance(stmt, Assert) else branch
+        want = True if isinstance(stmt, Assert) else taken
         results = _pre_cond(phi, program, stmt.cond, lambda r: r == want)
     elif isinstance(stmt, Exit):
         results = [phi]
@@ -394,8 +396,8 @@ def pre(
     phi: Constraint, program, keep=None, rows_fit=_unlimited, cols_fit=_unlimited, cap=INF
 ) -> list:
     """All (statement, predecessor constraint) pairs over every executing
-    role: each tracked task plus a fresh environment task, taking each of
-    the ordered ``program.steps`` in turn.  A pair may repeat;
+    role: each tracked task plus a fresh environment task, taking each
+    head step of the program's id tables in turn, in id order.  A pair may repeat;
     ``check``'s store drops repeats.
 
     ``rows_fit``, ``cols_fit`` and ``cap`` are a run's static limits:
@@ -427,22 +429,24 @@ def pre(
         # y that an asynch spawned leaves it (None: no row leaves)
         return lambda y: rows_fit(seqs if y is None else seqs[:y] + seqs[y + 1 :])
 
-    for s_pre, stmt, branch, s_post in program.steps:
+    for s_pre, (stmt, posts) in enumerate(zip(program.heads, program.next_ids)):
         spawns = isinstance(stmt, Asynch)
-        # tracked roles
-        for x in range(phi.n_tasks):
-            if phi.seqs[x] not in (None, s_post):
-                continue
-            fits = leaving(phi.seqs[:x] + (s_pre,) + phi.seqs[x + 1 :])
+        # successor 0 of a condition is its taken branch
+        for s_post, taken in zip(posts, (True, False)):
+            # tracked roles
+            for x in range(phi.n_tasks):
+                if phi.seqs[x] not in (None, s_post):
+                    continue
+                fits = leaving(phi.seqs[:x] + (s_pre,) + phi.seqs[x + 1 :])
+                if spawns or fits(None):
+                    for psi, xr in pre_stmt(phi, program, x, stmt, taken, room, fits):
+                        emit(stmt, _with_seq(psi, xr, s_pre))
+            # environment role
+            fits = leaving(phi.seqs + (s_pre,))
             if spawns or fits(None):
-                for psi, xr in pre_stmt(phi, program, x, stmt, branch, room, fits):
-                    emit(stmt, _with_seq(psi, xr, s_pre))
-        # environment role
-        fits = leaving(phi.seqs + (s_pre,))
-        if spawns or fits(None):
-            for ext in _env_materializations(phi, s_post):
-                u = ext.n_tasks - 1
-                for psi, ur in pre_stmt(ext, program, u, stmt, branch, room, fits):
-                    emit(stmt, _with_seq(psi, ur, s_pre))
+                for ext in _env_materializations(phi, s_post):
+                    u = ext.n_tasks - 1
+                    for psi, ur in pre_stmt(ext, program, u, stmt, taken, room, fits):
+                        emit(stmt, _with_seq(psi, ur, s_pre))
     return results
 

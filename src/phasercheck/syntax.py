@@ -1,16 +1,23 @@
 """AST for the phaser language: statements and conditions, and ``validate``
 for programs (``control.Program`` holds the tasks).
 
-All nodes are frozen dataclasses so control sequences (tuples of statements)
-are hashable and safe to share; ``control.Program`` hashes them only while
-it builds its tables, and every later layer names a sequence by its id.  ``next(v)`` never appears here: the parser
+All nodes are frozen dataclasses so control sequences (tuples of
+statements) are hashable and safe to share; ``control.Program`` hashes
+them only while it builds its tables, and every later layer names a
+sequence by its id.  ``next(v)`` never appears here: the parser
 desugars it into ``signal(v); wait(v)``.
+
+``validate`` is the one syntactic pass over the program text: it checks
+each task in one recursive walk of its body (scopes, Booleans, the
+callee, arity and registration modes of each ``asynch``, and barrier
+nesting) and returns only errors.  Every other static fact is read off
+the reachable control sequences in ``control.Program``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 SIG_WAIT = "SIG_WAIT"
 SIG = "SIG"
@@ -225,47 +232,81 @@ def seq_to_str(seq: ControlSeq) -> str:
     return " ".join(str(s) for s in seq)
 
 
-def walk(seq: ControlSeq, looped: bool = False) -> Iterator:
-    """Every statement of ``seq`` as ``(stmt, looped)``, descending into
-    While, If and NextBlock bodies; ``looped`` is True under a While."""
-    for s in seq:
-        yield s, looped
-        if isinstance(s, (While, If, NextBlock)):
-            yield from walk(s.body, looped or isinstance(s, While))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 
-def _stmt_phaser_uses(stmt: Stmt):
-    """(variables read as phaser refs, variables bound) for one statement."""
-    if isinstance(stmt, NewPhaser):
-        return (), (stmt.var,)
-    if isinstance(stmt, Asynch):
-        return tuple(stmt.args), ()
-    if isinstance(stmt, (Drop, Signal, Wait)):
-        return (stmt.var,), ()
-    if isinstance(stmt, NextBlock):
-        return (stmt.var,), ()
-    return (), ()
+def _task_errors(t, tasks: dict, bools: set) -> list:
+    """The errors of task ``t`` from one recursive pass over its body,
+    each prefixed ``task NAME: ``: per statement, nested barrier blocks,
+    undeclared Booleans and ``asynch`` callees, arities and modes; then
+    names used both as Booleans and as phaser variables; then phaser
+    variables used before binding."""
+    errors, unbound, phasers = [], [], set(t.params)
+    if len(set(t.params)) != len(t.params):
+        errors.append("duplicate parameters")
+
+    def visit(seq: ControlSeq, bound: frozenset) -> bool:
+        """Check ``seq``, where ``bound`` holds the phaser variables bound
+        at its start; True when it holds a barrier block."""
+        barrier = False
+        for stmt in seq:
+            mark = len(errors)
+            if isinstance(stmt, NewPhaser):
+                phasers.add(stmt.var)
+                bound = bound | {stmt.var}
+            uses = stmt.args if isinstance(stmt, Asynch) else ()
+            if isinstance(stmt, (Drop, Signal, Wait, NextBlock)):
+                uses = (stmt.var,)
+            phasers.update(uses)
+            unbound.extend(f"phaser variable '{v}' used before binding" for v in uses if v not in bound)
+            if isinstance(stmt, (Assign, Assert, While, If)):
+                used = set(cond_vars(stmt.cond))
+                if isinstance(stmt, Assign):
+                    used.add(stmt.var)
+                errors.extend(f"undeclared Boolean '{v}'" for v in sorted(used - bools))
+            if isinstance(stmt, Asynch):
+                errors.extend(_asynch_errors(stmt, tasks.get(stmt.task)))
+            if isinstance(stmt, (While, If, NextBlock)):
+                # bindings inside a body do not flow out
+                inner = visit(stmt.body, bound)
+                if isinstance(stmt, NextBlock) and inner:
+                    # the executor would take the inner block for the end
+                    # of the body; the error comes before the body's own
+                    errors.insert(mark, "barrier block inside a barrier body")
+                barrier = barrier or inner or isinstance(stmt, NextBlock)
+        return barrier
+
+    visit(t.body, frozenset(t.params))
+    errors.extend(f"'{v}' is both a Boolean and a phaser variable" for v in sorted(phasers & bools))
+    return [f"task {t.name}: {e}" for e in errors + unbound]
 
 
-def _check_scopes(seq: ControlSeq, bound: frozenset, out: list, where: str) -> frozenset:
-    for stmt in seq:
-        uses, binds = _stmt_phaser_uses(stmt)
-        for v in uses:
-            if v not in bound:
-                out.append(f"{where}: phaser variable '{v}' used before binding")
-        if isinstance(stmt, (While, If, NextBlock)):
-            # bindings inside a body do not flow out
-            _check_scopes(stmt.body, bound, out, where)
-        bound = bound | frozenset(binds)
-    return bound
+def _asynch_errors(stmt: Asynch, callee) -> list:
+    """The errors of one ``asynch`` against its callee's definition (None
+    when no task has its name)."""
+    out = []
+    if callee is None:
+        out.append(f"asynch of undeclared task '{stmt.task}'")
+    elif len(callee.params) != len(stmt.args):
+        out.append(
+            f"asynch({stmt.task}, ...) passes "
+            f"{len(stmt.args)} phasers, expected {len(callee.params)}"
+        )
+    else:
+        out.extend(
+            f"asynch({stmt.task}, ...) registers '{a}' as {m}, "
+            f"but {stmt.task} declares '{f}' as {d}"
+            for a, m, f, d in zip(stmt.args, stmt.modes, callee.params, callee.modes)
+            if m != d
+        )
+    if len(set(stmt.args)) != len(stmt.args):
+        out.append("duplicate phaser arguments in asynch")
+    return out
 
 
 def validate(p) -> list:
-    """Diagnostics for the invariants of a ``control.Program``; empty list
+    """The errors of a ``control.Program``, in task order; an empty list
     means well formed."""
     out = []
     names = [t.name for t in p.tasks]
@@ -280,42 +321,7 @@ def validate(p) -> list:
     bools = set(p.bool_vars)
     for v in sorted(v for v in bools if p.bool_vars.count(v) > 1):
         out.append(f"duplicate Boolean declaration '{v}'")
-    by_name = {t.name: t for t in p.tasks}
+    tasks = {t.name: t for t in p.tasks}
     for t in p.tasks:
-        where = f"task {t.name}"
-        if len(set(t.params)) != len(t.params):
-            out.append(f"{where}: duplicate parameters")
-        phasers = set(t.params)
-        for stmt, _ in walk(t.body):
-            uses, binds = _stmt_phaser_uses(stmt)
-            phasers.update(uses, binds)
-            if isinstance(stmt, NextBlock) and any(
-                isinstance(s, NextBlock) for s, _ in walk(stmt.body)
-            ):
-                # the executor would take the inner block for the end of the body
-                out.append(f"{where}: barrier block inside a barrier body")
-            if isinstance(stmt, (Assign, Assert, While, If)):
-                used = set(cond_vars(stmt.cond))
-                if isinstance(stmt, Assign):
-                    used.add(stmt.var)
-                out.extend(f"{where}: undeclared Boolean '{v}'" for v in sorted(used - bools))
-            if isinstance(stmt, Asynch):
-                callee = by_name.get(stmt.task)
-                if callee is None:
-                    out.append(f"{where}: asynch of undeclared task '{stmt.task}'")
-                elif len(callee.params) != len(stmt.args):
-                    out.append(
-                        f"{where}: asynch({stmt.task}, ...) passes "
-                        f"{len(stmt.args)} phasers, expected {len(callee.params)}"
-                    )
-                if len(set(stmt.args)) != len(stmt.args):
-                    out.append(f"{where}: duplicate phaser arguments in asynch")
-        for v in sorted(phasers & bools):
-            out.append(f"{where}: '{v}' is both a Boolean and a phaser variable")
-        _check_scopes(t.body, frozenset(t.params), out, where)
-    if p.is_atomic():
-        out.append(
-            "info: atomic program (next-with-body): "
-            "exact symbolic engine unavailable"
-        )
+        out.extend(_task_errors(t, tasks, bools))
     return out

@@ -12,7 +12,7 @@ from phasercheck.symbolic import (
     gap_leq,
     is_free,
 )
-from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, Ndet, Not, Or
+from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, If, Ndet, NextBlock, Not, Or, While
 from phasercheck.targets import PartialConfiguration
 
 
@@ -348,3 +348,14 @@ def cond_outcomes_by_bits(c, env) -> frozenset:
         _eval_cond(c, env, iter(bits))
         for bits in itertools.product((False, True), repeat=_count_ndets(c))
     )
+
+
+def walk(seq, looped: bool = False):
+    """Every statement of ``seq`` as ``(stmt, looped)``, descending into
+    While, If and NextBlock bodies; ``looped`` is True under a While.
+    The syntactic reference for ``Program.sites``, which reads only the
+    code some run reaches."""
+    for s in seq:
+        yield s, looped
+        if isinstance(s, (While, If, NextBlock)):
+            yield from walk(s.body, looped or isinstance(s, While))

@@ -16,6 +16,7 @@ from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import cyclic_wait_targets
 
 from conftest import CORPUS, load
+from test_parser import MODE_MISMATCH
 from test_pre import SELF_NEGATE_SRC
 
 
@@ -233,8 +234,12 @@ T(p, q){
             "task T: barrier block inside a barrier body",
         ),
         ("bool a; main(){ assert(zz); }", "task main: undeclared Boolean 'zz'"),
+        (
+            MODE_MISMATCH,
+            "task main: asynch(W, ...) registers 'p' as SIG_WAIT, but W declares 'p' as SIG",
+        ),
     ],
-    ids=["nested_barrier", "undeclared"],
+    ids=["nested_barrier", "undeclared", "mode_mismatch"],
 )
 def test_invalid_programs_exit_2_with_an_unlocated_message(cmd, text, message, tmp_path, capsys):
     src = tmp_path / "bad.phz"
@@ -253,8 +258,32 @@ def test_check_unreachable_regerror(capsys):
 def test_check_without_targets_is_unreachable(capsys):
     assert run("check", path("sigwait_ok"), "--property", "assert") == 0
     captured = capsys.readouterr()
-    assert "verdict unreachable" in captured.out
-    assert "no target constraints" in captured.err
+    assert captured.out == "verdict unreachable\nprocessed 0 constraints\n"
+    assert captured.err == "note: no target constraints for this property\n"
+
+
+# neither program has an assert, and the second has no wait either
+NO_TARGETS = {
+    "barrier": "main(){ p = newPhaser(); next(p){ } drop(p); }",
+    "modes": "main(){ p = newPhaser(); asynch(W, p:SIG); drop(p); } W(p: SIG){ signal(p); drop(p); }",
+}
+
+
+@pytest.mark.parametrize(
+    "name, prop, why",
+    [
+        ("barrier", "assert", "barrier block"),
+        ("modes", "assert", "SIG_WAIT-only"),
+        ("modes", "cyclic-wait", "SIG_WAIT-only"),
+    ],
+)
+def test_check_refuses_an_undecidable_program_without_targets(name, prop, why, tmp_path, capsys):
+    # check refuses what it cannot decide before it looks at the targets
+    src = tmp_path / f"{name}.phz"
+    src.write_text(NO_TARGETS[name])
+    assert run("check", str(src), "--property", prop) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and why in captured.err
 
 
 def test_check_b_inf_without_budget_rejects_bounded_targets(capsys):

@@ -5,9 +5,10 @@ import pytest
 from phasercheck.concrete import Bounds, explore
 from phasercheck.control import barrier_skip, head_successors
 from phasercheck.parser import parse, parse_seq
-from phasercheck.syntax import SIG_WAIT, Asynch, NewPhaser, NextBlock, Signal, Wait, walk
+from phasercheck.syntax import SIG_WAIT, Asynch, NewPhaser, NextBlock, Signal, Wait
 
 from conftest import CORPUS, load
+from oracles import walk
 
 # main's barrier body ends in exit, so only a participant skipping the
 # body reaches ``signal(p); wait(p); assert(a); drop(p);``.  Here the two
@@ -37,45 +38,60 @@ def _table_programs():
 TABLE_PROGRAMS = _table_programs()
 
 
+def _id(program, text):
+    """The id of the reachable sequence ``text``."""
+    return program.seq_ids[parse_seq(text)]
+
+
+def _steps(program, text):
+    """The ids ``next_ids`` and ``skip_ids`` give for ``text``."""
+    i = _id(program, text)
+    return program.next_ids[i], program.skip_ids[i]
+
+
 def test_plain_statement_steps_to_tail():
-    seq = parse_seq("signal(p); wait(p);")
-    (step,) = head_successors(seq)
-    assert step.branch is None
-    assert step.next_seq == seq[1:]
+    p = parse("main(){ p = newPhaser(); signal(p); wait(p); drop(p); }")
+    assert _steps(p, "signal(p); wait(p); drop(p);") == ((_id(p, "wait(p); drop(p);"),), None)
+    assert _steps(p, "drop(p);") == ((_id(p, ""),), None)
+    assert _steps(p, "") == ((), None)
 
 
 def test_exit_clears_the_whole_sequence():
-    seq = parse_seq("exit; signal(p);")
-    (step,) = head_successors(seq)
-    assert step.next_seq == ()
+    p = parse("main(){ p = newPhaser(); drop(p); exit; signal(p); }")
+    assert _steps(p, "exit; signal(p);") == ((_id(p, ""),), None)
+    assert parse_seq("signal(p);") not in p.seq_ids
 
 
 def test_while_unfolds_body_before_loop():
-    seq = parse_seq("while(ndet()){ signal(p); } wait(p);")
-    taken, skipped = head_successors(seq)
-    assert taken.branch is True
-    assert taken.next_seq == seq[0].body + seq
-    assert skipped.branch is False
-    assert skipped.next_seq == seq[1:]
+    p = parse("main(){ p = newPhaser(); while(ndet()){ signal(p); } wait(p); }")
+    loop = "while(ndet()){ signal(p); } wait(p);"
+    # the taken branch first, then the exit from the loop
+    taken, skipped = _id(p, "signal(p); " + loop), _id(p, "wait(p);")
+    assert _steps(p, loop) == ((taken, skipped), None)
+    assert p.next_ids[taken] == (_id(p, loop),)
 
 
 def test_if_unfolds_body_before_tail():
-    seq = parse_seq("if(ndet()){ signal(p); } wait(p);")
-    taken, skipped = head_successors(seq)
-    assert taken.next_seq == seq[0].body + seq[1:]
-    assert skipped.next_seq == seq[1:]
+    p = parse("main(){ p = newPhaser(); if(ndet()){ signal(p); } wait(p); }")
+    taken, skipped = _id(p, "signal(p); wait(p);"), _id(p, "wait(p);")
+    assert _steps(p, "if(ndet()){ signal(p); } wait(p);") == ((taken, skipped), None)
+    # an empty body makes both branches one sequence, still two steps
+    p = parse("main(){ p = newPhaser(); if(ndet()){ } wait(p); }")
+    assert _steps(p, "if(ndet()){ } wait(p);") == ((_id(p, "wait(p);"),) * 2, None)
 
 
 def test_nextblock_enter_and_release():
-    seq = (NextBlock("p", parse_seq("signal(q);")),) + parse_seq("drop(p);")
-    (enter,) = head_successors(seq)
-    assert enter.branch == "enter"
-    assert enter.next_seq[0] == Signal("q")
-    assert enter.next_seq[1] == NextBlock("p", ())
-    empty = (NextBlock("p", ()),) + parse_seq("drop(p);")
-    (release,) = head_successors(empty)
-    assert release.branch == "release"
-    assert release.next_seq == (Signal("p"), Wait("p")) + parse_seq("drop(p);")
+    p = parse(
+        "main(){ p = newPhaser(); q = newPhaser(); next(p){ signal(q); } drop(p); drop(q); }"
+    )
+    released = _id(p, "signal(p); wait(p); drop(p); drop(q);")
+    # the executor enters the body, which ends at the bare barrier; the
+    # other participants skip to its release
+    entered = _id(p, "signal(q); next(p){ } drop(p); drop(q);")
+    assert _steps(p, "next(p){ signal(q); } drop(p); drop(q);") == ((entered,), released)
+    assert p.next_ids[entered] == (_id(p, "next(p){ } drop(p); drop(q);"),)
+    assert _steps(p, "next(p){ } drop(p); drop(q);") == ((released,), released)
+    assert p.heads[released] == Signal("p") and p.heads[p.next_ids[released][0]] == Wait("p")
 
 
 def test_unrolled_suffixes_closed_under_steps():
@@ -83,10 +99,18 @@ def test_unrolled_suffixes_closed_under_steps():
         "bool a; main(){ q = newPhaser(); while(ndet()){ signal(q); "
         "if(a){ wait(q); } } drop(q); }"
     )
-    suff = p.suffixes
-    for seq in suff:
-        for step in head_successors(seq):
-            assert step.next_seq in suff
+    ids = range(len(p.suffixes))
+    # every step lands on an id, and the bodies reach every id
+    reached, stack = set(p.body_ids.values()), list(p.body_ids.values())
+    while stack:
+        i = stack.pop()
+        nexts = [j for j in (*p.next_ids[i], p.skip_ids[i]) if j is not None]
+        assert set(nexts) <= set(ids)
+        stack += [j for j in nexts if j not in reached]
+        reached.update(nexts)
+    assert reached == set(ids)
+    for seq in p.suffixes:
+        assert set(head_successors(seq)) <= set(p.seq_ids)
 
 
 def test_unrolled_suffixes_finite_for_nested_loops():
@@ -105,12 +129,12 @@ def test_id_tables_agree_with_the_unfolding(name):
         assert p.seq_ids[seq] == i
         assert p.heads[i] == (seq[0] if seq else None)
         nexts = [p.suffixes[j] for j in p.next_ids[i]]
-        assert nexts == [step.next_seq for step in head_successors(seq)]
+        assert nexts == list(head_successors(seq))
         if seq and isinstance(seq[0], NextBlock):
             # a participant that does not execute the body unfolds its
             # barrier as if the body were empty
             bare = (NextBlock(seq[0].var, ()),) + seq[1:]
-            assert p.suffixes[p.skip_ids[i]] == head_successors(bare)[0].next_seq
+            assert p.suffixes[p.skip_ids[i]] == head_successors(bare)[0]
         else:
             assert p.skip_ids[i] is None
 

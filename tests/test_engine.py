@@ -316,9 +316,9 @@ def _with(program, **tables):
 
 def _post_ids_only(program):
     posts = {}
-    for _, stmt, _, j in program.steps:
+    for stmt, nexts in zip(program.heads, program.next_ids):
         if isinstance(stmt, Asynch):
-            posts.setdefault(stmt.task, set()).add(j)
+            posts.setdefault(stmt.task, set()).update(nexts)
     return _with(program, spawn_order={w: frozenset(js) for w, js in posts.items()})
 
 

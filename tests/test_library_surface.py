@@ -1,7 +1,7 @@
 """The library ships only what its commands and engines use: every
 top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
-statement.  Test-only reference code lives in
+statement, and so is every method and property of its classes.  Test-only reference code lives in
 ``tests/oracles.py``.  No module imports another's underscore-prefixed
 name, no module-level state is mutated or patched, and no module runs a
 bare call when it is imported.  Test modules read every name they
@@ -30,6 +30,28 @@ def test_every_definition_is_used_by_the_package():
                 uses.setdefault(name, set()).add(where)
     assert len(defs) > 100
     assert [name for where, name in defs if not uses.get(name, set()) - {where}] == []
+
+
+def test_every_class_member_is_read_by_the_package():
+    members, reads = [], []  # reads: (module, line, attribute name)
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            members += [
+                (path.stem, fn)
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+            ]
+        reads += [(path.stem, n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+
+    def read_elsewhere(stem, fn):
+        return any(
+            name == fn.name and not (module == stem and fn.lineno <= line <= fn.end_lineno)
+            for module, line, name in reads
+        )
+
+    assert len(members) > 40
+    assert [f"{stem}.{fn.name}" for stem, fn in members if not read_elsewhere(stem, fn)] == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from phasercheck.cli import main
 from phasercheck.parser import ParseError, parse, parse_seq
 from phasercheck.syntax import (
     Assert,
@@ -140,10 +143,32 @@ def test_phase_advance_inside_a_barrier_body_is_accepted():
     parse("bool a; main(){ p = newPhaser(); q = newPhaser(); next(p){ next(q); a = true; } }")
 
 
-def test_atomic_program_is_info_not_error():
-    p = parse("main(){ p = newPhaser(); next(p){ } drop(p); }")
-    diags = validate(p)
-    assert any(d.startswith("info:") for d in diags)
+def test_atomic_program_is_info_not_error(tmp_path, capsys):
+    src = tmp_path / "atomic.phz"
+    src.write_text("main(){ p = newPhaser(); next(p){ } drop(p); }")
+    assert validate(parse(src.read_text())) == []
+    assert main(["parse", str(src)]) == 0
+    assert capsys.readouterr().out == (
+        "info: atomic program (next-with-body): exact symbolic engine unavailable\n"
+        "ok: 1 tasks, 0 booleans, 1 phaser creation sites\n"
+    )
+
+
+# W declares p signal-only, but main registers it in the default mode
+MODE_MISMATCH = (
+    "main(){ p = newPhaser(); asynch(W, p); signal(p); drop(p); } W(p: SIG){ wait(p); drop(p); }"
+)
+
+
+def test_asynch_modes_must_match_the_declared_modes():
+    message = "task main: asynch(W, ...) registers 'p' as SIG_WAIT, but W declares 'p' as SIG"
+    assert validate(parse(MODE_MISMATCH, check=False)) == [message]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(MODE_MISMATCH)
+    # a mode per argument, named in both directions
+    with pytest.raises(ParseError, match=r"registers 'r' as WAIT, but W declares 's' as SIG_WAIT$"):
+        parse("main(){ q = newPhaser(); r = newPhaser(); asynch(W, q, r:WAIT); } W(p, s){ }")
+    parse("main(){ p = newPhaser(); asynch(W, p:sig); drop(p); } W(p: SIG){ drop(p); }")
 
 
 def test_parse_seq_roundtrip():

@@ -161,18 +161,21 @@ def test_newphaser_has_no_predecessor_when_two_columns_pin_its_variable():
 def test_suffixes_are_closed_under_head_successors():
     from phasercheck.control import head_successors
 
+    # pre steps from each head to its next ids: those are the head's
+    # successors, so every step of the program lands inside the tables
     for program in (load("chain_spawn"), parse(DEAD_CODE_SRC)):
         suffixes = program.suffixes
-        for s in suffixes:
-            for hs in head_successors(s):
-                assert hs.next_seq in suffixes
+        for i, s in enumerate(suffixes):
+            assert program.heads[i] == (s[0] if s else None)
+            assert tuple(suffixes[j] for j in program.next_ids[i]) == head_successors(s)
 
 
 def test_dead_code_after_exit_is_not_in_the_closure():
     program = parse(DEAD_CODE_SRC)
     dead = parse_seq("assert(false); assert(!a);")
     assert dead not in program.suffixes
-    assert all(program.suffixes[s_pre] != dead for s_pre, *_ in program.steps)
+    # pre steps back over every head, and none is the dead assert
+    assert "assert(false);" not in map(str, program.heads)
     targets = assertion_targets(program)
     assert [phi.seqs for phi in targets] == [(program.seq_ids[parse_seq("assert(!a);")],)]
     # the live assert never fails: both engines agree
