@@ -6,7 +6,7 @@ Subcommands:
 * ``explore``: bounded concrete-semantics exploration with error and
   state-graph reporting.
 * ``check``: symbolic backward reachability for a property class or a
-  custom target file (serialized constraints or a partial configuration).
+  custom target file (constraint and partial-config records).
 
 ``check`` exit codes: 0 unreachable, 1 reachable (trace printed),
 2 usage/input error, 3 budget exhausted (only with ``--budget``).
@@ -26,12 +26,12 @@ from contextlib import nullcontext
 from .concrete import Bounds, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
 from .parser import ParseError, natural, parse
-from .symbolic import constraint_to_text, natural_or_inf, parse_constraints
+from .symbolic import constraint_to_text, natural_or_inf
 from .syntax import validate
 from .targets import (
     assertion_targets,
     cyclic_wait_targets,
-    parse_partial_config,
+    read_targets,
     registration_error_targets,
 )
 
@@ -135,16 +135,12 @@ def _load_targets(args, program) -> list:
         return registration_error_targets(program)
     if args.property == "cyclic-wait":
         return cyclic_wait_targets(program, args.max_cycle, args.slack)
-    # custom: a target file with constraints or a partial configuration
+    # custom: a target file of constraint and partial-config records
     if not args.target:
         raise UsageError("--property custom requires --target FILE")
-    text = _read(args.target)
     left_out = []
     try:
-        if "partial-config" in text.split("{", 1)[0]:
-            _, targets = parse_partial_config(text, program, left_out)
-        else:
-            targets = parse_constraints(text, program, left_out)
+        targets = read_targets(_read(args.target), program, left_out)
     except ValueError as e:
         raise UsageError(str(e), args.target)
     why = "no task reaches a sequence this record pins, so it has no model"

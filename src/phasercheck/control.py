@@ -121,11 +121,11 @@ class Program:
         return sum(len(owners) for _, stmt, owners, _ in self.sites if isinstance(stmt, NewPhaser))
 
     def uses_modes(self) -> bool:
-        """True when a declared parameter or a reachable ``asynch``
-        registers in a mode other than full SIG_WAIT."""
-        modes = [m for t in self.tasks for m in t.modes]
-        modes += [m for _, stmt, _, _ in self.sites if isinstance(stmt, Asynch) for m in stmt.modes]
-        return any(m != SIG_WAIT for m in modes)
+        """True when a reachable ``asynch`` registers in a mode other than
+        full SIG_WAIT.  ``validate`` makes each ``asynch`` mode the
+        callee's declared one, so a task no run spawns does not count."""
+        asynchs = [stmt for _, stmt, _, _ in self.sites if isinstance(stmt, Asynch)]
+        return any(m != SIG_WAIT for stmt in asynchs for m in stmt.modes)
 
     @cached_property
     def _walk(self) -> tuple:

@@ -4,11 +4,12 @@
 constraints into one antichain store (a stored constraint whose models
 cover a candidate makes the candidate redundant; a candidate covering
 stored constraints evicts them).  The store is where entailment prunes,
-with one exception: ``check``'s ``keep`` filter drops the predecessors
-that the popped constraint itself entails before they are built in
-canonical form, and those that are not ``b``-good.  Otherwise targets
-and predecessors reach the store unreduced: the target builders return
-every target, and ``pre`` may repeat a predecessor.
+with one exception: ``check``'s ``keep`` filter drops, before they are
+built in canonical form, the predecessors that the popped constraint
+itself entails, those that are not ``b``-good and those that fail the
+static column test.  Otherwise targets and predecessors reach the store
+unreduced: the target builders return every target, and ``pre`` may
+repeat a predecessor.
 
 The formulations of the verification problem are this one loop under
 three limits, ``check``'s parameters:
@@ -383,20 +384,19 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
             return BudgetExhausted(processed)
         if models(init, phi):
             return trace_from(phi)
-        # pre builds only predecessors within the static limits; the rest
-        # are filtered before pre canonicalizes them, cheapest test first:
-        # the b prune, then entailment by the popped constraint
-        # itself, which covers most environment-role predecessors.  Each
-        # test is invariant under renaming rows and columns, so the
-        # survivors are those that filtering the canonical predecessors
-        # would keep.
+        # pre builds only predecessors within the row and width limits;
+        # the rest are filtered before pre canonicalizes them, cheapest
+        # test first: the column test, the b prune, then entailment by
+        # the popped constraint itself, which covers most
+        # environment-role predecessors.  Each test is invariant under
+        # renaming rows and columns, so the survivors are those that
+        # filtering the canonical predecessors would keep.
         preds = sorted(
             pre(
                 phi,
                 program,
-                keep=lambda psi: is_b_good(psi, b) and not entails(phi, psi),
+                keep=lambda psi: cols_fit(psi) and is_b_good(psi, b) and not entails(phi, psi),
                 rows_fit=rows_fit,
-                cols_fit=cols_fit,
                 cap=cap,
             ),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),

@@ -338,10 +338,13 @@ def parse(text: str, check: bool = True) -> Program:
 
 
 def parse_seq(text: str):
-    """Parse a bare statement sequence (used by the partial-configuration
-    file format for control-sequence patterns)."""
+    """Parse a bare statement sequence (the ``seq`` lines of target
+    files); text after the sequence is an error."""
     p = _Parser("{" + text + "}")
-    return p.block()
+    seq = p.block()
+    if p.peek().kind != "eof":
+        p.fail(f"unexpected {p.peek().text!r} after the sequence")
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +379,39 @@ def record_fields(words, keys, flags):
     return kv, seen
 
 
-def read_records(text: str, header: str, bool_vars, cell_tags) -> list:
-    """Read every ``header { ... }`` record of a target file as a tuple
-    (opening line, bv, seqs, phaser count, cells).
+def read_records(text: str, formats, bool_vars) -> list:
+    """Read every record of a target file as a tuple (header, opening
+    line, bv, seqs, phaser count, cells); ``formats`` maps each record
+    header to its cell tags, and each record's own header line picks
+    them.
 
     Blank lines and ``#`` lines are skipped.  All formats share the lines
     ``bv name=true|false|*``, ``tasks N``, ``phasers N`` and
-    ``seq tI "statements"|*``.  ``cell_tags`` maps every other tag to
+    ``seq tI "statements"|*``.  Cell tags map every other tag to
     (index letters, reader): with letters ``"tp"`` the tag is followed by
     ``tI pJ``, with ``"p"`` by ``pJ``, and ``reader`` turns the remaining
     words into the value of ``cells[(tag, I, J)]`` or ``cells[(tag, J)]``.
     """
     lines = text.splitlines()
+    headers = {f"{header} {{": header for header in formats}
+    expected = " or ".join(map(repr, headers))
     records, body = [], None
     for n, ln in enumerate(map(str.strip, lines), 1):
         if not ln or ln.startswith("#"):
             continue
         if body is None:
-            if ln != header + " {":
-                raise RecordFormatError(f"line {n}: expected '{header} {{', found {ln!r}")
-            body, opened = [], n
+            if ln not in headers:
+                raise RecordFormatError(f"line {n}: expected {expected}, found {ln!r}")
+            header, body, opened = headers[ln], [], n
         elif ln == "}":
-            records.append(_read_record(opened, body, bool_vars, cell_tags))
+            records.append((header, *_read_record(opened, body, bool_vars, formats[header])))
             body = None
         else:
             body.append((n, ln))
     if body is not None:
         raise RecordFormatError(f"line {opened}: unterminated {header} record")
     if not records:
-        raise RecordFormatError(f"line {len(lines) + 1}: expected '{header} {{'")
+        raise RecordFormatError(f"line {len(lines) + 1}: expected {expected}")
     return records
 
 

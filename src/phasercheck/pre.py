@@ -392,36 +392,32 @@ def pre_stmt(
     return [(psi, x) for psi in results]
 
 
-def pre(
-    phi: Constraint, program, keep=None, rows_fit=_unlimited, cols_fit=_unlimited, cap=INF
-) -> list:
+def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> list:
     """All (statement, predecessor constraint) pairs over every executing
     role: each tracked task plus a fresh environment task, taking each
     head step of the program's id tables in turn, in id order.  A pair may repeat;
     ``check``'s store drops repeats.
 
-    ``rows_fit``, ``cols_fit`` and ``cap`` are a run's static limits:
-    ``rows_fit(seqs)`` tests a predecessor's tuple of sequence ids,
-    ``cols_fit(psi)`` the built predecessor, and ``cap`` bounds its
-    columns.  A predecessor that fails ``rows_fit`` or ``cap`` is skipped
-    before any of its cells is built.  Its control sequences are known
-    first: the executor moves to the step's pre sequence, the
+    ``rows_fit`` and ``cap`` are a run's static limits on control and
+    width: ``rows_fit(seqs)`` tests a predecessor's tuple of sequence
+    ids, and ``cap`` bounds its columns.  A predecessor that fails either
+    is skipped before any of its cells is built.  Its control sequences
+    are known first: the executor moves to the step's pre sequence, the
     environment role adds a row, and an ``asynch`` removes the row of a
     tracked child.  Only a phaser the constraint does not track adds a
-    column.  One that fails ``cols_fit`` is dropped before ``keep`` sees
-    it.  When ``phi`` itself passes ``rows_fit`` and ``cap``, the result
-    is exactly the unlimited result without the pairs that fail the
-    limits.
+    column.  When ``phi`` itself passes ``rows_fit`` and ``cap``, the
+    result is exactly the unlimited result without the pairs that fail
+    the limits.
 
-    ``keep``, when given, drops every predecessor it rejects before that
-    predecessor is put into canonical form.  It must not depend on the
-    order of rows and columns; then the result is exactly the unfiltered
-    result with the rejected pairs removed."""
+    ``keep``, when given, drops every built predecessor it rejects before
+    that predecessor is put into canonical form.  It must not depend on
+    the order of rows and columns; then the result is exactly the
+    unfiltered result with the rejected pairs removed."""
     results = []
     room = cap - phi.n_phasers
 
     def emit(stmt, psi):
-        if cols_fit(psi) and (keep is None or keep(psi)):
+        if keep is None or keep(psi):
             results.append((stmt, canonical_constraint(psi)))
 
     def leaving(seqs):

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .parser import RecordFormatError, natural, read_records, record_fields, write_record
+from .parser import natural, record_fields, write_record
 from .syntax import ANY, NO_VAR
 
 INF = float("inf")
@@ -464,29 +464,22 @@ def _read_env(words) -> tuple:
     return natural(kv["ew"]), natural(kv["es"])
 
 
-def parse_constraints(text: str, program, left_out=None) -> list:
-    """Parse one or more serialized constraint records over ``program``.
-    A record that pins a sequence no task of the program reaches has no
-    model, so it is checked and then left out; its opening line is
-    appended to the list ``left_out``, when given."""
-    out = []
-    tags = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
-    records = read_records(text, "constraint", program.bool_vars, tags)
-    for line, bv, seqs, n_phasers, cells in records:
-        ids = program.intern(seqs)
-        phi = Constraint(
-            bv=bv,
-            seqs=(None,) * len(seqs) if ids is None else ids,
-            gaps=tuple(
-                tuple(cells.get(("gap", t, p), OPT_FREE) for p in range(n_phasers))
-                for t in range(len(seqs))
-            ),
-            egaps=tuple(cells.get(("env", p), (0, 0)) for p in range(n_phasers)),
-        )
-        if not constraint_valid(phi):
-            raise RecordFormatError(f"line {line}: invalid gap bounds in constraint")
-        if ids is not None:
-            out.append(phi)
-        elif left_out is not None:
-            left_out.append(line)
-    return out
+CONSTRAINT_CELLS = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
+
+
+def constraint_from_record(bv, seqs, n_phasers: int, cells) -> Constraint:
+    """The constraint a ``constraint`` record states over the sequence
+    ids ``seqs``; unstated cells are optional free.  Raises ValueError
+    when its gap bounds are invalid."""
+    phi = Constraint(
+        bv=bv,
+        seqs=seqs,
+        gaps=tuple(
+            tuple(cells.get(("gap", t, p), OPT_FREE) for p in range(n_phasers))
+            for t in range(len(seqs))
+        ),
+        egaps=tuple(cells.get(("env", p), (0, 0)) for p in range(n_phasers)),
+    )
+    if not constraint_valid(phi):
+        raise ValueError("invalid gap bounds in constraint")
+    return phi

@@ -1,5 +1,5 @@
 """Target constraint builders for the supported bad-configuration classes,
-plus the partial-configuration reader.
+plus the reader of target files.
 
 * assertion violation: some task sits at an assertion head whose condition
   can evaluate to false under the pinned boolean variables.
@@ -21,20 +21,21 @@ reduces them.  Targets pin sequence ids, read off the program's ``heads``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .parser import RecordFormatError, natural, read_records, record_fields
 from .symbolic import (
     ANY,
+    CONSTRAINT_CELLS,
     FREE_BOUNDS,
     OPT_FREE,
     Constraint,
     Gap,
+    constraint_from_record,
 )
 from .syntax import Assert, Asynch, Drop, Signal, Wait, cond_outcomes, cond_vars
 
 
-def _minimal_falsifying(cond, bool_vars) -> list:
+def _minimal_falsifying(cond) -> list:
     """Minimal partial valuations under which the condition can be false."""
     names = sorted(cond_vars(cond))
     full = [
@@ -72,7 +73,7 @@ def assertion_targets(program) -> list:
     for i, head in enumerate(program.heads):
         if not isinstance(head, Assert):
             continue
-        for partial in _minimal_falsifying(head.cond, program.bool_vars):
+        for partial in _minimal_falsifying(head.cond):
             out.append(
                 Constraint(
                     bv=_bv_from(partial, program.bool_vars),
@@ -146,122 +147,77 @@ def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Partial configurations
+# Target files
 
 
-@dataclass(frozen=True)
-class PartialConfiguration:
-    """Wildcard-bearing pattern over configurations, as a partial-config
-    record reads it: seqs hold control sequences, which
-    ``from_partial_config`` interns through the program.
-
-    bv entries and seqs may be None (= *); phase cells may be None
-    (= unconstrained), or (var, val) with var in V + {"-", "*"} and val
-    either "nreg" or a pair whose components are naturals or "*".
-    """
-
-    bv: tuple
-    seqs: tuple
-    phase: tuple  # phase[t][p] -> None | (var, val)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.seqs)
-
-    @property
-    def n_phasers(self) -> int:
-        return len(self.phase[0]) if self.phase else 0
-
-
-def _read_phase(words) -> tuple:
+def _read_phase(words):
+    """A ``phase`` cell: a Gap for ``nreg`` and ``free``, which need no
+    level, else ``(var, w, s)``."""
     kv, flags = record_fields(words, ("var", "w", "s"), ("nreg", "free"))
     var = kv.pop("var", ANY)
     if "nreg" in flags:
-        return (var, "nreg")
+        return Gap(var, None)
     if "free" in flags:
-        return (var, (ANY, ANY))
+        return Gap(var, FREE_BOUNDS)
     if len(kv) != 2:
         raise ValueError("phase cell needs w= and s= (or nreg/free)")
-    return (var, (natural(kv["w"]), natural(kv["s"])))
+    return var, natural(kv["w"]), natural(kv["s"])
 
 
-def parse_partial_config(text: str, program, left_out=None) -> tuple:
-    """Parse a file holding one level-consistent partial-config record
-    over ``program``: the pattern, and the constraints
-    ``from_partial_config`` builds from it.  When the record pins a
-    sequence no task reaches, so that it gives no constraint, its opening
-    line is appended to the list ``left_out``, when given."""
-    [(opened, bv, seqs, n_phasers, cells), *extra] = read_records(
-        text, "partial-config", program.bool_vars, {"phase": ("tp", _read_phase)}
-    )
-    if extra:
-        raise RecordFormatError(f"line {extra[0][0]}: a partial-config file holds one record")
-    pc = PartialConfiguration(
-        bv=bv,
-        seqs=seqs,
-        phase=tuple(
-            tuple(cells.get(("phase", t, p)) for p in range(n_phasers))
-            for t in range(len(seqs))
-        ),
-    )
-    try:
-        targets = from_partial_config(pc, program)
-    except ValueError as e:
-        raise RecordFormatError(f"line {opened}: {e}") from None
-    if not targets and left_out is not None:
-        left_out.append(opened)
-    return pc, targets
+_CELLS = {"constraint": CONSTRAINT_CELLS, "partial-config": {"phase": ("tp", _read_phase)}}
 
 
-def from_partial_config(pc: PartialConfiguration, program) -> list:
-    """Constraints whose models are exactly the configurations of
-    ``program`` including the partial configuration.
+def partial_config_constraint(bv, seqs, n_phasers: int, cells) -> Constraint:
+    """The constraint whose models are exactly the configurations that
+    include a ``partial-config`` record's pattern, over the sequence ids
+    ``seqs``.
 
     Concrete (w, s) cells pin gaps against the per-phaser level chosen as
-    the maximum concrete wait; undefined cells become optional free gaps
+    the maximum concrete wait; unstated cells become optional free gaps
     (registered or not, unconstrained).  Raises ValueError when the
     concrete cells are not level-consistent (no reachable configuration
-    can include them).  A pattern that pins a sequence no task reaches
-    is included in no configuration: it gives no constraint.
+    can include them).
     """
-    n_t, n_p = pc.n_tasks, pc.n_phasers
-    levels = []
-    for p in range(n_p):
-        waits = [
-            pc.phase[t][p][1][0]
-            for t in range(n_t)
-            if pc.phase[t][p] is not None
-            and pc.phase[t][p][1] not in ("nreg", (ANY, ANY))
-        ]
-        levels.append(max(waits) if waits else 0)
-    base = [[OPT_FREE] * n_p for _ in range(n_t)]
-    for t in range(n_t):
-        for p in range(n_p):
-            cell = pc.phase[t][p]
-            if cell is None:
-                continue
-            var, val = cell
-            if val == "nreg":
-                base[t][p] = Gap(var, None)
-            elif val == (ANY, ANY):
-                base[t][p] = Gap(var, FREE_BOUNDS)
-            else:
-                w, s = val
+    rows = [
+        [cells.get(("phase", t, p), OPT_FREE) for p in range(n_phasers)]
+        for t in range(len(seqs))
+    ]
+    levels = [max((c[1] for c in col if isinstance(c, tuple)), default=0) for col in zip(*rows)]
+    for t, row in enumerate(rows):
+        for p, cell in enumerate(row):
+            if isinstance(cell, tuple):
+                var, w, s = cell
                 l = levels[p]
                 if s < l:
                     raise ValueError(
                         "partial configuration is not level-consistent: "
                         f"task {t} has signal {s} below wait level {l} on phaser {p}"
                     )
-                base[t][p] = Gap(var, (l - w, s - l, l - w, s - l))
-    seqs = program.intern(pc.seqs)
-    if seqs is None:
-        return []
-    return [
-        Constraint(
-            bv=pc.bv,
-            seqs=seqs,
-            gaps=tuple(tuple(r) for r in base),
-            egaps=tuple((0, 0) for _ in range(n_p)),
-        )
-    ]
+                row[p] = Gap(var, (l - w, s - l, l - w, s - l))
+    return Constraint(
+        bv=bv,
+        seqs=seqs,
+        gaps=tuple(map(tuple, rows)),
+        egaps=((0, 0),) * n_phasers,
+    )
+
+
+def read_targets(text: str, program, left_out) -> list:
+    """The constraints of a target file over ``program``: any number of
+    ``constraint`` and ``partial-config`` records, each read by its own
+    header.  A record that pins a sequence no task reaches has no model,
+    so it is checked and then left out; its opening line is appended to
+    the list ``left_out``.  Raises RecordFormatError naming the line."""
+    out = []
+    for header, opened, bv, seqs, n_phasers, cells in read_records(text, _CELLS, program.bool_vars):
+        ids = program.intern(seqs)
+        build = constraint_from_record if header == "constraint" else partial_config_constraint
+        try:
+            phi = build(bv, (None,) * len(seqs) if ids is None else ids, n_phasers, cells)
+        except ValueError as e:
+            raise RecordFormatError(f"line {opened}: {e}") from None
+        if ids is None:
+            left_out.append(opened)
+        else:
+            out.append(phi)
+    return out

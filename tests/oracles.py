@@ -2,6 +2,7 @@
 the checker itself never runs them."""
 
 import itertools
+from dataclasses import dataclass
 
 from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import write_record
@@ -13,7 +14,29 @@ from phasercheck.symbolic import (
     is_free,
 )
 from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, If, Ndet, NextBlock, Not, Or, While
-from phasercheck.targets import PartialConfiguration
+
+
+@dataclass(frozen=True)
+class PartialConfiguration:
+    """Wildcard-bearing pattern over configurations, as a partial-config
+    record states it: seqs hold control sequences.
+
+    bv entries and seqs may be None (= *); phase cells may be None
+    (= unconstrained), or (var, val) with var in V + {"-", "*"} and val
+    either "nreg" or a pair whose components are naturals or "*".
+    """
+
+    bv: tuple
+    seqs: tuple
+    phase: tuple  # phase[t][p] -> None | (var, val)
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.seqs)
+
+    @property
+    def n_phasers(self) -> int:
+        return len(self.phase[0]) if self.phase else 0
 
 
 def is_well_formed(c: Configuration) -> bool:

@@ -286,6 +286,22 @@ def test_check_refuses_an_undecidable_program_without_targets(name, prop, why, t
     assert captured.out == "" and why in captured.err
 
 
+def test_check_decides_a_program_whose_signal_only_task_no_run_spawns(tmp_path, capsys):
+    # W declares a SIG parameter, but nothing spawns W, so every
+    # registration of every run is SIG_WAIT
+    src = tmp_path / "unspawned.phz"
+    src.write_text("main(){ p = newPhaser(); drop(p); } W(p: SIG){ drop(p); }")
+    assert run("check", str(src), "--property", "regerror") == 0
+    assert capsys.readouterr() == ("verdict unreachable\nprocessed 1 constraints\n", "")
+    assert run("explore", str(src)) == 0
+    assert capsys.readouterr().out == "configurations: 3\nexhausted: yes\n"
+    # the corpus programs that spawn a task in SIG or WAIT mode stay refused
+    for name in ("producer_consumer", "assert_race", "assert_sync"):
+        assert run("check", path(name), "--property", "regerror") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "SIG_WAIT-only" in captured.err
+
+
 def test_check_b_inf_without_budget_rejects_bounded_targets(capsys):
     # control reachability: with no b prune and no budget, only free
     # targets are sure to terminate
@@ -433,7 +449,8 @@ def test_check_progress_stream_is_ndjson(tmp_path, capsys):
         (
             [path("assert_fail"), "--property", "custom", "--target", str(bad_target)],
             2,
-            f"{bad_target}: line 1: expected 'constraint {{', found 'not a constraint'",
+            f"{bad_target}: line 1: expected 'constraint {{' or 'partial-config {{', "
+            "found 'not a constraint'",
         ),
     ]:
         argv = ["check", *argv]
@@ -507,8 +524,9 @@ def test_check_custom_constraint_file(tmp_path, capsys):
 def test_check_custom_partial_config(tmp_path, capsys, monkeypatch):
     # the record's constraints are built once, while it is read
     built = []
-    build = targets.from_partial_config
-    monkeypatch.setattr(targets, "from_partial_config", lambda *a: built.append(a) or build(*a))
+    build = targets.partial_config_constraint
+    counted = lambda *a: built.append(a) or build(*a)
+    monkeypatch.setattr(targets, "partial_config_constraint", counted)
     target = tmp_path / "pc.txt"
     target.write_text(
         "partial-config {\n"
@@ -566,6 +584,8 @@ MALFORMED_TARGETS = [
     "partial-config {\n  tasks 1\n  phasers 1\n  phase t5 p0 var=p nreg\n}",
     "partial-config {\n  bv a=maybe\n  tasks 1\n  phasers 0\n}",
     "partial-config {\n  tasks 2\n  phasers 1\n  phase t0 p0 var=p w=2 s=2\n  phase t1 p0 var=p w=0 s=1\n}",
+    # text after the sequence's closing brace
+    'partial-config {\n  tasks 1\n  phasers 1\n  seq t0 "drop(p); } signal(p);"\n}',
 ]
 
 
@@ -578,6 +598,31 @@ def test_check_malformed_target_names_the_line(tmp_path, capsys, text):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith(f"{target}: line ")
+
+
+@pytest.mark.parametrize(
+    "comment",
+    [
+        "# written by hand, not as a partial-config record\n",
+        "# one constraint { of the trace\n",
+    ],
+)
+def test_check_reads_each_record_by_its_own_header(tmp_path, capsys, comment):
+    # a leading comment may name either header or hold a brace; a file
+    # may mix the two kinds.  A constraint from the trace and the
+    # pattern of a task registered on p are both reachable
+    program = load("selfwait")
+    [phi] = cyclic_wait_targets(program, max_cycle=1)
+    constraint = constraint_to_text(phi, program) + "\n"
+    pc = "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p w=0 s=0\n}\n"
+    for records in ([constraint], [pc], [constraint, pc], [pc, pc]):
+        target = tmp_path / "target.txt"
+        target.write_text(comment + "".join(records))
+        argv = ["check", path("selfwait"), "--property", "custom", "--target", str(target)]
+        assert run(*argv, "--validate") == 1, records
+        out, err = capsys.readouterr()
+        assert "verdict reachable" in out and "trace replay: ok" in out
+        assert err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +670,10 @@ def _target_files(header):
     )
 
 
-_TARGET_FILES = st.one_of(_target_files("constraint"), _target_files("partial-config"))
+# one or two records, of either kind
+_TARGET_FILES = st.lists(
+    st.one_of(_target_files("constraint"), _target_files("partial-config")), min_size=1, max_size=2
+).map("\n".join)
 
 
 @settings(

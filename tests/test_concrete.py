@@ -16,10 +16,16 @@ from phasercheck.concrete import (
 )
 from phasercheck.parser import parse, parse_seq
 from phasercheck.syntax import And, BoolLit, BoolVar, Ndet, Not, Or, cond_outcomes
-from phasercheck.targets import PartialConfiguration
 
 from conftest import explored, load
-from oracles import cond_outcomes_by_bits, equivalent, includes, is_well_formed, shifted
+from oracles import (
+    PartialConfiguration,
+    cond_outcomes_by_bits,
+    equivalent,
+    includes,
+    is_well_formed,
+    shifted,
+)
 
 
 def run_to_end(prog, prefer=None):

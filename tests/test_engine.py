@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -23,7 +24,7 @@ from phasercheck.engine import (
 )
 from phasercheck.parser import parse
 from phasercheck.pre import pre
-from phasercheck.symbolic import FREE_BOUNDS, INF, Constraint, Gap, models
+from phasercheck.symbolic import FREE_BOUNDS, INF, Constraint, Gap, canonical_constraint, models
 from phasercheck.syntax import Asynch, NewPhaser
 from phasercheck.targets import (
     assertion_targets,
@@ -453,26 +454,34 @@ def test_explore_and_importing_the_cli_build_no_flow_table():
 
 
 def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
-    # exact counters on the slowest bench cell: check pops 153 constraints
-    # and pre hands its keep filter 752 predecessors.  Without the
-    # limits, pre builds 8,040 on those pops: 2,803 over the task bound,
-    # 2,374 more over the per-type bound, 1,396 more out of spawn order,
-    # 321 more over the phaser bound and 394 more that fail the
-    # phaser-flow column test
+    # exact counters on the slowest bench cell: check pops 153
+    # constraints.  Without the limits, pre builds 8,040 predecessors on
+    # those pops: 2,803 over the task bound, 2,374 more over the per-type
+    # bound, 1,396 more out of spawn order and 321 more over the phaser
+    # bound.  pre builds exactly the other 1,146 and hands them to keep,
+    # whose column test drops 394 and leaves 752 for the b prune and
+    # entailment
     program = load("producer_consumer_sw")
-    handed = []
+    cols_fit = engine.flow_bound(program)
+    handed, fit, full = [], [], []
 
-    def counted(phi, program, keep, **limits):
+    def counted(phi, program, keep, rows_fit, cap):
         def seen(psi):
-            handed.append(psi)
+            handed.append(canonical_constraint(psi))
             return keep(psi)
 
-        return pre(phi, program, keep=seen, **limits)
+        unlimited = [psi for _, psi in pre(phi, program)]
+        full.extend(unlimited)
+        fit.extend(psi for psi in unlimited if rows_fit(psi.seqs) and psi.n_phasers <= cap)
+        return pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
 
     monkeypatch.setattr(engine, "pre", counted)
     # b=1 and no k: the bench cell's default
     assert check(program, registration_error_targets(program), b=1) == Unreachable(153)
-    assert len(handed) == 752
+    assert len(full) == 8040
+    assert Counter(handed) == Counter(fit)
+    assert len(handed) == 1146
+    assert sum(map(cols_fit, handed)) == 752
 
 
 def test_mode_programs_are_rejected():

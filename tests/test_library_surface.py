@@ -2,7 +2,8 @@
 top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
 statement, and so is every method and property of its classes.  Test-only reference code lives in
-``tests/oracles.py``.  No module imports another's underscore-prefixed
+``tests/oracles.py``.  Every parameter is read, and one function reads
+target records.  No module imports another's underscore-prefixed
 name, no module-level state is mutated or patched, and no module runs a
 bare call when it is imported.  Test modules read every name they
 import."""
@@ -52,6 +53,66 @@ def test_every_class_member_is_read_by_the_package():
 
     assert len(members) > 40
     assert [f"{stem}.{fn.name}" for stem, fn in members if not read_elsewhere(stem, fn)] == []
+
+
+def _unread_parameters(tree) -> list:
+    """``function:parameter`` for each parameter of a function or lambda
+    in ``tree`` that its body never reads (``self`` and names starting
+    with ``_`` aside)."""
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "lambda")
+        unread += [
+            f"{name}:{p}" for p in params if p != "self" and not p.startswith("_") and p not in read
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        unread += [f"{path.stem}.{u}" for u in _unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def test_the_parameter_scan_sees_functions_and_lambdas():
+    src = """
+def used(a, b=1, *rest, c, **more):
+    return a, b, rest, c, more
+
+
+def unused(self, a, _b, c):
+    inner = lambda x, y: x
+    return a
+
+
+class C:
+    def method(self, a):
+        return None
+"""
+    assert sorted(_unread_parameters(ast.parse(src))) == ["lambda:y", "method:a", "unused:c"]
+
+
+def test_one_caller_reads_target_records():
+    callers = []
+    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "read_records":
+                    callers.append(path.stem)
+    assert callers == ["targets"]
 
 
 def test_no_module_imports_a_private_name_of_another():

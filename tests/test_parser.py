@@ -176,6 +176,18 @@ def test_parse_seq_roundtrip():
     assert [type(s) for s in seq] == [Signal, Wait, Drop]
 
 
+def test_parse_seq_rejects_text_after_the_sequence():
+    assert parse_seq("drop(p); ") == (Drop("p"),)
+    for text, found in [
+        ("drop(p); } signal(p);", "signal"),
+        ("drop(p); }", "}"),
+        ("} drop(p);", "drop"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_seq(text)
+        assert e.value.message == f"unexpected {found!r} after the sequence"
+
+
 def test_statement_strings_reparse():
     from phasercheck.syntax import seq_to_str
 

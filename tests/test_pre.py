@@ -205,17 +205,18 @@ class _EnoughPops(Exception):
 
 
 def test_keep_drops_exactly_what_it_rejects(monkeypatch):
-    # check hands pre the static limits and filters the rest before pre
-    # canonicalizes them.  On the first constraints it pops, that must
-    # give the unfiltered result minus the pairs that fail the limits,
-    # restated here (the task and phaser bounds, the per-type bound,
-    # spawn order, k and the phaser-flow column test), or keep (b and
-    # entailment by the popped constraint).  Each skip must fire, and
-    # every predecessor pre hands to keep must pass the limits
+    # check hands pre the row and width limits, and a keep filter that
+    # drops the rest before pre canonicalizes them.  On the first
+    # constraints it pops, that must give the unfiltered result minus the
+    # pairs that fail the static limits, restated here (the task and
+    # phaser bounds, the per-type bound, spawn order, k and the
+    # phaser-flow column test), or the rest of keep (b and entailment by
+    # the popped constraint).  Each skip must fire, and every predecessor
+    # pre hands to keep must pass the row and width limits
     k = 2
     count = Counter()
 
-    def both_ways(phi, program, keep, rows_fit, cols_fit, cap):
+    def both_ways(phi, program, keep, rows_fit, cap):
         task_bound, phaser_bound = program.static_bounds
         row_test = engine.type_bound(program)
         # with every id in every spawn-order table no row blocks a spawn
@@ -245,11 +246,11 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
             handed.append(psi)
             return keep(psi)
 
-        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cols_fit=cols_fit, cap=cap)
+        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
         full = pre(phi, program)
         expected = [(str(s), psi) for s, psi in full if reject(psi) is None and keep(psi)]
         assert [(str(s), psi) for s, psi in filtered] == expected
-        assert [psi for psi in handed if reject(psi) is not None] == []
+        assert [psi for psi in handed if reject(psi) not in (None, "flow")] == []
         count.update(reject(psi) for _, psi in full)
         count["full"] += len(full)
         count["kept"] += len(filtered)

@@ -18,9 +18,13 @@ from phasercheck.symbolic import (
     is_b_good,
     is_free,
     models,
-    parse_constraints,
 )
-from phasercheck.targets import assertion_targets, cyclic_wait_targets, registration_error_targets
+from phasercheck.targets import (
+    assertion_targets,
+    cyclic_wait_targets,
+    read_targets,
+    registration_error_targets,
+)
 
 from conftest import CORPUS, load, rand_constraint, sample_model, strengthen
 from oracles import decode, encode, encoding_entails, entails_by_permutations, minimize
@@ -397,11 +401,20 @@ def test_canonical_constraint_preserves_meaning(rng):
         assert canonical_constraint(canon) == canonical_constraint(phi)
 
 
+def read_constraints(text, program) -> list:
+    """The constraints of a target file whose records all pin sequences
+    the program reaches."""
+    left_out = []
+    out = read_targets(text, program, left_out)
+    assert left_out == []
+    return out
+
+
 def test_serialization_round_trip(rng):
     for _ in range(150):
         phi = rand_constraint(rng, IDS, bool_count=2)
         text = constraint_to_text(phi, POOL_PROGRAM)
-        [back] = parse_constraints(text, POOL_PROGRAM)
+        [back] = read_constraints(text, POOL_PROGRAM)
         assert back == phi
     # every target of every corpus program, through its own tables
     checked = 0
@@ -409,7 +422,7 @@ def test_serialization_round_trip(rng):
         program = load(path.stem)
         for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
             for phi in build(program):
-                [back] = parse_constraints(constraint_to_text(phi, program), program)
+                [back] = read_constraints(constraint_to_text(phi, program), program)
                 assert back == phi, (path.stem, phi)
                 checked += 1
     assert checked > 500
@@ -419,18 +432,18 @@ def test_serialization_keeps_optional_marker():
     phi = Constraint((), (None,), ((OPT_FREE, NREG),), ((0, 0), (1, 2)))
     text = constraint_to_text(phi, NO_BOOLS)
     assert "opt" in text and "nreg" in text
-    [back] = parse_constraints(text, NO_BOOLS)
+    [back] = read_constraints(text, NO_BOOLS)
     assert back.gaps[0][0].opt
     assert back.gaps[0][1].bounds is None
 
 
 def test_parse_constraints_rejects_malformed():
     with pytest.raises(RecordFormatError):
-        parse_constraints("constraint {\n  tasks 1\n}", NO_BOOLS)
+        read_constraints("constraint {\n  tasks 1\n}", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_constraints("constraint {\n  tasks 1\n  phasers 0\n", NO_BOOLS)
+        read_constraints("constraint {\n  tasks 1\n  phasers 0\n", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_constraints(
+        read_constraints(
             "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=* lw=2 ls=0 uw=1 us=0\n}",
             NO_BOOLS,
         )
@@ -447,9 +460,9 @@ def test_parse_constraints_rejects_malformed():
     ):
         text = f"constraint {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
         with pytest.raises(RecordFormatError, match=r"^line 4: "):
-            parse_constraints(text, BOOL_A)
+            read_constraints(text, BOOL_A)
 
 
 def test_unspecified_cells_parse_as_optional_free():
-    [phi] = parse_constraints("constraint {\n  tasks 1\n  phasers 1\n}", NO_BOOLS)
+    [phi] = read_constraints("constraint {\n  tasks 1\n  phasers 1\n}", NO_BOOLS)
     assert phi.gaps[0][0] == OPT_FREE

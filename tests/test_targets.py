@@ -4,17 +4,16 @@ from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import RecordFormatError, parse, parse_seq
 from phasercheck.symbolic import ANY, OPT_FREE, Gap, entails, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
+from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import (
-    PartialConfiguration,
     assertion_targets,
     cyclic_wait_targets,
-    from_partial_config,
-    parse_partial_config,
+    read_targets,
     registration_error_targets,
 )
 
 from conftest import load
-from oracles import includes, partial_config_to_text
+from oracles import PartialConfiguration, includes, partial_config_to_text
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_no_cycle_targets_without_waits():
 
 
 # ---------------------------------------------------------------------------
-# Partial configurations
+# Target files
 
 
 # the program PC_TEXT is read against: it reaches ``wait(p); drop(p);``
@@ -141,48 +140,84 @@ partial-config {
 }
 """
 
+# the pattern PC_TEXT states
+PC = PartialConfiguration(
+    bv=(True,),
+    seqs=(parse_seq("wait(p); drop(p);"), None),
+    phase=((("p", (1, 2)),), ((ANY, "nreg"),)),
+)
+
+
+def read(text, program):
+    """The constraints of a target file, and the opening lines of the
+    records it leaves out."""
+    left_out = []
+    return read_targets(text, program, left_out), left_out
+
 
 def test_partial_config_text_round_trip():
-    pc, targets = parse_partial_config(PC_TEXT, PC_PROGRAM)
-    assert pc.bv == (True,)
-    assert pc.n_tasks == 2 and pc.n_phasers == 1
-    assert pc.seqs[1] is None
-    assert pc.phase[0][0] == ("p", (1, 2))
-    assert pc.phase[1][0] == (ANY, "nreg")
-    text = partial_config_to_text(pc, ("a",))
-    assert parse_partial_config(text, PC_PROGRAM) == (pc, targets)
+    text = partial_config_to_text(PC, ("a",))
+    assert read(text, PC_PROGRAM) == read(PC_TEXT, PC_PROGRAM)
+    [phi], [] = read(PC_TEXT, PC_PROGRAM)
+    assert phi.bv == (True,)
+    assert phi.n_tasks == 2 and phi.n_phasers == 1
+    assert phi.seqs[1] is None
 
 
 def test_partial_config_parse_errors():
     with pytest.raises(RecordFormatError):
-        parse_partial_config("config {\n}", NO_BOOLS)
+        read("config {\n}", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_partial_config("partial-config {\n  tasks 1\n", NO_BOOLS)
+        read("partial-config {\n  tasks 1\n", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_partial_config(
-            "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p\n}", NO_BOOLS
-        )
+        read("partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p\n}", NO_BOOLS)
     with pytest.raises(RecordFormatError):
-        parse_partial_config("partial-config {\n  phasers 1\n}", NO_BOOLS)
+        read("partial-config {\n  phasers 1\n}", NO_BOOLS)
     for line in (
         "tasks",
         'seq t0 "wait(p"',
+        'seq t0 "drop(p); } wait(p);"',
         "tasks inf",
         "phase t5 p0 var=p nreg",
         "phase t0 p1 var=p nreg",
         "phase t0 p0 var=p w=-1 s=0",
         "bv a=maybe",
+        "gap t0 p0 var=p nreg",
     ):
         text = f"partial-config {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
         with pytest.raises(RecordFormatError, match=r"^line 4: "):
-            parse_partial_config(text, PC_PROGRAM)
-    with pytest.raises(RecordFormatError, match="one record"):
-        parse_partial_config(PC_TEXT + PC_TEXT, PC_PROGRAM)
+            read(text, PC_PROGRAM)
+
+
+def test_a_target_file_holds_records_of_both_kinds():
+    # several partial-config records, and constraints between them, each
+    # read by its own header; a comment before the first header names
+    # the other kind and holds a brace without changing the reading
+    [phi], [] = read(PC_TEXT, PC_PROGRAM)
+    target = registration_error_targets(PC_PROGRAM)[0]
+    constraint = constraint_to_text(target, PC_PROGRAM)
+    text = "\n".join(["# partial-config { or constraint {", PC_TEXT, constraint, PC_TEXT])
+    assert read(text, PC_PROGRAM) == ([phi, target, phi], [])
+    # a record pinning a sequence no task reaches is left out, by its line
+    unreached = PC_TEXT.replace("wait(p); drop(p);", "drop(p); drop(p);")
+    opened = len(constraint.splitlines()) + 2
+    assert read(constraint + "\n" + unreached, PC_PROGRAM) == ([target], [opened])
+
+
+def test_a_wrong_header_names_both_kinds():
+    both = "expected 'constraint {' or 'partial-config {'"
+    for text, message in [
+        ("# a comment\nconfig {\n}", f"line 2: {both}, found 'config {{'"),
+        ("# no record\n", f"line 2: {both}"),
+    ]:
+        with pytest.raises(RecordFormatError) as e:
+            read(text, NO_BOOLS)
+        assert str(e.value) == message
 
 
 def test_from_partial_config_models_match_inclusion():
     program = PC_PROGRAM
-    pc, [phi] = parse_partial_config(PC_TEXT, program)
+    [phi], [] = read(PC_TEXT, program)
     assert phi.gaps[0][0] == Gap("p", (0, 1, 0, 1))  # level 1 = max wait
     assert phi.gaps[1][0] == Gap(ANY, None)
     seqs = (program.seq_ids[parse_seq("wait(p); drop(p);")], program.seq_ids[()])
@@ -191,28 +226,26 @@ def test_from_partial_config_models_match_inclusion():
         seqs=seqs,
         phases=((("p", Reg("SIG_WAIT", 1, 2)),), (("q", None),)),
     )
-    assert includes(c, pc, program.suffixes)
+    assert includes(c, PC, program.suffixes)
     assert models(c, phi)
     off_level = Configuration(
         bv=(True,),
         seqs=seqs,
         phases=((("p", Reg("SIG_WAIT", 0, 2)),), (("q", None),)),
     )
-    assert not includes(off_level, pc, program.suffixes)
+    assert not includes(off_level, PC, program.suffixes)
     assert not models(off_level, phi)
 
 
 def test_from_partial_config_unconstrained_cells_stay_optional():
-    pc = PartialConfiguration(bv=(), seqs=(None,), phase=((None,),))
-    [phi] = from_partial_config(pc, NO_BOOLS)
+    [phi], [] = read("partial-config {\n  tasks 1\n  phasers 1\n}", NO_BOOLS)
     assert phi.gaps[0][0] == OPT_FREE
 
 
 def test_from_partial_config_rejects_level_inconsistency():
-    pc = PartialConfiguration(
-        bv=(),
-        seqs=(None, None),
-        phase=((("p", (2, 2)),), (("p", (0, 1)),)),
+    text = (
+        "partial-config {\n  tasks 2\n  phasers 1\n"
+        "  phase t0 p0 var=p w=2 s=2\n  phase t1 p0 var=p w=0 s=1\n}"
     )
-    with pytest.raises(ValueError, match="level-consistent"):
-        from_partial_config(pc, NO_BOOLS)
+    with pytest.raises(RecordFormatError, match="^line 1: partial configuration is not level"):
+        read(text, NO_BOOLS)
