@@ -25,12 +25,14 @@ from contextlib import nullcontext
 
 from .concrete import Bounds, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
-from .parser import ParseError, natural, parse
-from .symbolic import constraint_to_text, natural_or_inf
+from .parser import ParseError, parse
 from .syntax import validate
 from .targets import (
     assertion_targets,
+    constraint_to_text,
     cyclic_wait_targets,
+    natural,
+    natural_or_inf,
     read_targets,
     registration_error_targets,
 )
@@ -61,14 +63,17 @@ class UsageError(Exception):
 
 def _open(path: str, mode: str = "r"):
     try:
-        return open(path, mode)
+        return open(path, mode, encoding="utf-8")
     except OSError as e:
         raise UsageError(str(e))
 
 
 def _read(path: str) -> str:
     with _open(path) as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise UsageError(str(e), path)
 
 
 def _load_program(args, check: bool = True):

@@ -57,10 +57,11 @@ only the first site and ``W``'s ``q`` only the second, so no column may
 have both.  This is exact: a phaser comes from exactly one site, and a
 task's variable names only phasers of the sites its type and variable
 hold.
-These static limits, with ``k``, filter the targets; ``check`` hands
-them to ``pre``, which never builds a predecessor that fails the row
-test or the column cap, and drops those that fail the column test
-before it puts them into canonical form.
+These static limits, with ``k``, filter the targets.  ``check`` hands
+the row test and the column cap to ``pre``, which never builds a
+predecessor that fails them; the column test is the first test of
+``check``'s ``keep``, which ``pre`` applies before it puts a
+predecessor into canonical form.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
 the number of ``newPhaser`` sites.

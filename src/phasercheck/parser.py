@@ -18,7 +18,6 @@ Surface syntax (statements end with ';', bodies in braces, '//' comments):
 from __future__ import annotations
 
 import re
-import shlex
 from dataclasses import dataclass
 
 from .control import Program, TaskDef
@@ -43,7 +42,6 @@ from .syntax import (
     Signal,
     Wait,
     While,
-    seq_to_str,
     validate,
 )
 
@@ -345,139 +343,3 @@ def parse_seq(text: str):
     if p.peek().kind != "eof":
         p.fail(f"unexpected {p.peek().text!r} after the sequence")
     return seq
-
-
-# ---------------------------------------------------------------------------
-# Record-style target files (constraints and partial configurations)
-
-
-class RecordFormatError(ValueError):
-    """A malformed target file; the message starts with ``line N:``."""
-
-
-_BV_VALUES = {"true": True, "false": False, "*": None}
-
-
-def natural(word: str) -> int:
-    if not word.isdigit():
-        raise ValueError(f"expected a natural number, found {word!r}")
-    return int(word)
-
-
-def record_fields(words, keys, flags):
-    """Split words into ``key=value`` pairs (keys from ``keys``) and bare
-    flags (from ``flags``); any other word is an error."""
-    kv, seen = {}, set()
-    for w in words:
-        k, eq, v = w.partition("=")
-        if eq and k in keys:
-            kv[k] = v
-        elif not eq and w in flags:
-            seen.add(w)
-        else:
-            raise ValueError(f"unexpected {w!r}")
-    return kv, seen
-
-
-def read_records(text: str, formats, bool_vars) -> list:
-    """Read every record of a target file as a tuple (header, opening
-    line, bv, seqs, phaser count, cells); ``formats`` maps each record
-    header to its cell tags, and each record's own header line picks
-    them.
-
-    Blank lines and ``#`` lines are skipped.  All formats share the lines
-    ``bv name=true|false|*``, ``tasks N``, ``phasers N`` and
-    ``seq tI "statements"|*``.  Cell tags map every other tag to
-    (index letters, reader): with letters ``"tp"`` the tag is followed by
-    ``tI pJ``, with ``"p"`` by ``pJ``, and ``reader`` turns the remaining
-    words into the value of ``cells[(tag, I, J)]`` or ``cells[(tag, J)]``.
-    """
-    lines = text.splitlines()
-    headers = {f"{header} {{": header for header in formats}
-    expected = " or ".join(map(repr, headers))
-    records, body = [], None
-    for n, ln in enumerate(map(str.strip, lines), 1):
-        if not ln or ln.startswith("#"):
-            continue
-        if body is None:
-            if ln not in headers:
-                raise RecordFormatError(f"line {n}: expected {expected}, found {ln!r}")
-            header, body, opened = headers[ln], [], n
-        elif ln == "}":
-            records.append((header, *_read_record(opened, body, bool_vars, formats[header])))
-            body = None
-        else:
-            body.append((n, ln))
-    if body is not None:
-        raise RecordFormatError(f"line {opened}: unterminated {header} record")
-    if not records:
-        raise RecordFormatError(f"line {len(lines) + 1}: expected {expected}")
-    return records
-
-
-def write_record(header: str, bool_vars, bv, seqs, n_phasers: int, cells) -> str:
-    """One record in the form ``read_records`` reads; ``cells`` are the
-    format's own lines, without indentation."""
-    values = {v: word for word, v in _BV_VALUES.items()}
-    lines = [f"{header} {{"]
-    lines += [f"bv {name}={values[v]}" for name, v in zip(bool_vars, bv)]
-    lines += [f"tasks {len(seqs)}", f"phasers {n_phasers}"]
-    lines += [
-        f"seq t{t} " + ("*" if seq is None else f'"{seq_to_str(seq)}"')
-        for t, seq in enumerate(seqs)
-    ]
-    return "\n  ".join(lines + list(cells)) + "\n}"
-
-
-def _read_seq(words):
-    if len(words) != 1:
-        raise ValueError('expected seq tI "statements" or *')
-    return None if words[0] == "*" else parse_seq(words[0])
-
-
-def _read_record(opened: int, body, bool_vars, cell_tags) -> tuple:
-    tags = {"seq": ("t", _read_seq), **cell_tags}
-    bv = dict.fromkeys(bool_vars)
-    counts, cells = {}, {}
-    indices = []  # (line, letter, index), checked once the counts are known
-    for n, ln in body:
-        try:
-            tag, *words = shlex.split(ln)
-            if tag == "bv":
-                for w in words:
-                    k, _, v = w.partition("=")
-                    if k not in bv or v not in _BV_VALUES:
-                        raise ValueError(f"expected name=true|false|* for a declared name, found {w!r}")
-                    bv[k] = _BV_VALUES[v]
-            elif tag in ("tasks", "phasers"):
-                if len(words) != 1:
-                    raise ValueError(f"expected '{tag} N'")
-                counts[tag] = natural(words[0])
-                if tag == "tasks" and counts[tag] == 0:
-                    raise ValueError("a record has at least one task")
-            elif tag in tags:
-                letters, read = tags[tag]
-                key = (tag,)
-                # padded, so that a missing index reads as "" and fails
-                for letter, w in zip(letters, words + [""] * len(letters)):
-                    if re.fullmatch(letter + r"\d+", w) is None:
-                        raise ValueError(f"expected {letter}N after {tag!r}, found {w!r}")
-                    key += (int(w[1:]),)
-                    indices.append((n, letter, key[-1]))
-                cells[key] = read(words[len(letters):])
-            else:
-                raise ValueError(f"unknown record line {ln!r}")
-        except ParseError as e:
-            raise RecordFormatError(f"line {n}: bad control sequence: {e.message}") from None
-        except ValueError as e:
-            raise RecordFormatError(f"line {n}: {e}") from None
-    if len(counts) != 2:
-        raise RecordFormatError(f"line {opened}: missing 'tasks' or 'phasers' count")
-    limits = {"t": counts["tasks"], "p": counts["phasers"]}
-    for n, letter, i in indices:
-        if i >= limits[letter]:
-            raise RecordFormatError(
-                f"line {n}: {letter}{i} is out of range (only {limits[letter]} declared)"
-            )
-    seqs = tuple(cells.get(("seq", t)) for t in range(counts["tasks"]))
-    return opened, tuple(bv[name] for name in bool_vars), seqs, counts["phasers"], cells

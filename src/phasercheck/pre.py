@@ -18,9 +18,10 @@ The control steps are the program's id tables: a head statement
 condition's taken branch first.  Constraints name control sequences by
 those ids, so ``pre`` unfolds, hashes and compares no sequence itself.
 Given a run's static limits, ``pre`` tests each predecessor's control
-sequences and column count before it builds any of its cells, and the
-variables of its columns before it puts it into canonical form, so
-``check`` never sees a predecessor that the limits reject.
+sequences and column count before it builds any of its cells.  The
+variables of its columns are the first test of ``check``'s ``keep``,
+which ``pre`` applies before it puts a predecessor into canonical form,
+so ``check`` never sees a predecessor that the limits reject.
 
 A barrier step has no transformer: its atomic whole-body macro step
 cannot be captured exactly by per-statement reversal, so ``check``
@@ -32,16 +33,16 @@ from __future__ import annotations
 import itertools
 
 from .symbolic import (
-    ANY,
     FREE_BOUNDS,
     INF,
-    NO_VAR,
     OPT_FREE,
     Constraint,
     Gap,
     canonical_constraint,
 )
 from .syntax import (
+    ANY,
+    NO_VAR,
     Assert,
     Assign,
     Asynch,

@@ -16,8 +16,8 @@ environment task must satisfy.
 A tracked task's control location is the id of its sequence in the
 program's tables (``control.Program.suffixes``), or None for ``*``, as
 in a concrete configuration: membership, entailment and canonical forms
-compare and sort ints.  Only the text format prints and reads the
-statements, through the program.
+compare and sort ints.  Only the target-record format (``targets``)
+prints and reads the statements, through the program.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .parser import natural, record_fields, write_record
-from .syntax import ANY, NO_VAR
+from .syntax import ANY
 
 INF = float("inf")
 
@@ -61,17 +60,6 @@ class Gap:
 
 
 OPT_FREE = Gap(ANY, FREE_BOUNDS, True)
-
-
-def gap_valid(g: Gap) -> bool:
-    if g.bounds is None:
-        return not g.opt
-    lw, ls, uw, us = g.bounds
-    if lw < 0 or ls < 0:
-        return False
-    if (uw == INF) != (us == INF):
-        return False
-    return lw <= uw and ls <= us
 
 
 @dataclass(frozen=True)
@@ -121,19 +109,6 @@ class Constraint:
             total = _clamped_sum(total, r)
         shape = (min(self.n_tasks, _CLAMP) << _FIELD) | min(self.n_phasers, _CLAMP)
         return ((total << 2 * _FIELD) | shape, *rows, *cols)
-
-
-def constraint_valid(phi: Constraint) -> bool:
-    if phi.n_tasks == 0:
-        return False
-    if len(phi.gaps) != phi.n_tasks:
-        return False
-    for row in phi.gaps:
-        if len(row) != phi.n_phasers:
-            return False
-        if not all(gap_valid(g) for g in row):
-            return False
-    return all(ew >= 0 and es >= 0 for ew, es in phi.egaps)
 
 
 def is_free(phi: Constraint) -> bool:
@@ -409,77 +384,3 @@ def canonical_constraint(phi: Constraint) -> Constraint:
         tuple(tuple(phi.gaps[t][p] for p in porder) for t in torder),
         tuple(phi.egaps[p] for p in porder),
     )
-
-
-# ---------------------------------------------------------------------------
-# Text serialization
-
-
-def _num(x) -> str:
-    return "inf" if x == INF else str(x)
-
-
-def constraint_to_text(phi: Constraint, program) -> str:
-    """One constraint record; its sequence ids name ``program``'s
-    sequences."""
-    cells = []
-    for t in range(phi.n_tasks):
-        for p in range(phi.n_phasers):
-            g = phi.gaps[t][p]
-            if g.bounds is None:
-                cells.append(f"gap t{t} p{p} var={g.var} nreg")
-            else:
-                lw, ls, uw, us = g.bounds
-                opt = " opt" if g.opt else ""
-                cells.append(
-                    f"gap t{t} p{p} var={g.var}{opt} "
-                    f"lw={_num(lw)} ls={_num(ls)} uw={_num(uw)} us={_num(us)}"
-                )
-    cells += [f"env p{p} ew={ew} es={es}" for p, (ew, es) in enumerate(phi.egaps)]
-    seqs = tuple(None if s is None else program.suffixes[s] for s in phi.seqs)
-    return write_record("constraint", program.bool_vars, phi.bv, seqs, phi.n_phasers, cells)
-
-
-def natural_or_inf(word: str):
-    """A natural number, or ``INF`` for ``inf``: gap uppers, ``--k``, ``--b``."""
-    return INF if word == "inf" else natural(word)
-
-
-def _read_gap(words) -> Gap:
-    kv, flags = record_fields(words, ("var", "lw", "ls", "uw", "us"), ("nreg", "opt"))
-    var = kv.pop("var", ANY)
-    if "nreg" in flags:
-        return Gap(var, None)
-    if len(kv) != 4:
-        raise ValueError("a gap needs lw=, ls=, uw= and us= (or nreg)")
-    uppers = natural_or_inf(kv["uw"]), natural_or_inf(kv["us"])
-    bounds = (natural(kv["lw"]), natural(kv["ls"]), *uppers)
-    return Gap(var, bounds, "opt" in flags)
-
-
-def _read_env(words) -> tuple:
-    kv, _ = record_fields(words, ("ew", "es"), ())
-    if len(kv) != 2:
-        raise ValueError("env needs ew= and es=")
-    return natural(kv["ew"]), natural(kv["es"])
-
-
-CONSTRAINT_CELLS = {"gap": ("tp", _read_gap), "env": ("p", _read_env)}
-
-
-def constraint_from_record(bv, seqs, n_phasers: int, cells) -> Constraint:
-    """The constraint a ``constraint`` record states over the sequence
-    ids ``seqs``; unstated cells are optional free.  Raises ValueError
-    when its gap bounds are invalid."""
-    phi = Constraint(
-        bv=bv,
-        seqs=seqs,
-        gaps=tuple(
-            tuple(cells.get(("gap", t, p), OPT_FREE) for p in range(n_phasers))
-            for t in range(len(seqs))
-        ),
-        egaps=tuple(cells.get(("env", p), (0, 0)) for p in range(n_phasers)),
-    )
-    if not constraint_valid(phi):
-        raise ValueError("invalid gap bounds in constraint")
-    return phi

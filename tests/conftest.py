@@ -5,7 +5,8 @@ import pytest
 
 from phasercheck.concrete import Bounds, Configuration, Reg, explore
 from phasercheck.parser import parse
-from phasercheck.symbolic import ANY, INF, Constraint, Gap, NO_VAR
+from phasercheck.symbolic import ANY, INF, Constraint, Gap
+from phasercheck.syntax import NO_VAR
 
 from oracles import is_well_formed
 

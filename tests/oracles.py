@@ -5,15 +5,46 @@ import itertools
 from dataclasses import dataclass
 
 from phasercheck.concrete import Configuration, Reg
-from phasercheck.parser import write_record
 from phasercheck.pre import pre
 from phasercheck.symbolic import (
+    INF,
     Constraint,
+    Gap,
     entails,
     gap_leq,
     is_free,
 )
 from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, If, Ndet, NextBlock, Not, Or, While
+from phasercheck.targets import write_record
+
+
+def gap_valid(g: Gap) -> bool:
+    """Whether a cell is well formed: an unregistered cell is certain,
+    lowers are natural, uppers are both finite or both infinite, and no
+    lower is above its upper."""
+    if g.bounds is None:
+        return not g.opt
+    lw, ls, uw, us = g.bounds
+    if lw < 0 or ls < 0:
+        return False
+    if (uw == INF) != (us == INF):
+        return False
+    return lw <= uw and ls <= us
+
+
+def constraint_valid(phi: Constraint) -> bool:
+    """Whether a constraint is well formed: at least one row, every row
+    one valid cell per column, and natural environment bounds."""
+    if phi.n_tasks == 0:
+        return False
+    if len(phi.gaps) != phi.n_tasks:
+        return False
+    for row in phi.gaps:
+        if len(row) != phi.n_phasers:
+            return False
+        if not all(gap_valid(g) for g in row):
+            return False
+    return all(ew >= 0 and es >= 0 for ew, es in phi.egaps)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from phasercheck.concrete import (
     step_choices,
 )
 from phasercheck.pre import pre
-from phasercheck.symbolic import NO_VAR, models
-from phasercheck.syntax import Drop, NewPhaser, Signal, Wait
+from phasercheck.symbolic import models
+from phasercheck.syntax import NO_VAR, Drop, NewPhaser, Signal, Wait
 from phasercheck.targets import (
     assertion_targets,
     cyclic_wait_targets,

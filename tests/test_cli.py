@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import phasercheck
 from phasercheck import targets
 from phasercheck.cli import main
-from phasercheck.symbolic import constraint_to_text
-from phasercheck.targets import cyclic_wait_targets
+from phasercheck.targets import constraint_to_text, cyclic_wait_targets
 
 from conftest import CORPUS, load
 from test_parser import MODE_MISMATCH
@@ -85,6 +84,17 @@ def test_too_deep_nesting_exits_2(tmp_path, capsys, cmd, kind):
     assert run(cmd, str(src)) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(rf"{re.escape(str(src))}: \d+:\d+: nesting deeper than 100 levels\n", err)
+
+
+@pytest.mark.parametrize("cmd", ["parse", "explore", "check"])
+def test_a_program_that_is_not_utf8_exits_2(tmp_path, capsys, cmd):
+    # an input error, not a crash: for check, exit 1 would read "reachable"
+    src = tmp_path / "latin1.phz"
+    src.write_bytes(b"main(){ \xff exit; }")
+    assert run(cmd, str(src)) == 2
+    assert capsys.readouterr() == (
+        "", f"{src}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+    )
 
 
 @pytest.mark.parametrize("cmd", ["parse", "explore", "check"])
@@ -238,8 +248,15 @@ T(p, q){
             MODE_MISMATCH,
             "task main: asynch(W, ...) registers 'p' as SIG_WAIT, but W declares 'p' as SIG",
         ),
+        ("T(){ exit; }", "no main task"),
+        ("main(){ exit; } main(){ exit; }", "duplicate task name 'main'"),
+        ("main(p){ exit; }", "main must have no parameters"),
+        ("main(){ exit; } W(p, p){ exit; }", "task W: duplicate parameters"),
     ],
-    ids=["nested_barrier", "undeclared", "mode_mismatch"],
+    ids=[
+        "nested_barrier", "undeclared", "mode_mismatch",
+        "no_main", "duplicate_main", "main_parameters", "duplicate_parameters",
+    ],
 )
 def test_invalid_programs_exit_2_with_an_unlocated_message(cmd, text, message, tmp_path, capsys):
     src = tmp_path / "bad.phz"
@@ -586,6 +603,15 @@ MALFORMED_TARGETS = [
     "partial-config {\n  tasks 2\n  phasers 1\n  phase t0 p0 var=p w=2 s=2\n  phase t1 p0 var=p w=0 s=1\n}",
     # text after the sequence's closing brace
     'partial-config {\n  tasks 1\n  phasers 1\n  seq t0 "drop(p); } signal(p);"\n}',
+    "constraint {\n  tasks 1\n  phasers 1\n  env p0 ew=1\n}",
+    # a statement made twice
+    "constraint {\n  tasks 1\n  phasers 0\n  tasks 1\n}",
+    "partial-config {\n  tasks 1\n  phasers 0\n  phasers 0\n}",
+    'constraint {\n  tasks 1\n  phasers 0\n  seq t0 *\n  seq t0 "assert(a);"\n}',
+    "partial-config {\n  bv a=true\n  tasks 1\n  phasers 0\n  bv a=true\n}",
+    "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=p nreg\n  gap t0 p0 var=p nreg\n}",
+    "constraint {\n  tasks 1\n  phasers 1\n  env p0 ew=0 es=0\n  env p0 ew=1 es=0\n}",
+    "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p free\n  phase t0 p0 var=p nreg\n}",
 ]
 
 
@@ -598,6 +624,19 @@ def test_check_malformed_target_names_the_line(tmp_path, capsys, text):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith(f"{target}: line ")
+
+
+def test_check_rejects_a_record_that_states_a_line_twice(tmp_path, capsys):
+    # read with the later value of each line, this record would pin no
+    # sequence and so would decide "unreachable" on no target at all
+    target = tmp_path / "twice.txt"
+    target.write_text(
+        "constraint {\n  tasks 1\n  phasers 1\n  tasks 2\n  gap t0 p0 var=p nreg\n"
+        "  gap t0 p0 var=p lw=0 ls=0 uw=inf us=inf\n}\n"
+    )
+    argv = ["check", path("sigwait_ok"), "--property", "custom", "--target", str(target)]
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"{target}: line 4: 'tasks' repeats line 2\n")
 
 
 @pytest.mark.parametrize(

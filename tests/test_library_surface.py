@@ -1,12 +1,13 @@
 """The library ships only what its commands and engines use: every
 top-level function, class and assigned name (dunders aside) of
 ``phasercheck`` is read somewhere in the package outside its own
-statement, and so is every method and property of its classes.  Test-only reference code lives in
-``tests/oracles.py``.  Every parameter is read, and one function reads
-target records.  No module imports another's underscore-prefixed
-name, no module-level state is mutated or patched, and no module runs a
-bare call when it is imported.  Test modules read every name they
-import."""
+statement, and so is every method and property of its classes.
+Test-only reference code lives in ``tests/oracles.py``.  Every
+parameter is read.  Only ``parser`` and ``targets`` read text: the
+layers below them import neither.  No module imports another's
+underscore-prefixed name, no module-level state is mutated or patched,
+and no module runs a bare call when it is imported.  Test modules read
+every name they import."""
 
 import ast
 from pathlib import Path
@@ -103,16 +104,42 @@ class C:
     assert sorted(_unread_parameters(ast.parse(src))) == ["lambda:y", "method:a", "unused:c"]
 
 
-def test_one_caller_reads_target_records():
-    callers = []
-    for path in sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "read_records":
-                    callers.append(path.stem)
-    assert callers == ["targets"]
+# the layers below the commands meet no text: programs reach them
+# parsed, and targets built
+TEXT_FREE = {"syntax", "control", "symbolic", "pre", "engine", "concrete"}
+
+
+def _imports(path) -> set:
+    """The modules a source file imports: a module of the package by its
+    own name (``from .parser import`` gives ``parser``), any other by its
+    top-level name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module is None:
+                names |= {a.name for a in node.names}
+            elif node.level:
+                names.add(node.module.split(".")[0])
+            else:
+                names.add(node.module.removeprefix("phasercheck.").split(".")[0])
+    return names
+
+
+def test_only_the_text_layers_read_text():
+    # programs are read by ``parser``, and target records only by
+    # ``targets``, the one module that splits words with ``shlex``
+    paths = sorted(Path(phasercheck.__file__).resolve().parent.glob("*.py"))
+    assert TEXT_FREE <= {path.stem for path in paths}
+    found = []
+    for path in paths:
+        imports = _imports(path)
+        if path.stem in TEXT_FREE:
+            found += [f"{path.stem} imports {m}" for m in sorted(imports & {"parser", "targets"})]
+        if path.stem != "targets" and "shlex" in imports:
+            found.append(f"{path.stem} imports shlex")
+    assert found == []
 
 
 def test_no_module_imports_a_private_name_of_another():

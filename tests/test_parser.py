@@ -69,6 +69,23 @@ def test_parse_error_has_position():
 
 
 @pytest.mark.parametrize(
+    "src, message",
+    [
+        ("main(){ p = newPhaser(); asynch(W, p:FOO); } W(p){ }", "1:38: unknown registration mode 'FOO'"),
+        ("main(){ # }", "1:9: unexpected character '#'"),
+        ("", "1:1: expected at least one task definition"),
+        ("bool a; main(){ assert(); }", "1:24: expected a condition"),
+        ("main(){ ; }", "1:9: expected a statement, found ';'"),
+        ("main(){ exit;", "1:14: expected a statement, found 'end of input'"),
+    ],
+)
+def test_syntax_errors_name_their_position(src, message):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
     "prefix, opener, middle, closer, suffix",
     [
         ("", "if(ndet()){", "", "}", ""),

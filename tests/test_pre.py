@@ -7,7 +7,7 @@ from phasercheck.concrete import Bounds, explore
 from phasercheck.engine import Unreachable, check
 from phasercheck.parser import parse, parse_seq
 from phasercheck.pre import pre, pre_stmt
-from phasercheck.symbolic import INF, Constraint, Gap, constraint_valid, canonical_constraint, is_free
+from phasercheck.symbolic import INF, Constraint, Gap, canonical_constraint, is_free
 from phasercheck.syntax import NewPhaser
 from phasercheck.targets import (
     assertion_targets,
@@ -16,7 +16,7 @@ from phasercheck.targets import (
 )
 
 from conftest import FINITE_PROGRAMS, load
-from oracles import preserves_freeness_check
+from oracles import constraint_valid, preserves_freeness_check
 from test_engine import SPAWNED_TWICE, _with
 from sandwich import (
     constraint_pool,

@@ -1,7 +1,7 @@
 import pytest
 
 from phasercheck.concrete import Configuration, Reg
-from phasercheck.parser import RecordFormatError, parse
+from phasercheck.parser import parse
 from phasercheck.symbolic import (
     ANY,
     FREE_BOUNDS,
@@ -10,24 +10,24 @@ from phasercheck.symbolic import (
     Constraint,
     Gap,
     canonical_constraint,
-    constraint_to_text,
     entails,
     fits,
     gap_leq,
-    gap_valid,
     is_b_good,
     is_free,
     models,
 )
 from phasercheck.targets import (
+    RecordFormatError,
     assertion_targets,
+    constraint_to_text,
     cyclic_wait_targets,
     read_targets,
     registration_error_targets,
 )
 
 from conftest import CORPUS, load, rand_constraint, sample_model, strengthen
-from oracles import decode, encode, encoding_entails, entails_by_permutations, minimize
+from oracles import decode, encode, encoding_entails, entails_by_permutations, gap_valid, minimize
 
 NREG = Gap(ANY, None)
 FREE = Gap(ANY, FREE_BOUNDS)
@@ -457,6 +457,13 @@ def test_parse_constraints_rejects_malformed():
         "gap t0 p0 var=p",
         "env p0 ew=inf es=0",
         "bv a=maybe",
+        # bad gap bounds, at the gap's own line
+        "gap t0 p0 var=p lw=2 ls=0 uw=1 us=0",
+        "gap t0 p0 var=p lw=0 ls=1 uw=1 us=0",
+        "gap t0 p0 var=p lw=0 ls=0 uw=inf us=3",
+        # a statement made twice
+        "tasks 1",
+        "bv a=true a=false",
     ):
         text = f"constraint {{\n  tasks 1\n  phasers 1\n  {line}\n}}"
         with pytest.raises(RecordFormatError, match=r"^line 4: "):

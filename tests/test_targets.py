@@ -1,12 +1,13 @@
 import pytest
 
 from phasercheck.concrete import Configuration, Reg
-from phasercheck.parser import RecordFormatError, parse, parse_seq
+from phasercheck.parser import parse, parse_seq
 from phasercheck.symbolic import ANY, OPT_FREE, Gap, entails, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
-from phasercheck.symbolic import constraint_to_text
 from phasercheck.targets import (
+    RecordFormatError,
     assertion_targets,
+    constraint_to_text,
     cyclic_wait_targets,
     read_targets,
     registration_error_targets,
@@ -202,6 +203,22 @@ def test_a_target_file_holds_records_of_both_kinds():
     unreached = PC_TEXT.replace("wait(p); drop(p);", "drop(p); drop(p);")
     opened = len(constraint.splitlines()) + 2
     assert read(constraint + "\n" + unreached, PC_PROGRAM) == ([target], [opened])
+
+
+def test_a_statement_made_twice_names_both_lines():
+    record = "{header} {{\n  bv a=true\n  tasks 2\n  phasers 1\n  {first}\n  {again}\n}}"
+    for header, first, again, message in [
+        ("constraint", "seq t0 *", "tasks 1", "line 6: 'tasks' repeats line 3"),
+        ("constraint", "seq t0 *", "phasers 1", "line 6: 'phasers' repeats line 4"),
+        ("partial-config", "seq t1 *", "seq t1 *", "line 6: 'seq t1' repeats line 5"),
+        ("partial-config", "seq t0 *", "bv a=*", "line 6: 'bv a' repeats line 2"),
+        ("constraint", "gap t0 p0 var=p nreg", "gap t0 p0 var=q nreg", "line 6: 'gap t0 p0' repeats line 5"),
+        ("constraint", "env p0 ew=0 es=0", "env p0 ew=0 es=0", "line 6: 'env p0' repeats line 5"),
+        ("partial-config", "phase t1 p0 free", "phase t1 p0 nreg", "line 6: 'phase t1 p0' repeats line 5"),
+    ]:
+        with pytest.raises(RecordFormatError) as e:
+            read(record.format(header=header, first=first, again=again), PC_PROGRAM)
+        assert str(e.value) == message
 
 
 def test_a_wrong_header_names_both_kinds():
