@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 from .concrete import Bounds, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
@@ -103,12 +104,7 @@ def cmd_parse(args) -> int:
 
 def cmd_explore(args) -> int:
     program = _load_program(args)
-    bounds = Bounds(
-        max_steps=args.max_steps,
-        max_tasks=args.max_tasks,
-        max_phasers=args.max_phasers,
-        max_phase=args.max_phase,
-    )
+    bounds = Bounds(**{f.name: getattr(args, f.name) for f in fields(Bounds)})
     # open the graph file first, so a bad path fails before exploring
     with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
         result = explore(program, bounds, record_graph=graph is not None)
@@ -203,8 +199,20 @@ def cmd_check(args) -> int:
 def positive(text: str) -> int:
     n = natural(text)
     if n == 0:
-        raise ValueError(text)
+        raise ValueError(f"expected a positive number, found {text!r}")
     return n
+
+
+def _option(read):
+    """An argparse type that reports ``read``'s own message."""
+
+    def option(text: str):
+        try:
+            return read(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return option
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("explore", help="bounded concrete exploration")
     e.add_argument("file")
-    e.add_argument("--max-steps", type=natural, default=10000)
-    e.add_argument("--max-tasks", type=natural, default=4)
-    e.add_argument("--max-phasers", type=natural, default=4)
-    e.add_argument("--max-phase", type=natural, default=6)
+    for f in fields(Bounds):
+        e.add_argument("--" + f.name.replace("_", "-"), type=_option(natural), default=f.default)
     e.add_argument("--dump", action="store_true", help="print every configuration")
     e.add_argument("--graph", metavar="PATH", help="write the state graph (dot format)")
     e.set_defaults(func=cmd_explore)
@@ -238,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="assert",
     )
     c.add_argument("--target", metavar="PATH", help="target file for --property custom")
-    c.add_argument("--k", type=natural_or_inf, help="max tracked phasers (default: inferred)")
-    c.add_argument("--b", type=natural_or_inf, default=1, help="max finite gap upper (default: 1)")
-    c.add_argument("--budget", type=natural, help="give up after N pops (default: none)")
-    c.add_argument("--slack", type=natural, default=1, help="cyclic-wait distance bound")
-    c.add_argument("--max-cycle", type=positive, default=2, help="max wait-cycle length")
+    c.add_argument("--k", type=_option(natural_or_inf), help="max tracked phasers (default: inferred)")
+    c.add_argument("--b", type=_option(natural_or_inf), default=1, help="max finite gap upper (default: 1)")
+    c.add_argument("--budget", type=_option(natural), help="give up after N pops (default: none)")
+    c.add_argument("--slack", type=_option(natural), default=1, help="cyclic-wait distance bound")
+    c.add_argument("--max-cycle", type=_option(positive), default=2, help="max wait-cycle length")
     c.add_argument("--validate", action="store_true", help="replay the trace concretely")
     c.add_argument("--progress", action="store_true", help="ndjson progress on stderr")
     c.set_defaults(func=cmd_check)

@@ -41,6 +41,7 @@ from .syntax import (
     Wait,
     While,
     cond_outcomes,
+    seq_to_str,
 )
 
 
@@ -425,7 +426,7 @@ def config_to_text(c: Configuration, p: Program) -> str:
     for name, val in zip(p.bool_vars, c.bv):
         lines.append(f"  bv {name}={'true' if val else 'false'}")
     for t in range(c.n_tasks):
-        seq = " ".join(map(str, p.suffixes[c.seqs[t]])) or "<done>"
+        seq = seq_to_str(p.suffixes[c.seqs[t]]) or "<done>"
         lines.append(f'  task t{t} seq "{seq}"')
     for t in range(c.n_tasks):
         for pi in range(c.n_phasers):

@@ -10,9 +10,10 @@ files, the writer of constraint records and their number words.
   concrete semantics.)
 * cyclic wait: a cycle of tasks, each blocked at a wait because the next
   task's signal sits exactly at the waiting task's wait value.  ``slack``
-  bounds the enumerated distances between the cycle members' other phase
-  values and the per-phaser level; real deadlocks with larger distances
-  need a larger slack.
+  is the upper of the interval that bounds each cycle member's other
+  phase values (its own signal above the level, its wait below the level
+  of the phaser it blocks); real deadlocks with larger distances need a
+  larger slack.
 
 Each builder returns every target it enumerates, in the order of
 ``Program.suffixes``, redundant ones included: ``check``'s antichain store
@@ -103,41 +104,26 @@ def registration_error_targets(program) -> list:
 
 
 def cyclic_wait_targets(program, max_cycle: int = 2, slack: int = 1) -> list:
-    """Wait cycles of lengths 1..max_cycle.  Task i waits on phaser i with
-    its wait value at the level; task i+1 (mod the cycle length) holds a
-    signal on phaser i at that same level, falsifying the guard."""
+    """Wait cycles of lengths 1..max_cycle, one target per tuple of wait
+    heads.  Task i waits on phaser i with its wait value at the level and
+    its signal at most ``slack`` above it; task i+1 (mod the cycle length)
+    holds a signal on phaser i at that same level, falsifying the guard,
+    and its wait at most ``slack`` below it."""
     heads = program.heads
     waits = [i for i, head in enumerate(heads) if isinstance(head, Wait)]
     wild_bv = tuple(None for _ in program.bool_vars)
     out = []
     for m in range(1, max_cycle + 1):
         for seqs in itertools.product(waits, repeat=m):
-            if m == 1:
-                dist_space = [()]
-            else:
-                # per cycle member: own signal distance d_i above the level
-                # where it waits, own wait distance e_i below the level
-                # where it blocks
-                dist_space = itertools.product(
-                    itertools.product(range(slack + 1), repeat=2), repeat=m
-                )
-            for dists in dist_space:
-                rows = [[OPT_FREE] * m for _ in range(m)]
-                for i in range(m):
-                    v = heads[seqs[i]].var
-                    if m == 1:
-                        rows[0][0] = Gap(v, (0, 0, 0, 0))
-                        continue
-                    d, e = dists[i]
-                    rows[i][i] = Gap(v, (0, d, 0, d))
-                    rows[(i + 1) % m][i] = Gap(ANY, (e, 0, e, 0))
-                phi = Constraint(
-                    bv=wild_bv,
-                    seqs=seqs,
-                    gaps=tuple(tuple(r) for r in rows),
-                    egaps=tuple((0, 0) for _ in range(m)),
-                )
-                out.append(phi)
+            rows = [[OPT_FREE] * m for _ in range(m)]
+            for i, s in enumerate(seqs):
+                rows[(i + 1) % m][i] = Gap(ANY, (0, 0, slack, 0))
+                # met with the blocker's cell when the two are one (a
+                # self-wait), which leaves both distances 0
+                us = min(slack, rows[i][i].bounds[3])
+                rows[i][i] = Gap(heads[s].var, (0, 0, 0, us))
+            gaps = tuple(map(tuple, rows))
+            out.append(Constraint(bv=wild_bv, seqs=seqs, gaps=gaps, egaps=((0, 0),) * m))
     return out
 
 
@@ -153,7 +139,8 @@ _BV_VALUES = {"true": True, "false": False, "*": None}
 
 
 def natural(word: str) -> int:
-    if not word.isdigit():
+    """An ASCII decimal natural number."""
+    if re.fullmatch("[0-9]+", word) is None:
         raise ValueError(f"expected a natural number, found {word!r}")
     return int(word)
 
@@ -353,7 +340,7 @@ def _read_record(opened: int, body, bool_vars, cell_tags) -> tuple:
                 key = (tag,)
                 # padded, so that a missing index reads as "" and fails
                 for letter, w in zip(letters, words + [""] * len(letters)):
-                    if re.fullmatch(letter + r"\d+", w) is None:
+                    if re.fullmatch(letter + "[0-9]+", w) is None:
                         raise ValueError(f"expected {letter}N after {tag!r}, found {w!r}")
                     key += (int(w[1:]),)
                     indices.append((n, letter, key[-1]))

@@ -8,13 +8,14 @@ from phasercheck.concrete import Configuration, Reg
 from phasercheck.pre import pre
 from phasercheck.symbolic import (
     INF,
+    OPT_FREE,
     Constraint,
     Gap,
     entails,
     gap_leq,
     is_free,
 )
-from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, If, Ndet, NextBlock, Not, Or, While
+from phasercheck.syntax import ANY, NO_VAR, And, BoolLit, BoolVar, If, Ndet, NextBlock, Not, Or, Wait, While
 from phasercheck.targets import write_record
 
 
@@ -349,6 +350,46 @@ def minimize(constraints) -> list:
         kept = [psi for psi in kept if not entails(phi, psi)]
         kept.append(phi)
     return kept
+
+
+def point_cyclic_wait_targets(program, max_cycle: int, slack: int) -> list:
+    """Cyclic-wait targets with every distance pinned: per tuple of wait
+    heads, one constraint per integer choice of each cycle member's own
+    signal distance ``d`` above the level of the phaser it waits on and
+    its wait distance ``e`` below the level of the phaser it blocks, both
+    in ``[0, slack]``; a self-wait pins both to 0.  Their union is the
+    target set ``targets.cyclic_wait_targets`` states as intervals."""
+    heads = program.heads
+    waits = [i for i, head in enumerate(heads) if isinstance(head, Wait)]
+    wild_bv = tuple(None for _ in program.bool_vars)
+    out = []
+    for m in range(1, max_cycle + 1):
+        for seqs in itertools.product(waits, repeat=m):
+            if m == 1:
+                dist_space = [()]
+            else:
+                dist_space = itertools.product(
+                    itertools.product(range(slack + 1), repeat=2), repeat=m
+                )
+            for dists in dist_space:
+                rows = [[OPT_FREE] * m for _ in range(m)]
+                for i in range(m):
+                    v = heads[seqs[i]].var
+                    if m == 1:
+                        rows[0][0] = Gap(v, (0, 0, 0, 0))
+                        continue
+                    d, e = dists[i]
+                    rows[i][i] = Gap(v, (0, d, 0, d))
+                    rows[(i + 1) % m][i] = Gap(ANY, (e, 0, e, 0))
+                out.append(
+                    Constraint(
+                        bv=wild_bv,
+                        seqs=seqs,
+                        gaps=tuple(tuple(r) for r in rows),
+                        egaps=tuple((0, 0) for _ in range(m)),
+                    )
+                )
+    return out
 
 
 def partial_config_to_text(pc: PartialConfiguration, bool_vars) -> str:

@@ -21,14 +21,10 @@ from phasercheck.concrete import (
 from phasercheck.pre import pre
 from phasercheck.symbolic import models
 from phasercheck.syntax import NO_VAR, Drop, NewPhaser, Signal, Wait
-from phasercheck.targets import (
-    assertion_targets,
-    cyclic_wait_targets,
-    registration_error_targets,
-)
+from phasercheck.targets import assertion_targets, registration_error_targets
 
 from conftest import rand_constraint, sample_model
-from oracles import minimize
+from oracles import minimize, point_cyclic_wait_targets
 
 
 def seq_pool_of(program):
@@ -48,10 +44,15 @@ def constraint_pool(rng, program, n_random, max_tasks=2, max_phasers=2):
     """Target constraints of all three classes, each class reduced to an
     antichain so that redundant targets do not crowd out the rest, plus
     random constraints over the program's control suffixes and phaser
-    variables."""
+    variables.  The cyclic-wait class is the point enumeration of the
+    default ``--max-cycle 2 --slack 1`` targets."""
     pool = []
-    for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
-        pool.extend(minimize(build(program)))
+    for targets in (
+        assertion_targets(program),
+        registration_error_targets(program),
+        point_cyclic_wait_targets(program, 2, 1),
+    ):
+        pool.extend(minimize(targets))
     seq_pool = seq_pool_of(program)
     vars_ = phaser_vars_of(program) + [NO_VAR]  # unbound cells too
     for _ in range(n_random):

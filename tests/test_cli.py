@@ -173,14 +173,18 @@ def test_closed_stdout_exits_141_quietly():
     [["explore", f"--max-{b}", "-1"] for b in ("steps", "tasks", "phasers", "phase")]
     + [["check", f"--{b}", "-1"] for b in ("k", "b", "budget", "slack")]
     + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"]]
-    + [["check", "--k", "infinity"], ["check", "--b", "INF"], ["check", "--budget", "inf"]],
+    + [["check", "--k", "infinity"], ["check", "--b", "INF"], ["check", "--budget", "inf"]]
+    # digits of other scripts; int() reads the first two as 1 and 10
+    + [["check", "--k", "\u0661"], ["explore", "--max-steps", "\u0661\u0660"], ["check", "--slack", "\u00b2"]],
 )
 def test_out_of_range_bounds_exit_2(capsys, argv):
     # cross_deadlock's cyclic wait is reachable, yet --k -1 said unreachable
     prop = ["--property", "cyclic-wait"] if argv[0] == "check" else []
     assert run(argv[0], path("cross_deadlock"), *prop, *argv[1:]) == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[1]}: " in err
+    assert f"argument {argv[1]}: expected a " in err
+    if argv[1] != "--max-cycle":
+        assert f"expected a natural number, found {argv[2]!r}" in err
     assert "Traceback" not in err
 
 
@@ -612,6 +616,10 @@ MALFORMED_TARGETS = [
     "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=p nreg\n  gap t0 p0 var=p nreg\n}",
     "constraint {\n  tasks 1\n  phasers 1\n  env p0 ew=0 es=0\n  env p0 ew=1 es=0\n}",
     "partial-config {\n  tasks 1\n  phasers 1\n  phase t0 p0 var=p free\n  phase t0 p0 var=p nreg\n}",
+    # digits of other scripts
+    "constraint {\n  tasks \u00b2\n  phasers 0\n}",
+    "constraint {\n  tasks \u0661\n  phasers 0\n}",
+    "constraint {\n  tasks 1\n  phasers 1\n  gap t0 p0 var=p lw=0 ls=0 uw=\u0661 us=1\n}",
 ]
 
 
@@ -623,7 +631,10 @@ def test_check_malformed_target_names_the_line(tmp_path, capsys, text):
         "check", path("assert_ok"), "--property", "custom", "--target", str(target)
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"{target}: line ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{target}: line ")
+    if not text.isascii():
+        assert "expected a natural number" in err
 
 
 def test_check_rejects_a_record_that_states_a_line_twice(tmp_path, capsys):

@@ -63,7 +63,7 @@ MATRIX = [
     ("assign_ndet", "assert", CTRL, Reachable),
     ("chain_spawn", "regerr", PLAIN, Unreachable(23)),
     ("chain_spawn", "regerr", CTRL, Unreachable(23)),
-    ("chain_spawn", "cyclic", PLAIN, Unreachable(26)),
+    ("chain_spawn", "cyclic", PLAIN, Unreachable(8)),
     ("cross_deadlock", "regerr", PLAIN, Unreachable(29)),
     ("cross_deadlock", "cyclic", PLAIN, Reachable),
     ("drop_then_wait", "regerr", PLAIN, Reachable),
@@ -215,7 +215,7 @@ def test_spawned_twice_is_decided_and_agrees_with_the_explorer():
     program = parse(SPAWNED_TWICE)
     res = explore(program, Bounds(max_tasks=5))
     assert res.exhausted and res.errors == []
-    assert check(program, cyclic_wait_targets(program), **PLAIN) == Unreachable(1022)
+    assert check(program, cyclic_wait_targets(program, 2, 1), **PLAIN) == Unreachable(544)
     assert check(program, registration_error_targets(program), **PLAIN) == Unreachable(9)
 
 

@@ -24,13 +24,10 @@ from phasercheck import engine
 from phasercheck.engine import check
 from phasercheck.parser import parse
 from phasercheck.pre import pre
-from phasercheck.targets import (
-    assertion_targets,
-    cyclic_wait_targets,
-    registration_error_targets,
-)
+from phasercheck.targets import assertion_targets, registration_error_targets
 
 from conftest import CORPUS, load
+from oracles import point_cyclic_wait_targets
 from sandwich import constraint_pool
 from test_pre import LOOP_EXIT_SRC, REBIND_SRC, SELF_NEGATE_SRC
 
@@ -55,7 +52,9 @@ class _EnoughPops(Exception):
 
 
 def popped(program) -> list:
-    """The first ``POPS`` constraints ``check`` pops for each target kind."""
+    """The first ``POPS`` constraints ``check`` pops for each target kind;
+    the cyclic-wait run starts from the point enumeration of the default
+    targets, one constraint per distance."""
     runs = []
 
     def recording(phi, *args, **kw):
@@ -67,10 +66,14 @@ def popped(program) -> list:
     saved = engine.pre
     engine.pre = recording
     try:
-        for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
+        for targets in (
+            assertion_targets(program),
+            registration_error_targets(program),
+            point_cyclic_wait_targets(program, 2, 1),
+        ):
             runs.append([])
             try:
-                check(program, build(program), k=2, b=1)
+                check(program, targets, k=2, b=1)
             except _EnoughPops:
                 pass
     finally:

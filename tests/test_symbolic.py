@@ -27,7 +27,15 @@ from phasercheck.targets import (
 )
 
 from conftest import CORPUS, load, rand_constraint, sample_model, strengthen
-from oracles import decode, encode, encoding_entails, entails_by_permutations, gap_valid, minimize
+from oracles import (
+    decode,
+    encode,
+    encoding_entails,
+    entails_by_permutations,
+    gap_valid,
+    minimize,
+    point_cyclic_wait_targets,
+)
 
 NREG = Gap(ANY, None)
 FREE = Gap(ANY, FREE_BOUNDS)
@@ -416,12 +424,18 @@ def test_serialization_round_trip(rng):
         text = constraint_to_text(phi, POOL_PROGRAM)
         [back] = read_constraints(text, POOL_PROGRAM)
         assert back == phi
-    # every target of every corpus program, through its own tables
+    # every target of every corpus program, and every point of its
+    # cyclic-wait targets, through its own tables
     checked = 0
     for path in sorted(CORPUS.glob("*.phz")):
         program = load(path.stem)
-        for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
-            for phi in build(program):
+        for targets in (
+            assertion_targets(program),
+            registration_error_targets(program),
+            cyclic_wait_targets(program, 2, 1),
+            point_cyclic_wait_targets(program, 2, 1),
+        ):
+            for phi in targets:
                 [back] = read_constraints(constraint_to_text(phi, program), program)
                 assert back == phi, (path.stem, phi)
                 checked += 1

@@ -13,8 +13,9 @@ from phasercheck.targets import (
     registration_error_targets,
 )
 
-from conftest import load
-from oracles import PartialConfiguration, includes, partial_config_to_text
+from conftest import CORPUS, load, sample_model
+from oracles import PartialConfiguration, includes, partial_config_to_text, point_cyclic_wait_targets
+from sandwich import seq_pool_of
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,47 @@ def test_cycle_targets_grow_with_slack_and_cycle_length():
         ),
     )
     assert any(models(c, phi) for phi in two_s1)
+
+
+# the SIG_WAIT-only, barrier-free corpus programs
+CYCLE_PROGRAMS = [
+    path.stem
+    for path in sorted(CORPUS.glob("*.phz"))
+    if not load(path.stem).uses_modes() and not load(path.stem).is_atomic()
+]
+
+
+@pytest.mark.parametrize("slack", [0, 1, 2])
+@pytest.mark.parametrize("max_cycle", [1, 2, 3])
+def test_cycle_targets_are_the_union_of_their_points(max_cycle, slack, rng):
+    # one interval target per tuple of wait heads covers exactly the
+    # point targets that pin each distance of that tuple: it entails each
+    # of them, and each of its sampled models models one of them.  A
+    # sample keeps the target's rows and columns in order, and a waiter's
+    # wait value is its phaser's level, so the sample's distances name the
+    # point it must model
+    for name in CYCLE_PROGRAMS:
+        program = load(name)
+        points = {}
+        for psi in point_cyclic_wait_targets(program, max_cycle, slack):
+            points.setdefault(psi.seqs, []).append(psi)
+        targets = cyclic_wait_targets(program, max_cycle, slack)
+        n_waits = sum(isinstance(head, Wait) for head in program.heads)
+        assert len(targets) == sum(n_waits**m for m in range(1, max_cycle + 1))
+        assert [phi.seqs for phi in targets] == list(points)
+        seq_pool = seq_pool_of(program)
+        for phi in targets:
+            assert all(entails(phi, psi) for psi in points[phi.seqs]), (name, phi)
+            cells = [(t, p) for t, row in enumerate(phi.gaps) for p, g in enumerate(row) if not g.opt]
+            by_distances = {tuple(psi.gaps[t][p].bounds[:2] for t, p in cells): psi for psi in points[phi.seqs]}
+            for _ in range(10):
+                c = sample_model(rng, phi, seq_pool)
+                if c is None:
+                    continue
+                regs = {(t, p): c.phases[t][p][1] for t, p in cells}
+                levels = [regs[p, p].wait for p in range(phi.n_phasers)]
+                key = tuple((levels[p] - regs[t, p].wait, regs[t, p].sig - levels[p]) for t, p in cells)
+                assert key in by_distances and models(c, by_distances[key]), (name, phi, c)
 
 
 def test_no_cycle_targets_without_waits():
