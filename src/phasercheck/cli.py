@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 
 from .concrete import Bounds, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
@@ -104,7 +103,7 @@ def cmd_parse(args) -> int:
 
 def cmd_explore(args) -> int:
     program = _load_program(args)
-    bounds = Bounds(**{f.name: getattr(args, f.name) for f in fields(Bounds)})
+    bounds = Bounds(**{name: getattr(args, name) for name in Bounds.field_names})
     # open the graph file first, so a bad path fails before exploring
     with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
         result = explore(program, bounds, record_graph=graph is not None)
@@ -230,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("explore", help="bounded concrete exploration")
     e.add_argument("file")
-    for f in fields(Bounds):
-        e.add_argument("--" + f.name.replace("_", "-"), type=_option(natural), default=f.default)
+    for name in Bounds.field_names:
+        e.add_argument("--" + name.replace("_", "-"), type=_option(natural), default=getattr(Bounds, name))
     e.add_argument("--dump", action="store_true", help="print every configuration")
     e.add_argument("--graph", metavar="PATH", help="write the state graph (dot format)")
     e.set_defaults(func=cmd_explore)

@@ -19,7 +19,6 @@ or at an ``exit`` inside it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .control import Program
@@ -36,6 +35,7 @@ from .syntax import (
     If,
     NewPhaser,
     NextBlock,
+    Node,
     Signal,
     Stmt,
     Wait,
@@ -57,12 +57,40 @@ class Reg(NamedTuple):
     sig: object  # int | None
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Node):
+    """Every step builds one, and exploration hashes and keeps each, so
+    the record methods are written out instead of inherited from
+    ``Node``, and the fields are slots."""
+
+    __slots__ = ("bv", "seqs", "phases", "atomic")
     bv: tuple  # one bool per program bool variable
     seqs: tuple  # one control-sequence id per task
     phases: tuple  # phases[t][p] -> (variable name or "-", Reg or None for nreg)
-    atomic: object = None  # task index owning an atomic barrier body, or None
+    atomic: object  # task index owning an atomic barrier body, or None (default)
+
+    def __init__(self, bv, seqs, phases, atomic=None):
+        set_field = object.__setattr__
+        set_field(self, "bv", bv)
+        set_field(self, "seqs", seqs)
+        set_field(self, "phases", phases)
+        set_field(self, "atomic", atomic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.seqs == other.seqs
+            and self.phases == other.phases
+            and self.bv == other.bv
+            and self.atomic == other.atomic
+        )
+
+    def __hash__(self):
+        return hash((self.bv, self.seqs, self.phases, self.atomic))
+
+    def __reduce__(self):
+        # copy and pickle through __init__: the slots refuse assignment
+        return Configuration, (self.bv, self.seqs, self.phases, self.atomic)
 
     @property
     def n_tasks(self) -> int:
@@ -77,20 +105,17 @@ class Configuration:
 # Error outcomes
 
 
-@dataclass(frozen=True)
-class AssertionViolation:
+class AssertionViolation(Node):
     task: int
 
 
-@dataclass(frozen=True)
-class RegistrationError:
+class RegistrationError(Node):
     task: int
     command: str
     var: str
 
 
-@dataclass(frozen=True)
-class CyclicWait:
+class CyclicWait(Node):
     tasks: tuple  # the waiting cycle, in order
 
 
@@ -346,20 +371,18 @@ def cyclic_waits(c: Configuration, p: Program):
 # Bounded forward exploration
 
 
-@dataclass
-class Bounds:
+class Bounds(Node):
     max_steps: int = 10000
     max_tasks: int = 4
     max_phasers: int = 4
     max_phase: int = 6
 
 
-@dataclass
-class ExploreResult:
+class ExploreResult(Node):
     configs: list
     errors: list  # (error outcome, config index the step fired from)
     exhausted: bool
-    edges: list = field(default_factory=list)  # (src, task, stmt str, dst)
+    edges: list  # (src, task, stmt str, dst)
 
 
 def _within(c: Configuration, b: Bounds, t: int) -> bool:

@@ -38,7 +38,6 @@ reaches, plus the barrier skips.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .syntax import (
@@ -49,6 +48,7 @@ from .syntax import (
     If,
     NewPhaser,
     NextBlock,
+    Node,
     Signal,
     Wait,
     While,
@@ -89,16 +89,14 @@ def barrier_skip(seq: ControlSeq):
 # Tasks and programs
 
 
-@dataclass(frozen=True)
-class TaskDef:
+class TaskDef(Node):
     name: str
     params: tuple  # phaser variable names
     modes: tuple  # declared registration mode per parameter
     body: ControlSeq
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Node):
     bool_vars: tuple
     tasks: tuple  # TaskDef values; "main" is one of them
 

@@ -21,8 +21,8 @@ three limits, ``check``'s parameters:
   free or with uppers at most ``b``) are dropped, and targets must be
   ``b``-good.  ``b`` never prunes a free constraint; ``b=INF`` (the
   default) prunes nothing.
-* ``budget``: past that many pops, ``check`` gives up with a distinct
-  inconclusive verdict.
+* ``budget``: after that many pops, when a constraint is still
+  scheduled, ``check`` gives up with a distinct inconclusive verdict.
 
 A finite ``k`` with a finite ``b`` (plain reachability) terminates,
 and so does a finite ``k`` on free targets, which ``pre`` keeps free,
@@ -70,7 +70,6 @@ the number of ``newPhaser`` sites.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .concrete import Configuration, initial_config, successors
 from .pre import pre
@@ -84,11 +83,10 @@ from .symbolic import (
     is_free,
     models,
 )
-from .syntax import ANY, NO_VAR
+from .syntax import ANY, NO_VAR, Node
 
 
-@dataclass(frozen=True)
-class Reachable:
+class Reachable(Node):
     """Forward witness: constraints[0] is modeled by the initial
     configuration, constraints[-1] is a target, and stmts[i] steps from
     models of constraints[i] into models of constraints[i+1]."""
@@ -97,13 +95,11 @@ class Reachable:
     stmts: tuple
 
 
-@dataclass(frozen=True)
-class Unreachable:
+class Unreachable(Node):
     processed: int
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
+class BudgetExhausted(Node):
     processed: int
 
 
@@ -369,6 +365,8 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
         _, phi = heapq.heappop(working)
         if phi not in queued:
             continue  # evicted while scheduled
+        if processed == budget:
+            return BudgetExhausted(processed)
         queued.discard(phi)
         processed += 1
         if progress is not None:
@@ -381,8 +379,6 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
                     "dimension": phi.n_phasers,
                 }
             )
-        if budget is not None and processed > budget:
-            return BudgetExhausted(processed)
         if models(init, phi):
             return trace_from(phi)
         # pre builds only predecessors within the row and width limits;
@@ -411,8 +407,7 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
 # Witness replay
 
 
-@dataclass
-class TraceReport:
+class TraceReport(Node):
     ok: bool
     failed_stage: int = -1
     message: str = ""

@@ -18,7 +18,6 @@ Surface syntax (statements end with ';', bodies in braces, '//' comments):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .control import Program, TaskDef
 from .syntax import (
@@ -36,6 +35,7 @@ from .syntax import (
     If,
     NewPhaser,
     NextBlock,
+    Node,
     Not,
     Ndet,
     Or,
@@ -56,8 +56,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Node):
     kind: str
     text: str
     line: int

@@ -23,18 +23,16 @@ prints and reads the statements, through the program.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import ANY
+from .syntax import ANY, Node
 
 INF = float("inf")
 
 FREE_BOUNDS = (0, 0, INF, INF)
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(Node):
     """One (task, phaser) cell: variable name pattern plus either None
     (not registered) or interval bounds (lw, ls, uw, us).
 
@@ -42,11 +40,34 @@ class Gap:
     union of "not registered" and "registered within bounds".  Optional
     cells arise when a backward step starts tracking a phaser the
     constraint knew nothing about: keeping the two registration outcomes
-    in one cell avoids splitting the constraint per tracked task."""
+    in one cell avoids splitting the constraint per tracked task.
 
+    ``pre`` builds cells and the store compares them on every step, so
+    the record methods are written out instead of inherited, and the
+    fields are slots."""
+
+    __slots__ = ("var", "bounds", "opt")
     var: str
     bounds: object  # None | (lw, ls, uw, us)
-    opt: bool = False
+    opt: bool  # default False
+
+    def __init__(self, var, bounds, opt=False):
+        set_field = object.__setattr__
+        set_field(self, "var", var)
+        set_field(self, "bounds", bounds)
+        set_field(self, "opt", opt)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bounds == other.bounds and self.var == other.var and self.opt == other.opt
+
+    def __hash__(self):
+        return hash((self.var, self.bounds, self.opt))
+
+    def __reduce__(self):
+        # copy and pickle through __init__: the slots refuse assignment
+        return Gap, (self.var, self.bounds, self.opt)
 
     def is_free(self) -> bool:
         return self.bounds is None or (
@@ -62,12 +83,28 @@ class Gap:
 OPT_FREE = Gap(ANY, FREE_BOUNDS, True)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Node):
+    """``pre`` builds constraints and the store hashes and compares them
+    on every step, so the record methods are written out instead of
+    inherited from ``Node``; the hash is computed once."""
+
     bv: tuple  # bool | None (= *) per program bool variable
     seqs: tuple  # sequence id | None (= *) per tracked task
     gaps: tuple  # gaps[task][phaser] -> Gap
     egaps: tuple  # (ew, es) per tracked phaser
+
+    def __init__(self, bv, seqs, gaps, egaps):
+        self.__dict__.update(bv=bv, seqs=seqs, gaps=gaps, egaps=egaps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.seqs == other.seqs
+            and self.gaps == other.gaps
+            and self.egaps == other.egaps
+            and self.bv == other.bv
+        )
 
     @property
     def n_tasks(self) -> int:

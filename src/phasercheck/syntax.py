@@ -1,11 +1,17 @@
 """AST for the phaser language: statements and conditions, and ``validate``
 for programs (``control.Program`` holds the tasks).
 
-All nodes are frozen dataclasses so control sequences (tuples of
-statements) are hashable and safe to share; ``control.Program`` hashes
-them only while it builds its tables, and every later layer names a
-sequence by its id.  ``next(v)`` never appears here: the parser
+All nodes are immutable ``Node`` records, so control sequences (tuples
+of statements) are hashable and safe to share; ``control.Program``
+hashes them only while it builds its tables, and every later layer
+names a sequence by its id.  ``next(v)`` never appears here: the parser
 desugars it into ``signal(v); wait(v)``.
+
+``Node`` is the base of every record class of the package.  It reads a
+class's fields off its annotations and generates no code, so importing
+the package costs no ``dataclasses`` (and no ``inspect``).  The records
+that every search step builds (``concrete.Configuration``,
+``symbolic.Gap`` and ``symbolic.Constraint``) write their methods out.
 
 ``validate`` is the one syntactic pass over the program text: it checks
 each task in one recursive walk of its body (scopes, Booleans, the
@@ -16,7 +22,6 @@ the reachable control sequences in ``control.Program``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 SIG_WAIT = "SIG_WAIT"
@@ -30,41 +35,96 @@ NO_VAR = "-"  # the task names the phaser with no variable
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Node:
+    """An immutable record whose fields are its class's annotations, in
+    order; a class attribute of a field's name is that field's default.
+    Records of one class with equal fields are equal and hash alike,
+    records of different classes are unequal, and ``repr`` prints
+    ``Name(field=value, ...)``."""
+
+    __slots__ = ()  # a subclass without ``__slots__`` keeps a ``__dict__``
+
+    def __init_subclass__(cls):
+        cls.field_names = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.field_names
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                values[name] = getattr(cls, name)
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.field_names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        # control sequences nest statements, and ``control.Program``
+        # hashes every sequence it reaches: each node hashes its fields once
+        memo = self.__dict__
+        if "_hash" not in memo:
+            memo["_hash"] = hash(self._values())
+        return memo["_hash"]
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.field_names)
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Conditions
 
 
-@dataclass(frozen=True)
-class Ndet:
+class Ndet(Node):
     def __str__(self) -> str:
         return "ndet()"
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Node):
     value: bool
 
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class BoolVar:
+class BoolVar(Node):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     operand: "Cond"
 
     def __str__(self) -> str:
         return f"!{_atom(self.operand)}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: "Cond"
     right: "Cond"
 
@@ -72,8 +132,7 @@ class And:
         return f"{_atom(self.left)} && {_atom(self.right)}"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     left: "Cond"
     right: "Cond"
 
@@ -125,16 +184,14 @@ def cond_outcomes(c: Cond, env) -> frozenset:
 # Statements
 
 
-@dataclass(frozen=True)
-class NewPhaser:
+class NewPhaser(Node):
     var: str
 
     def __str__(self) -> str:
         return f"{self.var} = newPhaser();"
 
 
-@dataclass(frozen=True)
-class Asynch:
+class Asynch(Node):
     task: str
     args: tuple  # phaser variable names of the spawner
     modes: tuple  # registration mode per argument
@@ -146,32 +203,28 @@ class Asynch:
         return f"asynch({self.task}" + "".join(", " + p for p in parts) + ");"
 
 
-@dataclass(frozen=True)
-class Drop:
+class Drop(Node):
     var: str
 
     def __str__(self) -> str:
         return f"drop({self.var});"
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(Node):
     var: str
 
     def __str__(self) -> str:
         return f"signal({self.var});"
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(Node):
     var: str
 
     def __str__(self) -> str:
         return f"wait({self.var});"
 
 
-@dataclass(frozen=True)
-class NextBlock:
+class NextBlock(Node):
     var: str
     body: tuple
 
@@ -179,8 +232,7 @@ class NextBlock:
         return f"next({self.var}){{ {seq_to_str(self.body)} }}"
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Node):
     var: str
     cond: Cond
 
@@ -188,16 +240,14 @@ class Assign:
         return f"{self.var} = {self.cond};"
 
 
-@dataclass(frozen=True)
-class Assert:
+class Assert(Node):
     cond: Cond
 
     def __str__(self) -> str:
         return f"assert({self.cond});"
 
 
-@dataclass(frozen=True)
-class While:
+class While(Node):
     cond: Cond
     body: tuple
 
@@ -205,8 +255,7 @@ class While:
         return f"while({self.cond}){{ {seq_to_str(self.body)} }}"
 
 
-@dataclass(frozen=True)
-class If:
+class If(Node):
     cond: Cond
     body: tuple
 
@@ -214,8 +263,7 @@ class If:
         return f"if({self.cond}){{ {seq_to_str(self.body)} }}"
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(Node):
     def __str__(self) -> str:
         return "exit;"
 

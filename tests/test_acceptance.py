@@ -402,7 +402,7 @@ def _step_signature(c, program):
             key = canonical(outcome, program)
         else:
             key = (type(outcome).__name__,) + tuple(
-                getattr(outcome, f.name) for f in outcome.__dataclass_fields__.values()
+                getattr(outcome, name) for name in outcome.field_names
             )
         out.add((t, str(stmt), choice, key))
     return out

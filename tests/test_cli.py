@@ -416,7 +416,15 @@ def test_check_budget_applies_to_the_default_run(capsys):
     # "verdict unreachable" after 17 pops
     argv = ["check", path("minsky_chain"), "--property", "regerror", "--budget", "1"]
     assert run(*argv) == 3
-    assert capsys.readouterr().out == "verdict unknown (budget exhausted)\nprocessed 2 constraints\n"
+    assert capsys.readouterr().out == "verdict unknown (budget exhausted)\nprocessed 1 constraints\n"
+
+
+def test_check_budget_stops_after_that_many_pops(capsys):
+    argv = ["check", path("chain_spawn"), "--property", "regerror", "--budget", "3", "--progress"]
+    assert run(*argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "verdict unknown (budget exhausted)\nprocessed 3 constraints\n"
+    assert [json.loads(line)["processed"] for line in err.splitlines()] == [1, 2, 3]
 
 
 def test_check_rejects_mode_programs(capsys):

@@ -137,7 +137,15 @@ def test_unrestricted_budget_exhaustion():
     targets = registration_error_targets(program)
     result = check(program, targets, k=INF, budget=5)
     assert isinstance(result, BudgetExhausted)
-    assert result.processed == 6  # gives up on the first over-budget pop
+    assert result.processed == 5  # gives up after the budget's pops
+
+
+def test_budget_that_covers_the_whole_run_keeps_the_verdict():
+    # the default regerror run on minsky_chain ends after 17 pops
+    program = load("minsky_chain")
+    targets = registration_error_targets(program)
+    assert check(program, targets, b=1, budget=17) == Unreachable(17)
+    assert check(program, targets, b=1, budget=16) == BudgetExhausted(16)
 
 
 def test_unrestricted_finds_immediate_violation():

@@ -6,10 +6,15 @@ Test-only reference code lives in ``tests/oracles.py``.  Every
 parameter is read.  Only ``parser`` and ``targets`` read text: the
 layers below them import neither.  No module imports another's
 underscore-prefixed name, no module-level state is mutated or patched,
-and no module runs a bare call when it is imported.  Test modules read
-every name they import."""
+and no module runs a bare call when it is imported.  Loading the
+command line pulls in neither ``dataclasses`` nor ``inspect``: every
+command pays for its imports before it reads its input.  Test modules
+read every name they import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import phasercheck
@@ -220,6 +225,20 @@ def test_no_module_makes_a_bare_call_at_import():
             if isinstance(top, ast.Expr) and isinstance(top.value, ast.Call):
                 calls.append(f"{path.stem}:{top.lineno}")
     assert calls == []
+
+
+def test_the_command_line_imports_no_code_generation():
+    # a fresh interpreter, so that nothing the tests loaded counts
+    src = str(Path(phasercheck.__file__).resolve().parent.parent)
+    probe = "import sys, phasercheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_the_mutation_scan_sees_each_kind_of_store():

@@ -14,7 +14,6 @@ meant to alter it re-records it on purpose with
 
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -24,6 +23,7 @@ from phasercheck import engine
 from phasercheck.engine import check
 from phasercheck.parser import parse
 from phasercheck.pre import pre
+from phasercheck.symbolic import Constraint
 from phasercheck.targets import assertion_targets, registration_error_targets
 
 from conftest import CORPUS, load
@@ -83,7 +83,9 @@ def popped(program) -> list:
 
 def digest(name) -> dict:
     program = parse(EXTRA[name]) if name in EXTRA else load(name)
-    named = lambda psi: replace(psi, seqs=tuple(s if s is None else program.suffixes[s] for s in psi.seqs))
+    named = lambda psi: Constraint(
+        psi.bv, tuple(s if s is None else program.suffixes[s] for s in psi.seqs), psi.gaps, psi.egaps
+    )
     pairs = set()
     for phi in constraint_pool(Random(7), program, 30) + popped(program):
         pairs.update((str(s), repr(named(psi))) for s, psi in pre(phi, program))
