@@ -6,10 +6,9 @@ cover a candidate makes the candidate redundant; a candidate covering
 stored constraints evicts them).  The store is where entailment prunes,
 with one exception: ``check``'s ``keep`` filter drops, before they are
 built in canonical form, the predecessors that the popped constraint
-itself entails, those that are not ``b``-good and those that fail the
-static column test.  Otherwise targets and predecessors reach the store
-unreduced: the target builders return every target, and ``pre`` may
-repeat a predecessor.
+itself entails.  Otherwise targets and predecessors that pass the
+static rules below reach the store unreduced: the target builders
+return every target, and ``pre`` may repeat a predecessor.
 
 The formulations of the verification problem are this one loop under
 three limits, ``check``'s parameters:
@@ -31,40 +30,31 @@ targets that never need more than ``k`` simultaneously tracked phasers.
 Any other run (``k=INF``, or ``b=INF`` on targets that are not free)
 is sure to stop only under a ``budget``; ``check`` rejects the second
 without one.
-
-Every run also drops constraints over more tasks or phasers than
-any run has (``Program.static_bounds``), and constraints with more rows
-on some task types' code than those types have instances
-(``type_bound``): in ``main(){ asynch(W); asynch(W); }`` where each
-``W`` spawns one ``X``, at most 1 row on ``main``'s code, 2 on ``W``'s
-and 2 on ``X``'s.  The per-type bound holds when the total is unbounded
-too, for ``main`` and every type with a finite instance count.  The same
-row test drops constraints whose rows break spawn order: a task of type
-``W`` exists only once some task has executed an ``asynch(W)``.  In
-``main(){ asynch(W); x = true; asynch(X); }``, a row of ``main`` at
-``x = true; asynch(X);`` has spawned a ``W`` but no ``X``, and ``main``
-is the only spawner of ``X``, so no row may sit at ``X``'s code with
-it.  This is exact: ``main`` runs once, tasks never leave a
-configuration, and no step after ``asynch(X)`` leads back to
-``x = true; asynch(X);``.  ``type_bound`` states the rule in full.
-A column test (``flow_bound``) drops constraints that ask tasks to name
-one phaser with variables that no run lets name the same phaser.
-``Program.held_sites`` gives the ``newPhaser`` sites each variable of
-each task type may hold, and the rows that name a variable in one
-column must share a site.  In ``main(){ p = newPhaser(); q =
-newPhaser(); asynch(W, q); ... } W(q){ ... }``, ``main``'s ``p`` holds
-only the first site and ``W``'s ``q`` only the second, so no column may
-have both.  This is exact: a phaser comes from exactly one site, and a
-task's variable names only phasers of the sites its type and variable
-hold.
-These static limits, with ``k``, filter the targets.  ``check`` hands
-the row test and the column cap to ``pre``, which never builds a
-predecessor that fails them; the column test is the first test of
-``check``'s ``keep``, which ``pre`` applies before it puts a
-predecessor into canonical form.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
 the number of ``newPhaser`` sites.
+
+Every limit but the budget is one table, ``StaticRules(program, k, b)``,
+which ``check`` builds once per call.  It filters the targets, and
+``pre`` applies it to each predecessor in two stages: the rows stage
+before it builds any cell, the cells stage before canonical form.  A
+rule is exact when it fails only constraints without models, and a
+prune otherwise.  Each rule's name (stage; what it reads; kind):
+
+* ``cap`` (rows; the column count; prune by ``k``): at most ``min(k,
+  phaser bound)`` columns (``Program.static_bounds``).
+* ``tasks`` (rows; the row count; exact): at most the task bound of
+  ``Program.static_bounds``.
+* ``hall`` (rows; the rows' owner types, ``Program.owners``, against
+  ``Program.instance_counts``; exact): no more rows on some types' code
+  than those types have instances (``_hall``).
+* ``spawn-order`` (rows; the pinned ids, against ``Program.spawners``
+  and ``Program.spawn_order``; exact): no row of a type that no task
+  has spawned yet (``_spawn_order``).
+* ``flow`` (cells; the variables of each column, against
+  ``Program.held_sites``; exact): the rows of a column name variables
+  that may hold a common phaser (``_flow``).
+* ``b`` (cells; the gap bounds; prune by ``b``): ``b``-good.
 """
 
 from __future__ import annotations
@@ -103,72 +93,54 @@ class BudgetExhausted(Node):
     processed: int
 
 
-def _unspawned_at(program) -> dict:
-    """Per task type ``W`` other than ``main`` and per type ``V`` with a
-    reachable ``asynch(W)`` site (``Program.spawners``), the ids at which
-    a row shows that no ``V`` instance has spawned a ``W`` yet: ids that
-    only ``V`` reaches, outside ``W``'s ``Program.spawn_order`` table,
-    when runs spawn ``V`` at most once, so the row is its one instance."""
-    counts = program.instance_counts
-    once = [
-        (s, v)
-        for s, (v, *others) in enumerate(program.owners)
-        if not others and counts.get(v) == 1
-    ]
-    out = {}
-    for t in program.tasks:
-        if t.name != "main":
-            after = program.spawn_order.get(t.name, ())
-            out[t.name] = {
-                v: frozenset(s for s, u in once if u == v and s not in after)
-                for v, _ in program.spawners.get(t.name, ())
-            }
-    return out
+class StaticRules:
+    """The static rules of one run, by name (see the module docstring):
+    ``row_rules`` test a tuple of sequence ids (one per row, None for
+    ``*``), ``cell_rules`` a built constraint, and ``cap`` bounds the
+    columns.  ``rows_fit`` and ``cells_fit`` are each stage's rules in
+    table order, composed once; ``tasks`` comes first because it rejects
+    most tuples more cheaply than ``hall``, which implies it when every
+    count is finite.  Each rule keeps its own memo, which lives as long
+    as the table."""
+
+    def __init__(self, program, k, b):
+        task_bound, phaser_bound = program.static_bounds
+        self.cap = k if phaser_bound is None else min(k, phaser_bound)
+        self.row_rules = {
+            "tasks": lambda seqs: task_bound is None or len(seqs) <= task_bound,
+            "hall": _hall(program),
+            "spawn-order": _spawn_order(program),
+        }
+        self.cell_rules = {"flow": _flow(program), "b": lambda phi: is_b_good(phi, b)}
+        tasks, hall, order = self.row_rules.values()
+        flow, good = self.cell_rules.values()
+        self.rows_fit = lambda seqs: tasks(seqs) and hall(seqs) and order(seqs)
+        self.cells_fit = lambda phi: flow(phi) and good(phi)
 
 
-def type_bound(program):
-    """The static row test: a predicate on a constraint's tuple of
-    sequence ids (one per row, None for ``*``) that is False only when
-    no constraint with those rows has models.  It applies two rules.
-
-    *Per-type (Hall) bound.*  A model maps distinct tasks to distinct
+def _hall(program):
+    """The ``hall`` rule.  A model maps distinct tasks to distinct
     tracked rows, and a task at a control sequence is an instance of one
     of the sequence's owners (``Program.owners``; a ``*`` row may be an
     instance of any type).  By Hall's condition such a map exists only
     if, for every union ``U`` of the rows' owner sets, the rows whose
     owners lie within ``U`` number at most the instances runs spawn of
     ``U``'s types (``Program.instance_counts``; 0 for a type ``main``
-    never reaches).  That implies the total task bound of
-    ``Program.static_bounds``, which is tested first because it rejects
-    most tuples more cheaply.  Memoized on the sorted owner sets of the
-    rows.
-
-    *Spawn order.*  A type ``W`` other than ``main`` is dead, given the
-    pinned rows, when each of its spawners ``V`` (``Program.spawners``)
-    is dead too, or has one instance at most and a row at an id that
-    only ``V`` reaches, outside ``W``'s ``Program.spawn_order`` table;
-    dead types are the least fixpoint of that rule.  A tuple with a row
-    whose owners are all dead fails.  In ``bool x; main(){ asynch(W);
-    x = true; asynch(X); } W(){ x = false; } X(){ assert(x); }``, a row
-    of ``main`` at ``x = true; asynch(X);`` makes ``X`` dead, so no row
-    at ``X``'s body may join it, while rows of ``W`` may.  The rule is
-    exact: tasks never leave a configuration and ``spawn_order`` is
-    closed under forward steps, so the one ``V`` instance sitting
-    outside it has never run ``asynch(W)``; a dead spawner has no
-    instance, so it has never run one either; and a type no task has
-    spawned has no instance.  Memoized on the set of pinned ids."""
+    never reaches).  In ``main(){ asynch(W); asynch(W); }`` where each
+    ``W`` spawns one ``X``, that is at most 1 row on ``main``'s code, 2
+    on ``W``'s and 2 on ``X``'s; the bound holds for ``main`` and every
+    type with a finite count when the total is unbounded too.  Memoized
+    on the sorted owner sets of the rows."""
     counts = program.instance_counts
     own = program.owners
     every = frozenset(t.name for t in program.tasks)
-    task_bound = program.static_bounds[0]
-    unspawned = _unspawned_at(program)
-    hall_memo, order_memo = {}, {}
+    memo = {}
 
     def instances(types):
         ns = [counts.get(t, 0) for t in types]
         return None if None in ns else sum(ns)
 
-    def hall(key) -> bool:
+    def holds(key) -> bool:
         unions = {frozenset()}
         for o in set(key):
             unions |= {u | o for u in unions}
@@ -178,7 +150,47 @@ def type_bound(program):
                 return False
         return True
 
-    def in_spawn_order(pinned) -> bool:
+    def hall(seqs) -> bool:
+        key = tuple(sorted((every if s is None else own[s] for s in seqs), key=sorted))
+        if key not in memo:
+            memo[key] = holds(key)
+        return memo[key]
+
+    return hall
+
+
+def _spawn_order(program):
+    """The ``spawn-order`` rule.  A type ``W`` other than ``main`` is
+    dead, given the pinned rows, when each of its spawners ``V``
+    (``Program.spawners``) is dead too, or has one instance at most and
+    a row at an id that only ``V`` reaches, outside ``W``'s
+    ``Program.spawn_order`` table; dead types are the least fixpoint of
+    that rule.  A tuple with a row whose owners are all dead fails.  In
+    ``bool x; main(){ asynch(W); x = true; asynch(X); } W(){ x = false; }
+    X(){ assert(x); }``, a row of ``main`` at ``x = true; asynch(X);``
+    makes ``X`` dead, so no row at ``X``'s body may join it, while rows
+    of ``W`` may.  The rule is exact: tasks never leave a configuration
+    and ``spawn_order`` is closed under forward steps, so the one ``V``
+    instance sitting outside it has never run ``asynch(W)``; a dead
+    spawner has no instance, so it has never run one either; and a type
+    no task has spawned has no instance.  Memoized on the set of pinned
+    ids."""
+    counts = program.instance_counts
+    own = program.owners
+    # per type W other than main and per spawner V, the ids at which a
+    # row of V's one instance shows that it has not spawned a W yet
+    once = [(s, v) for s, (v, *others) in enumerate(own) if not others and counts.get(v) == 1]
+    unspawned = {}
+    for t in program.tasks:
+        if t.name != "main":
+            after = program.spawn_order.get(t.name, ())
+            unspawned[t.name] = {
+                v: frozenset(s for s, u in once if u == v and s not in after)
+                for v, _ in program.spawners.get(t.name, ())
+            }
+    memo = {}
+
+    def holds(pinned) -> bool:
         dead, grew = set(), True
         while grew:
             grew = False
@@ -190,39 +202,29 @@ def type_bound(program):
                     grew = True
         return not any(own[s] <= dead for s in pinned)
 
-    def fits_types(seqs) -> bool:
-        if task_bound is not None and len(seqs) > task_bound:
-            return False
-        sets = (every if s is None else own[s] for s in seqs)
-        key = tuple(sorted(sets, key=sorted))
-        if key not in hall_memo:
-            hall_memo[key] = hall(key)
-        if not hall_memo[key]:
-            return False
+    def in_spawn_order(seqs) -> bool:
         pinned = frozenset(seqs).difference((None,))
-        if pinned not in order_memo:
-            order_memo[pinned] = in_spawn_order(pinned)
-        return order_memo[pinned]
+        if pinned not in memo:
+            memo[pinned] = holds(pinned)
+        return memo[pinned]
 
-    return fits_types
+    return in_spawn_order
 
 
-def flow_bound(program):
-    """The static column test: a predicate on a constraint that is False
-    only when the constraint has no model.
-
-    In a column, take every row whose cell names a variable (not ``*``
-    or ``-``), and the ``newPhaser`` sites that the variable may hold in
-    the row's owner types (``Program.held_sites``; a ``*`` row may be
-    any type).  The constraint fails when, in some column, these site
-    sets have no common element.  In ``main(){ p = newPhaser();
-    asynch(W, p); q = newPhaser(); drop(q); ... } W(r){ ... }``, ``main``'s
-    ``q`` and ``W``'s ``r`` cannot share a column, while ``main``'s ``p``
-    and ``W``'s ``r`` can.  The rule is exact: a model maps each row to
-    a task of one of its owners whose variable names the column's
-    phaser, a task's variable holds only phasers of the sites
-    ``held_sites`` gives it, and a phaser comes from exactly one site.
-    Memoized on (sequence id, variable)."""
+def _flow(program):
+    """The ``flow`` rule.  In a column, take every row whose cell names
+    a variable (not ``*`` or ``-``), and the ``newPhaser`` sites that
+    the variable may hold in the row's owner types
+    (``Program.held_sites``; a ``*`` row may be any type).  The
+    constraint fails when, in some column, these site sets have no
+    common element.  In ``main(){ p = newPhaser(); asynch(W, p); q =
+    newPhaser(); drop(q); ... } W(r){ ... }``, ``main``'s ``q`` and
+    ``W``'s ``r`` cannot share a column, while ``main``'s ``p`` and
+    ``W``'s ``r`` can.  The rule is exact: a model maps each row to a
+    task of one of its owners whose variable names the column's phaser,
+    a task's variable holds only phasers of the sites ``held_sites``
+    gives it, and a phaser comes from exactly one site.  Memoized on
+    (sequence id, variable)."""
     held = program.held_sites
     own = program.owners
     every = frozenset(t.name for t in program.tasks)
@@ -275,18 +277,9 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
     elif wide > k:
         # k would prune every predecessor of the wider targets unexplored
         raise ValueError(f"a target tracks {wide} phasers, more than k={k}")
-    cap = k if phaser_bound is None else min(k, phaser_bound)
+    rules = StaticRules(program, k, b)
     init = initial_config(program)
     start_dist = program.start_distances
-
-    # the static limits: constraints with more rows on some task types'
-    # code than those types have instances, with a column that no task
-    # could hold, or with more columns than any run creates phasers or
-    # than k allows, are unsatisfiable or pruned.  They filter the
-    # targets below, and ``pre`` drops every predecessor that fails them
-    # before it is put into canonical form
-    rows_fit = type_bound(program)
-    cols_fit = flow_bound(program)
 
     def forward_work(phi: Constraint) -> int:
         # total forward control steps still separating the constraint's
@@ -358,7 +351,7 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
         return Reachable(tuple(constraints), tuple(stmts))
 
     for phi in sorted(targets, key=constraint_order_key):
-        if rows_fit(phi.seqs) and cols_fit(phi) and phi.n_phasers <= cap:
+        if phi.n_phasers <= rules.cap and rules.rows_fit(phi.seqs) and rules.cells_fit(phi):
             insert(phi, None)
     processed = 0
     while working:
@@ -381,21 +374,14 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
             )
         if models(init, phi):
             return trace_from(phi)
-        # pre builds only predecessors within the row and width limits;
-        # the rest are filtered before pre canonicalizes them, cheapest
-        # test first: the column test, the b prune, then entailment by
-        # the popped constraint itself, which covers most
-        # environment-role predecessors.  Each test is invariant under
-        # renaming rows and columns, so the survivors are those that
-        # filtering the canonical predecessors would keep.
+        # pre applies the static rules; keep then drops, before pre
+        # canonicalizes them, the predecessors that the popped constraint
+        # itself entails, which covers most environment-role ones.  Each
+        # test is invariant under renaming rows and columns, so the
+        # survivors are those that filtering the canonical predecessors
+        # would keep.
         preds = sorted(
-            pre(
-                phi,
-                program,
-                keep=lambda psi: cols_fit(psi) and is_b_good(psi, b) and not entails(phi, psi),
-                rows_fit=rows_fit,
-                cap=cap,
-            ),
+            pre(phi, program, rules, keep=lambda psi: not entails(phi, psi)),
             key=lambda sp: (str(sp[0]), constraint_order_key(sp[1])),
         )
         for stmt, psi in preds:

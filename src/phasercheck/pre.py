@@ -17,11 +17,11 @@ The control steps are the program's id tables: a head statement
 (``Program.heads``) steps to each of its ``Program.next_ids``, a
 condition's taken branch first.  Constraints name control sequences by
 those ids, so ``pre`` unfolds, hashes and compares no sequence itself.
-Given a run's static limits, ``pre`` tests each predecessor's control
-sequences and column count before it builds any of its cells.  The
-variables of its columns are the first test of ``check``'s ``keep``,
-which ``pre`` applies before it puts a predecessor into canonical form,
-so ``check`` never sees a predecessor that the limits reject.
+Given a run's static rules (``engine.StaticRules``), ``pre`` tests the
+column cap and the row rules on each predecessor's control sequences
+before it builds any of its cells, and the cell rules on each built
+predecessor before it puts it into canonical form, so ``check`` never
+sees a predecessor that a rule rejects.
 
 A barrier step has no transformer: its atomic whole-body macro step
 cannot be captured exactly by per-statement reversal, so ``check``
@@ -393,32 +393,33 @@ def pre_stmt(
     return [(psi, x) for psi in results]
 
 
-def pre(phi: Constraint, program, keep=None, rows_fit=_unlimited, cap=INF) -> list:
+def pre(phi: Constraint, program, rules=None, keep=None) -> list:
     """All (statement, predecessor constraint) pairs over every executing
     role: each tracked task plus a fresh environment task, taking each
     head step of the program's id tables in turn, in id order.  A pair may repeat;
     ``check``'s store drops repeats.
 
-    ``rows_fit`` and ``cap`` are a run's static limits on control and
-    width: ``rows_fit(seqs)`` tests a predecessor's tuple of sequence
-    ids, and ``cap`` bounds its columns.  A predecessor that fails either
-    is skipped before any of its cells is built.  Its control sequences
-    are known first: the executor moves to the step's pre sequence, the
-    environment role adds a row, and an ``asynch`` removes the row of a
-    tracked child.  Only a phaser the constraint does not track adds a
-    column.  When ``phi`` itself passes ``rows_fit`` and ``cap``, the
-    result is exactly the unlimited result without the pairs that fail
-    the limits.
-
-    ``keep``, when given, drops every built predecessor it rejects before
-    that predecessor is put into canonical form.  It must not depend on
-    the order of rows and columns; then the result is exactly the
-    unfiltered result with the rejected pairs removed."""
+    ``rules`` is a run's ``engine.StaticRules`` (None: no limits).  A
+    predecessor over more than ``rules.cap`` columns or failing
+    ``rules.rows_fit`` on its tuple of sequence ids is skipped before any
+    of its cells is built.  Its control sequences are known first: the
+    executor moves to the step's pre sequence, the environment role adds
+    a row, and an ``asynch`` removes the row of a tracked child.  Only a
+    phaser the constraint does not track adds a column.  A built
+    predecessor that fails ``rules.cells_fit``, or that ``keep`` (when
+    given) rejects, is dropped before it is put into canonical form.
+    ``keep`` must not depend on the order of rows and columns; then,
+    when ``phi`` itself passes the cap and the row rules, the result is
+    exactly the unlimited result without the pairs that fail a rule or
+    ``keep``."""
     results = []
-    room = cap - phi.n_phasers
+    if rules is None:
+        room, rows_fit, cells_fit = INF, _unlimited, _unlimited
+    else:
+        room, rows_fit, cells_fit = rules.cap - phi.n_phasers, rules.rows_fit, rules.cells_fit
 
     def emit(stmt, psi):
-        if keep is None or keep(psi):
+        if cells_fit(psi) and (keep is None or keep(psi)):
             results.append((stmt, canonical_constraint(psi)))
 
     def leaving(seqs):

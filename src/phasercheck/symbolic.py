@@ -303,10 +303,6 @@ def entails(pa: Constraint, pb: Constraint) -> bool:
     for a, b in zip(pa.bv, pb.bv):
         if a is not None and a != b:
             return False
-    # necessary: every concrete control sequence pinned on the a side
-    # must appear among b's pinned sequences
-    if not pa.seq_set <= pb.seq_set:
-        return False
     sum_a, sum_b = pa.summary, pb.summary
     if not fits(sum_a[0], sum_b[0]):
         return False  # b has fewer rows, columns or cells of some kind

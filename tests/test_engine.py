@@ -17,9 +17,9 @@ from phasercheck.concrete import Bounds, explore, initial_config
 from phasercheck.engine import (
     BudgetExhausted,
     Reachable,
+    StaticRules,
     Unreachable,
     check,
-    type_bound,
     validate_trace,
 )
 from phasercheck.parser import parse
@@ -248,7 +248,7 @@ def test_type_bound_is_exact(name):
     program = parse(SPAWNED_TWICE) if name == "SPAWNED_TWICE" else load(name)
     res = explore(program, EXHAUSTED[name])
     assert res.exhausted
-    fits_types = type_bound(program)
+    fits_types = StaticRules(program, INF, INF).rows_fit
     own = program.owners
     rejected, tight = set(), {}  # tight: type -> predecessors at its bound
     for phi in constraint_pool(Random(7), program, 30):
@@ -303,65 +303,6 @@ def _reached(name) -> list:
     return explore(program, bounds).configs
 
 
-def _rejected(name) -> int:
-    fits_types = type_bound(SPAWN_ORDER_PROGRAMS[name][0])
-    return sum(not fits_types(c.seqs) for c in _reached(name))
-
-
-@pytest.mark.parametrize("name", SPAWN_ORDER_PROGRAMS)
-def test_every_explored_configuration_passes_the_row_test(name):
-    # the static row test, spawn order included, drops only constraints
-    # without reachable models: every configuration explore reaches
-    # passes it (a bounded exploration reaches only reachable ones)
-    assert _rejected(name) == 0
-
-
-def _with(program, **tables):
-    # a copy of the program whose cached tables are replaced
-    mutant = copy.copy(program)
-    mutant.__dict__.update(tables)
-    return mutant
-
-
-def _post_ids_only(program):
-    posts = {}
-    for stmt, nexts in zip(program.heads, program.next_ids):
-        if isinstance(stmt, Asynch):
-            posts.setdefault(stmt.task, set()).update(nexts)
-    return _with(program, spawn_order={w: frozenset(js) for w, js in posts.items()})
-
-
-def _no_skip_edges(program):
-    mutant = _with(program, skip_ids=(None,) * len(program.suffixes))
-    mutant.__dict__.pop("spawn_order", None)  # rebuilt over head steps alone
-    return mutant
-
-
-def _one_instance_each(program):
-    return _with(program, instance_counts=dict.fromkeys(program.instance_counts, 1))
-
-
-@pytest.mark.parametrize(
-    "mutate,caught_on",
-    [
-        (_post_ids_only, "chain_spawn"),
-        (_no_skip_edges, "SKIPPED_AFTER_SPAWN"),
-        (_one_instance_each, "SPAWNED_TWICE"),
-    ],
-    ids=["post_ids_only", "no_skip_edges", "one_instance_each"],
-)
-def test_the_row_test_gate_catches_a_broken_spawn_order(mutate, caught_on, monkeypatch):
-    # each mutation feeds the spawn-order rule a wrong table, so the
-    # containment gate above must reject some explored configuration: the
-    # table without its forward closure, the closure without barrier
-    # skips, and a row of a type with two instances taken as proof that
-    # its type has spawned nothing (the per-type bound keeps the true
-    # counts)
-    unspawned_at = engine._unspawned_at
-    monkeypatch.setattr(engine, "_unspawned_at", lambda p: unspawned_at(mutate(p)))
-    assert _rejected(caught_on) > 0
-
-
 def _as_constraint(c) -> Constraint:
     # a configuration read as a constraint over its own variables: each
     # cell names the variable the task holds the phaser by
@@ -372,71 +313,134 @@ def _as_constraint(c) -> Constraint:
     return Constraint(c.bv, c.seqs, gaps, ((0, 0),) * c.n_phasers)
 
 
-def _flow_rejected(name) -> int:
-    fits_columns = engine.flow_bound(SPAWN_ORDER_PROGRAMS[name][0])
-    return sum(not fits_columns(_as_constraint(c)) for c in _reached(name))
+def _rejected(name, rule, program=None) -> int:
+    """How many configurations explored on program ``name`` fail the
+    rule of that name in the static rules of ``program`` (default: the
+    explored program itself).  A row rule reads a configuration's
+    sequence ids, a cell rule the configuration read as a constraint."""
+    rules = StaticRules(SPAWN_ORDER_PROGRAMS[name][0] if program is None else program, INF, INF)
+    if rule in rules.row_rules:
+        return sum(not rules.row_rules[rule](c.seqs) for c in _reached(name))
+    return sum(not rules.cell_rules[rule](_as_constraint(c)) for c in _reached(name))
+
+
+def test_the_static_rules_are_named():
+    # a rule's name is how tests, counters and certificates refer to it;
+    # every rule but b is exact
+    rules = StaticRules(load("chain_spawn"), 2, 1)
+    assert list(rules.row_rules) == ["tasks", "hall", "spawn-order"]
+    assert list(rules.cell_rules) == ["flow", "b"]
+    # cap is min(k, phaser bound): chain_spawn creates 2 phasers,
+    # sigwait_ok 1
+    assert rules.cap == StaticRules(load("chain_spawn"), 3, 1).cap == 2
+    assert StaticRules(load("sigwait_ok"), INF, 1).cap == 1
+
+
+@pytest.mark.parametrize("name", SPAWN_ORDER_PROGRAMS)
+def test_every_explored_configuration_passes_the_row_test(name):
+    # the exact rules drop only constraints without reachable models:
+    # every configuration explore reaches passes each of them (a bounded
+    # exploration reaches only reachable ones).  These are the row rules
+    rejected = {r: _rejected(name, r) for r in ("tasks", "hall", "spawn-order")}
+    assert not any(rejected.values()), rejected
 
 
 @pytest.mark.parametrize("name", SPAWN_ORDER_PROGRAMS)
 def test_every_explored_configuration_passes_the_column_test(name):
-    # the phaser-flow column test drops only constraints without
-    # reachable models: every configuration explore reaches passes it
-    assert _flow_rejected(name) == 0
+    # the one exact cell rule, flow, under the same gate
+    assert _rejected(name, "flow") == 0
 
 
-def _feed_sites_without(monkeypatch, dropped):
-    # the column test reads a flow table rebuilt from the reachable sites
-    # that ``dropped`` does not match
-    flow_bound = engine.flow_bound
-
-    def mutant(program):
-        m = _with(program, sites=tuple(s for s in program.sites if not dropped(*s)))
-        m.__dict__.pop("held_sites", None)
-        return flow_bound(m)
-
-    monkeypatch.setattr(engine, "flow_bound", mutant)
+def _with(program, **tables):
+    # a copy of the program whose cached tables are replaced
+    mutant = copy.copy(program)
+    mutant.__dict__.update(tables)
+    return mutant
 
 
-def _no_formal_flow(monkeypatch):
-    _feed_sites_without(monkeypatch, lambda i, stmt, owners, looped: isinstance(stmt, Asynch))
+def _one_task_fewer(program, _):
+    tasks, phasers = program.static_bounds
+    return _with(program, static_bounds=(tasks - 1, phasers))
 
 
-def _dash_read_as_a_name(monkeypatch):
-    monkeypatch.setattr(engine, "NO_VAR", None)
+def _one_w_instance(program, _):
+    return _with(program, instance_counts=dict(program.instance_counts, W=1))
 
 
-def _only_main_seeds(monkeypatch):
-    _feed_sites_without(
-        monkeypatch,
+def _post_ids_only(program, _):
+    posts = {}
+    for stmt, nexts in zip(program.heads, program.next_ids):
+        if isinstance(stmt, Asynch):
+            posts.setdefault(stmt.task, set()).update(nexts)
+    return _with(program, spawn_order={w: frozenset(js) for w, js in posts.items()})
+
+
+def _no_skip_edges(program, _):
+    mutant = _with(program, skip_ids=(None,) * len(program.suffixes))
+    mutant.__dict__.pop("spawn_order", None)  # rebuilt over head steps alone
+    return mutant
+
+
+def _one_instance_each(program, _):
+    return _with(program, instance_counts=dict.fromkeys(program.instance_counts, 1))
+
+
+def _sites_without(program, dropped):
+    # the flow table rebuilt from the reachable sites that ``dropped``
+    # does not match
+    mutant = _with(program, sites=tuple(s for s in program.sites if not dropped(*s)))
+    mutant.__dict__.pop("held_sites", None)
+    return mutant
+
+
+def _no_formal_flow(program, _):
+    return _sites_without(program, lambda i, stmt, owners, looped: isinstance(stmt, Asynch))
+
+
+def _only_main_seeds(program, _):
+    return _sites_without(
+        program,
         lambda i, stmt, owners, looped: isinstance(stmt, NewPhaser) and "main" not in owners,
     )
 
 
+def _dash_read_as_a_name(program, monkeypatch):
+    monkeypatch.setattr(engine, "NO_VAR", None)
+    return program
+
+
+# (rule, mutation, program whose exploration catches it)
+MUTATIONS = [
+    ("tasks", _one_task_fewer, "SPAWNED_TWICE"),
+    ("hall", _one_w_instance, "SPAWNED_TWICE"),
+    ("spawn-order", _post_ids_only, "chain_spawn"),
+    ("spawn-order", _no_skip_edges, "SKIPPED_AFTER_SPAWN"),
+    ("spawn-order", _one_instance_each, "SPAWNED_TWICE"),
+    ("flow", _no_formal_flow, "chain_spawn"),
+    ("flow", _no_formal_flow, "producer_consumer_sw"),
+    ("flow", _dash_read_as_a_name, "chain_spawn"),
+    ("flow", _dash_read_as_a_name, "SPAWNED_TWICE"),
+    ("flow", _only_main_seeds, "chain_spawn"),
+]
+
+
 @pytest.mark.parametrize(
-    "mutate,caught_on",
-    [
-        (_no_formal_flow, "chain_spawn"),
-        (_no_formal_flow, "producer_consumer_sw"),
-        (_dash_read_as_a_name, "chain_spawn"),
-        (_dash_read_as_a_name, "SPAWNED_TWICE"),
-        (_only_main_seeds, "chain_spawn"),
-    ],
-    ids=[
-        "no_formal_flow-chain_spawn",
-        "no_formal_flow-producer_consumer_sw",
-        "dash_read_as_a_name-chain_spawn",
-        "dash_read_as_a_name-SPAWNED_TWICE",
-        "only_main_seeds-chain_spawn",
-    ],
+    "rule,mutate,caught_on",
+    MUTATIONS,
+    ids=[f"{m.__name__.lstrip('_')}-{p}" for _, m, p in MUTATIONS],
 )
-def test_the_column_test_gate_catches_a_broken_flow(mutate, caught_on, monkeypatch):
-    # each mutation breaks the phaser-flow rule, so the containment gate
-    # above must reject some explored configuration: spawn arguments that
-    # do not flow into the callee's parameters, a task naming a phaser
-    # with no variable taken to name it by the variable "-", and only
-    # main's creation sites seeding the flow
-    mutate(monkeypatch)
-    assert _flow_rejected(caught_on) > 0
+def test_the_gate_catches_a_broken_rule(rule, mutate, caught_on, monkeypatch):
+    # each mutation feeds a rule a wrong table, so the containment gate
+    # above must reject some explored configuration.  tasks: a task
+    # bound one too low.  hall: W counted once though main spawns it
+    # twice.  spawn-order: the table without its forward closure, the
+    # closure without barrier skips, and a row of a type with two
+    # instances taken as proof that its type has spawned nothing.  flow:
+    # spawn arguments that do not flow into the callee's parameters, a
+    # task naming a phaser with no variable taken to name it by the
+    # variable "-", and only main's creation sites seeding the flow
+    program = mutate(SPAWN_ORDER_PROGRAMS[caught_on][0], monkeypatch)
+    assert _rejected(caught_on, rule, program) > 0
 
 
 def test_explore_and_importing_the_cli_build_no_flow_table():
@@ -463,33 +467,38 @@ def test_explore_and_importing_the_cli_build_no_flow_table():
 
 def test_pre_builds_only_what_the_static_limits_admit(monkeypatch):
     # exact counters on the slowest bench cell: check pops 153
-    # constraints.  Without the limits, pre builds 8,040 predecessors on
-    # those pops: 2,803 over the task bound, 2,374 more over the per-type
-    # bound, 1,396 more out of spawn order and 321 more over the phaser
-    # bound.  pre builds exactly the other 1,146 and hands them to keep,
-    # whose column test drops 394 and leaves 752 for the b prune and
-    # entailment
+    # constraints.  Without the rules, pre builds 8,040 predecessors on
+    # those pops: 2,803 fail tasks, 2,374 more hall, 1,396 more
+    # spawn-order and 321 more the cap.  pre builds exactly the other
+    # 1,146 and hands them to the cell rules, where flow drops 394 and
+    # leaves 752 for b and then for keep's entailment test
     program = load("producer_consumer_sw")
-    cols_fit = engine.flow_bound(program)
-    handed, fit, full = [], [], []
+    tables, handed, fit, full = [], [], [], []
 
-    def counted(phi, program, keep, rows_fit, cap):
+    def counted(phi, program, rules, keep):
+        tables.append(rules)
+        counting = copy.copy(rules)
+
         def seen(psi):
             handed.append(canonical_constraint(psi))
-            return keep(psi)
+            return rules.cells_fit(psi)
 
+        counting.cells_fit = seen
         unlimited = [psi for _, psi in pre(phi, program)]
         full.extend(unlimited)
-        fit.extend(psi for psi in unlimited if rows_fit(psi.seqs) and psi.n_phasers <= cap)
-        return pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
+        fit.extend(
+            psi for psi in unlimited if rules.rows_fit(psi.seqs) and psi.n_phasers <= rules.cap
+        )
+        return pre(phi, program, counting, keep)
 
     monkeypatch.setattr(engine, "pre", counted)
     # b=1 and no k: the bench cell's default
     assert check(program, registration_error_targets(program), b=1) == Unreachable(153)
+    assert len({id(rules) for rules in tables}) == 1  # one table per run
     assert len(full) == 8040
     assert Counter(handed) == Counter(fit)
     assert len(handed) == 1146
-    assert sum(map(cols_fit, handed)) == 752
+    assert sum(map(tables[0].cell_rules["flow"], handed)) == 752
 
 
 def test_mode_programs_are_rejected():

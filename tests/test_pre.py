@@ -4,7 +4,7 @@ import pytest
 
 from phasercheck import engine
 from phasercheck.concrete import Bounds, explore
-from phasercheck.engine import Unreachable, check
+from phasercheck.engine import StaticRules, Unreachable, check
 from phasercheck.parser import parse, parse_seq
 from phasercheck.pre import pre, pre_stmt
 from phasercheck.symbolic import INF, Constraint, Gap, canonical_constraint, is_free
@@ -17,7 +17,7 @@ from phasercheck.targets import (
 
 from conftest import FINITE_PROGRAMS, load
 from oracles import constraint_valid, preserves_freeness_check
-from test_engine import SPAWNED_TWICE, _with
+from test_engine import SPAWNED_TWICE
 from sandwich import (
     constraint_pool,
     explored_graph,
@@ -194,9 +194,9 @@ def test_spawn_limits_test_the_rows_left_after_a_tracked_child():
     program = parse(TWO_W_SRC)
     body = program.body_ids["W"]
     phi = Constraint((None,), (body, body, None), ((), (), ()), ())
-    rows_fit = engine.type_bound(program)
-    limited = pre(phi, program, rows_fit=rows_fit)
-    assert limited == [(s, psi) for s, psi in pre(phi, program) if rows_fit(psi.seqs)]
+    rules = StaticRules(program, INF, INF)
+    limited = pre(phi, program, rules)
+    assert limited == [(s, psi) for s, psi in pre(phi, program) if rules.rows_fit(psi.seqs)]
     assert any(psi.n_tasks == 3 for _, psi in limited)
 
 
@@ -205,39 +205,27 @@ class _EnoughPops(Exception):
 
 
 def test_keep_drops_exactly_what_it_rejects(monkeypatch):
-    # check hands pre the row and width limits, and a keep filter that
-    # drops the rest before pre canonicalizes them.  On the first
-    # constraints it pops, that must give the unfiltered result minus the
-    # pairs that fail the static limits, restated here (the task and
-    # phaser bounds, the per-type bound, spawn order, k and the
-    # phaser-flow column test), or the rest of keep (b and entailment by
-    # the popped constraint).  Each skip must fire, and every predecessor
-    # pre hands to keep must pass the row and width limits
-    k = 2
+    # check hands pre its static rules and a keep filter, and pre drops
+    # what they reject before it canonicalizes it.  On the first
+    # constraints check pops, that must give the unfiltered result minus
+    # the pairs that fail a rule of the table, read here by name (tasks,
+    # hall, spawn-order, then the cap, then flow and b), or keep
+    # (entailment by the popped constraint).  Each exact rule and the cap
+    # must fire, and pre must hand keep only predecessors that pass every
+    # rule
     count = Counter()
 
-    def both_ways(phi, program, keep, rows_fit, cap):
-        task_bound, phaser_bound = program.static_bounds
-        row_test = engine.type_bound(program)
-        # with every id in every spawn-order table no row blocks a spawn
-        # and only the per-type bound is left
-        every_id = frozenset(range(len(program.suffixes)))
-        no_order = dict.fromkeys(program.spawners, every_id)
-        hall = engine.type_bound(_with(program, spawn_order=no_order))
-        flow = engine.flow_bound(program)
-
+    def both_ways(phi, program, rules, keep):
         def reject(psi):
-            # the first limit that psi fails: rows, then columns
-            if task_bound is not None and psi.n_tasks > task_bound:
-                return "rows"
-            if not hall(psi.seqs):
-                return "hall"
-            if not row_test(psi.seqs):
-                return "spawn"
-            if psi.n_phasers > min(k, INF if phaser_bound is None else phaser_bound):
-                return "columns"
-            if not flow(psi):
-                return "flow"
+            # the first rule that psi fails, in the order pre tests them
+            for name, rule in rules.row_rules.items():
+                if not rule(psi.seqs):
+                    return name
+            if psi.n_phasers > rules.cap:
+                return "cap"
+            for name, rule in rules.cell_rules.items():
+                if not rule(psi):
+                    return name
             return None
 
         handed = []
@@ -246,11 +234,11 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
             handed.append(psi)
             return keep(psi)
 
-        filtered = pre(phi, program, keep=seen, rows_fit=rows_fit, cap=cap)
+        filtered = pre(phi, program, rules, seen)
         full = pre(phi, program)
         expected = [(str(s), psi) for s, psi in full if reject(psi) is None and keep(psi)]
         assert [(str(s), psi) for s, psi in filtered] == expected
-        assert [psi for psi in handed if reject(psi) not in (None, "flow")] == []
+        assert [psi for psi in handed if reject(psi) is not None] == []
         count.update(reject(psi) for _, psi in full)
         count["full"] += len(full)
         count["kept"] += len(filtered)
@@ -262,6 +250,7 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     monkeypatch.setattr(engine, "pre", both_ways)
     programs = [(name, load(name)) for name in FINITE_PROGRAMS]
     programs.append(("SPAWNED_TWICE", parse(SPAWNED_TWICE)))
+    every = {"tasks", "hall", "spawn-order", "cap", "flow"}
     binding = {}
     for name, program in programs:
         if program.uses_modes():
@@ -270,16 +259,14 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
         for build in (assertion_targets, registration_error_targets, cyclic_wait_targets):
             count["pops"] = 0
             try:
-                check(program, build(program), k=k, b=1)
+                check(program, build(program), k=2, b=1)
             except _EnoughPops:
                 pass
-        binding[name] = {
-            r for r in ("rows", "hall", "spawn", "columns", "flow") if count[r] > before[r]
-        }
+        binding[name] = {r for r in every if count[r] > before[r]}
     assert 0 < count["kept"] < count["full"]
-    # where the bounds bind, each limit skips some predecessor
-    every = {"rows", "hall", "spawn", "columns", "flow"}
+    # where the bounds bind, each exact rule and the cap skip some
+    # predecessor
     assert binding["cross_deadlock"] == binding["producer_consumer_sw"] == every
-    assert binding["chain_spawn"] == every - {"rows"}
+    assert binding["chain_spawn"] == every - {"tasks"}
     # every variable of SPAWNED_TWICE holds the one site in W
-    assert binding["SPAWNED_TWICE"] == every - {"rows", "flow"}
+    assert binding["SPAWNED_TWICE"] == every - {"tasks", "flow"}
