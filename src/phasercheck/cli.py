@@ -152,15 +152,29 @@ def _load_targets(args, program) -> list:
 def cmd_check(args) -> int:
     program = _load_program(args)
     targets = _load_targets(args, program)
-    progress = None
-    if args.progress:
-        progress = lambda ev: print(json.dumps(ev), file=sys.stderr, flush=True)
+    pops = [0]
 
+    def report_pop(ev):
+        pops[0] = ev["processed"]
+        print(json.dumps(ev), file=sys.stderr, flush=True)
+
+    progress = report_pop if args.progress else None
     try:
         result = check(program, targets, k=args.k, b=args.b, budget=args.budget, progress=progress)
     except ValueError as e:
         raise UsageError(str(e))
+    code = _print_result(args, program, targets, result)
+    if args.progress:
+        # the last line, printed here: a reader of check's progress callback
+        # counts every event it passes as a pop
+        verdict = {EXIT_UNREACHABLE: "unreachable", EXIT_REACHABLE: "reachable", EXIT_BUDGET: "unknown"}[code]
+        done = {"event": "done", "verdict": verdict, "processed": pops[0]}
+        print(json.dumps(done), file=sys.stderr, flush=True)
+    return code
 
+
+def _print_result(args, program, targets, result) -> int:
+    """Print the verdict of ``check`` and its notes; returns the exit code."""
     if isinstance(result, Unreachable):
         print("verdict unreachable")
         print(f"processed {result.processed} constraints")

@@ -6,7 +6,10 @@ tables, which give each id's head, next and barrier-skip ids.
 Exploration deduplicates configurations up to renaming through
 canonicalization.  A head with a condition branches once per value the
 condition can take (``step_choices``), and ``apply_step`` fires it with
-that value.
+that value.  ``explore`` canonicalizes each successor from its canonical
+parent and the task that stepped (``canonical``'s hint), and a task
+with the same sequence and row as the one before it takes that task's
+successor for each value instead of canonicalizing its own.
 
 Reconstruction notes (the figure-level rules are not part of the available
 sources): exit only empties the control sequence and never deregisters; a
@@ -18,6 +21,7 @@ or at an ``exit`` inside it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
@@ -304,37 +308,76 @@ def successors(c: Configuration, p: Program) -> list:
 _NREG = ("nreg",)
 
 
-def canonical(c: Configuration, p: Program) -> Configuration:
-    """Deterministically relabel tasks and phasers and subtract the
-    per-phaser minimum phase (sound for reachability modulo equivalence).
-    Tasks sort by the text of their sequence (``p.text_ranks``), then by
-    their cells in phaser order."""
-    cols = list(zip(*c.phases))
-    for q, col in enumerate(cols):
-        k = min([r.sig if r.wait is None else r.wait for _, r in col if r is not None], default=0)
-        if k > 0:
-            shift = lambda v: None if v is None else v - k
-            cols[q] = tuple(
-                (var, None if r is None else Reg(r.mode, shift(r.wait), shift(r.sig))) for var, r in col
-            )
+def _shift(col: tuple) -> tuple:
+    """A phaser column's cells less its least phase value (its wait value,
+    or its signal value in SIG mode)."""
+    k = min([r.sig if r.wait is None else r.wait for _, r in col if r is not None], default=0)
+    if k == 0:
+        return col
+    shift = lambda r: Reg(r.mode, None if r.wait is None else r.wait - k, None if r.sig is None else r.sig - k)
+    return tuple([e if e[1] is None else (e[0], shift(e[1])) for e in col])
+
+
+def _sorted_columns(c: Configuration) -> tuple:
+    """The rows, and the rows of cell keys, with every column shifted and
+    the columns sorted by their key multisets (a tie keeps their order)."""
+    cols = [_shift(col) for col in zip(*c.phases)]
     # a registered cell is its own key: a mode fixes which of its values
     # are None, so two registrations never compare None with an int
     keys = [[e if e[1] is not None else (e[0], _NREG) for e in col] for col in cols]
-    # a phaser's key is a multiset over tasks, so one sort of each suffices
-    phaser_order = [q for _, q in sorted([(sorted(key), q) for q, key in enumerate(keys)])]
+    order = sorted(range(len(cols)), key=lambda q: sorted(keys[q]))
     no_phasers = [()] * c.n_tasks
-    key_rows = list(zip(*[keys[q] for q in phaser_order])) or no_phasers
-    rows = list(zip(*[cols[q] for q in phaser_order])) or no_phasers
-    ranks = p.text_ranks
-    order = sorted(zip([ranks[s] for s in c.seqs], key_rows, range(c.n_tasks)))
-    task_order = [t for _, _, t in order]
-    atomic = None if c.atomic is None else task_order.index(c.atomic)
-    return Configuration(
-        c.bv,
-        tuple([c.seqs[t] for t in task_order]),
-        tuple([rows[t] for t in task_order]),
-        atomic,
-    )
+    rows = list(zip(*[cols[q] for q in order])) or no_phasers
+    return rows, list(zip(*[keys[q] for q in order])) or no_phasers
+
+
+def _shift_column(phases: tuple, q: int):
+    """Canonical rows after a step changed one cell of column ``q``: the
+    column shifted alone, or None when its key multiset no longer sits
+    between its neighbours' and the columns would reorder."""
+    cells = [row[q] for row in phases]
+    col = _shift(cells)
+    key = lambda col: sorted([e if e[1] is not None else (e[0], _NREG) for e in col])
+    mid = key(col)
+    if q and key([row[q - 1] for row in phases]) > mid:
+        return None
+    if q + 1 < len(phases[0]) and mid > key([row[q + 1] for row in phases]):
+        return None
+    if col is cells:
+        return phases
+    return tuple([row if row[q] is e else row[:q] + (e,) + row[q + 1 :] for row, e in zip(phases, col)])
+
+
+def canonical(c: Configuration, p: Program, parent=None, task=None) -> Configuration:
+    """Deterministically relabel tasks and phasers and subtract the
+    per-phaser minimum phase (sound for reachability modulo equivalence).
+    Phasers sort by the multiset of their cell keys.  Tasks sort by the
+    text of their sequence (``p.text_ranks``), then by their cells in
+    phaser order, then by index.
+
+    ``explore`` passes a hint: ``parent`` is canonical and ``c`` is
+    ``apply_step(parent, p, task, ·)``.  An assign, assert, if or while
+    then changed only ``task``'s sequence, and a signal, wait or drop one
+    cell of its row besides.  That column is shifted alone and, while its
+    key still sits between its neighbours', the columns keep their order;
+    a shift keeps the order of the other rows, so only ``task`` moves to
+    its place.  Every other step, or a column out of place, takes the
+    full sort.  Both give the same configuration."""
+    head = None if parent is None else p.heads[parent.seqs[task]]
+    if isinstance(head, (Signal, Wait, Drop)):
+        rows = _shift_column(c.phases, binding(c, task, head.var))
+    else:
+        rows = c.phases if isinstance(head, (Assign, Assert, If, While)) else None
+    ranks, seqs = p.text_ranks, c.seqs
+    if rows is None:
+        rows, key_rows = _sorted_columns(c)
+        order = [t for _, _, t in sorted(zip([ranks[s] for s in seqs], key_rows, range(c.n_tasks)))]
+    else:
+        key = lambda t: (ranks[seqs[t]], [e if e[1] is not None else (e[0], _NREG) for e in rows[t]], t)
+        order = [t for t in range(c.n_tasks) if t != task]
+        order.insert(bisect_left(order, key(task), key=key), task)
+    atomic = None if c.atomic is None else order.index(c.atomic)
+    return Configuration(c.bv, tuple([seqs[t] for t in order]), tuple([rows[t] for t in order]), atomic)
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +467,31 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
         expansions += 1
         cycle = cyclic_waits(c, p)
         found = [] if cycle is None else [CyclicWait(cycle)]
-        for t, stmt, _, outcome in successors(c, p):
+        seqs, rows = c.seqs, c.phases
+        done = {}  # (task, value) -> successor index, or None for a cut
+        for t, stmt, value, outcome in successors(c, p):
             if not isinstance(outcome, Configuration):
                 if outcome not in found:
                     found.append(outcome)
                 continue
-            if not _within(outcome, bounds, t):
+            # a twin of the task before (same sequence and row; c is
+            # canonical, so twins are adjacent) steps to the same canonical
+            # successor, or is cut alike.  In an atomic section only its
+            # owner steps, so no task finds a twin's entry there
+            if t and seqs[t - 1] == seqs[t] and rows[t - 1] == rows[t] and (t - 1, value) in done:
+                j = done[t - 1, value]
+            elif not _within(outcome, bounds, t):
+                j = None
+            else:
+                cc = canonical(outcome, p, c, t)
+                j = index.setdefault(cc, len(configs))  # one hash per successor
+                if j == len(configs):
+                    configs.append(cc)
+                    queue.append(j)
+            done[t, value] = j
+            if j is None:
                 exhausted = False
                 continue
-            cc = canonical(outcome, p)
-            j = index.setdefault(cc, len(configs))  # one hash per successor
-            if j == len(configs):
-                configs.append(cc)
-                queue.append(j)
             if record_graph:
                 edges.append((ci, t, str(stmt), j))
         errors.extend((e, ci) for e in found)

@@ -2,9 +2,20 @@
 the checker itself never runs them."""
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
-from phasercheck.concrete import Configuration, Reg
+from phasercheck.concrete import (
+    Configuration,
+    CyclicWait,
+    ExploreResult,
+    Reg,
+    _within,
+    canonical,
+    cyclic_waits,
+    initial_config,
+    successors,
+)
 from phasercheck.pre import pre
 from phasercheck.symbolic import (
     INF,
@@ -454,3 +465,42 @@ def walk(seq, looped: bool = False):
         yield s, looped
         if isinstance(s, (While, If, NextBlock)):
             yield from walk(s.body, looped or isinstance(s, While))
+
+
+def reference_explore(program, bounds) -> ExploreResult:
+    """Reference for ``concrete.explore(..., record_graph=True)``: the
+    same breadth-first loop with the full ``canonical`` sort on every
+    successor, and no successor reused from a twin task."""
+    init = canonical(initial_config(program), program)
+    index = {init: 0}
+    configs = [init]
+    errors = []
+    edges = []
+    queue = deque([0])
+    expansions = 0
+    exhausted = True
+    while queue:
+        if expansions >= bounds.max_steps:
+            exhausted = False
+            break
+        ci = queue.popleft()
+        c = configs[ci]
+        expansions += 1
+        cycle = cyclic_waits(c, program)
+        found = [] if cycle is None else [CyclicWait(cycle)]
+        for t, stmt, _, outcome in successors(c, program):
+            if not isinstance(outcome, Configuration):
+                if outcome not in found:
+                    found.append(outcome)
+                continue
+            if not _within(outcome, bounds, t):
+                exhausted = False
+                continue
+            cc = canonical(outcome, program)
+            j = index.setdefault(cc, len(configs))
+            if j == len(configs):
+                configs.append(cc)
+                queue.append(j)
+            edges.append((ci, t, str(stmt), j))
+        errors.extend((e, ci) for e in found)
+    return ExploreResult(configs, errors, exhausted, edges)

@@ -424,7 +424,9 @@ def test_check_budget_stops_after_that_many_pops(capsys):
     assert run(*argv) == 3
     out, err = capsys.readouterr()
     assert out == "verdict unknown (budget exhausted)\nprocessed 3 constraints\n"
-    assert [json.loads(line)["processed"] for line in err.splitlines()] == [1, 2, 3]
+    events = [json.loads(line) for line in err.splitlines()]
+    assert [e["processed"] for e in events[:-1]] == [1, 2, 3]
+    assert events[-1] == {"event": "done", "verdict": "unknown", "processed": 3}
 
 
 def test_check_rejects_mode_programs(capsys):
@@ -494,6 +496,9 @@ def test_check_progress_stream_is_ndjson(tmp_path, capsys):
         if last is not None:
             kind = "note" if last.startswith("note: ") else "error"
             ends = [{"event": kind, "text": last.removeprefix(f"{kind}: ")}]
+        if code != 2:  # a verdict ends the stream, after any note
+            verdict = {0: "unreachable", 1: "reachable"}[code]
+            ends.append({"event": "done", "verdict": verdict, "processed": len(pops)})
         assert events and events == pops + ends
         assert plain.err == ("" if last is None else f"{last}\n")
 
@@ -601,7 +606,10 @@ def test_check_target_at_a_sequence_no_task_reaches(tmp_path, capsys, header):
     assert run(*argv, "--progress") == 0
     out, err = capsys.readouterr()
     assert out == "verdict unreachable\nprocessed 0 constraints\n"
-    assert [json.loads(line) for line in err.splitlines()] == [{"event": "note", "text": note}]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"event": "note", "text": note},
+        {"event": "done", "verdict": "unreachable", "processed": 0},
+    ]
 
 
 MALFORMED_TARGETS = [
