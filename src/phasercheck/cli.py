@@ -8,11 +8,18 @@ Subcommands:
 * ``check``: symbolic backward reachability for a property class or a
   custom target file (constraint and partial-config records).
 
-``check`` exit codes: 0 unreachable, 1 reachable (trace printed),
-2 usage/input error, 3 budget exhausted (only with ``--budget``).
-Every command exits 141 (128 + SIGPIPE, what a shell reports for a
-process killed by a closed pipe), without a traceback, when standard
-output is closed before it finishes printing.
+``check`` replays every witness (``engine.validate_trace``) up to the
+concrete error that ``--property`` names.  Exit codes, the ``EXIT_*``
+constants:
+
+* 0: unreachable;
+* 1: reachable, and the printed trace replays;
+* 2: a usage or input error;
+* 3: verdict unknown, the ``--budget`` ran out;
+* 4: verdict unknown, the witness does not replay;
+* 141: standard output closed before the command finished printing
+  (128 + SIGPIPE, what a shell reports for a process killed by a closed
+  pipe); the command exits quietly, without a traceback.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .concrete import Bounds, config_to_text, explore
+from .concrete import AssertionViolation, Bounds, CyclicWait, RegistrationError, config_to_text, explore
 from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
 from .parser import ParseError, parse
+from .symbolic import is_b_good
 from .syntax import validate
 from .targets import (
     assertion_targets,
@@ -41,7 +49,11 @@ EXIT_UNREACHABLE = 0
 EXIT_REACHABLE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_NO_REPLAY = 4
 EXIT_PIPE = 141
+
+# the concrete error a witness of each property replays to (custom: none)
+ERROR_OF = {"assert": AssertionViolation, "regerror": RegistrationError, "cyclic-wait": CyclicWait}
 
 
 def _report(args, kind: str, text: str, path: str | None = None) -> None:
@@ -134,7 +146,11 @@ def _load_targets(args, program) -> list:
     if args.property == "regerror":
         return registration_error_targets(program)
     if args.property == "cyclic-wait":
-        return cyclic_wait_targets(program, args.max_cycle, args.slack)
+        targets = cyclic_wait_targets(program, args.max_cycle, args.slack)
+        # check would refuse them as not b-good, naming neither flag
+        if not all(is_b_good(t, args.b) for t in targets):
+            raise UsageError(f"--slack {args.slack} needs --b {args.slack} or more")
+        return targets
     # custom: a target file of constraint and partial-config records
     if not args.target:
         raise UsageError("--property custom requires --target FILE")
@@ -167,7 +183,8 @@ def cmd_check(args) -> int:
     if args.progress:
         # the last line, printed here: a reader of check's progress callback
         # counts every event it passes as a pop
-        verdict = {EXIT_UNREACHABLE: "unreachable", EXIT_REACHABLE: "reachable", EXIT_BUDGET: "unknown"}[code]
+        verdicts = {EXIT_UNREACHABLE: "unreachable", EXIT_REACHABLE: "reachable"}
+        verdict = verdicts.get(code, "unknown")  # budget exhausted or no replay
         done = {"event": "done", "verdict": verdict, "processed": pops[0]}
         print(json.dumps(done), file=sys.stderr, flush=True)
     return code
@@ -194,7 +211,11 @@ def _print_result(args, program, targets, result) -> int:
         print(f"processed {result.processed} constraints")
         return EXIT_BUDGET
     assert isinstance(result, Reachable)
-    print("verdict reachable")
+    failure = validate_trace(program, result, ERROR_OF.get(args.property))
+    if failure is None:
+        print("verdict reachable")
+    else:
+        print(f"verdict unknown (witness does not replay at step {failure[0]})")
     print("trace {")
     for i, phi in enumerate(result.constraints):
         print(f"  # step {i}")
@@ -203,10 +224,8 @@ def _print_result(args, program, targets, result) -> int:
         if i < len(result.stmts):
             print(f"  stmt {result.stmts[i]}")
     print("}")
-    if args.validate:
-        report = validate_trace(program, result)
-        print(f"trace replay: {'ok' if report.ok else 'FAILED: ' + report.message}")
-    return EXIT_REACHABLE
+    print("trace replay:", "ok" if failure is None else f"FAILED: {failure[1]}")
+    return EXIT_REACHABLE if failure is None else EXIT_NO_REPLAY
 
 
 def positive(text: str) -> int:
@@ -262,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--budget", type=_option(natural), help="give up after N pops (default: none)")
     c.add_argument("--slack", type=_option(natural), default=1, help="cyclic-wait distance bound")
     c.add_argument("--max-cycle", type=_option(positive), default=2, help="max wait-cycle length")
-    c.add_argument("--validate", action="store_true", help="replay the trace concretely")
+    # every witness is replayed; the old opt-in flag is accepted and ignored,
+    # so that command lines that pass it still run
+    c.add_argument("--validate", action="store_true", help=argparse.SUPPRESS)
     c.add_argument("--progress", action="store_true", help="ndjson progress on stderr")
     c.set_defaults(func=cmd_check)
     return ap

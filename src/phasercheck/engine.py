@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import heapq
 
-from .concrete import Configuration, initial_config, successors
+from .concrete import Configuration, CyclicWait, cyclic_waits, initial_config, successors
 from .pre import pre
 from .symbolic import (
     INF,
@@ -78,8 +78,11 @@ from .syntax import ANY, NO_VAR, Node
 
 class Reachable(Node):
     """Forward witness: constraints[0] is modeled by the initial
-    configuration, constraints[-1] is a target, and stmts[i] steps from
-    models of constraints[i] into models of constraints[i+1]."""
+    configuration, constraints[-1] is a target, and stmts[i] is the step
+    that ``pre`` took backward from constraints[i+1] to constraints[i].
+    ``pre`` is exact only when each tracked row captures one task, so a
+    run need not follow the witness: ``validate_trace`` replays it, and
+    only a witness that replays certifies the verdict."""
 
     constraints: tuple
     stmts: tuple
@@ -393,19 +396,18 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
 # Witness replay
 
 
-class TraceReport(Node):
-    ok: bool
-    failed_stage: int = -1
-    message: str = ""
-
-
-def validate_trace(program, trace: Reachable) -> TraceReport:
-    """Replay a trace concretely: starting from the initial configuration,
-    each trace statement must fire once so that some resulting
-    configuration models the next trace constraint."""
+def validate_trace(program, trace: Reachable, error=None):
+    """Replay a witness concretely.  From the initial configuration, each
+    trace statement must fire once into a model of the next trace
+    constraint.  With ``error``, an error outcome class of ``concrete``,
+    some configuration that the replay ends in must then raise it, as the
+    detectors that ``explore`` reports from see it: ``cyclic_waits`` for
+    ``CyclicWait``, an outcome of ``successors`` for the others.  Returns
+    None when the witness replays, else ``(step, message)``: the trace
+    step where the replay fails, and why."""
     init = initial_config(program)
     if not models(init, trace.constraints[0]):
-        return TraceReport(False, 0, "initial configuration does not model the first constraint")
+        return 0, "initial configuration does not model the first constraint"
     frontier = {init}
     for i, stmt in enumerate(trace.stmts):
         target = trace.constraints[i + 1]
@@ -416,10 +418,15 @@ def validate_trace(program, trace: Reachable) -> TraceReport:
             if head == stmt and isinstance(out, Configuration) and models(out, target)
         }
         if not reached:
-            return TraceReport(
-                False,
-                i + 1,
-                f"could not fire {stmt} into a model of constraint {i + 1}",
-            )
+            return i + 1, f"could not fire {stmt} into a model of constraint {i + 1}"
         frontier = reached
-    return TraceReport(True)
+    if error is None:
+        return None
+    if error is CyclicWait:
+        ends = (cyclic_waits(c, program) is not None for c in frontier)
+    else:
+        ends = (isinstance(out, error) for c in frontier for *_, out in successors(c, program))
+    if any(ends):
+        return None
+    end = len(trace.stmts)
+    return end, f"no model of constraint {end} that the replay reaches raises {error.__name__}"

@@ -437,7 +437,8 @@ def test_c7_shift_equivalence(report):
 
 
 # ---------------------------------------------------------------------------
-# 8. Every reachability verdict carries a concretely replayable trace
+# 8. Every reachability verdict carries a trace that replays concretely to
+#    its property's error
 
 
 def test_c8_trace_validity(report):
@@ -450,9 +451,9 @@ def test_c8_trace_validity(report):
         if not isinstance(result, Reachable):
             continue
         n_traces += 1
-        replay = validate_trace(load(name), result)
-        if not replay.ok:
-            bad.append((name, kind, limits, replay))
+        failure = validate_trace(load(name), result, ERROR_OF[kind])
+        if failure is not None:
+            bad.append((name, kind, limits, failure))
     report(
         "trace-validity",
         n_traces > 0 and not bad,

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import phasercheck
-from phasercheck import targets
+from phasercheck import cli, engine, targets
 from phasercheck.cli import main
+from phasercheck.engine import Reachable
 from phasercheck.targets import constraint_to_text, cyclic_wait_targets
 
 from conftest import CORPUS, load
@@ -193,11 +194,43 @@ def test_out_of_range_bounds_exit_2(capsys, argv):
 
 
 def test_check_reachable_assertion(capsys):
-    assert run("check", path("assert_fail"), "--property", "assert", "--validate") == 1
+    assert run("check", path("assert_fail"), "--property", "assert") == 1
     out = capsys.readouterr().out
     assert "verdict reachable" in out
     assert "trace {" in out
     assert "trace replay: ok" in out
+
+
+def test_a_witness_that_does_not_replay_is_no_verdict(capsys, monkeypatch):
+    # the broken witness of test_replay_rejects_a_broken_witness: its
+    # first step fires the wrong statement
+    program = load("cross_deadlock")
+    trace = engine.check(program, cyclic_wait_targets(program), k=2, b=1)
+    wrong = Reachable(trace.constraints, trace.stmts[1:2] + trace.stmts[1:])
+    monkeypatch.setattr(cli, "check", lambda *args, **kwargs: wrong)
+    argv = ["check", path("cross_deadlock"), "--property", "cyclic-wait"]
+    assert run(*argv) == 4
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[:2] == ["verdict unknown (witness does not replay at step 1)", "trace {"]
+    assert lines[-2:] == [
+        "}", f"trace replay: FAILED: could not fire {wrong.stmts[0]} into a model of constraint 1"
+    ]
+    assert err == ""
+    assert run(*argv, "--progress") == 4
+    captured = capsys.readouterr()
+    assert captured.out == out
+    events = [json.loads(line) for line in captured.err.splitlines()]
+    assert events == [{"event": "done", "verdict": "unknown", "processed": 0}]
+
+
+def test_slack_above_b_names_both_flags(capsys):
+    # the targets' signal distances reach --slack, so --b must too
+    argv = ["check", path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "3"]
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", "error: --slack 3 needs --b 3 or more\n")
+    assert run(*argv, "--b", "3") == 1
+    assert capsys.readouterr().out.startswith("verdict reachable\n")
 
 
 COMPOUND = """
@@ -219,7 +252,7 @@ def test_compound_conditions_agree_on_both_engines(tmp_path, capsys):
         src.write_text(text)
         assert run("explore", str(src)) == 0
         assert "error: AssertionViolation" in capsys.readouterr().out
-        assert run("check", str(src), "--property", "assert", "--validate") == 1
+        assert run("check", str(src), "--property", "assert") == 1
         out = capsys.readouterr().out
         assert "verdict reachable" in out and "trace replay: ok" in out
 
@@ -475,6 +508,11 @@ def test_check_progress_stream_is_ndjson(tmp_path, capsys):
             2,
             "error: a target tracks 2 phasers, more than k=1",
         ),
+        (
+            [path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "3"],
+            2,
+            "error: --slack 3 needs --b 3 or more",
+        ),
         ([missing], 2, f"error: [Errno 2] No such file or directory: '{missing}'"),
         ([str(bad_program)], 2, f"{bad_program}: 1:19: expected ';', found '}}'"),
         (
@@ -548,7 +586,6 @@ def test_check_custom_constraint_file(tmp_path, capsys):
         "custom",
         "--target",
         str(target),
-        "--validate",
     )
     assert code == 1
     out = capsys.readouterr().out
@@ -685,7 +722,7 @@ def test_check_reads_each_record_by_its_own_header(tmp_path, capsys, comment):
         target = tmp_path / "target.txt"
         target.write_text(comment + "".join(records))
         argv = ["check", path("selfwait"), "--property", "custom", "--target", str(target)]
-        assert run(*argv, "--validate") == 1, records
+        assert run(*argv) == 1, records
         out, err = capsys.readouterr()
         assert "verdict reachable" in out and "trace replay: ok" in out
         assert err == ""

@@ -13,7 +13,14 @@ from random import Random
 import pytest
 
 from phasercheck import engine
-from phasercheck.concrete import Bounds, explore, initial_config
+from phasercheck.concrete import (
+    AssertionViolation,
+    Bounds,
+    CyclicWait,
+    RegistrationError,
+    explore,
+    initial_config,
+)
 from phasercheck.engine import (
     BudgetExhausted,
     Reachable,
@@ -40,6 +47,9 @@ BUILDERS = {
     "regerr": registration_error_targets,
     "cyclic": cyclic_wait_targets,
 }
+
+# the concrete error each kind's witness replays to
+ERROR_OF = {"assert": AssertionViolation, "regerr": RegistrationError, "cyclic": CyclicWait}
 
 # check's limits for plain and for control reachability
 PLAIN = dict(k=2, b=1)
@@ -101,20 +111,33 @@ def test_corpus_verdicts(name, kind, limits, expected):
     assert models(initial_config(program), result.constraints[0])
     assert result.constraints[-1] in targets
     assert len(result.constraints) == len(result.stmts) + 1
-    report = validate_trace(program, result)
-    assert report.ok, (name, kind, report)
+    failure = validate_trace(program, result, ERROR_OF[kind])
+    assert failure is None, (name, kind, failure)
 
 
 def test_replay_rejects_a_broken_witness():
     program = load("cross_deadlock")
     trace = check(program, cyclic_wait_targets(program), **PLAIN)
-    assert validate_trace(program, trace).ok
+    assert validate_trace(program, trace, CyclicWait) is None
     # the first step fires the wrong statement
     wrong = Reachable(trace.constraints, trace.stmts[1:2] + trace.stmts[1:])
-    assert validate_trace(program, wrong).failed_stage == 1
+    assert validate_trace(program, wrong)[0] == 1
     # the witness no longer starts at the initial configuration
     late = Reachable(trace.constraints[1:], trace.stmts[1:])
-    assert validate_trace(program, late).failed_stage == 0
+    assert validate_trace(program, late)[0] == 0
+
+
+def test_replay_ends_at_the_property_error():
+    # a registration-error witness replays, and reaches no failed assertion
+    program = load("drop_then_wait")
+    trace = check(program, registration_error_targets(program), **PLAIN)
+    assert validate_trace(program, trace) is None
+    assert validate_trace(program, trace, RegistrationError) is None
+    end = len(trace.stmts)
+    assert validate_trace(program, trace, AssertionViolation) == (
+        end, f"no model of constraint {end} that the replay reaches raises AssertionViolation"
+    )
+    assert validate_trace(program, trace, CyclicWait)[0] == end
 
 
 def test_replay_fires_each_statement_once():
@@ -125,11 +148,11 @@ def test_replay_fires_each_statement_once():
     assert [str(s) for s in trace.stmts] == [
         "p = newPhaser();", "signal(p);", "signal(p);", "drop(p);"
     ]
-    assert validate_trace(program, trace).ok
+    assert validate_trace(program, trace, RegistrationError) is None
     collapsed = Reachable(
         trace.constraints[:2] + trace.constraints[3:], trace.stmts[:1] + trace.stmts[2:]
     )
-    assert validate_trace(program, collapsed).failed_stage == 2
+    assert validate_trace(program, collapsed)[0] == 2
 
 
 def test_unrestricted_budget_exhaustion():
@@ -152,7 +175,7 @@ def test_unrestricted_finds_immediate_violation():
     program = load("assert_fail")
     result = check(program, assertion_targets(program), k=INF, budget=100)
     assert isinstance(result, Reachable)
-    assert validate_trace(program, result).ok
+    assert validate_trace(program, result, AssertionViolation) is None
 
 
 def test_static_task_bound():

@@ -9,15 +9,21 @@ underscore-prefixed name, no module-level state is mutated or patched,
 and no module runs a bare call when it is imported.  Loading the
 command line pulls in neither ``dataclasses`` nor ``inspect``: every
 command pays for its imports before it reads its input.  Test modules
-read every name they import."""
+read every name they import.  The exit codes that ``cli``'s docstring
+and README's command-line block list are the ``EXIT_*`` constants, and
+``check --help`` lists only the options that act."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import phasercheck
+from phasercheck import cli
 
 
 def test_every_definition_is_used_by_the_package():
@@ -288,3 +294,24 @@ def test_every_test_module_reads_what_it_imports():
                     if name not in read:
                         unread.append((path.name, name))
     assert unread == []
+
+
+def test_the_documented_exit_codes_are_the_exit_constants():
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes == {0, 1, 2, 3, 4, 141}
+    # the docstring lists one code per bullet, "* N: ..."
+    assert {int(n) for n in re.findall(r"^\* (\d+):", cli.__doc__, re.M)} == codes
+    # README names them in the comments of its command-line examples
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    comments = " ".join(line for line in block.splitlines() if line.startswith("#"))
+    assert {int(n) for n in re.findall(r"\b\d+\b", comments)} == codes
+
+
+def test_check_help_does_not_list_the_validate_no_op(capsys):
+    # every witness is replayed; --validate is accepted only so that old
+    # command lines still run
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--help"])
+    out = capsys.readouterr().out
+    assert "--progress" in out and "--validate" not in out

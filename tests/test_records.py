@@ -19,7 +19,7 @@ from phasercheck.concrete import (
     RegistrationError,
 )
 from phasercheck.control import Program, TaskDef
-from phasercheck.engine import BudgetExhausted, Reachable, TraceReport, Unreachable
+from phasercheck.engine import BudgetExhausted, Reachable, Unreachable
 from phasercheck.parser import Token, parse
 from phasercheck.symbolic import FREE_BOUNDS, Constraint, Gap
 from phasercheck.syntax import (
@@ -67,7 +67,7 @@ def _records():
             Configuration((False,), (0, 3), ((("p", Reg("SIG_WAIT", 0, 0)),), (("p", None),))),
             gap, Constraint((None,), (0,), ((gap,),), ((0, 0),)),
             Reachable((), ()), Unreachable(3), BudgetExhausted(3),
-            TraceReport(False, 2, "could not fire"), Bounds(max_tasks=5),
+            Bounds(max_tasks=5),
         ]
 
     return list(zip(build(), build()))
@@ -83,7 +83,7 @@ def _name(pair):
 def test_every_record_class_is_covered():
     # ExploreResult holds lists, so it has its own test below
     classes = {type(a) for a, _ in RECORDS}
-    assert len(classes) == len(RECORDS) == 31
+    assert len(classes) == len(RECORDS) == 30
     assert classes | {ExploreResult} == set(Node.__subclasses__())
 
 
@@ -170,7 +170,7 @@ def test_fields_by_position_or_keyword_with_defaults():
     assert Bounds.field_names == ("max_steps", "max_tasks", "max_phasers", "max_phase")
     assert Gap(ANY, None, opt=True).opt and not Gap(ANY, None).opt
     assert Configuration(bv=(), seqs=(0,), phases=((),)).atomic is None
-    assert TraceReport(ok=False).failed_stage == -1
+    assert Bounds(max_steps=5).max_tasks == Bounds().max_tasks == 4
     assert Exit.field_names == () and Exit() == Exit()
 
 
