@@ -28,12 +28,10 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 
 from .concrete import AssertionViolation, Bounds, CyclicWait, RegistrationError, config_to_text, explore
-from .engine import BudgetExhausted, Reachable, Unreachable, check, validate_trace
+from .engine import BudgetExhausted, Reachable, Unreachable, check, least_b, validate_trace
 from .parser import ParseError, parse
-from .symbolic import is_b_good
 from .syntax import validate
 from .targets import (
     assertion_targets,
@@ -117,23 +115,26 @@ def cmd_explore(args) -> int:
     program = _load_program(args)
     bounds = Bounds(**{name: getattr(args, name) for name in Bounds.field_names})
     # open the graph file first, so a bad path fails before exploring
-    with nullcontext() if args.graph is None else _open(args.graph, "w") as graph:
-        result = explore(program, bounds, record_graph=graph is not None)
-        print(f"configurations: {len(result.configs)}")
-        print(f"exhausted: {'yes' if result.exhausted else 'no'}")
-        for err, idx in result.errors:
-            print(f"error: {type(err).__name__} {err} at configuration {idx}")
-        if args.dump:
-            for i, c in enumerate(result.configs):
-                print(f"# configuration {i}")
-                print(config_to_text(c, program))
-        if graph is not None:
-            graph.write("digraph states {\n")
-            for src, task, stmt, dst in result.edges:
-                label = stmt.replace('"', "'")
-                graph.write(f'  c{src} -> c{dst} [label="t{task}: {label}"];\n')
-            graph.write("}\n")
+    graph = None if args.graph is None else _open(args.graph, "w")
+    result = explore(program, bounds, record_graph=graph is not None)
+    print(f"configurations: {len(result.configs)}")
+    print(f"exhausted: {'yes' if result.exhausted else 'no'}")
+    for err, idx in result.errors:
+        print(f"error: {type(err).__name__} {err} at configuration {idx}")
+    if args.dump:
+        for i, c in enumerate(result.configs):
+            print(f"# configuration {i}")
+            print(config_to_text(c, program))
     if graph is not None:
+        try:  # a write or the closing flush can fail, as on a full disk
+            with graph:
+                graph.write("digraph states {\n")
+                for src, task, stmt, dst in result.edges:
+                    label = stmt.replace('"', "'")
+                    graph.write(f'  c{src} -> c{dst} [label="t{task}: {label}"];\n')
+                graph.write("}\n")
+        except OSError as e:
+            raise UsageError(f"{args.graph}: {e}")
         print(f"graph written to {args.graph}")
     return 0
 
@@ -146,11 +147,7 @@ def _load_targets(args, program) -> list:
     if args.property == "regerror":
         return registration_error_targets(program)
     if args.property == "cyclic-wait":
-        targets = cyclic_wait_targets(program, args.max_cycle, args.slack)
-        # check would refuse them as not b-good, naming neither flag
-        if not all(is_b_good(t, args.b) for t in targets):
-            raise UsageError(f"--slack {args.slack} needs --b {args.slack} or more")
-        return targets
+        return cyclic_wait_targets(program, args.max_cycle, args.slack)
     # custom: a target file of constraint and partial-config records
     if not args.target:
         raise UsageError("--property custom requires --target FILE")
@@ -193,7 +190,8 @@ def cmd_check(args) -> int:
 def _print_result(args, program, targets, result) -> int:
     """Print the verdict of ``check`` and its notes; returns the exit code."""
     if isinstance(result, Unreachable):
-        print("verdict unreachable")
+        b = least_b(targets) if args.b is None else args.b
+        print(f"verdict unreachable (relative to b={b})" if result.b_pruned else "verdict unreachable")
         print(f"processed {result.processed} constraints")
         # without targets, check ran only to refuse what it cannot decide
         if not targets and args.property != "custom":
@@ -277,7 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--target", metavar="PATH", help="target file for --property custom")
     c.add_argument("--k", type=_option(natural_or_inf), help="max tracked phasers (default: inferred)")
-    c.add_argument("--b", type=_option(natural_or_inf), default=1, help="max finite gap upper (default: 1)")
+    c.add_argument(
+        "--b",
+        type=_option(natural_or_inf),
+        help="max finite gap upper (default: what the targets need, at least 1)",
+    )
     c.add_argument("--budget", type=_option(natural), help="give up after N pops (default: none)")
     c.add_argument("--slack", type=_option(natural), default=1, help="cyclic-wait distance bound")
     c.add_argument("--max-cycle", type=_option(positive), default=2, help="max wait-cycle length")

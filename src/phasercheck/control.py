@@ -13,7 +13,7 @@ ids a task can sit at once it has spawned a given type.
 ``held_sites`` is a flow-insensitive points-to table of phaser
 variables: the ``newPhaser`` sites whose phaser each task type may name
 with each variable.  The bounds on task instances and created phasers
-are ``instance_counts``, read from ``spawners``, and ``static_bounds``.
+are ``instance_counts``, read from ``spawners``, and ``phaser_bound``.
 
 A reachable sequence's id is its index in ``suffixes``.  Per id, the
 program keeps the head statement (``heads``), the ids of its
@@ -316,17 +316,17 @@ class Program(Node):
         return {name: count(name) for name in reached}
 
     @cached_property
-    def static_bounds(self) -> tuple:
-        """(tasks, phasers): upper bounds on the tasks that exist at once
-        and on the phasers any run creates (columns never disappear), each
-        None when unbounded.  A reachable ``newPhaser`` site counts once per
-        instance of each owning type, and is unbounded when looped."""
+    def phaser_bound(self):
+        """Upper bound on the phasers any run creates (columns never
+        disappear), None when unbounded.  A reachable ``newPhaser`` site
+        counts once per instance of each owning type, and is unbounded
+        when looped."""
         counts = self.instance_counts
-        sites = [
+        ns = [
             None if looped else counts[name]
             for _, stmt, owners, looped in self.sites
             if isinstance(stmt, NewPhaser)
             for name in owners
             if name in counts
         ]
-        return tuple(None if None in ns else sum(ns) for ns in (list(counts.values()), sites))
+        return None if None in ns else sum(ns)

@@ -18,8 +18,9 @@ three limits, ``check``'s parameters:
   beyond the static phaser bound).
 * ``b``, the gap prune: predecessors that are not ``b``-good (every gap
   free or with uppers at most ``b``) are dropped, and targets must be
-  ``b``-good.  ``b`` never prunes a free constraint; ``b=INF`` (the
-  default) prunes nothing.
+  ``b``-good.  ``b`` never prunes a free constraint; ``b=INF`` prunes
+  nothing.  ``Unreachable.b_pruned`` counts the predecessors it
+  dropped, so a verdict can say when it rests on them.
 * ``budget``: after that many pops, when a constraint is still
   scheduled, ``check`` gives up with a distinct inconclusive verdict.
 
@@ -32,7 +33,9 @@ is sure to stop only under a ``budget``; ``check`` rejects the second
 without one.
 ``k=None`` leaves ``k`` to ``check``: the widest target or the larger
 phaser bound, so ``k`` never prunes a program with a finite bound; else
-the number of ``newPhaser`` sites.
+the number of ``newPhaser`` sites.  ``b=None`` likewise leaves ``b`` to
+``check``: ``least_b(targets)``, the least ``b`` under which every
+target is ``b``-good.
 
 Every limit but the budget is one table, ``StaticRules(program, k, b)``,
 which ``check`` builds once per call.  It filters the targets, and
@@ -42,9 +45,7 @@ rule is exact when it fails only constraints without models, and a
 prune otherwise.  Each rule's name (stage; what it reads; kind):
 
 * ``cap`` (rows; the column count; prune by ``k``): at most ``min(k,
-  phaser bound)`` columns (``Program.static_bounds``).
-* ``tasks`` (rows; the row count; exact): at most the task bound of
-  ``Program.static_bounds``.
+  Program.phaser_bound)`` columns.
 * ``hall`` (rows; the rows' owner types, ``Program.owners``, against
   ``Program.instance_counts``; exact): no more rows on some types' code
   than those types have instances (``_hall``).
@@ -89,7 +90,12 @@ class Reachable(Node):
 
 
 class Unreachable(Node):
+    """No target is reachable under ``check``'s limits.  ``b_pruned``
+    counts the predecessors that the ``b`` rule dropped: when it is not
+    0, the verdict holds relative to ``b`` only."""
+
     processed: int
+    b_pruned: int = 0
 
 
 class BudgetExhausted(Node):
@@ -101,23 +107,26 @@ class StaticRules:
     ``row_rules`` test a tuple of sequence ids (one per row, None for
     ``*``), ``cell_rules`` a built constraint, and ``cap`` bounds the
     columns.  ``rows_fit`` and ``cells_fit`` are each stage's rules in
-    table order, composed once; ``tasks`` comes first because it rejects
-    most tuples more cheaply than ``hall``, which implies it when every
-    count is finite.  Each rule keeps its own memo, which lives as long
-    as the table."""
+    table order, composed once.  Each rule keeps its own memo, which
+    lives as long as the table; ``b_pruned`` counts what ``b``
+    rejects."""
 
     def __init__(self, program, k, b):
-        task_bound, phaser_bound = program.static_bounds
+        phaser_bound = program.phaser_bound
         self.cap = k if phaser_bound is None else min(k, phaser_bound)
-        self.row_rules = {
-            "tasks": lambda seqs: task_bound is None or len(seqs) <= task_bound,
-            "hall": _hall(program),
-            "spawn-order": _spawn_order(program),
-        }
-        self.cell_rules = {"flow": _flow(program), "b": lambda phi: is_b_good(phi, b)}
-        tasks, hall, order = self.row_rules.values()
+        self.b_pruned = 0
+
+        def b_good(phi) -> bool:
+            if is_b_good(phi, b):
+                return True
+            self.b_pruned += 1
+            return False
+
+        self.row_rules = {"hall": _hall(program), "spawn-order": _spawn_order(program)}
+        self.cell_rules = {"flow": _flow(program), "b": b_good}
+        hall, order = self.row_rules.values()
         flow, good = self.cell_rules.values()
-        self.rows_fit = lambda seqs: tasks(seqs) and hall(seqs) and order(seqs)
+        self.rows_fit = lambda seqs: hall(seqs) and order(seqs)
         self.cells_fit = lambda phi: flow(phi) and good(phi)
 
 
@@ -131,8 +140,10 @@ def _hall(program):
     ``U``'s types (``Program.instance_counts``; 0 for a type ``main``
     never reaches).  In ``main(){ asynch(W); asynch(W); }`` where each
     ``W`` spawns one ``X``, that is at most 1 row on ``main``'s code, 2
-    on ``W``'s and 2 on ``X``'s; the bound holds for ``main`` and every
-    type with a finite count when the total is unbounded too.  Memoized
+    on ``W``'s and 2 on ``X``'s, and 5 in all: the union of every row's
+    owners bounds the row count by the total instance count whenever
+    that is finite.  The bound holds for ``main`` and every type with a
+    finite count when the total is unbounded too.  Memoized
     on the sorted owner sets of the rows."""
     counts = program.instance_counts
     own = program.owners
@@ -253,9 +264,17 @@ def _flow(program):
     return fits_columns
 
 
-def check(program, targets, k=None, b=INF, budget=None, progress=None):
+def least_b(targets):
+    """The least ``b`` at least 1 under which every target is
+    ``b``-good: the largest upper of a gap that is not free, or 1."""
+    gaps = (g for phi in targets for row in phi.gaps for g in row)
+    return max((u for g in gaps if not g.is_free() for u in g.bounds[2:]), default=1) or 1
+
+
+def check(program, targets, k=None, b=None, budget=None, progress=None):
     """Decide whether any target constraint has a reachable model, under
-    the limits ``k``, ``b`` and ``budget`` (see the module docstring).
+    the limits ``k``, ``b`` and ``budget`` (see the module docstring);
+    ``k=None`` and ``b=None`` are what the targets need.
 
     Returns Reachable, Unreachable, or BudgetExhausted (with a
     ``budget`` only).  Raises ValueError for a program it cannot decide
@@ -269,11 +288,14 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
             "symbolic checking requires SIG_WAIT-only registrations; "
             "rewrite SIG/WAIT modes or use the concrete explorer"
         )
-    if not all(is_b_good(t, b) for t in targets):
-        raise ValueError(f"plain reachability requires {b}-good targets")
+    need = least_b(targets)
+    if b is None:
+        b = need
+    elif b < need:
+        raise ValueError(f"the targets need b={need} or more")
     if b == INF and budget is None and not all(map(is_free, targets)):
         raise ValueError("a run with b=inf and no budget needs free targets")
-    phaser_bound = program.static_bounds[1]
+    phaser_bound = program.phaser_bound
     wide = max((phi.n_phasers for phi in targets), default=0)
     if k is None:
         k = max(wide, program.phaser_sites() if phaser_bound is None else phaser_bound)
@@ -389,7 +411,7 @@ def check(program, targets, k=None, b=INF, budget=None, progress=None):
         )
         for stmt, psi in preds:
             insert(psi, (stmt, phi))
-    return Unreachable(processed)
+    return Unreachable(processed, rules.b_pruned)
 
 
 # ---------------------------------------------------------------------------

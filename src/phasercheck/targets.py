@@ -223,15 +223,17 @@ def constraint_from_record(bv, seqs, n_phasers: int, cells) -> Constraint:
 
 
 def partial_config_constraint(bv, seqs, n_phasers: int, cells) -> Constraint:
-    """The constraint whose models are exactly the configurations that
-    include a ``partial-config`` record's pattern, over the sequence ids
-    ``seqs``.
+    """The constraint of a ``partial-config`` record's pattern, over the
+    sequence ids ``seqs``.
 
     Concrete (w, s) cells pin gaps against the per-phaser level chosen as
-    the maximum concrete wait; unstated cells become optional free gaps
-    (registered or not, unconstrained).  Raises ValueError when the
-    concrete cells are not level-consistent (no reachable configuration
-    can include them).
+    the maximum concrete wait; unstated cells become optional free gaps.
+    Every gap and the environment bound ``ew=0`` keep each task's wait
+    at or below that level, so the constraint models only the including
+    configurations in which no task has waited on a pinned phaser past
+    the pattern's largest wait: it is not exact.  Raises ValueError when
+    the concrete cells are not level-consistent (no reachable
+    configuration can include them).
     """
     rows = [
         [cells.get(("phase", t, p), OPT_FREE) for p in range(n_phasers)]

@@ -93,8 +93,8 @@ ERROR_OF = {
 # check's limits for plain, control and unrestricted reachability, as
 # hashable (name, value) pairs
 PLAIN = (("k", 2), ("b", 1))
-CTRL = (("k", 2),)
-UNRESTRICTED = (("k", INF), ("budget", 800))
+CTRL = (("k", 2), ("b", INF))
+UNRESTRICTED = (("k", INF), ("b", INF), ("budget", 800))
 
 
 @pytest.fixture

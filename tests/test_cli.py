@@ -147,6 +147,16 @@ def test_explore_unwritable_graph_exits_2_before_exploring(where, tmp_path, caps
     assert err.startswith("error: ") and str(graph) in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_explore_graph_that_fails_while_writing_exits_2(capsys):
+    # the graph opens, but writing it runs out of space: one error line
+    # after the report, no traceback
+    assert run("explore", path("selfwait"), "--graph", "/dev/full") == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("configurations: ") and "graph written" not in out
+    assert err == "error: /dev/full: [Errno 28] No space left on device\n"
+
+
 def test_closed_stdout_exits_141_quietly():
     # the dump (about 690 kB) outgrows the pipe buffer, so the command is
     # still printing when the reader goes away
@@ -224,11 +234,39 @@ def test_a_witness_that_does_not_replay_is_no_verdict(capsys, monkeypatch):
     assert events == [{"event": "done", "verdict": "unknown", "processed": 0}]
 
 
-def test_slack_above_b_names_both_flags(capsys):
-    # the targets' signal distances reach --slack, so --b must too
+# both tasks end at drop(p); main waits once on p and T twice
+B_PRUNED_SRC = (
+    "main(){ p = newPhaser(); asynch(T, p); signal(p); signal(p); wait(p); drop(p); } "
+    "T(p){ signal(p); signal(p); wait(p); wait(p); drop(p); }"
+)
+B_PRUNED_TARGET = (
+    'partial-config {\n  tasks 2\n  phasers 1\n  seq t0 "drop(p);"\n  seq t1 "drop(p);"\n'
+    "  phase t0 p0 var=p w=1 s=2\n  phase t1 p0 var=p w=2 s=2\n}\n"
+)
+
+
+def test_an_unreachable_verdict_that_rests_on_b_says_so(tmp_path, capsys):
+    # the target is reached, through a predecessor with a gap upper of 2
+    # that b=1 drops: the verdict names the b it holds for
+    prog, target = tmp_path / "p.phz", tmp_path / "t.txt"
+    prog.write_text(B_PRUNED_SRC)
+    target.write_text(B_PRUNED_TARGET)
+    argv = ["check", str(prog), "--property", "custom", "--target", str(target)]
+    assert run(*argv) == 0
+    assert capsys.readouterr() == ("verdict unreachable (relative to b=1)\nprocessed 4 constraints\n", "")
+    assert run(*argv, "--b", "2") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verdict reachable\n") and out.endswith("trace replay: ok\n")
+
+
+def test_b_defaults_to_what_the_targets_need(capsys):
+    # the targets' signal distances reach --slack, so the default b does
+    # too, and a smaller --b names what they need
     argv = ["check", path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "3"]
-    assert run(*argv) == 2
-    assert capsys.readouterr() == ("", "error: --slack 3 needs --b 3 or more\n")
+    assert run(*argv) == 1
+    assert capsys.readouterr().out.startswith("verdict reachable\n")
+    assert run(*argv, "--b", "1") == 2
+    assert capsys.readouterr() == ("", "error: the targets need b=3 or more\n")
     assert run(*argv, "--b", "3") == 1
     assert capsys.readouterr().out.startswith("verdict reachable\n")
 
@@ -509,9 +547,9 @@ def test_check_progress_stream_is_ndjson(tmp_path, capsys):
             "error: a target tracks 2 phasers, more than k=1",
         ),
         (
-            [path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "3"],
+            [path("cross_deadlock"), "--property", "cyclic-wait", "--slack", "3", "--b", "1"],
             2,
-            "error: --slack 3 needs --b 3 or more",
+            "error: the targets need b=3 or more",
         ),
         ([missing], 2, f"error: [Errno 2] No such file or directory: '{missing}'"),
         ([str(bad_program)], 2, f"{bad_program}: 1:19: expected ';', found '}}'"),

@@ -228,7 +228,7 @@ def test_the_site_table_agrees_with_the_walk_without_dead_code(name):
         )
         for t in p.tasks
     }
-    facts = (per_task, p.is_atomic(), p.phaser_sites(), p.uses_modes(), p.static_bounds[1])
+    facts = (per_task, p.is_atomic(), p.phaser_sites(), p.uses_modes(), p.phaser_bound)
     assert facts == _walked(p)
 
 
@@ -236,11 +236,11 @@ def test_code_no_run_reaches_has_no_site():
     # after main's exit, and in a loop whose body ends in exit, the walk
     # saw a second phaser and a phaser per pass
     after_exit = parse("main(){ p = newPhaser(); drop(p); exit; q = newPhaser(); drop(q); }")
-    assert after_exit.static_bounds == (1, 1)
+    assert sum(after_exit.instance_counts.values()) == after_exit.phaser_bound == 1
     assert after_exit.phaser_sites() == 1
     assert _walked(after_exit)[2:] == (2, False, 2)
     exit_in_loop = parse("bool a; main(){ while(ndet()){ p = newPhaser(); drop(p); exit; } }")
-    assert exit_in_loop.static_bounds == (1, 1)
+    assert sum(exit_in_loop.instance_counts.values()) == exit_in_loop.phaser_bound == 1
     assert _walked(exit_in_loop)[4] is None
     dead_barrier = parse("bool a; main(){ p = newPhaser(); drop(p); exit; next(p){ a = true; } }")
     assert not dead_barrier.is_atomic()

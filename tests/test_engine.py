@@ -53,11 +53,11 @@ ERROR_OF = {"assert": AssertionViolation, "regerr": RegistrationError, "cyclic":
 
 # check's limits for plain and for control reachability
 PLAIN = dict(k=2, b=1)
-CTRL = dict(k=2)
+CTRL = dict(k=2, b=INF)
 
 
 def _formulation(limits) -> str:
-    return "PlainReachability" if "b" in limits else "ControlReachability"
+    return "PlainReachability" if limits["b"] == 1 else "ControlReachability"
 
 
 # (program, target kind, limits, expected result: Reachable, or the
@@ -178,31 +178,37 @@ def test_unrestricted_finds_immediate_violation():
     assert validate_trace(program, result, AssertionViolation) is None
 
 
+def _task_bound(program):
+    # the most tasks any run has at once: the instances of every type
+    counts = program.instance_counts.values()
+    return None if None in counts else sum(counts)
+
+
 def test_static_task_bound():
-    assert load("sigwait_ok").static_bounds[0] == 1
-    assert load("cross_deadlock").static_bounds[0] == 2
-    assert load("chain_spawn").static_bounds[0] == 3
-    assert load("producer_consumer_sw").static_bounds[0] == 3
-    assert load("minsky_chain").static_bounds[0] is None
+    assert _task_bound(load("sigwait_ok")) == 1
+    assert _task_bound(load("cross_deadlock")) == 2
+    assert _task_bound(load("chain_spawn")) == 3
+    assert _task_bound(load("producer_consumer_sw")) == 3
+    assert _task_bound(load("minsky_chain")) is None
     recursive = parse("main(){ asynch(Loop); } Loop(){ asynch(Loop); }")
-    assert recursive.static_bounds[0] is None
+    assert _task_bound(recursive) is None
     assert recursive.instance_counts == {"main": 1, "Loop": None}
 
 
 def test_static_phaser_bound():
-    assert load("sigwait_ok").static_bounds[1] == 1
-    assert load("cross_deadlock").static_bounds[1] == 2
-    assert load("chain_spawn").static_bounds[1] == 2
-    assert load("minsky_chain").static_bounds[1] == 1
+    assert load("sigwait_ok").phaser_bound == 1
+    assert load("cross_deadlock").phaser_bound == 2
+    assert load("chain_spawn").phaser_bound == 2
+    assert load("minsky_chain").phaser_bound == 1
     looped = parse("main(){ while(ndet()){ p = newPhaser(); drop(p); } }")
-    assert looped.static_bounds[1] is None
+    assert looped.phaser_bound is None
     # the unbounded recursion creates no phaser, so main's one site bounds it
     recursive = parse("main(){ p = newPhaser(); asynch(Loop); } Loop(){ asynch(Loop); }")
-    assert recursive.static_bounds == (None, 1)
+    assert (_task_bound(recursive), recursive.phaser_bound) == (None, 1)
     spawned_in_recursion = parse(
         "main(){ asynch(Loop); } Loop(){ p = newPhaser(); drop(p); asynch(Loop); }"
     )
-    assert spawned_in_recursion.static_bounds == (None, None)
+    assert (_task_bound(spawned_in_recursion), spawned_in_recursion.phaser_bound) == (None, None)
 
 
 def _largest(program, bounds):
@@ -220,7 +226,7 @@ def test_static_bounds_are_reached_by_the_explorer(name):
     # phasers as the bounds allow, so an off-by-one either way fails
     program = load(name)
     bounds = Bounds(max_steps=20000, max_tasks=4, max_phasers=4, max_phase=8)
-    assert _largest(program, bounds)[1] == program.static_bounds
+    assert _largest(program, bounds)[1] == (_task_bound(program), program.phaser_bound)
 
 
 # main spawns W twice, and every W spawns an X: one site per type, but
@@ -232,10 +238,14 @@ X(q){ signal(q); wait(q); signal(q); drop(q); }
 """
 
 
+# W has two instances, so main and both W fill the task bound of 3
+TWO_W_SRC = "bool a; main(){ asynch(W); asynch(W); } W(){ a = true; }"
+
+
 def test_instance_counts_count_every_spawned_copy():
     program = parse(SPAWNED_TWICE)
     assert program.instance_counts == {"main": 1, "W": 2, "X": 2}
-    assert program.static_bounds == (5, 2)
+    assert (_task_bound(program), program.phaser_bound) == (5, 2)
     assert _largest(program, Bounds(max_tasks=5)) == (268, (5, 2))
 
 
@@ -285,8 +295,7 @@ def test_type_bound_is_exact(name):
                 if not fits_types(psi.seqs + (seq,)):
                     (owner,) = own[seq]
                     tight.setdefault(owner, set()).add(psi)
-    task_bound = program.static_bounds[0]
-    assert any(psi.n_tasks <= task_bound for psi in rejected)
+    assert any(psi.n_tasks <= _task_bound(program) for psi in rejected)
     assert not [psi for psi in rejected if any(models(c, psi) for c in res.configs)]
     assert set(tight) == set(program.instance_counts)
     for psis in tight.values():
@@ -304,7 +313,7 @@ SKIPPED_AFTER_SPAWN = (
 
 def _spawn_order_programs() -> dict:
     """Every corpus program, the generated programs of two benchmark
-    draws and the two programs above, each with the bounds it is
+    draws and the three programs above, each with the bounds it is
     explored under."""
     families = runpy.run_path(str(CORPUS.parent / "bench" / "families.py"))
     out = {path.stem: (load(path.stem), Bounds(max_tasks=5)) for path in sorted(CORPUS.glob("*.phz"))}
@@ -313,6 +322,7 @@ def _spawn_order_programs() -> dict:
             bounds = Bounds(300000, g.max_tasks, g.max_phasers, max_phase=8)
             out[f"{g.name}@{seed}"] = (parse(g.source), bounds)
     out["SPAWNED_TWICE"] = (parse(SPAWNED_TWICE), Bounds(max_tasks=5))
+    out["TWO_W_SRC"] = (parse(TWO_W_SRC), Bounds())
     out["SKIPPED_AFTER_SPAWN"] = (parse(SKIPPED_AFTER_SPAWN), Bounds())
     return out
 
@@ -336,14 +346,16 @@ def _as_constraint(c) -> Constraint:
     return Constraint(c.bv, c.seqs, gaps, ((0, 0),) * c.n_phasers)
 
 
-def _rejected(name, rule, program=None) -> int:
+def _rejected(name, rule, program=None, seqs=None) -> int:
     """How many configurations explored on program ``name`` fail the
     rule of that name in the static rules of ``program`` (default: the
     explored program itself).  A row rule reads a configuration's
-    sequence ids, a cell rule the configuration read as a constraint."""
+    sequence ids, or each id tuple of ``seqs`` in their place, a cell
+    rule the configuration read as a constraint."""
     rules = StaticRules(SPAWN_ORDER_PROGRAMS[name][0] if program is None else program, INF, INF)
     if rule in rules.row_rules:
-        return sum(not rules.row_rules[rule](c.seqs) for c in _reached(name))
+        tuples = [c.seqs for c in _reached(name)] if seqs is None else seqs
+        return sum(not rules.row_rules[rule](t) for t in tuples)
     return sum(not rules.cell_rules[rule](_as_constraint(c)) for c in _reached(name))
 
 
@@ -351,7 +363,7 @@ def test_the_static_rules_are_named():
     # a rule's name is how tests, counters and certificates refer to it;
     # every rule but b is exact
     rules = StaticRules(load("chain_spawn"), 2, 1)
-    assert list(rules.row_rules) == ["tasks", "hall", "spawn-order"]
+    assert list(rules.row_rules) == ["hall", "spawn-order"]
     assert list(rules.cell_rules) == ["flow", "b"]
     # cap is min(k, phaser bound): chain_spawn creates 2 phasers,
     # sigwait_ok 1
@@ -364,7 +376,7 @@ def test_every_explored_configuration_passes_the_row_test(name):
     # the exact rules drop only constraints without reachable models:
     # every configuration explore reaches passes each of them (a bounded
     # exploration reaches only reachable ones).  These are the row rules
-    rejected = {r: _rejected(name, r) for r in ("tasks", "hall", "spawn-order")}
+    rejected = {r: _rejected(name, r) for r in ("hall", "spawn-order")}
     assert not any(rejected.values()), rejected
 
 
@@ -374,16 +386,28 @@ def test_every_explored_configuration_passes_the_column_test(name):
     assert _rejected(name, "flow") == 0
 
 
+@pytest.mark.parametrize(
+    "name",
+    [name for name, (program, _) in SPAWN_ORDER_PROGRAMS.items() if _task_bound(program) is not None],
+)
+def test_hall_implies_the_task_bound(name):
+    # the union of every row's owner types is one that hall tests, and
+    # its instances number at most the task bound, so hall rejects every
+    # tuple of more rows: sampled id tuples, * rows included, one and
+    # two rows past the bound
+    program = SPAWN_ORDER_PROGRAMS[name][0]
+    bound = _task_bound(program)
+    ids = [*range(len(program.suffixes)), None]
+    rng = Random(name)
+    over = [tuple(rng.choice(ids) for _ in range(n)) for n in (bound + 1, bound + 2) for _ in range(100)]
+    assert _rejected(name, "hall", seqs=over) == len(over)
+
+
 def _with(program, **tables):
     # a copy of the program whose cached tables are replaced
     mutant = copy.copy(program)
     mutant.__dict__.update(tables)
     return mutant
-
-
-def _one_task_fewer(program, _):
-    tasks, phasers = program.static_bounds
-    return _with(program, static_bounds=(tasks - 1, phasers))
 
 
 def _one_w_instance(program, _):
@@ -434,7 +458,6 @@ def _dash_read_as_a_name(program, monkeypatch):
 
 # (rule, mutation, program whose exploration catches it)
 MUTATIONS = [
-    ("tasks", _one_task_fewer, "SPAWNED_TWICE"),
     ("hall", _one_w_instance, "SPAWNED_TWICE"),
     ("spawn-order", _post_ids_only, "chain_spawn"),
     ("spawn-order", _no_skip_edges, "SKIPPED_AFTER_SPAWN"),
@@ -454,14 +477,14 @@ MUTATIONS = [
 )
 def test_the_gate_catches_a_broken_rule(rule, mutate, caught_on, monkeypatch):
     # each mutation feeds a rule a wrong table, so the containment gate
-    # above must reject some explored configuration.  tasks: a task
-    # bound one too low.  hall: W counted once though main spawns it
-    # twice.  spawn-order: the table without its forward closure, the
-    # closure without barrier skips, and a row of a type with two
-    # instances taken as proof that its type has spawned nothing.  flow:
-    # spawn arguments that do not flow into the callee's parameters, a
-    # task naming a phaser with no variable taken to name it by the
-    # variable "-", and only main's creation sites seeding the flow
+    # above must reject some explored configuration.  hall: W counted
+    # once though main spawns it twice.  spawn-order: the table without
+    # its forward closure, the closure without barrier skips, and a row
+    # of a type with two instances taken as proof that its type has
+    # spawned nothing.  flow: spawn arguments that do not flow into the
+    # callee's parameters, a task naming a phaser with no variable taken
+    # to name it by the variable "-", and only main's creation sites
+    # seeding the flow
     program = mutate(SPAWN_ORDER_PROGRAMS[caught_on][0], monkeypatch)
     assert _rejected(caught_on, rule, program) > 0
 
@@ -548,7 +571,7 @@ def test_control_mode_requires_free_targets():
 def test_plain_mode_requires_b_good_targets():
     program = load("cross_deadlock")
     targets = cyclic_wait_targets(program, max_cycle=2, slack=1)
-    with pytest.raises(ValueError, match="0-good"):
+    with pytest.raises(ValueError, match="^the targets need b=1 or more$"):
         check(program, targets, k=2, b=0)
 
 
@@ -620,7 +643,7 @@ X(q){ a = true; signal(q); drop(q); }
 @pytest.mark.parametrize("b", [1, INF], ids=["PlainReachability", "ControlReachability"])
 def test_k_none_falls_back_to_the_creation_sites(b):
     program = parse(LOOPED_CREATION)
-    assert program.static_bounds == (None, None)
+    assert (_task_bound(program), program.phaser_bound) == (None, None)
     targets = registration_error_targets(program)
     runs = {k: check(program, targets, k=k, b=b) for k in (None, 1, 2)}
     assert runs[None] == runs[1] != runs[2]

@@ -10,10 +10,12 @@ and no module runs a bare call when it is imported.  Loading the
 command line pulls in neither ``dataclasses`` nor ``inspect``: every
 command pays for its imports before it reads its input.  Test modules
 read every name they import.  The exit codes that ``cli``'s docstring
-and README's command-line block list are the ``EXIT_*`` constants, and
-``check --help`` lists only the options that act."""
+and README's command-line block list are the ``EXIT_*`` constants,
+``check --help`` lists only the options that act, and ``engine.check``
+and the ``check`` command share their defaults."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import phasercheck
-from phasercheck import cli
+from phasercheck import cli, engine
 
 
 def test_every_definition_is_used_by_the_package():
@@ -315,3 +317,13 @@ def test_check_help_does_not_list_the_validate_no_op(capsys):
         cli.main(["check", "--help"])
     out = capsys.readouterr().out
     assert "--progress" in out and "--validate" not in out
+
+
+def test_check_and_its_command_share_each_default():
+    # k and b each have one default, worked out from the targets when
+    # None: the command passes its flags on unchanged, so the library
+    # and the command line cannot drift apart
+    params = inspect.signature(engine.check).parameters
+    args = cli.build_parser().parse_args(["check", "prog.phz"])
+    for name in ("k", "b"):
+        assert params[name].default is None and getattr(args, name) is None

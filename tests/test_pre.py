@@ -17,7 +17,7 @@ from phasercheck.targets import (
 
 from conftest import FINITE_PROGRAMS, load
 from oracles import constraint_valid, preserves_freeness_check
-from test_engine import SPAWNED_TWICE
+from test_engine import SPAWNED_TWICE, TWO_W_SRC
 from sandwich import (
     constraint_pool,
     explored_graph,
@@ -184,10 +184,6 @@ def test_dead_code_after_exit_is_not_in_the_closure():
     assert isinstance(check(program, targets, b=1), Unreachable)
 
 
-# W has two instances, so main and both W fill the task bound of 3
-TWO_W_SRC = "bool a; main(){ asynch(W); asynch(W); } W(){ a = true; }"
-
-
 def test_spawn_limits_test_the_rows_left_after_a_tracked_child():
     # at the task bound an untracked spawner's row can come in only as
     # its child's tracked row goes, so the row test must drop the child
@@ -208,8 +204,8 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     # check hands pre its static rules and a keep filter, and pre drops
     # what they reject before it canonicalizes it.  On the first
     # constraints check pops, that must give the unfiltered result minus
-    # the pairs that fail a rule of the table, read here by name (tasks,
-    # hall, spawn-order, then the cap, then flow and b), or keep
+    # the pairs that fail a rule of the table, read here by name (hall,
+    # spawn-order, then the cap, then flow and b), or keep
     # (entailment by the popped constraint).  Each exact rule and the cap
     # must fire, and pre must hand keep only predecessors that pass every
     # rule
@@ -250,7 +246,7 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     monkeypatch.setattr(engine, "pre", both_ways)
     programs = [(name, load(name)) for name in FINITE_PROGRAMS]
     programs.append(("SPAWNED_TWICE", parse(SPAWNED_TWICE)))
-    every = {"tasks", "hall", "spawn-order", "cap", "flow"}
+    every = {"hall", "spawn-order", "cap", "flow"}
     binding = {}
     for name, program in programs:
         if program.uses_modes():
@@ -267,6 +263,6 @@ def test_keep_drops_exactly_what_it_rejects(monkeypatch):
     # where the bounds bind, each exact rule and the cap skip some
     # predecessor
     assert binding["cross_deadlock"] == binding["producer_consumer_sw"] == every
-    assert binding["chain_spawn"] == every - {"tasks"}
+    assert binding["chain_spawn"] == every
     # every variable of SPAWNED_TWICE holds the one site in W
-    assert binding["SPAWNED_TWICE"] == every - {"tasks", "flow"}
+    assert binding["SPAWNED_TWICE"] == every - {"flow"}

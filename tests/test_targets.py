@@ -1,8 +1,9 @@
 import pytest
 
-from phasercheck.concrete import Configuration, Reg
+from phasercheck.concrete import Configuration, Reg, initial_config, successors
+from phasercheck.engine import Unreachable, check
 from phasercheck.parser import parse, parse_seq
-from phasercheck.symbolic import ANY, OPT_FREE, Gap, entails, is_b_good, is_free, models
+from phasercheck.symbolic import ANY, INF, OPT_FREE, Gap, entails, is_b_good, is_free, models
 from phasercheck.syntax import Assert, Asynch, Drop, Signal, Wait
 from phasercheck.targets import (
     RecordFormatError,
@@ -308,3 +309,44 @@ def test_from_partial_config_rejects_level_inconsistency():
     )
     with pytest.raises(RecordFormatError, match="^line 1: partial configuration is not level"):
         read(text, NO_BOOLS)
+
+
+# T waits on p once more than main before main drops p, so when main
+# sits at its last drop(p); with (w, s) = (1, 2), T may sit at (2, 2)
+PAST_THE_LEVEL = """
+main(){ p = newPhaser(); q = newPhaser(); asynch(T, p, q); signal(p); signal(p); wait(p);
+        signal(q); wait(q); drop(q); drop(p); }
+T(p, q){ signal(p); signal(p); wait(p); wait(p); signal(q); wait(p); drop(q); drop(p); }
+"""
+PAST_THE_LEVEL_TEXT = 'partial-config {\n  tasks 1\n  phasers 1\n  seq t0 "drop(p);"\n  phase t0 p0 var=p w=1 s=2\n}'
+
+
+def _including_past_the_level():
+    # the reachable configurations that include the pattern, by a forward
+    # search that keeps phase values as they are (explore's canonical
+    # form shifts them)
+    program = parse(PAST_THE_LEVEL)
+    pc = PartialConfiguration(bv=(), seqs=(parse_seq("drop(p);"),), phase=((("p", (1, 2)),),))
+    reached = [initial_config(program)]
+    for c in reached:  # grows as the search meets new configurations
+        reached += [
+            out
+            for *_, out in successors(c, program)
+            if isinstance(out, Configuration) and out not in reached
+        ]
+    return program, [c for c in reached if includes(c, pc, program.suffixes)]
+
+
+def test_a_pattern_is_included_where_an_unmentioned_task_waited_past_its_level():
+    program, hits = _including_past_the_level()
+    assert hits
+    # T has waited on p twice, past the pattern's largest wait of 1
+    assert all(any(reg and reg.wait == 2 for row in c.phases for _, reg in row) for c in hits)
+
+
+@pytest.mark.xfail(strict=True, reason="partial_config_constraint pins p's level at the pattern's largest wait")
+def test_a_partial_config_target_models_every_configuration_that_includes_it():
+    program, hits = _including_past_the_level()
+    [phi], [] = read(PAST_THE_LEVEL_TEXT, program)
+    assert all(models(c, phi) for c in hits)
+    assert not isinstance(check(program, [phi], k=INF, b=INF, budget=100000), Unreachable)
