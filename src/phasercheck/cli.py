@@ -260,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("explore", help="bounded concrete exploration")
     e.add_argument("file")
-    for name in Bounds.field_names:
-        e.add_argument("--" + name.replace("_", "-"), type=_option(natural), default=getattr(Bounds, name))
+    for name in Bounds.field_names:  # main is a task, so no configuration fits 0 tasks
+        read = positive if name == "max_tasks" else natural
+        e.add_argument("--" + name.replace("_", "-"), type=_option(read), default=getattr(Bounds, name))
     e.add_argument("--dump", action="store_true", help="print every configuration")
     e.add_argument("--graph", metavar="PATH", help="write the state graph (dot format)")
     e.set_defaults(func=cmd_explore)

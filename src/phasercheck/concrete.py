@@ -2,12 +2,14 @@
 
 Configurations are immutable; tasks and phasers are row/column indices,
 and a task's control sequence is its id in the ``control.Program``
-tables, which give each id's head, next and barrier-skip ids.
-Exploration deduplicates configurations up to renaming through
-canonicalization.  A head with a condition branches once per value the
-condition can take (``step_choices``), and ``apply_step`` fires it with
-that value.  ``explore`` canonicalizes each successor from its canonical
-parent and the task that stepped (``canonical``'s hint), and a task
+tables, which give each id's head, next and barrier-skip ids.  The cell
+of an unregistered task holds ``NREG``, so every cell, row and column
+sorts as it is.  Exploration deduplicates configurations up to renaming
+through canonicalization.  A head with a condition branches once per
+value the condition can take (``step_choices``), and ``apply_step``
+fires it with that value.  ``explore`` canonicalizes each successor from
+its canonical parent and the task that stepped (``canonical``'s hint),
+which mostly splices that task into its parent's task order, and a task
 with the same sequence and row as the one before it takes that task's
 successor for each value instead of canonicalizing its own.
 
@@ -21,12 +23,12 @@ or at an ``exit`` inside it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
 from .control import Program
 from .syntax import (
+    NO_MODE,
     NO_VAR,
     SIG,
     SIG_WAIT,
@@ -54,11 +56,16 @@ class Reg(NamedTuple):
 
     ``wait`` is None in SIG mode and ``sig`` is None in WAIT mode (a
     wait-only task holds no signal value so it never blocks other waiters).
+    A mode fixes which values are None, and ``NREG`` holds neither in the
+    mode that sorts last, so cells compare as they are.
     """
 
     mode: str
     wait: object  # int | None
     sig: object  # int | None
+
+
+NREG = Reg(NO_MODE, None, None)  # the cell of an unregistered task; test it with ==
 
 
 class Configuration(Node):
@@ -69,7 +76,7 @@ class Configuration(Node):
     __slots__ = ("bv", "seqs", "phases", "atomic")
     bv: tuple  # one bool per program bool variable
     seqs: tuple  # one control-sequence id per task
-    phases: tuple  # phases[t][p] -> (variable name or "-", Reg or None for nreg)
+    phases: tuple  # phases[t][p] -> (variable name or "-", Reg, NREG when unregistered)
     atomic: object  # task index owning an atomic barrier body, or None (default)
 
     def __init__(self, bv, seqs, phases, atomic=None):
@@ -153,10 +160,10 @@ def _blockers(c: Configuration, p: Program, t: int) -> list:
     Empty unless the head is a wait on a phaser t holds a wait value on."""
     head = p.heads[c.seqs[t]]
     pi = binding(c, t, head.var) if isinstance(head, Wait) else None
-    reg = None if pi is None else c.phases[t][pi][1]
-    if reg is None or reg.wait is None:
+    reg = NREG if pi is None else c.phases[t][pi][1]
+    if reg.wait is None:
         return []
-    holds_back = lambda r: r is not None and r.sig is not None and r.sig <= reg.wait
+    holds_back = lambda r: r.sig is not None and r.sig <= reg.wait
     return [u for u, row in enumerate(c.phases) if holds_back(row[pi][1])]
 
 
@@ -165,10 +172,10 @@ def _barrier_held(c: Configuration, p: Program, t: int) -> bool:
     some registered task does not sit at the same barrier block."""
     want = p.heads[c.seqs[t]]
     pi = binding(c, t, want.var)
-    if pi is None or c.phases[t][pi][1] is None:
+    if pi is None or c.phases[t][pi][1] == NREG:
         return False
     for u, seq in enumerate(c.seqs):
-        if c.phases[u][pi][1] is None:
+        if c.phases[u][pi][1] == NREG:
             continue
         head = p.heads[seq]
         if not isinstance(head, NextBlock):
@@ -222,18 +229,18 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
     if isinstance(head, NewPhaser):
         # the variable rebinds to the new phaser
         own = tuple((NO_VAR, reg) if v == head.var else (v, reg) for v, reg in phases[t])
-        phases = tuple(row + ((NO_VAR, None),) for row in phases)
+        phases = tuple(row + ((NO_VAR, NREG),) for row in phases)
         phases = phases[:t] + (own + ((head.var, Reg(SIG_WAIT, 0, 0)),),) + phases[t + 1 :]
 
     elif isinstance(head, (Signal, Wait, Drop)):
         pi = binding(c, t, head.var)
-        reg = None if pi is None else phases[t][pi][1]
-        if isinstance(head, Signal) and reg is not None and reg.sig is not None:
+        reg = NREG if pi is None else phases[t][pi][1]
+        if isinstance(head, Signal) and reg.sig is not None:
             cell = (head.var, Reg(reg.mode, reg.wait, reg.sig + 1))
-        elif isinstance(head, Wait) and reg is not None and reg.wait is not None:
+        elif isinstance(head, Wait) and reg.wait is not None:
             cell = (head.var, Reg(reg.mode, reg.wait + 1, reg.sig))
-        elif isinstance(head, Drop) and reg is not None:
-            cell = (head.var, None)
+        elif isinstance(head, Drop) and reg != NREG:
+            cell = (head.var, NREG)
         else:  # unregistered, or registered in a mode without the command
             return RegistrationError(t, type(head).__name__.lower(), head.var)
         row = phases[t][:pi] + (cell,) + phases[t][pi + 1 :]
@@ -241,11 +248,11 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
 
     elif isinstance(head, Asynch):
         callee = p.task(head.task)
-        child_row = [(NO_VAR, None)] * c.n_phasers
+        child_row = [(NO_VAR, NREG)] * c.n_phasers
         for v, mode, formal in zip(head.args, head.modes, callee.params):
             pi = binding(c, t, v)
-            reg = None if pi is None else phases[t][pi][1]
-            if reg is None or (mode != reg.mode and reg.mode != SIG_WAIT):
+            reg = NREG if pi is None else phases[t][pi][1]
+            if mode != reg.mode and reg.mode != SIG_WAIT:  # NREG matches no mode
                 return RegistrationError(t, "asynch", v)
             wait = None if mode == SIG else reg.wait
             sig = None if mode == WAIT else reg.sig
@@ -270,11 +277,11 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
             atomic = None  # the executor leaves the barrier body
         else:
             pi = binding(c, t, head.var)
-            if pi is None or phases[t][pi][1] is None:
+            if pi is None or phases[t][pi][1] == NREG:
                 return RegistrationError(t, "next", head.var)
             # t executes the body; every other participant skips it
             for u in range(c.n_tasks):
-                if u != t and phases[u][pi][1] is not None:
+                if u != t and phases[u][pi][1] != NREG:
                     seqs[u] = p.skip_ids[c.seqs[u]]
             if head.body:
                 atomic = t
@@ -303,79 +310,81 @@ def successors(c: Configuration, p: Program) -> list:
 # Canonicalization (dedup key for exploration)
 
 
-# the sort key of an unregistered cell (var, None) is (var, _NREG): "nreg"
-# sorts after every mode name, so after every registration on var
-_NREG = ("nreg",)
-
-
 def _shift(col: tuple) -> tuple:
     """A phaser column's cells less its least phase value (its wait value,
     or its signal value in SIG mode)."""
-    k = min([r.sig if r.wait is None else r.wait for _, r in col if r is not None], default=0)
+    k = min([r.sig if r.wait is None else r.wait for _, r in col if r != NREG], default=0)
     if k == 0:
         return col
     shift = lambda r: Reg(r.mode, None if r.wait is None else r.wait - k, None if r.sig is None else r.sig - k)
-    return tuple([e if e[1] is None else (e[0], shift(e[1])) for e in col])
+    return tuple([e if e[1] == NREG else (e[0], shift(e[1])) for e in col])
 
 
-def _sorted_columns(c: Configuration) -> tuple:
-    """The rows, and the rows of cell keys, with every column shifted and
-    the columns sorted by their key multisets (a tie keeps their order)."""
-    cols = [_shift(col) for col in zip(*c.phases)]
-    # a registered cell is its own key: a mode fixes which of its values
-    # are None, so two registrations never compare None with an int
-    keys = [[e if e[1] is not None else (e[0], _NREG) for e in col] for col in cols]
-    order = sorted(range(len(cols)), key=lambda q: sorted(keys[q]))
-    no_phasers = [()] * c.n_tasks
-    rows = list(zip(*[cols[q] for q in order])) or no_phasers
-    return rows, list(zip(*[keys[q] for q in order])) or no_phasers
+def _sorted_columns(cols: list, n_tasks: int) -> list:
+    """The rows of the shifted columns ``cols``, with the columns sorted by
+    their cell multisets (a tie keeps their order)."""
+    cols.sort(key=sorted)
+    return list(zip(*cols)) or [()] * n_tasks
 
 
 def _shift_column(phases: tuple, q: int):
-    """Canonical rows after a step changed one cell of column ``q``: the
-    column shifted alone, or None when its key multiset no longer sits
-    between its neighbours' and the columns would reorder."""
+    """Canonical rows after a step changed one cell of column ``q`` of
+    canonical rows, and whether the columns kept their order.  Column
+    ``q`` is shifted alone; when its cell multiset no longer sits between
+    its neighbours', the columns are sorted again, and the others need
+    no shift."""
     cells = [row[q] for row in phases]
     col = _shift(cells)
-    key = lambda col: sorted([e if e[1] is not None else (e[0], _NREG) for e in col])
-    mid = key(col)
-    if q and key([row[q - 1] for row in phases]) > mid:
-        return None
-    if q + 1 < len(phases[0]) and mid > key([row[q + 1] for row in phases]):
-        return None
+    mid = sorted(col)
+    if (q and sorted([row[q - 1] for row in phases]) > mid) or (
+        q + 1 < len(phases[0]) and mid > sorted([row[q + 1] for row in phases])
+    ):
+        cols = list(zip(*phases))
+        cols[q] = col
+        return _sorted_columns(cols, len(phases)), False
     if col is cells:
-        return phases
-    return tuple([row if row[q] is e else row[:q] + (e,) + row[q + 1 :] for row, e in zip(phases, col)])
+        return phases, True
+    return tuple([row if row[q] is e else row[:q] + (e,) + row[q + 1 :] for row, e in zip(phases, col)]), True
 
 
 def canonical(c: Configuration, p: Program, parent=None, task=None) -> Configuration:
     """Deterministically relabel tasks and phasers and subtract the
     per-phaser minimum phase (sound for reachability modulo equivalence).
-    Phasers sort by the multiset of their cell keys.  Tasks sort by the
-    text of their sequence (``p.text_ranks``), then by their cells in
-    phaser order, then by index.
+    Phasers sort by the multiset of their cells (``NREG`` sorts after
+    every registration on a variable).  Tasks sort by the text of their
+    sequence (``p.text_ranks``), then by their row, then by index.
 
     ``explore`` passes a hint: ``parent`` is canonical and ``c`` is
     ``apply_step(parent, p, task, ·)``.  An assign, assert, if or while
     then changed only ``task``'s sequence, and a signal, wait or drop one
     cell of its row besides.  That column is shifted alone and, while its
-    key still sits between its neighbours', the columns keep their order;
-    a shift keeps the order of the other rows, so only ``task`` moves to
-    its place.  Every other step, or a column out of place, takes the
-    full sort.  Both give the same configuration."""
+    cells still sit between its neighbours', the columns keep their
+    order; a shift keeps the order of the other rows, so outside an
+    atomic section ``task`` is spliced into the others at its place.
+    Every other step sorts the columns, or the tasks, in full.  Both give
+    the same configuration."""
     head = None if parent is None else p.heads[parent.seqs[task]]
     if isinstance(head, (Signal, Wait, Drop)):
-        rows = _shift_column(c.phases, binding(c, task, head.var))
+        rows, in_place = _shift_column(c.phases, binding(c, task, head.var))
+    elif isinstance(head, (Assign, Assert, If, While)):
+        rows, in_place = c.phases, True
     else:
-        rows = c.phases if isinstance(head, (Assign, Assert, If, While)) else None
+        rows, in_place = _sorted_columns([_shift(col) for col in zip(*c.phases)], c.n_tasks), False
     ranks, seqs = p.text_ranks, c.seqs
-    if rows is None:
-        rows, key_rows = _sorted_columns(c)
-        order = [t for _, _, t in sorted(zip([ranks[s] for s in seqs], key_rows, range(c.n_tasks)))]
-    else:
-        key = lambda t: (ranks[seqs[t]], [e if e[1] is not None else (e[0], _NREG) for e in rows[t]], t)
-        order = [t for t in range(c.n_tasks) if t != task]
-        order.insert(bisect_left(order, key(task), key=key), task)
+    if in_place and c.atomic is None:
+        seq, row = seqs[task], rows[task]
+        key = (ranks[seq], row)
+        seqs, rows = seqs[:task] + seqs[task + 1 :], rows[:task] + rows[task + 1 :]
+        lo, hi = 0, len(seqs)
+        while lo < hi:  # the others keep their order; a tie goes by index
+            mid = (lo + hi) // 2
+            other = (ranks[seqs[mid]], rows[mid])
+            if other < key or other == key and mid < task:
+                lo = mid + 1
+            else:
+                hi = mid
+        return Configuration(c.bv, seqs[:lo] + (seq,) + seqs[lo:], rows[:lo] + (row,) + rows[lo:])
+    order = [t for _, _, t in sorted(zip([ranks[s] for s in seqs], rows, range(c.n_tasks)))]
     atomic = None if c.atomic is None else order.index(c.atomic)
     return Configuration(c.bv, tuple([seqs[t] for t in order]), tuple([rows[t] for t in order]), atomic)
 
@@ -436,8 +445,6 @@ def _within(c: Configuration, b: Bounds, t: int) -> bool:
     if c.n_tasks > b.max_tasks or c.n_phasers > b.max_phasers:
         return False
     for _, reg in c.phases[t]:
-        if reg is None:
-            continue
         for v in (reg.wait, reg.sig):
             if v is not None and v > b.max_phase:
                 return False
@@ -509,9 +516,9 @@ def config_to_text(c: Configuration, p: Program) -> str:
     for t in range(c.n_tasks):
         for pi in range(c.n_phasers):
             var, reg = c.phases[t][pi]
-            if reg is None and var == NO_VAR:
+            if reg == NREG and var == NO_VAR:
                 continue
-            if reg is None:
+            if reg == NREG:
                 lines.append(f"  phase t{t} p{pi} var={var} nreg")
             else:
                 lines.append(

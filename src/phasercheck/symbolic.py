@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .syntax import ANY, Node
+from .syntax import ANY, NO_MODE, Node
 
 INF = float("inf")
 
@@ -198,7 +198,7 @@ def _levels_ok(c, phi: Constraint, pi_sel, assign) -> bool:
                 g = phi.gaps[a][j]
                 if g.var != ANY and g.var != var_c:
                     return False
-                if reg is None:
+                if reg.mode == NO_MODE:
                     if g.bounds is not None and not g.opt:
                         return False
                     continue
@@ -211,7 +211,7 @@ def _levels_ok(c, phi: Constraint, pi_sel, assign) -> bool:
                 if reg.sig is not None:
                     lo = max(lo, reg.sig - us)
                     hi = min(hi, reg.sig - ls)
-            elif reg is not None:
+            else:  # an unregistered cell holds neither value
                 if reg.wait is not None:
                     lo = max(lo, reg.wait + ew)
                 if reg.sig is not None:

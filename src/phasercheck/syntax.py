@@ -28,6 +28,7 @@ SIG_WAIT = "SIG_WAIT"
 SIG = "SIG"
 WAIT = "WAIT"
 MODES = (SIG_WAIT, SIG, WAIT)
+NO_MODE = "nreg"  # the mode of an unregistered configuration cell: it sorts after every mode
 
 # phaser-variable patterns of configuration and constraint cells
 ANY = "*"  # any variable name

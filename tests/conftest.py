@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from phasercheck.concrete import Bounds, Configuration, Reg, explore
+from phasercheck.concrete import NREG, Bounds, Configuration, Reg, explore
 from phasercheck.parser import parse
 from phasercheck.symbolic import ANY, INF, Constraint, Gap
 from phasercheck.syntax import NO_VAR
@@ -106,7 +106,7 @@ def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1):
         for p in range(n_p):
             g = phi.gaps[t][p]
             if g.bounds is None or (g.opt and rng.random() < 0.5):
-                row.append((g.var if g.var != ANY else NO_VAR, None))
+                row.append((g.var if g.var != ANY else NO_VAR, NREG))
                 continue
             lw, ls, uw, us = g.bounds
             l = levels[p]
@@ -131,13 +131,13 @@ def sample_model(rng, phi, seq_pool, bool_count=0, max_phase=4, extra_tasks=1):
         row = []
         for p in range(n_p):
             if rng.random() < 0.5:
-                row.append((NO_VAR, None))
+                row.append((NO_VAR, NREG))
                 continue
             ew, es = phi.egaps[p]
             l = levels[p]
             w_hi = l - ew
             if w_hi < 0:
-                row.append((NO_VAR, None))
+                row.append((NO_VAR, NREG))
                 continue
             w = rng.randint(0, w_hi)
             s = l + es + rng.randint(0, 2)

@@ -6,6 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from phasercheck.concrete import (
+    NREG,
     Configuration,
     CyclicWait,
     ExploreResult,
@@ -96,8 +97,6 @@ def is_well_formed(c: Configuration) -> bool:
         waits, sigs = [], []
         for t in range(c.n_tasks):
             _, reg = c.phases[t][pi]
-            if reg is None:
-                continue
             if reg.wait is not None and reg.sig is not None and reg.wait > reg.sig:
                 return False
             if reg.wait is not None:
@@ -109,10 +108,18 @@ def is_well_formed(c: Configuration) -> bool:
     return True
 
 
+def cell_key(cell) -> tuple:
+    """The sort key of a configuration cell: a registration, or
+    ``("nreg",)`` for an unregistered cell, which sorts after every mode
+    name and so after every registration on the same variable."""
+    var, reg = cell
+    return (var, ("nreg",)) if reg == NREG else cell
+
+
 def _val_matches(pv, reg) -> bool:
     if pv == "nreg":
-        return reg is None
-    if reg is None:
+        return reg == NREG
+    if reg == NREG:
         return False
     w, s = pv
     if w != ANY and reg.wait != w:
@@ -185,11 +192,7 @@ def _shift_match(c1, c2, tau, pi) -> bool:
             v2, r2 = c2.phases[tau[t1]][p2]
             if v1 != v2:
                 return False
-            if (r1 is None) != (r2 is None):
-                return False
-            if r1 is None:
-                continue
-            if r1.mode != r2.mode:
+            if r1.mode != r2.mode:  # also a registration against NREG
                 return False
             for a, b in ((r1.wait, r2.wait), (r1.sig, r2.sig)):
                 if (a is None) != (b is None):
@@ -212,7 +215,7 @@ def shifted(c: Configuration, shifts: dict) -> Configuration:
         for p in range(c.n_phasers):
             var, reg = c.phases[t][p]
             k = shifts.get(p, 0)
-            if reg is None or k == 0:
+            if reg == NREG or k == 0:
                 row.append((var, reg))
             else:
                 row.append(

@@ -183,7 +183,7 @@ def test_closed_stdout_exits_141_quietly():
     "argv",
     [["explore", f"--max-{b}", "-1"] for b in ("steps", "tasks", "phasers", "phase")]
     + [["check", f"--{b}", "-1"] for b in ("k", "b", "budget", "slack")]
-    + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"]]
+    + [["check", "--max-cycle", "0"], ["check", "--max-cycle", "-3"], ["explore", "--max-tasks", "0"]]
     + [["check", "--k", "infinity"], ["check", "--b", "INF"], ["check", "--budget", "inf"]]
     # digits of other scripts; int() reads the first two as 1 and 10
     + [["check", "--k", "\u0661"], ["explore", "--max-steps", "\u0661\u0660"], ["check", "--slack", "\u00b2"]],
@@ -194,8 +194,8 @@ def test_out_of_range_bounds_exit_2(capsys, argv):
     assert run(argv[0], path("cross_deadlock"), *prop, *argv[1:]) == 2
     err = capsys.readouterr().err
     assert f"argument {argv[1]}: expected a " in err
-    if argv[1] != "--max-cycle":
-        assert f"expected a natural number, found {argv[2]!r}" in err
+    kind = "positive" if argv[2] == "0" else "natural"
+    assert f"expected a {kind} number, found {argv[2]!r}" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from phasercheck.concrete import (
+    NREG,
     AssertionViolation,
     Bounds,
     Configuration,
@@ -60,7 +61,7 @@ def test_new_phaser_rebinds_variable():
     c = apply_step(apply_step(initial_config(p), p, 0), p, 0)
     # the old phaser keeps the registration but loses the name
     assert c.phases[0][0][0] == "-"
-    assert c.phases[0][0][1] is not None
+    assert c.phases[0][0][1] == Reg("SIG_WAIT", 0, 0)
     assert c.phases[0][1][0] == "q"
 
 
@@ -69,7 +70,7 @@ def test_signal_then_wait_passes():
     c = run_to_end(p)
     assert isinstance(c, Configuration)
     assert p.suffixes[c.seqs[0]] == ()
-    assert c.phases[0][0] == ("q", None)
+    assert c.phases[0][0] == ("q", NREG)
 
 
 def test_wait_blocks_on_own_signal():
@@ -84,7 +85,7 @@ def test_cyclic_waits_follows_every_out_edge():
     # t2 by t0 on c.  The cycle t0 -> t2 -> t0 leaves through t0's
     # second out-edge.
     p = parse("main(){ exit; } A(a){ wait(a); } B(b){ wait(b); } C(c){ wait(c); }")
-    na = ("-", None)
+    na = ("-", NREG)
     c = Configuration(
         bv=(),
         seqs=tuple(p.seq_ids[parse_seq(s)] for s in ("wait(a);", "wait(b);", "wait(c);", "")),
@@ -153,7 +154,7 @@ def test_exit_keeps_registrations():
     p = parse("main(){ q = newPhaser(); exit; }")
     c = apply_step(apply_step(initial_config(p), p, 0), p, 0)
     assert p.suffixes[c.seqs[0]] == ()
-    assert c.phases[0][0][1] is not None
+    assert c.phases[0][0][1] == Reg("SIG_WAIT", 0, 0)
 
 
 def test_barrier_block_runs_body_atomically():
@@ -178,7 +179,7 @@ def test_well_formedness_binds_a_variable_to_one_phaser():
     reg = Reg("SIG_WAIT", 0, 1)
     seqs = (parse("main(){ p = newPhaser(); wait(p); }").seq_ids[parse_seq("wait(p);")],)
     assert is_well_formed(Configuration(bv=(), seqs=seqs, phases=((("p", reg), ("-", reg)),)))
-    for other in (("p", reg), ("p", None)):
+    for other in (("p", reg), ("p", NREG)):
         twice = Configuration(bv=(), seqs=seqs, phases=((("p", reg), other),))
         assert not is_well_formed(twice)
 

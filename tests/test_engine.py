@@ -14,6 +14,7 @@ import pytest
 
 from phasercheck import engine
 from phasercheck.concrete import (
+    NREG,
     AssertionViolation,
     Bounds,
     CyclicWait,
@@ -340,7 +341,7 @@ def _as_constraint(c) -> Constraint:
     # a configuration read as a constraint over its own variables: each
     # cell names the variable the task holds the phaser by
     gaps = tuple(
-        tuple(Gap(var, None if reg is None else FREE_BOUNDS) for var, reg in row)
+        tuple(Gap(var, None if reg == NREG else FREE_BOUNDS) for var, reg in row)
         for row in c.phases
     )
     return Constraint(c.bv, c.seqs, gaps, ((0, 0),) * c.n_phasers)

@@ -14,14 +14,20 @@ from phasercheck.concrete import (
     Bounds,
     Configuration,
     CyclicWait,
+    NREG,
     ExploreResult,
     Reg,
     RegistrationError,
+    canonical,
+    config_to_text,
+    cyclic_waits,
+    explore,
+    successors,
 )
 from phasercheck.control import Program, TaskDef
 from phasercheck.engine import BudgetExhausted, Reachable, Unreachable
 from phasercheck.parser import Token, parse
-from phasercheck.symbolic import FREE_BOUNDS, Constraint, Gap
+from phasercheck.symbolic import FREE_BOUNDS, Constraint, Gap, models
 from phasercheck.syntax import (
     ANY,
     And,
@@ -44,7 +50,7 @@ from phasercheck.syntax import (
     While,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, load
 
 
 def _records():
@@ -64,7 +70,7 @@ def _records():
             Token("name", "p", 1, 2), TaskDef("W", ("p",), ("SIG_WAIT",), body),
             parse((CORPUS / "sigwait_ok.phz").read_text()),
             AssertionViolation(1), RegistrationError(0, "signal", "p"), CyclicWait((0, 1)),
-            Configuration((False,), (0, 3), ((("p", Reg("SIG_WAIT", 0, 0)),), (("p", None),))),
+            Configuration((False,), (0, 3), ((("p", Reg("SIG_WAIT", 0, 0)),), (("p", NREG),))),
             gap, Constraint((None,), (0,), ((gap,),), ((0, 0),)),
             Reachable((), ()), Unreachable(3), BudgetExhausted(3),
             Bounds(max_tasks=5),
@@ -137,6 +143,46 @@ def test_records_copy_and_pickle(pair):
     record = pair[0]
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert clone == pair[1] and type(clone) is type(record)
+
+
+# every command on a phaser its task is unregistered from, and a barrier
+# that an unregistered task does not hold back
+UNREGISTERED = """bool a;
+main(){ p = newPhaser(); asynch(W, p); next(p){ a = true; } signal(p); wait(p); drop(p); drop(p); }
+W(p){ drop(p); a = false; next(p){ a = true; } signal(p); wait(p); asynch(W, p); }
+"""
+
+
+@pytest.mark.parametrize("name", ["unregistered"] + sorted(p.stem for p in CORPUS.glob("*.phz")))
+def test_a_copied_configuration_steps_as_the_original(name):
+    # a copy holds a Reg of its own for each unregistered cell, so the
+    # semantics must read "unregistered" by equality with NREG
+    program = parse(UNREGISTERED) if name == "unregistered" else load(name)
+    configs = explore(program, Bounds(max_steps=300, max_tasks=3)).configs
+
+    def read(c, nreg_bounds) -> Constraint:
+        # c's own cells as a constraint; an unregistered cell is read
+        # with nreg_bounds, so None gives one that c models
+        cell = lambda var, reg: Gap(var, nreg_bounds if reg == NREG else FREE_BOUNDS)
+        gaps = tuple(tuple(cell(*e) for e in row) for row in c.phases)
+        return Constraint(c.bv, c.seqs, gaps, ((0, 0),) * c.n_phasers)
+
+    for c in configs:
+        unregistered = sum(reg == NREG for row in c.phases for _, reg in row)
+        for clone in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            cells = [reg for row in clone.phases for _, reg in row]
+            assert sum(reg == NREG and reg is not NREG for reg in cells) == unregistered
+            steps, clone_steps = successors(c, program), successors(clone, program)
+            assert clone_steps == steps
+            for (t, _, _, out), (_, _, _, clone_out) in zip(steps, clone_steps):
+                if isinstance(out, Configuration):
+                    assert canonical(clone_out, program, clone, t) == canonical(out, program, c, t)
+            assert canonical(clone, program) == canonical(c, program) == c
+            assert cyclic_waits(clone, program) == cyclic_waits(c, program)
+            assert config_to_text(clone, program) == config_to_text(c, program)
+            assert models(clone, read(c, None)) and models(c, read(c, None))
+            registered = read(c, FREE_BOUNDS)
+            assert models(clone, registered) == models(c, registered) == (unregistered == 0)
 
 
 def test_a_record_with_list_fields_compares_but_does_not_hash():

@@ -1,5 +1,6 @@
 import pytest
 
+from phasercheck.concrete import NREG as CONCRETE_NREG
 from phasercheck.concrete import Configuration, Reg
 from phasercheck.parser import parse
 from phasercheck.symbolic import (
@@ -126,7 +127,7 @@ def test_models_interval_on_single_cell():
 
 
 def test_models_checks_variable_name_even_when_unregistered():
-    c = _cfg([(("q", None),)])
+    c = _cfg([(("q", CONCRETE_NREG),)])
     pinned = Constraint((), (None,), ((Gap("q", None),),), ((0, 0),))
     other = Constraint((), (None,), ((Gap("r", None),),), ((0, 0),))
     assert models(c, pinned)
@@ -135,7 +136,7 @@ def test_models_checks_variable_name_even_when_unregistered():
 
 def test_models_optional_cell_accepts_both_statuses():
     phi = Constraint((), (None,), ((OPT_FREE,),), ((0, 0),))
-    assert models(_cfg([(("q", None),)]), phi)
+    assert models(_cfg([(("q", CONCRETE_NREG),)]), phi)
     assert models(_cfg([(("q", Reg("SIG_WAIT", 2, 5)),)]), phi)
 
 

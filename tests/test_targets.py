@@ -1,6 +1,6 @@
 import pytest
 
-from phasercheck.concrete import Configuration, Reg, initial_config, successors
+from phasercheck.concrete import NREG, Configuration, Reg, initial_config, successors
 from phasercheck.engine import Unreachable, check
 from phasercheck.parser import parse, parse_seq
 from phasercheck.symbolic import ANY, INF, OPT_FREE, Gap, entails, is_b_good, is_free, models
@@ -284,14 +284,14 @@ def test_from_partial_config_models_match_inclusion():
     c = Configuration(
         bv=(True,),
         seqs=seqs,
-        phases=((("p", Reg("SIG_WAIT", 1, 2)),), (("q", None),)),
+        phases=((("p", Reg("SIG_WAIT", 1, 2)),), (("q", NREG),)),
     )
     assert includes(c, PC, program.suffixes)
     assert models(c, phi)
     off_level = Configuration(
         bv=(True,),
         seqs=seqs,
-        phases=((("p", Reg("SIG_WAIT", 0, 2)),), (("q", None),)),
+        phases=((("p", Reg("SIG_WAIT", 0, 2)),), (("q", NREG),)),
     )
     assert not includes(off_level, PC, program.suffixes)
     assert not models(off_level, phi)
