@@ -4,7 +4,7 @@ Subcommands:
 
 * ``parse``: parse and validate a program, printing diagnostics.
 * ``explore``: bounded concrete-semantics exploration with error and
-  state-graph reporting.
+  state-graph reporting, and a note naming the bounds that cut it.
 * ``check``: symbolic backward reachability for a property class or a
   custom target file (constraint and partial-config records).
 
@@ -136,6 +136,8 @@ def cmd_explore(args) -> int:
         except OSError as e:
             raise UsageError(f"{args.graph}: {e}")
         print(f"graph written to {args.graph}")
+    if result.cut:  # last, once the report is out
+        _report(args, "note", "exploration cut by " + ", ".join("--" + n.replace("_", "-") for n in result.cut))
     return 0
 
 

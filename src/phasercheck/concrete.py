@@ -11,7 +11,11 @@ fires it with that value.  ``explore`` canonicalizes each successor from
 its canonical parent and the task that stepped (``canonical``'s hint),
 which mostly splices that task into its parent's task order, and a task
 with the same sequence and row as the one before it takes that task's
-successor for each value instead of canonicalizing its own.
+successor for each value instead of canonicalizing its own.  Per
+configuration it finds the blocked waits and sorts the columns' cells
+once for all successors, and per call it steps each local head (one
+that reads and changes only its task's sequence, row and ``bv``) once
+for each sequence, row and ``bv`` it meets.
 
 Reconstruction notes (the figure-level rules are not part of the available
 sources): exit only empties the control sequence and never deregisters; a
@@ -167,6 +171,12 @@ def _blockers(c: Configuration, p: Program, t: int) -> list:
     return [u for u, row in enumerate(c.phases) if holds_back(row[pi][1])]
 
 
+def _blocked(c: Configuration, p: Program) -> dict:
+    """Each task whose wait is held back -> its ``_blockers``."""
+    heads = p.heads
+    return {t: by for t, seq in enumerate(c.seqs) if isinstance(heads[seq], Wait) and (by := _blockers(c, p, t))}
+
+
 def _barrier_held(c: Configuration, p: Program, t: int) -> bool:
     """The head barrier of task ``t`` is on a phaser t is registered on, and
     some registered task does not sit at the same barrier block."""
@@ -185,17 +195,18 @@ def _barrier_held(c: Configuration, p: Program, t: int) -> bool:
     return False
 
 
-def enabled_steps(c: Configuration, p: Program) -> list:
+def enabled_steps(c: Configuration, p: Program, blocked=None) -> list:
     """(task, head statement) pairs that can fire.  Erroneous heads
     (commands on unregistered phasers, failing assertions) are enabled and
     step to an error outcome; a guarded wait or barrier that is not ready
-    is simply absent."""
+    is simply absent.  ``blocked`` is ``_blocked(c, p)``, computed when
+    not given."""
+    if blocked is None:
+        blocked = _blocked(c, p)
     out = []
     for t, seq in enumerate(c.seqs):
         head = p.heads[seq]
-        if head is None or c.atomic not in (None, t):
-            continue
-        if isinstance(head, Wait) and _blockers(c, p, t):
+        if head is None or c.atomic not in (None, t) or t in blocked:
             continue
         if isinstance(head, NextBlock) and c.atomic != t and _barrier_held(c, p, t):
             continue
@@ -296,14 +307,59 @@ def apply_step(c: Configuration, p: Program, t: int, value=None):
     return Configuration(bv, tuple(seqs), phases, atomic)
 
 
-def successors(c: Configuration, p: Program) -> list:
+# heads whose step reads and changes only its task's sequence and row, and bv
+LOCAL = (Assign, Assert, If, While, Signal, Wait, Drop)
+
+
+def _local_steps(c: Configuration, p: Program, t: int, bounds) -> list:
+    """The steps of task ``t``, at a local head, as (value, next sequence,
+    next row or None when the row stays, next bv, the bound the step
+    breaks or None), one per value; a step to an error is (value, None,
+    None, None, None), since the error names ``t``."""
+    out = []
+    for value in step_choices(c, p, p.heads[c.seqs[t]]):
+        d = apply_step(c, p, t, value)
+        if isinstance(d, Configuration):
+            row = None if d.phases is c.phases else d.phases[t]
+            out.append((value, d.seqs[t], row, d.bv, bounds and _beyond(d, bounds, t)))
+        else:
+            out.append((value, None, None, None, None))
+    return out
+
+
+def successors(c: Configuration, p: Program, blocked=None, bounds=None, local=None) -> list:
     """All (task, stmt, value, outcome) tuples from enabled steps, one per
-    value of the head's condition."""
-    return [
-        (t, head, value, apply_step(c, p, t, value))
-        for t, head in enabled_steps(c, p)
-        for value in step_choices(c, p, head)
-    ]
+    value of the head's condition.
+
+    ``explore`` passes ``c``'s ``_blocked`` map, its bounds, and its cache
+    of ``_local_steps`` by (sequence, row, bv), which otherwise lives for
+    this call.  With bounds, an outcome beyond them is the name of the
+    bound it breaks."""
+    if local is None:
+        local = {}
+    out = []
+    for t, head in enabled_steps(c, p, blocked):
+        if not isinstance(head, LOCAL):
+            for value in step_choices(c, p, head):
+                outcome = apply_step(c, p, t, value)
+                if bounds is not None and isinstance(outcome, Configuration):
+                    outcome = _beyond(outcome, bounds, t) or outcome
+                out.append((t, head, value, outcome))
+            continue
+        key = (c.seqs[t], c.phases[t], c.bv)
+        steps = local.get(key)
+        if steps is None:
+            steps = local[key] = _local_steps(c, p, t, bounds)
+        for value, seq, row, bv, beyond in steps:
+            if seq is None:
+                outcome = apply_step(c, p, t, value)
+            elif beyond is not None:
+                outcome = beyond
+            else:
+                phases = c.phases if row is None else c.phases[:t] + (row,) + c.phases[t + 1 :]
+                outcome = Configuration(bv, c.seqs[:t] + (seq,) + c.seqs[t + 1 :], phases, c.atomic)
+            out.append((t, head, value, outcome))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +383,18 @@ def _sorted_columns(cols: list, n_tasks: int) -> list:
     return list(zip(*cols)) or [()] * n_tasks
 
 
-def _shift_column(phases: tuple, q: int):
+def _shift_column(phases: tuple, q: int, columns: list):
     """Canonical rows after a step changed one cell of column ``q`` of
-    canonical rows, and whether the columns kept their order.  Column
-    ``q`` is shifted alone; when its cell multiset no longer sits between
-    its neighbours', the columns are sorted again, and the others need
-    no shift."""
+    canonical rows, and whether the columns kept their order.
+    ``columns`` holds the sorted cells of each column before the step,
+    which are those of every column but ``q`` after it.  Column ``q`` is
+    shifted alone; when its cell multiset no longer sits between its
+    neighbours', the columns are sorted again, and the others need no
+    shift."""
     cells = [row[q] for row in phases]
     col = _shift(cells)
     mid = sorted(col)
-    if (q and sorted([row[q - 1] for row in phases]) > mid) or (
-        q + 1 < len(phases[0]) and mid > sorted([row[q + 1] for row in phases])
-    ):
+    if (q and columns[q - 1] > mid) or (q + 1 < len(columns) and mid > columns[q + 1]):
         cols = list(zip(*phases))
         cols[q] = col
         return _sorted_columns(cols, len(phases)), False
@@ -347,25 +403,30 @@ def _shift_column(phases: tuple, q: int):
     return tuple([row if row[q] is e else row[:q] + (e,) + row[q + 1 :] for row, e in zip(phases, col)]), True
 
 
-def canonical(c: Configuration, p: Program, parent=None, task=None) -> Configuration:
+def canonical(c: Configuration, p: Program, parent=None, task=None, columns=None) -> Configuration:
     """Deterministically relabel tasks and phasers and subtract the
     per-phaser minimum phase (sound for reachability modulo equivalence).
     Phasers sort by the multiset of their cells (``NREG`` sorts after
     every registration on a variable).  Tasks sort by the text of their
     sequence (``p.text_ranks``), then by their row, then by index.
 
-    ``explore`` passes a hint: ``parent`` is canonical and ``c`` is
-    ``apply_step(parent, p, task, ·)``.  An assign, assert, if or while
-    then changed only ``task``'s sequence, and a signal, wait or drop one
-    cell of its row besides.  That column is shifted alone and, while its
-    cells still sit between its neighbours', the columns keep their
-    order; a shift keeps the order of the other rows, so outside an
-    atomic section ``task`` is spliced into the others at its place.
-    Every other step sorts the columns, or the tasks, in full.  Both give
-    the same configuration."""
+    ``explore`` passes a hint: ``parent`` is canonical, ``c`` is
+    ``apply_step(parent, p, task, ·)`` and ``columns`` holds the sorted
+    cells of each of ``parent``'s columns, which its successors share
+    (sorted here when not given).
+    An assign, assert, if or while then changed only ``task``'s sequence
+    (and ``bv``), and a signal, wait or drop one cell of its row besides.
+    That column is shifted alone and, while its cells still sit between
+    its neighbours' in ``columns``, the columns keep their order; a shift
+    keeps the order of the other rows, so outside an atomic section
+    ``task`` is spliced into the others at its place.  Every other step
+    sorts the columns, or the tasks, in full.  Both give the same
+    configuration."""
     head = None if parent is None else p.heads[parent.seqs[task]]
     if isinstance(head, (Signal, Wait, Drop)):
-        rows, in_place = _shift_column(c.phases, binding(c, task, head.var))
+        if columns is None:
+            columns = [sorted(col) for col in zip(*parent.phases)]
+        rows, in_place = _shift_column(c.phases, binding(c, task, head.var), columns)
     elif isinstance(head, (Assign, Assert, If, While)):
         rows, in_place = c.phases, True
     else:
@@ -393,11 +454,11 @@ def canonical(c: Configuration, p: Program, parent=None, task=None) -> Configura
 # Cyclic-wait detection
 
 
-def cyclic_waits(c: Configuration, p: Program):
+def cyclic_waits(c: Configuration, p: Program, blocked=None):
     """A cycle of tasks each blocked at a wait whose guard the next task in
-    the cycle falsifies, or None."""
-    # blocked task -> the tasks whose signals block its wait
-    blockers = {t: by for t in range(c.n_tasks) if (by := _blockers(c, p, t))}
+    the cycle falsifies, or None.  ``blocked`` is ``_blocked(c, p)``,
+    computed when not given."""
+    blockers = _blocked(c, p) if blocked is None else blocked
     # depth-first search among blocked tasks; the first back edge closes a cycle
     done = set()
 
@@ -435,27 +496,40 @@ class ExploreResult(Node):
     errors: list  # (error outcome, config index the step fired from)
     exhausted: bool
     edges: list  # (src, task, stmt str, dst)
+    cut: tuple = ()  # the Bounds fields that cut the frontier, in field order
 
 
-def _within(c: Configuration, b: Bounds, t: int) -> bool:
-    """Whether task ``t``'s step into ``c``, from a configuration within
-    the bounds, stays within them.  A step moves phase values only in
-    ``t``'s row: an ``asynch`` child copies values of that row, and
-    ``newPhaser`` adds a column at 0."""
-    if c.n_tasks > b.max_tasks or c.n_phasers > b.max_phasers:
-        return False
+def _beyond(c: Configuration, b: Bounds, t: int):
+    """The name of the bound that task ``t``'s step into ``c``, from a
+    configuration within the bounds, breaks, or None.  A step moves phase
+    values only in ``t``'s row: an ``asynch`` child copies values of that
+    row, and ``newPhaser`` adds a column at 0."""
+    if c.n_tasks > b.max_tasks:
+        return "max_tasks"
+    if c.n_phasers > b.max_phasers:
+        return "max_phasers"
     for _, reg in c.phases[t]:
         for v in (reg.wait, reg.sig):
             if v is not None and v > b.max_phase:
-                return False
-    return True
+                return "max_phase"
+    return None
 
 
 def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreResult:
     """Breadth-first closure of the step relation over all choices.
 
-    ``exhausted`` is True only when no frontier state was cut by a bound,
-    so "no error found" is conclusive for the quotient modulo equivalence.
+    ``cut`` names each bound that kept a successor out, and ``max_steps``
+    when configurations were left unexpanded.  ``exhausted`` is True only
+    when none did, so "no error found" is conclusive for the quotient
+    modulo equivalence.
+
+    What the successors of one configuration share is computed once for
+    them: its blocker map serves ``successors`` and ``cyclic_waits``, and
+    its columns' sorted cells serve ``canonical``'s hint.  The steps of a
+    local head (``LOCAL``) read only their task's sequence, row and
+    ``bv``, so each such triple is stepped once per call and its steps
+    are kept (``_local_steps``).  A task with the same sequence and row
+    as the one before it takes that task's successor for each value.
     """
     init = canonical(initial_config(p), p)
     index = {init: 0}
@@ -464,45 +538,47 @@ def explore(p: Program, bounds: Bounds, record_graph: bool = False) -> ExploreRe
     edges = []
     queue = deque([0])
     expansions = 0
-    exhausted = True
+    cut = set()
+    local = {}  # (sequence, row, bv) -> _local_steps
     while queue:
         if expansions >= bounds.max_steps:
-            exhausted = False
+            cut.add("max_steps")
             break
         ci = queue.popleft()
         c = configs[ci]
         expansions += 1
-        cycle = cyclic_waits(c, p)
+        blocked = _blocked(c, p)
+        cycle = cyclic_waits(c, p, blocked)
         found = [] if cycle is None else [CyclicWait(cycle)]
         seqs, rows = c.seqs, c.phases
-        done = {}  # (task, value) -> successor index, or None for a cut
-        for t, stmt, value, outcome in successors(c, p):
+        columns = [sorted(col) for col in zip(*rows)]
+        done = {}  # (task, value) -> successor index
+        for t, stmt, value, outcome in successors(c, p, blocked, bounds, local):
+            if outcome.__class__ is str:  # the bound the step breaks
+                cut.add(outcome)
+                continue
             if not isinstance(outcome, Configuration):
                 if outcome not in found:
                     found.append(outcome)
                 continue
             # a twin of the task before (same sequence and row; c is
             # canonical, so twins are adjacent) steps to the same canonical
-            # successor, or is cut alike.  In an atomic section only its
-            # owner steps, so no task finds a twin's entry there
+            # successor.  In an atomic section only its owner steps, so no
+            # task finds a twin's entry there
             if t and seqs[t - 1] == seqs[t] and rows[t - 1] == rows[t] and (t - 1, value) in done:
                 j = done[t - 1, value]
-            elif not _within(outcome, bounds, t):
-                j = None
             else:
-                cc = canonical(outcome, p, c, t)
+                cc = canonical(outcome, p, c, t, columns)
                 j = index.setdefault(cc, len(configs))  # one hash per successor
                 if j == len(configs):
                     configs.append(cc)
                     queue.append(j)
             done[t, value] = j
-            if j is None:
-                exhausted = False
-                continue
             if record_graph:
                 edges.append((ci, t, str(stmt), j))
         errors.extend((e, ci) for e in found)
-    return ExploreResult(configs, errors, exhausted, edges)
+    cut = tuple(name for name in Bounds.field_names if name in cut)
+    return ExploreResult(configs, errors, not cut, edges, cut)
 
 
 def config_to_text(c: Configuration, p: Program) -> str:

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 from phasercheck.concrete import (
     NREG,
+    Bounds,
     Configuration,
     CyclicWait,
     ExploreResult,
     Reg,
-    _within,
     canonical,
     cyclic_waits,
     initial_config,
@@ -470,10 +470,23 @@ def walk(seq, looped: bool = False):
             yield from walk(s.body, looped or isinstance(s, While))
 
 
+def bounds_broken(c, bounds) -> list:
+    """The ``Bounds`` fields that ``c`` lies beyond, read off every row."""
+    values = [v for row in c.phases for _, reg in row for v in (reg.wait, reg.sig) if v is not None]
+    over = {
+        "max_tasks": c.n_tasks > bounds.max_tasks,
+        "max_phasers": c.n_phasers > bounds.max_phasers,
+        "max_phase": max(values, default=0) > bounds.max_phase,
+    }
+    return [name for name, broken in over.items() if broken]
+
+
 def reference_explore(program, bounds) -> ExploreResult:
     """Reference for ``concrete.explore(..., record_graph=True)``: the
     same breadth-first loop with the full ``canonical`` sort on every
-    successor, and no successor reused from a twin task."""
+    successor, each configuration's blockers found anew by each caller,
+    no successor reused from a twin task or a cache of local steps, and
+    the bounds checked on every row of a successor."""
     init = canonical(initial_config(program), program)
     index = {init: 0}
     configs = [init]
@@ -481,10 +494,10 @@ def reference_explore(program, bounds) -> ExploreResult:
     edges = []
     queue = deque([0])
     expansions = 0
-    exhausted = True
+    cut = set()
     while queue:
         if expansions >= bounds.max_steps:
-            exhausted = False
+            cut.add("max_steps")
             break
         ci = queue.popleft()
         c = configs[ci]
@@ -496,8 +509,9 @@ def reference_explore(program, bounds) -> ExploreResult:
                 if outcome not in found:
                     found.append(outcome)
                 continue
-            if not _within(outcome, bounds, t):
-                exhausted = False
+            broken = bounds_broken(outcome, bounds)
+            if broken:
+                cut.update(broken)
                 continue
             cc = canonical(outcome, program)
             j = index.setdefault(cc, len(configs))
@@ -506,4 +520,5 @@ def reference_explore(program, bounds) -> ExploreResult:
                 queue.append(j)
             edges.append((ci, t, str(stmt), j))
         errors.extend((e, ci) for e in found)
-    return ExploreResult(configs, errors, exhausted, edges)
+    cut = tuple(name for name in Bounds.field_names if name in cut)
+    return ExploreResult(configs, errors, not cut, edges, cut)

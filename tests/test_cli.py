@@ -157,6 +157,37 @@ def test_explore_graph_that_fails_while_writing_exits_2(capsys):
     assert err == "error: /dev/full: [Errno 28] No space left on device\n"
 
 
+# a program and the options that cut its exploration, and the note that
+# names them on stderr
+CUT_BY = [
+    ("bool a; main(){ a = true; a = false; }", ["--max-steps", "1"], "--max-steps"),
+    ("main(){ asynch(T); } T(){ exit; }", ["--max-tasks", "1"], "--max-tasks"),
+    ("main(){ p = newPhaser(); drop(p); }", ["--max-phasers", "0"], "--max-phasers"),
+    ("main(){ p = newPhaser(); signal(p); drop(p); }", ["--max-phase", "0"], "--max-phase"),
+    (
+        "main(){ p = newPhaser(); if(ndet()){ signal(p); } asynch(T, p); } T(p){ drop(p); }",
+        ["--max-phase", "0", "--max-tasks", "1"],
+        "--max-tasks, --max-phase",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, options, named", CUT_BY)
+def test_explore_names_the_bounds_that_cut_it(tmp_path, capsys, source, options, named):
+    prog = tmp_path / "p.phz"
+    prog.write_text(source)
+    assert run("explore", str(prog), *options) == 0
+    out, err = capsys.readouterr()
+    assert "exhausted: no" in out.splitlines() and "note" not in out
+    assert err == f"note: exploration cut by {named}\n"
+
+
+def test_an_exhausted_explore_prints_no_note(capsys):
+    assert run("explore", path("sigwait_ok")) == 0
+    out, err = capsys.readouterr()
+    assert "exhausted: yes" in out.splitlines() and err == ""
+
+
 def test_closed_stdout_exits_141_quietly():
     # the dump (about 690 kB) outgrows the pipe buffer, so the command is
     # still printing when the reader goes away

@@ -1,6 +1,10 @@
 """``explore`` against the slow path it stands for.  It canonicalizes a
-successor from its canonical parent (``canonical``'s hint) and reuses
-a twin task's successor; the reference explorer does neither.
+successor from its canonical parent and the parent's sorted columns
+(``canonical``'s hint), finds a configuration's blocked waits once for
+``successors`` and ``cyclic_waits``, steps each local head once per
+sequence, row and bv (its cache of local steps), and reuses a twin
+task's successor.  The reference explorer does none of this, and reads
+the bounds off every row of a successor.
 
 The programs are the corpus and, written out, the shapes of the
 generated programs in ``bench/families.py``.  A column that leaves its
@@ -25,13 +29,15 @@ from phasercheck.concrete import (
     apply_step,
     canonical,
     config_to_text,
+    enabled_steps,
     explore,
+    step_choices,
     successors,
 )
 from phasercheck.parser import parse, parse_seq
 
 from conftest import CORPUS, load
-from oracles import cell_key, reference_explore
+from oracles import bounds_broken, cell_key, reference_explore
 
 RING_TASKS = """
 Node(l, r){ signal(l); signal(r); wait(l); wait(r); drop(l); drop(r); }
@@ -88,7 +94,13 @@ SHAPES = {
     "pairs_phase_0": (PAIRS, Bounds(300000, 5, 2, 0)),
     "pairs_steps_100": (PAIRS, Bounds(100, 5, 2, 8)),
 }
-CUT = {"ring_rlrl_steps_300", "chain_4_tasks_3", "pairs_phase_0", "pairs_steps_100"}
+# the shapes that a bound cuts, and the bounds that cut each
+CUT = {
+    "ring_rlrl_steps_300": ("max_steps",),
+    "chain_4_tasks_3": ("max_tasks",),
+    "pairs_phase_0": ("max_phase",),
+    "pairs_steps_100": ("max_steps",),
+}
 
 # per shape: configuration count, exhausted, errors and the sha256 of the
 # config_to_text dump.  On chain_4, ties between columns decide the count
@@ -166,16 +178,43 @@ def test_cells_rows_and_columns_sort_by_the_reference_key(name):
 
 def test_the_cases_cut_and_exhaust():
     for name in SHAPES:
-        assert explore(*case(name)).exhausted == (name not in CUT), name
+        result = explore(*case(name))
+        assert (result.exhausted, result.cut) == (name not in CUT, CUT.get(name, ())), name
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_canonical_from_the_canonical_parent_is_the_full_sort(name):
     program, bounds = case(name)
     for c in explore(program, bounds).configs:
+        columns = [sorted(col) for col in zip(*c.phases)]
         for t, _, _, outcome in successors(c, program):
             if isinstance(outcome, Configuration):
-                assert canonical(outcome, program, c, t) == canonical(outcome, program)
+                assert canonical(outcome, program, c, t, columns) == canonical(outcome, program)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_the_local_step_cache_agrees_with_apply_step(name):
+    # the configurations come in explore's order, so a later one meets
+    # entries that an earlier one filled, as in explore
+    program, bounds = case(name)
+    local = {}
+    for c in explore(program, bounds).configs:
+        got = successors(c, program, None, bounds, local)
+        steps = [(t, head, value) for t, head in enabled_steps(c, program) for value in step_choices(c, program, head)]
+        assert [step[:3] for step in got] == steps
+        for t, head, value, outcome in got:
+            stepped = apply_step(c, program, t, value)
+            broken = isinstance(stepped, Configuration) and bounds_broken(stepped, bounds)
+            assert outcome == (broken[0] if broken else stepped), (t, head)
+
+
+def test_a_cached_step_to_an_error_names_its_own_task():
+    # T's assertion fails from the same sequence, row and bv at task 0 of
+    # one configuration and at tasks 1 and 2 of the next
+    program = parse("bool a; main(){ asynch(T); asynch(T); } T(){ assert(a); }")
+    result = explore(program, Bounds(), record_graph=True)
+    assert result.errors == [(AssertionViolation(0), 1), (AssertionViolation(1), 2), (AssertionViolation(2), 2)]
+    assert result == reference_explore(program, Bounds())
 
 
 @pytest.mark.parametrize("name", CASES)
